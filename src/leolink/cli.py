@@ -13,12 +13,12 @@ from .config import (
     ConfigError,
     ConstellationConfig,
     ScenarioConfig,
+    _constellation_from_dict,
     load_config,
     validate,
 )
 from .constants import DEFAULT_EPOCH, VERSION
 from .engine import run
-from .fleets import BUILTIN_FLEETS
 from .metrics import bin_grid
 from .policy import SelectionPolicy
 from .population import preset as make_preset
@@ -63,19 +63,7 @@ def _apply_common(cfg: ScenarioConfig, args) -> ScenarioConfig:
 
 
 def _constellations_arg(names: str) -> list[ConstellationConfig]:
-    out = []
-    for name in names.split(","):
-        name = name.strip()
-        fleet = BUILTIN_FLEETS.get(name)
-        if fleet is None:
-            raise ConfigError(
-                f"unknown constellation {name!r}; bundled: {sorted(BUILTIN_FLEETS)}"
-            )
-        if fleet.shells is not None:
-            out.append(ConstellationConfig(name, fleet.beam, shells=fleet.shells))
-        else:
-            out.append(ConstellationConfig(name, fleet.beam, tles=fleet.tles()))
-    return out
+    return [_constellation_from_dict({"name": n.strip()}, Path.cwd()) for n in names.split(",")]
 
 
 def _cmd_run(args) -> int:

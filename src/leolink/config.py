@@ -333,6 +333,12 @@ def validate(cfg: ScenarioConfig) -> list[tuple[str, str]]:
         return out
     if cfg.duration_s < cfg.step_s:
         out.append(("error", "duration must be at least one step"))
+    if not 0.0 <= cfg.min_elevation_deg < 90.0:
+        # the horizon cull and the visibility kernel have no Earth-blockage
+        # test, so below 0 they would count satellites behind the Earth
+        out.append(
+            ("error", f"min_elevation {cfg.min_elevation_deg} deg is outside [0, 90)")
+        )
     if not cfg.constellations:
         out.append(("error", "at least one constellation is required"))
     if not cfg.users:

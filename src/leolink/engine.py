@@ -1,15 +1,14 @@
 """End-to-end scenario execution.
 
 Propagates every constellation satellite and user over the configured
-window, evaluates the two-sided visibility predicate for all pairs,
-applies the selection policy, and streams per-user metric accumulators.
-The time loop is processed in blocks with all pair math vectorized; users
-are independent units of parallelism inside each block, so results are
-identical for any thread count.
-
-A conservative cull (satellite above the user's geometric horizon) prunes
-pairs before full geometry; ``cull=False`` keeps the brute-force path for
-equivalence checks.
+window in time blocks. Per block, one conservative cull for all users
+(satellite at or above the user's geometric horizon) gives each user a
+candidate list of (satellite row, step) pairs in (row, step) order;
+``cull=False`` makes every pair a candidate instead. Per user, the
+two-sided visibility predicate, the selection policy and the streaming
+metric accumulators run on that list only. Users are independent units of
+parallelism inside each block, so results are identical for any thread
+count.
 """
 
 from __future__ import annotations
@@ -28,13 +27,13 @@ import numpy as np
 from . import sgp4core
 from .config import ConfigError, ScenarioConfig, validate
 from .constants import EARTH_RADIUS_KM, VERSION
-from .geometry import pair_geometry_arrays, visible_mask_arrays
+from .geometry import horizon_candidates, pair_geometry_arrays, visible_mask_arrays
 from .metrics import BinGrid, CoverageSummary, StepRecord, UserAccumulator, bin_grid
-from .policy import serving_rows
+from .policy import serving_pairs, serving_rows
 from .population import UserSpec
 from .propagation import PropagationError, satrec_from_tle
 from .sgp4batch import SatBatch
-from .timebase import format_utc, julian_date
+from .timebase import datetime_from_jd, format_utc, julian_date
 from .tle import elements_to_tle
 from .walker import build_walker
 
@@ -148,6 +147,8 @@ class _Fleet:
                         f"SGP4 failed for {rec.name}: "
                         f"{sgp4core.SGP4_ERRORS.get(rec.error, rec.error)}",
                         rec.name,
+                        step=k,
+                        utc=datetime_from_jd(jd, float(fr[k])),
                     )
                 pos[row, k] = r
                 vel[row, k] = v
@@ -192,13 +193,8 @@ def run(cfg: ScenarioConfig) -> RunManifest:
     n_users = len(cfg.users)
     n_steps = cfg.n_steps
     jd0, fr0 = julian_date(cfg.epoch)
-    sin_min = math.sin(math.radians(cfg.min_elevation_deg))
 
-    sat_ids = np.arange(fleet.n, dtype=np.int64)
-    accs = [
-        UserAccumulator(fleet.names, fleet.const_of_sat, sat_ids, cfg.step_s)
-        for _ in range(n_users)
-    ]
+    accs = [UserAccumulator(fleet.names, fleet.const_of_sat, cfg.step_s) for _ in range(n_users)]
     series = (
         [
             {
@@ -215,85 +211,53 @@ def run(cfg: ScenarioConfig) -> RunManifest:
 
     block = max(8, min(512, int(4e6 / max(fleet.n, 1))))
 
-    def process_user(ui: int, t0: int, idx: np.ndarray, sat_pos, sat_vel, cos_half, u_pos, u_vel):
-        upos = u_pos[ui]
-        uvel = u_vel[ui]
-        if cfg.cull:
-            dots = np.einsum("sbk,bk->sb", sat_pos, upos)
-            ru2 = np.einsum("bk,bk->b", upos, upos)
-            s_idx, b_idx = np.nonzero(dots >= ru2[None, :])
-            rng_k, rr_k, sin_el, cos_off = pair_geometry_arrays(
-                sat_pos[s_idx, b_idx], sat_vel[s_idx, b_idx], upos[b_idx], uvel[b_idx]
-            )
-            vis_k = (sin_el >= sin_min) & (cos_off >= cos_half[s_idx, b_idx])
-            vis = np.zeros(sat_pos.shape[:2], dtype=bool)
-            vis[s_idx[vis_k], b_idx[vis_k]] = True
-            rng = np.full(sat_pos.shape[:2], np.inf)
-            rng[s_idx, b_idx] = rng_k
-            rr = np.zeros(sat_pos.shape[:2])
-            rr[s_idx, b_idx] = rr_k
-        else:
-            rng, rr, sin_el, cos_off = pair_geometry_arrays(
-                sat_pos, sat_vel, upos[None, :, :], uvel[None, :, :]
-            )
-            vis = visible_mask_arrays(sin_el, cos_off, cfg.min_elevation_deg, cos_half)
-        srv = serving_rows(vis, rng, cfg.policy, ui, idx)
-        accs[ui].update_block(t0, vis, rng, rr, srv)
+    def process_user(
+        ui: int, t0: int, idx: np.ndarray, sat_pos, sat_vel, cos_half, u_pos, u_vel, cand
+    ):
+        row, step = cand[ui]
+        rng, rr, sin_el, cos_off = pair_geometry_arrays(
+            sat_pos[row, step], sat_vel[row, step], u_pos[ui][step], u_vel[ui][step]
+        )
+        vis = visible_mask_arrays(sin_el, cos_off, cfg.min_elevation_deg, cos_half[row, step])
+        srv = serving_rows(vis, row, step, rng, cfg.policy, ui, idx)
+        accs[ui].update_block(t0, vis, row, step, rng, rr, srv)
         if series is not None:
-            cols = np.flatnonzero(srv >= 0)
+            served, at = serving_pairs(row, step, srv)
             series[ui]["serving_row"][idx] = srv
-            series[ui]["serving_range_km"][idx[cols]] = rng[srv[cols], cols]
-            series[ui]["serving_range_rate_km_s"][idx[cols]] = rr[srv[cols], cols]
+            series[ui]["serving_range_km"][idx[served]] = rng[at]
+            series[ui]["serving_range_rate_km_s"][idx[served]] = rr[at]
         if records_cap is not None:
-            for k in range(vis.shape[1]):
-                rows = np.flatnonzero(vis[:, k])
-                visible = [
-                    (
-                        int(s),
-                        float(rng[s, k]),
-                        float(rr[s, k]),
-                        math.degrees(
-                            math.asin(
-                                min(
-                                    1.0,
-                                    max(
-                                        -1.0,
-                                        float(
-                                            (sat_pos[s, k] - upos[k]) @ upos[k]
-                                            / (rng[s, k] * np.linalg.norm(upos[k]))
-                                        ),
-                                    ),
-                                )
-                            )
-                        ),
-                    )
-                    for s in rows
-                ]
-                records_cap[ui].append(
-                    StepRecord(
-                        step_index=int(t0 + k),
-                        visible=visible,
-                        serving=int(srv[k]) if srv[k] >= 0 else None,
-                    )
-                )
+            elev = np.degrees(np.arcsin(np.clip(sin_el, -1.0, 1.0)))
+            visible = [[] for _ in idx]
+            for s, k, *link in zip(*(a[vis].tolist() for a in (row, step, rng, rr, elev))):
+                visible[k].append((s, *link))  # rows ascend within each step
+            records_cap[ui].extend(
+                StepRecord(int(t0 + k), visible[k], int(srv[k]) if srv[k] >= 0 else None)
+                for k in range(len(idx))
+            )
 
     pool = ThreadPoolExecutor(max_workers=cfg.threads) if cfg.threads > 1 else None
     try:
         for t0 in range(0, n_steps, block):
             idx = np.arange(t0, min(t0 + block, n_steps))
             fr = fr0 + idx * (cfg.step_s / 86400.0)
-            sat_pos, sat_vel, cos_half = fleet.propagate_block(jd0, fr)
-            u_pos, u_vel = user_batch.propagate_jd(jd0, fr)
+            try:
+                sat_pos, sat_vel, cos_half = fleet.propagate_block(jd0, fr)
+                u_pos, u_vel = user_batch.propagate_jd(jd0, fr)
+            except PropagationError as exc:
+                if exc.step is not None:
+                    exc.step += t0  # the propagators count from the block start
+                raise
+            if cfg.cull:
+                cand = horizon_candidates(sat_pos, u_pos)
+            else:
+                cand = [np.divmod(np.arange(fleet.n * len(idx)), len(idx))] * n_users
+            args = (t0, idx, sat_pos, sat_vel, cos_half, u_pos, u_vel, cand)
             if pool is None:
                 for ui in range(n_users):
-                    process_user(ui, t0, idx, sat_pos, sat_vel, cos_half, u_pos, u_vel)
+                    process_user(ui, *args)
             else:
-                futures = [
-                    pool.submit(
-                        process_user, ui, t0, idx, sat_pos, sat_vel, cos_half, u_pos, u_vel
-                    )
-                    for ui in range(n_users)
-                ]
+                futures = [pool.submit(process_user, ui, *args) for ui in range(n_users)]
                 for f in futures:
                     f.result()
     finally:
@@ -307,7 +271,7 @@ def run(cfg: ScenarioConfig) -> RunManifest:
             UserResult(
                 spec=u,
                 summaries=summaries,
-                passes=accs[ui].combined.pass_intervals(),
+                passes=accs[ui].combined.passes.intervals,
                 accesses=accs[ui].combined.access_intervals(),
                 series=series[ui] if series is not None else None,
                 records=records_cap[ui] if records_cap is not None else None,

@@ -150,17 +150,53 @@ def grazing_range_km(r1_km: float, r2_km: float, radius: float = EARTH_RADIUS_KM
 # ---------------------------------------------------------------------------
 
 
-def horizon_mask_arrays(sat_pos: np.ndarray, user_pos: np.ndarray) -> np.ndarray:
-    """Conservative cull: keep pairs with the satellite at or above the
-    user's geometric horizon plane (elevation >= 0).
+# Floats per dot-product chunk of the horizon cull (16 MB of float64)
+_CULL_CHUNK = 1 << 21
+# Multiply-adds per matrix product. OpenBLAS runs a product this small on the
+# calling thread; parallelism belongs to the engine's ``threads`` option, and
+# a BLAS thread pool competing with other processes stalls every product.
+_GEMM_SIZE = 1 << 18
+
+
+def horizon_candidates(
+    sat_pos: np.ndarray, user_pos: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Conservative cull of one time block for every user: the pairs with the
+    satellite at or above the user's geometric horizon plane (elevation >= 0).
 
     elevation >= 0  <=>  dot(sat - user, user) >= 0  <=>  dot(sat, user) >= |user|^2,
     so any pair failing this can never pass a min-elevation >= 0 test.
-    sat_pos: (S, B, 3); user_pos: (B, 3) -> mask (S, B).
+    sat_pos: (S, B, 3); user_pos: (U, B, 3). Returns, per user, the kept
+    (row, step) index arrays in (row, step) order. The dot products are
+    (U, 3) x (3, satellites) products per step, taken a few steps and
+    satellites at a time so that no (B, U, S) array is built.
     """
-    dots = np.einsum("sbk,bk->sb", sat_pos, user_pos)
-    ru2 = np.einsum("bk,bk->b", user_pos, user_pos)
-    return dots >= ru2[None, :]
+    n_sat, n_steps, _ = sat_pos.shape
+    n_user = user_pos.shape[0]
+    ru2 = np.einsum("ubk,ubk->bu", user_pos, user_pos)
+    width = max(1, _GEMM_SIZE // (3 * n_user))
+    keys = []
+    for s0 in range(0, n_sat, width):
+        sats = sat_pos[s0 : s0 + width]
+        n = len(sats)
+        chunk = max(1, _CULL_CHUNK // (n * n_user))
+        for b0 in range(0, n_steps, chunk):
+            b1 = min(n_steps, b0 + chunk)
+            # strided (C, U, 3) x (C, 3, n) views, multiplied without copies
+            above = np.matmul(
+                user_pos[:, b0:b1].transpose(1, 0, 2), sats[:, b0:b1].transpose(1, 2, 0)
+            ) >= ru2[b0:b1, :, None]
+            # flat index (b * U + u) * n + s
+            b, us = np.divmod(np.flatnonzero(above), n_user * n)
+            u, s = np.divmod(us, n)
+            keys.append((u * n_sat + s0 + s) * n_steps + (b0 + b))
+    # sorted keys (u * S + s) * B + b run user by user, each in (row, step) order
+    keys = np.sort(np.concatenate(keys))
+    per_user = n_sat * n_steps
+    bounds = np.searchsorted(keys, np.arange(n_user + 1) * per_user)
+    return [
+        np.divmod(keys[bounds[u] : bounds[u + 1]] - u * per_user, n_steps) for u in range(n_user)
+    ]
 
 
 def pair_geometry_arrays(

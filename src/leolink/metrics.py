@@ -7,8 +7,10 @@ Two layers:
   that operate on explicit :class:`StepRecord` sequences. These are the
   readable reference implementations.
 * Streaming accumulators (:class:`UserAccumulator`) fed by the scenario
-  engine one time block at a time, so pair-level timelines never have to be
-  materialized. Tests pin the two layers to identical results.
+  engine one time block of candidate (satellite row, step) pairs at a time.
+  Counts, runs and per-constellation slices come from the visible pairs in
+  (row, step) order, so no pair-level timeline is ever materialized. Tests
+  pin the two layers to identical results.
 
 Durations follow the sample-count convention: a run of k consecutive
 visible samples lasts k * step seconds.
@@ -22,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .link import doppler_offset_hz, fspl_db
+from .policy import serving_pairs
 
 
 @dataclass(frozen=True)
@@ -174,28 +177,38 @@ class CoverageSummary:
 
 
 class _IntervalTracker:
-    """Run-length state for one row set across sequential time blocks."""
+    """Runs of consecutive active steps per row across sequential time blocks."""
 
-    def __init__(self, n_rows: int):
-        self.run_start = np.full(n_rows, -1, dtype=np.int64)
+    def __init__(self):
+        # rows whose run reaches the end of the last block, ascending, and the
+        # absolute step each of those runs started at
+        self.open_rows = np.empty(0, dtype=np.int64)
+        self.open_starts = np.empty(0, dtype=np.int64)
         self.intervals: list[tuple[int, int, int]] = []  # (row, start, end)
 
-    def update(self, t0: int, active: np.ndarray) -> None:
-        """active: (R, B) boolean block starting at absolute step t0."""
-        prev = (self.run_start >= 0)[:, None]
-        padded = np.concatenate([prev, active], axis=1).astype(np.int8)
-        delta = np.diff(padded, axis=1)
-        for r, c in np.argwhere(delta != 0):
-            if delta[r, c] > 0:
-                self.run_start[r] = t0 + c
-            else:
-                self.intervals.append((int(r), int(self.run_start[r]), int(t0 + c - 1)))
-                self.run_start[r] = -1
+    def update(self, t0: int, n_steps: int, row: np.ndarray, step: np.ndarray) -> None:
+        """Active (row, step) entries of the n_steps block starting at absolute
+        step t0, in (row, step) order, steps counted from the block start.
+        The runs this block closes are appended by (row, end step)."""
+        # open runs enter as entries on the step before the block
+        rows = np.concatenate((self.open_rows, row))
+        order = np.argsort(rows, kind="stable")
+        rows = rows[order]
+        at = np.concatenate((np.full(len(self.open_rows), t0 - 1), t0 + step))[order]
+        began = np.concatenate((self.open_starts, t0 + step))[order]
+        new_run = np.ones(len(rows) + 1, dtype=bool)
+        new_run[1:-1] = (rows[1:] != rows[:-1]) | (at[1:] != at[:-1] + 1)
+        bounds = np.flatnonzero(new_run)
+        rows, starts, ends = rows[bounds[:-1]], began[bounds[:-1]], at[bounds[1:] - 1]
+        done = ends < t0 + n_steps - 1
+        self.intervals.extend(zip(rows[done].tolist(), starts[done].tolist(), ends[done].tolist()))
+        self.open_rows, self.open_starts = rows[~done], starts[~done]
 
     def close(self, last_step: int) -> None:
-        for r in np.flatnonzero(self.run_start >= 0):
-            self.intervals.append((int(r), int(self.run_start[r]), int(last_step)))
-            self.run_start[r] = -1
+        self.intervals.extend(
+            (r, s, last_step) for r, s in zip(self.open_rows.tolist(), self.open_starts.tolist())
+        )
+        self.open_rows = self.open_starts = np.empty(0, dtype=np.int64)
 
 
 class _LinkStats:
@@ -234,17 +247,16 @@ class _LinkStats:
 
 
 class ConstellationAccumulator:
-    """Streams one user's pair-level blocks for one satellite row subset."""
+    """Streams one user's statistics over one satellite set: the whole fleet
+    or one constellation."""
 
-    def __init__(self, name: str, rows: np.ndarray, sat_ids: np.ndarray, step_seconds: float):
+    def __init__(self, name: str, step_seconds: float):
         self.name = name
-        self.rows = rows
-        self.sat_ids = sat_ids  # global ids, aligned with rows
         self.step_seconds = step_seconds
         self.covered = 0
         self.visible_hist = np.zeros(8, dtype=np.int64)
-        self.passes = _IntervalTracker(len(rows))
-        self.accesses = _IntervalTracker(1)
+        self.passes = _IntervalTracker()
+        self.accesses = _IntervalTracker()
         self.vis_stats = _LinkStats()
         self.srv_stats = _LinkStats()
         self.srv_steps = 0
@@ -252,27 +264,29 @@ class ConstellationAccumulator:
     def update_block(
         self,
         t0: int,
-        vis: np.ndarray,
+        n_steps: int,
+        step: np.ndarray,
         rng: np.ndarray,
         rr: np.ndarray,
-        srv_member: np.ndarray | None = None,
-        srv_rng: np.ndarray | None = None,
-        srv_rr: np.ndarray | None = None,
+        srv_rng: np.ndarray,
+        srv_rr: np.ndarray,
     ) -> None:
-        counts = vis.sum(axis=0)
+        """One block of this set's visible pairs (step within the block,
+        range, range-rate; in (row, step) order) and, in step order, the
+        serving range and range-rate of the steps this set serves."""
+        counts = np.bincount(step, minlength=n_steps)
         cmax = int(counts.max(initial=0))
         if cmax >= len(self.visible_hist):
             self.visible_hist = np.concatenate(
                 [self.visible_hist, np.zeros(cmax + 1 - len(self.visible_hist), dtype=np.int64)]
             )
         self.visible_hist += np.bincount(counts, minlength=len(self.visible_hist))
-        self.covered += int((counts > 0).sum())
-        self.vis_stats.update(rng[vis], rr[vis])
-        self.passes.update(t0, vis)
-        self.accesses.update(t0, (counts > 0)[None, :])
-        if srv_member is not None and srv_member.any():
-            self.srv_steps += int(srv_member.sum())
-            self.srv_stats.update(srv_rng[srv_member], srv_rr[srv_member])
+        covered = np.flatnonzero(counts)
+        self.covered += len(covered)
+        self.vis_stats.update(rng, rr)
+        self.accesses.update(t0, n_steps, np.zeros(len(covered), dtype=np.int64), covered)
+        self.srv_steps += len(srv_rng)
+        self.srv_stats.update(srv_rng, srv_rr)
 
     def finalize(
         self,
@@ -325,69 +339,61 @@ class ConstellationAccumulator:
             usage_fractions=usage_fractions or {},
         )
 
-    def pass_intervals(self) -> list[tuple[int, int, int]]:
-        """(satellite_id, start_step, end_step) for every closed pass."""
-        return [(int(self.sat_ids[r]), s, e) for r, s, e in self.passes.intervals]
-
     def access_intervals(self) -> list[tuple[int, int]]:
         return [(s, e) for _, s, e in self.accesses.intervals]
 
 
 class UserAccumulator:
-    """Combined plus per-constellation accumulation for one user."""
+    """Combined plus per-constellation accumulation for one user.
+
+    Satellite rows are satellite ids and are grouped by constellation, so a
+    constellation's pairs are a slice of the (row, step)-ordered pairs.
+    """
 
     def __init__(
-        self,
-        constellation_names: list[str],
-        const_of_sat: np.ndarray,
-        sat_ids: np.ndarray,
-        step_seconds: float,
+        self, constellation_names: list[str], const_of_sat: np.ndarray, step_seconds: float
     ):
-        self.const_of_sat = const_of_sat
+        if np.any(np.diff(const_of_sat) < 0):
+            raise ValueError("satellite rows must be grouped by constellation")
         self.names = constellation_names
-        rows_all = np.arange(len(const_of_sat))
-        self.combined = ConstellationAccumulator("combined", rows_all, sat_ids, step_seconds)
-        self.per_const = {}
-        for ci, name in enumerate(constellation_names):
-            rows = np.flatnonzero(const_of_sat == ci)
-            self.per_const[name] = ConstellationAccumulator(name, rows, sat_ids[rows], step_seconds)
+        self.const_of_sat = const_of_sat
+        # first row of each constellation, then the row count
+        self.row_bounds = np.searchsorted(const_of_sat, np.arange(len(constellation_names) + 1))
+        self.combined = ConstellationAccumulator("combined", step_seconds)
+        self.per_const = {
+            name: ConstellationAccumulator(name, step_seconds) for name in constellation_names
+        }
         self.serving_by_const = np.zeros(len(constellation_names), dtype=np.int64)
 
     def update_block(
         self,
         t0: int,
         vis: np.ndarray,
+        row: np.ndarray,
+        step: np.ndarray,
         rng: np.ndarray,
         rr: np.ndarray,
-        serving_row: np.ndarray | None = None,
+        serving_row: np.ndarray,
     ) -> None:
-        if serving_row is not None:
-            served = serving_row >= 0
-            cols = np.flatnonzero(served)
-            srv_rng = np.zeros(vis.shape[1])
-            srv_rr = np.zeros(vis.shape[1])
-            srv_rng[cols] = rng[serving_row[cols], cols]
-            srv_rr[cols] = rr[serving_row[cols], cols]
-            srv_const = np.full(vis.shape[1], -1, dtype=np.int64)
-            srv_const[cols] = self.const_of_sat[serving_row[cols]]
-            self.serving_by_const += np.bincount(
-                srv_const[cols], minlength=len(self.names)
-            )
-        else:
-            served = None
+        """One block of candidate pairs starting at absolute step t0: aligned
+        arrays in (row, step) order of visibility, satellite row, step within
+        the block, range and range-rate, plus each step's serving row (-1 for
+        none)."""
+        n_steps = len(serving_row)
+        row, step, rng, rr = row[vis], step[vis], rng[vis], rr[vis]
+        served, at = serving_pairs(row, step, serving_row)
+        srv_rng, srv_rr = rng[at], rr[at]
+        srv_const = self.const_of_sat[serving_row[served]]
+        self.serving_by_const += np.bincount(srv_const, minlength=len(self.names))
 
-        self.combined.update_block(t0, vis, rng, rr, served, srv_rng if served is not None else None, srv_rr if served is not None else None)
-        for ci, name in enumerate(self.names):
-            acc = self.per_const[name]
-            member = (srv_const == ci) if served is not None else None
+        self.combined.passes.update(t0, n_steps, row, step)
+        self.combined.update_block(t0, n_steps, step, rng, rr, srv_rng, srv_rr)
+        cut = np.searchsorted(row, self.row_bounds)
+        for ci, acc in enumerate(self.per_const.values()):
+            mine = slice(cut[ci], cut[ci + 1])
+            member = srv_const == ci
             acc.update_block(
-                t0,
-                vis[acc.rows],
-                rng[acc.rows],
-                rr[acc.rows],
-                member,
-                srv_rng if served is not None else None,
-                srv_rr if served is not None else None,
+                t0, n_steps, step[mine], rng[mine], rr[mine], srv_rng[member], srv_rr[member]
             )
 
     def finalize(self, total_steps: int, frequency_hz: float) -> dict[str, CoverageSummary]:
@@ -399,8 +405,12 @@ class UserAccumulator:
                 for ci, name in enumerate(self.names)
             }
         out = {"combined": self.combined.finalize(total_steps, frequency_hz, usage)}
-        for name in self.names:
-            out[name] = self.per_const[name].finalize(total_steps, frequency_hz)
+        # a constellation's passes are the combined passes on its rows
+        for ci, name in enumerate(self.names):
+            lo, hi = self.row_bounds[ci], self.row_bounds[ci + 1]
+            acc = self.per_const[name]
+            acc.passes.intervals = [p for p in self.combined.passes.intervals if lo <= p[0] < hi]
+            out[name] = acc.finalize(total_steps, frequency_hz)
         return out
 
 

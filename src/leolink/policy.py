@@ -83,26 +83,45 @@ def select_serving(
 
 def serving_rows(
     vis: np.ndarray,
-    rng_km: np.ndarray | None,
+    row: np.ndarray,
+    step: np.ndarray,
+    rng_km: np.ndarray,
     policy: SelectionPolicy,
     user_index: int,
     step_indices: np.ndarray,
 ) -> np.ndarray:
-    """Vector form over a visibility block.
+    """Vector form over one block's candidate pairs.
 
-    vis: (S, B) boolean, rows ordered by satellite id; rng_km (S, B) needed
-    for the closest policy. Returns the serving row per step, -1 when the
-    column is empty. Matches :func:`select_serving` per column.
+    vis, row, step, rng_km: aligned arrays over the candidate pairs in
+    (row, step) order, with rows ordered by satellite id and ``step`` the
+    position in ``step_indices``. Returns the serving row per step, -1 when
+    the step has no visible pair. Matches :func:`select_serving` per step.
     """
-    any_vis = vis.any(axis=0)
+    row, step = row[vis], step[vis]
+    out = np.full(len(step_indices), -1, dtype=np.int64)
     if policy.kind == "closest":
-        masked = np.where(vis, rng_km, np.inf)
-        rows = np.argmin(masked, axis=0)  # first minimum = lowest id on ties
+        # by step, then range; the sort is stable, so ties keep row order and
+        # each step's first entry is the minimum range with the lowest id
+        order = np.lexsort((rng_km[vis], step))
+        first = order[np.diff(step[order], prepend=-1) != 0]
+        out[step[first]] = row[first]
     else:
-        counts = vis.sum(axis=0)
+        counts = np.bincount(step, minlength=len(step_indices))
         u = keyed_uniform(policy.seed, user_index, step_indices)
         j = np.minimum((u * counts).astype(np.int64), np.maximum(counts - 1, 0))
-        csum = np.cumsum(vis, axis=0)
-        sel = vis & (csum == (j + 1)[None, :])
-        rows = np.argmax(sel, axis=0)
-    return np.where(any_vis, rows, -1)
+        served = np.flatnonzero(counts)
+        # (step, row) order: segment k holds step k's visible rows by id
+        by_step = row[np.argsort(step, kind="stable")]
+        seg_start = np.cumsum(counts) - counts
+        out[served] = by_step[seg_start[served] + j[served]]
+    return out
+
+
+def serving_pairs(
+    row: np.ndarray, step: np.ndarray, serving_row: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Served steps of a block and, for each, the position of its serving
+    pair among (row, step)-ordered pairs that include it."""
+    steps = np.flatnonzero(serving_row >= 0)
+    n = len(serving_row)
+    return steps, np.searchsorted(row * n + step, serving_row[steps] * n + steps)

@@ -9,16 +9,33 @@ import numpy as np
 
 from . import sgp4core
 from .elements import StateVector
-from .timebase import julian_date, minutes_since
+from .timebase import format_utc, julian_date, minutes_since
 from .tle import TwoLineElementSet
 
 
 class PropagationError(RuntimeError):
-    """SGP4 failure (decay, degenerate elements) for an identified object."""
+    """SGP4 failure (decay, degenerate elements) for an identified object.
 
-    def __init__(self, message: str, object_name: str = ""):
+    A failure inside a time grid also names the step (the index of the
+    instant in the grid) and its UTC instant.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        object_name: str = "",
+        step: int | None = None,
+        utc: datetime | None = None,
+    ):
         super().__init__(message)
         self.object_name = object_name
+        self.step = step
+        self.utc = utc
+
+    def __str__(self) -> str:
+        if self.step is None:
+            return super().__str__()
+        return f"{super().__str__()} (step {self.step}, {format_utc(self.utc)})"
 
 
 def satrec_from_tle(tle: TwoLineElementSet) -> sgp4core.SatRecord:

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import sgp4core
 from .propagation import PropagationError
+from .timebase import datetime_from_jd
 
 _TWOPI = 2.0 * np.pi
 
@@ -94,7 +95,7 @@ class SatBatch:
 
         bad = (em >= 1.0) | (em < -0.001)
         if bad.any():
-            self._raise(bad, "mean eccentricity out of range")
+            self._raise(bad, t, "mean eccentricity out of range")
         em = np.maximum(em, 1.0e-6)
 
         mm = mm + self.no_unkozai * templ
@@ -134,7 +135,7 @@ class SatBatch:
         el2 = axnl * axnl + aynl * aynl
         pl = am * (1.0 - el2)
         if (pl < 0.0).any():
-            self._raise(pl < 0.0, "semilatus rectum below zero")
+            self._raise(pl < 0.0, t, "semilatus rectum below zero")
 
         rl = am * (1.0 - ecose)
         rdotl = np.sqrt(am) * esine / rl
@@ -158,7 +159,7 @@ class SatBatch:
         rvdot = rvdotl + nm * temp1 * (self.x1mth2 * cos2u + 1.5 * self.con41) / self.xke
 
         if (mrt < 1.0).any():
-            self._raise(mrt < 1.0, "orbit decayed (radius below Earth surface)")
+            self._raise(mrt < 1.0, t, "orbit decayed (radius below Earth surface)")
 
         # orientation
         sinsu = np.sin(su)
@@ -209,6 +210,11 @@ class SatBatch:
         self.inclo_col()
         return self._cosip
 
-    def _raise(self, bad: np.ndarray, reason: str):
-        i = int(np.argwhere(bad)[0][0])
-        raise PropagationError(f"SGP4 failed for {self.names[i]}: {reason}", self.names[i])
+    def _raise(self, bad: np.ndarray, t: np.ndarray, reason: str):
+        """Name the first failing object, and the column and UTC instant of
+        its first failing entry."""
+        i, k = (int(x) for x in np.argwhere(np.broadcast_to(bad, t.shape))[0])
+        utc = datetime_from_jd(self.epoch_jd[i], self.epoch_fr[i] + t[i, k] / 1440.0)
+        raise PropagationError(
+            f"SGP4 failed for {self.names[i]}: {reason}", self.names[i], step=k, utc=utc
+        )

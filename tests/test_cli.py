@@ -207,3 +207,17 @@ def test_run_command_small_scenario(tmp_path, capsys):
     assert rc == 0
     assert (tmp_path / "out" / "summary.json").exists()
     assert "run complete" in capsys.readouterr().out
+
+
+def test_preset_fleets_resolve_like_config():
+    # the CLI and config files share one resolver, per-shell beams included
+    from leolink.cli import _constellations_arg
+    from leolink.config import config_from_dict
+    from leolink.fleets import BUILTIN_FLEETS
+
+    names = sorted(BUILTIN_FLEETS)
+    got = _constellations_arg(" , ".join(names))
+    raw = {"constellations": [{"name": n} for n in names], "users": {"preset": "iss"}}
+    assert got == config_from_dict(raw).constellations
+    starlink = got[names.index("starlink")]
+    assert starlink.shell_beams == BUILTIN_FLEETS["starlink"].shell_beams

@@ -181,6 +181,23 @@ def test_validate_errors():
     assert any("user" in m for lvl, m in validate(cfg) if lvl == "error")
 
 
+def test_min_elevation_outside_model_rejected():
+    # below 0 the visibility model would count satellites behind the Earth
+    for bad in (-5.0, -0.01, 90.0, 120.0):
+        errors = [m for lvl, m in validate(small_cfg(min_elevation_deg=bad)) if lvl == "error"]
+        assert any(f"min_elevation {bad} deg" in m for m in errors)
+        with pytest.raises(ConfigError, match=f"min_elevation {bad} deg"):
+            config_from_dict(
+                {
+                    "constellations": [{"name": "oneweb"}],
+                    "users": {"preset": "iss"},
+                    "min_elevation": bad,
+                }
+            )
+    for ok in (0.0, 25.0, 89.9):
+        assert not any(lvl == "error" for lvl, _ in validate(small_cfg(min_elevation_deg=ok)))
+
+
 def test_load_config_file(tmp_path):
     doc = {
         "epoch": "2021-03-20T09:37:29Z",

@@ -1,16 +1,25 @@
 import json
+import tempfile
+from datetime import timedelta
+from pathlib import Path
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leolink.config import ConfigError, ConstellationConfig, ScenarioConfig
 from leolink.elements import KeplerianElements
 from leolink.engine import run
 from leolink.geometry import BeamModel
-from leolink.metrics import summarize
+from leolink.metrics import StepRecord, summarize
 from leolink.policy import SelectionPolicy
 from leolink.population import UserSpec, preset
+from leolink.propagation import PropagationError
 from leolink.timebase import parse_utc
+from leolink.tle import TwoLineElementSet
 from leolink.walker import ShellSpec
 
 EPOCH = parse_utc("2021-03-20T09:37:29Z")
@@ -218,3 +227,114 @@ def test_deep_space_fleet_in_engine():
     # ISS sees some GEO arc through the 10.5-degree cones over 10 minutes
     assert s.total_steps == 61
     assert s.visible_max >= 1
+
+
+def test_decay_error_names_scenario_step_and_instant():
+    # a drag-heavy object decays about 36 min in: at 2 s steps that is past
+    # the first 512-step block, so the step must count from the scenario start
+    sinker = TwoLineElementSet(
+        name="SINKER", epoch=EPOCH, inclination=53.0, raan=0.0, eccentricity=0.0,
+        arg_perigee=0.0, mean_anomaly=0.0, mean_motion=16.4, bstar=0.09, catalog_id=11111,
+    )
+    cfg = mini_cfg(
+        constellations=[ConstellationConfig("sink", BeamModel("earth_limb"), tles=[sinker])],
+        duration_s=3000.0,
+        step_s=2.0,
+    )
+    with pytest.raises(PropagationError, match="SINKER") as err:
+        run(cfg)
+    assert err.value.step > 512
+    expected = EPOCH + timedelta(seconds=err.value.step * cfg.step_s)
+    assert abs((err.value.utc - expected).total_seconds()) < 1e-3
+
+
+_beams = st.one_of(
+    st.just(BeamModel("earth_limb")),
+    st.builds(lambda e: BeamModel("ground_service", service_elevation=e), st.floats(0.0, 60.0)),
+    st.builds(lambda h: BeamModel("fixed_half_cone", half_cone=h), st.floats(1.0, 90.0)),
+)
+_shells = st.builds(
+    ShellSpec,
+    altitude=st.floats(400.0, 2000.0),
+    inclination=st.floats(0.0, 180.0),
+    plane_count=st.integers(1, 5),
+    sats_per_plane=st.integers(1, 6),
+    raan_span=st.sampled_from([180.0, 360.0]),
+)
+_users = st.lists(
+    st.tuples(  # altitude, inclination, raan, mean anomaly
+        st.floats(300.0, 1500.0), st.floats(0.0, 180.0), st.floats(0.0, 360.0), st.floats(0.0, 360.0)
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    fleets=st.lists(st.tuples(_beams, _shells), min_size=1, max_size=3),
+    users=_users,
+    n_steps=st.integers(2, 60),
+    step_s=st.sampled_from([10.0, 30.0, 60.0]),
+    min_elevation=st.floats(0.0, 40.0),
+    random_policy=st.booleans(),
+)
+def test_engine_properties_on_random_scenarios(
+    fleets, users, n_steps, step_s, min_elevation, random_policy
+):
+    """The streamed summaries, combined and per constellation, match the
+    record reference, and neither the cull nor the thread count changes any
+    output byte."""
+    cfg = mini_cfg(
+        constellations=[
+            ConstellationConfig(f"c{k}", beam, shells=[shell])
+            for k, (beam, shell) in enumerate(fleets)
+        ],
+        users=[
+            UserSpec(k, KeplerianElements(RE + alt, 0.0, inc, raan, 0.0, ma, EPOCH), "explicit")
+            for k, (alt, inc, raan, ma) in enumerate(users)
+        ],
+        duration_s=(n_steps - 1) * step_s,
+        step_s=step_s,
+        min_elevation_deg=min_elevation,
+        policy=SelectionPolicy("random", seed=7) if random_policy else SelectionPolicy("closest"),
+    )
+
+    m = run(replace(cfg, capture_records=True))
+    owner = {}
+    for name, count in m.constellation_counts.items():
+        owner.update({sid: name for sid in range(len(owner), len(owner) + count)})
+    for u in m.users:
+        views = {"combined": u.records}
+        for name in m.constellation_counts:
+            views[name] = [
+                StepRecord(
+                    r.step_index,
+                    [v for v in r.visible if owner[v[0]] == name],
+                    r.serving if r.serving is not None and owner[r.serving] == name else None,
+                )
+                for r in u.records
+            ]
+        for name, records in views.items():
+            ref = summarize(records, cfg.step_s, cfg.carrier_frequency_hz, owner)
+            got = u.summaries[name]
+            for key in ("covered_steps", "access_count", "pass_count", "pass_hist_min",
+                        "visible_hist", "serving_steps"):
+                assert getattr(got, key) == getattr(ref, key), (name, key)
+            for key in ("avg_access_min", "max_access_min", "visible_avg", "fspl_min_db",
+                        "fspl_avg_db", "fspl_max_db", "max_doppler_khz", "serving_fspl_min_db",
+                        "serving_fspl_avg_db", "serving_fspl_max_db", "serving_max_doppler_khz"):
+                assert getattr(got, key) == pytest.approx(getattr(ref, key), rel=1e-12), (name, key)
+        # the engine also lists the constellations that never serve
+        used = {k: v for k, v in u.summaries["combined"].usage_fractions.items() if v}
+        assert used == pytest.approx(summarize(u.records, 1.0, 1e10, owner).usage_fractions)
+
+    assert summaries_payload(run(replace(cfg, cull=False))) == summaries_payload(m)
+
+    outputs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for threads in (1, 3):
+            out = Path(tmp) / f"t{threads}"
+            run(replace(cfg, threads=threads, output_dir=out))
+            outputs.append([(out / f).read_bytes() for f in ("summary.json", "pass_access.csv")])
+    assert outputs[0] == outputs[1]

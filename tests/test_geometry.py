@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leolink import geometry
 from leolink.constants import EARTH_RADIUS_KM
 from leolink.elements import StateVector
 from leolink.geometry import (
     BeamModel,
     earth_limb_half_cone,
     grazing_range_km,
-    horizon_mask_arrays,
+    horizon_candidates,
     is_visible,
     pair_geometry_arrays,
     relative_geometry,
@@ -202,18 +203,29 @@ def test_array_kernels_match_scalar():
             assert bool(vis[i, j]) == expected
 
 
-def test_horizon_cull_is_conservative():
-    # every pair visible at min elevation >= 0 must survive the cull
+def test_horizon_cull_is_conservative(monkeypatch):
+    # every pair visible at min elevation >= 0 must survive the cull, for
+    # every user, whether or not the block is cut into step and satellite chunks
     rng = np.random.default_rng(5)
     sat_pos, sat_vel = _random_states(60, rng)
-    user_pos, user_vel = _random_states(4, rng)
+    users = [_random_states(4, rng) for _ in range(3)]
     sp = np.broadcast_to(sat_pos[:, None, :], (60, 4, 3))
     svl = np.broadcast_to(sat_vel[:, None, :], (60, 4, 3))
-    _, _, sin_el, cos_off = pair_geometry_arrays(sp, svl, user_pos, user_vel)
-    mask = horizon_mask_arrays(sp, user_pos)
-    for min_el in (0.0, 10.0, 25.0):
-        vis = visible_mask_arrays(sin_el, cos_off, min_el, -1.0)
-        assert not np.any(vis & ~mask)
+    for chunk, gemm in ((geometry._CULL_CHUNK, geometry._GEMM_SIZE), (1, 3 * 3 * 7)):
+        monkeypatch.setattr(geometry, "_CULL_CHUNK", chunk)
+        monkeypatch.setattr(geometry, "_GEMM_SIZE", gemm)
+        cands = horizon_candidates(sp, np.stack([pos for pos, _ in users]))
+        assert len(cands) == 3
+        for (user_pos, user_vel), (row, step) in zip(users, cands):
+            assert np.all(np.diff(row * 4 + step) > 0)  # (row, step) order
+            mask = np.zeros((60, 4), dtype=bool)
+            mask[row, step] = True
+            above = np.einsum("sbk,bk->sb", sp, user_pos) >= np.sum(user_pos**2, axis=1)
+            assert np.array_equal(mask, above)
+            _, _, sin_el, cos_off = pair_geometry_arrays(sp, svl, user_pos, user_vel)
+            for min_el in (0.0, 10.0, 25.0):
+                vis = visible_mask_arrays(sin_el, cos_off, min_el, -1.0)
+                assert not np.any(vis & ~mask)
 
 
 @settings(max_examples=100, deadline=None)

@@ -137,12 +137,15 @@ def test_interval_extraction_matches_brute_force(data):
     _assert_summary_invariants(recs, summarize(recs, STEP, F))
 
 
-def _feed_accumulator(vis, ranges, rates, step_s, freq, block):
+def _feed_accumulator(vis, ranges, rates, step_s, freq, block, candidates):
     n_sats, n_steps = vis.shape
-    acc = UserAccumulator(["only"], np.zeros(n_sats, dtype=np.int64), np.arange(n_sats), step_s)
+    acc = UserAccumulator(["only"], np.zeros(n_sats, dtype=np.int64), step_s)
     for t0 in range(0, n_steps, block):
         sl = slice(t0, min(t0 + block, n_steps))
-        acc.update_block(t0, vis[:, sl], ranges[:, sl], rates[:, sl], None)
+        row, step = np.nonzero(candidates[:, sl])  # (row, step) order
+        v, r, rr = vis[:, sl], ranges[:, sl], rates[:, sl]
+        no_serving = np.full(sl.stop - t0, -1)
+        acc.update_block(t0, v[row, step], row, step, r[row, step], rr[row, step], no_serving)
     return acc.finalize(n_steps, freq)
 
 
@@ -161,7 +164,8 @@ def test_streaming_accumulator_matches_reference(block):
         for k in range(n_steps)
     ]
     ref = summarize(recs, STEP, F)
-    got = _feed_accumulator(vis, ranges, rates, STEP, F, block)["combined"]
+    candidates = vis | (rng.random((n_sats, n_steps)) < 0.2)
+    got = _feed_accumulator(vis, ranges, rates, STEP, F, block, candidates)["combined"]
     assert got.covered_steps == ref.covered_steps
     assert got.coverage_probability == pytest.approx(ref.coverage_probability)
     assert got.access_count == ref.access_count

@@ -82,10 +82,19 @@ def test_serving_rows_matches_scalar_selection():
     vis = rng.random((n_sats, n_steps)) < 0.3
     ranges = rng.uniform(100.0, 2000.0, (n_sats, n_steps))
     steps = np.arange(1000, 1000 + n_steps)
-    for policy in (SelectionPolicy("closest"), SelectionPolicy("random", seed=17)):
-        rows = serving_rows(vis, ranges, policy, user_index=4, step_indices=steps)
+    # candidate pairs in (row, step) order: every visible pair plus some that are not
+    row, step = np.nonzero(vis | (rng.random((n_sats, n_steps)) < 0.3))
+    # coarse ranges tie often: the closest policy must break ties to the lowest id
+    for rng_km, policy in (
+        (ranges, SelectionPolicy("closest")),
+        (np.round(ranges, -2), SelectionPolicy("closest")),
+        (ranges, SelectionPolicy("random", seed=17)),
+    ):
+        rows = serving_rows(
+            vis[row, step], row, step, rng_km[row, step], policy, user_index=4, step_indices=steps
+        )
         for k in range(n_steps):
-            visible = [(s, geom(ranges[s, k])) for s in range(n_sats) if vis[s, k]]
+            visible = [(s, geom(rng_km[s, k])) for s in range(n_sats) if vis[s, k]]
             expected = select_serving(visible, policy, int(steps[k]), 4)
             got = int(rows[k]) if rows[k] >= 0 else None
             assert got == expected

@@ -1,4 +1,5 @@
 import math
+from datetime import timedelta
 
 import numpy as np
 import pytest
@@ -103,5 +104,10 @@ def test_batch_decay_error_names_object():
         catalog_id=11111,
     )
     batch = SatBatch([satrec_from_tle(tle)])
-    with pytest.raises(PropagationError, match="SINKER"):
-        batch.propagate_tsince(np.array([[30000.0]]))
+    with pytest.raises(PropagationError, match="SINKER") as err:
+        batch.propagate_tsince(np.array([[10.0, 20.0, 30000.0, 30001.0]]))
+    # the first failing column, and its instant
+    assert err.value.object_name == "SINKER"
+    assert err.value.step == 2
+    assert abs((err.value.utc - (EPOCH + timedelta(minutes=30000.0))).total_seconds()) < 1e-3
+    assert "step 2, 2021-04-10T05:37:29Z" in str(err.value)
