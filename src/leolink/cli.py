@@ -18,7 +18,7 @@ from .config import (
     validate,
 )
 from .constants import DEFAULT_EPOCH, VERSION
-from .engine import run
+from .engine import run, user_json
 from .metrics import bin_grid
 from .policy import SelectionPolicy
 from .population import preset as make_preset
@@ -91,23 +91,13 @@ def _cmd_preset(args) -> int:
     manifest = run(cfg)
     name_list = [c.name for c in cfg.constellations]
     table = _summary_table(
-        {"users": [_user_json(manifest.users[0])], "reporting_mode": cfg.reporting_mode},
+        {"users": [user_json(manifest.users[0])], "reporting_mode": cfg.reporting_mode},
         constellations=name_list + (["combined"] if len(name_list) > 1 else []),
     )
     print(table)
     if manifest.output_dir:
         print(f"outputs in {manifest.output_dir}")
     return 0
-
-
-def _user_json(u) -> dict:
-    return {
-        "user_id": u.spec.user_id,
-        "tag": u.spec.tag,
-        "alt_km": u.spec.altitude_km,
-        "inc_deg": u.spec.inclination_deg,
-        "summaries": {k: s.to_dict() for k, s in u.summaries.items()},
-    }
 
 
 def _cmd_walker(args) -> int:

@@ -8,6 +8,7 @@ manifest alone.
 
 from __future__ import annotations
 
+import difflib
 import json
 import math
 from dataclasses import dataclass, field
@@ -34,6 +35,53 @@ from .walker import ShellSpec
 
 class ConfigError(ValueError):
     pass
+
+
+# The keys each level of a configuration document may hold. A key outside
+# them is rejected, so a misspelt "duraton" fails instead of running the
+# 24 h default.
+_TOP_KEYS = (
+    "epoch", "duration", "step", "min_elevation", "carrier_frequency", "constellations",
+    "users", "policy", "reporting_mode", "seed", "output_dir", "threads", "cull",
+    "write_intervals", "grid",
+)
+_CONSTELLATION_KEYS = ("name", "beam", "source", "raan_offset", "anomaly_offset")
+_BEAM_KEYS = ("kind", "half_cone", "service_elevation")
+# by source kind, then by users mode: the first of these keys present
+# decides which set applies
+_SOURCE_KEYS = {"walker": ("walker",), "tle_file": ("tle_file", "strict")}
+_SHELL_KEYS = (
+    "altitude", "inclination", "plane_count", "sats_per_plane", "raan_span",
+    "inter_plane_phase", "beam",
+)
+_USERS_KEYS = {
+    "population": ("population",),
+    "preset": ("preset", "raan", "mean_anomaly"),
+    "explicit": ("explicit",),
+}
+_POPULATION_KEYS = ("n_main", "n_band", "seed")
+_EXPLICIT_KEYS = ("altitude", "inclination", "eccentricity", "raan", "arg_perigee", "mean_anomaly")
+_POLICY_KEYS = ("kind", "seed")
+_GRID_KEYS = ("altitude_bin", "inclination_bin", "metrics")
+
+
+def _check_keys(d, allowed, where: str) -> None:
+    """Raise :class:`ConfigError` unless ``d`` is an object whose keys are
+    all in ``allowed``, suggesting the closest allowed key for a stray one."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object, not {type(d).__name__}")
+    for key in d:
+        if key not in allowed:
+            close = difflib.get_close_matches(str(key), allowed, n=1)
+            hint = f"did you mean {close[0]!r}?" if close else f"expected one of {sorted(allowed)}"
+            raise ConfigError(f"unknown key {key!r} in {where}; {hint}")
+
+
+def _mode_keys(d: dict, table: dict) -> tuple[str, ...]:
+    """The keys allowed next to the first mode key of ``table`` in ``d``, or
+    every key of the table when ``d`` names no mode."""
+    mode = next((k for k in table if k in d), None)
+    return table[mode] if mode else tuple(k for keys in table.values() for k in keys)
 
 
 @dataclass(frozen=True)
@@ -154,9 +202,10 @@ class ScenarioConfig:
         }
 
 
-def _beam_from_dict(d: dict | None, default: BeamModel) -> BeamModel:
+def _beam_from_dict(d: dict | None, default: BeamModel, where: str) -> BeamModel:
     if d is None:
         return default
+    _check_keys(d, _BEAM_KEYS, where)
     return BeamModel(
         kind=d.get("kind", "earth_limb"),
         half_cone=d.get("half_cone"),
@@ -165,9 +214,11 @@ def _beam_from_dict(d: dict | None, default: BeamModel) -> BeamModel:
 
 
 def _constellation_from_dict(d: dict, base_dir: Path) -> ConstellationConfig:
+    _check_keys(d, _CONSTELLATION_KEYS, "a constellation entry")
     name = d.get("name")
     if not name:
         raise ConfigError("constellation entry needs a name")
+    where = f"constellation {name!r}"
     raan_off = float(d.get("raan_offset", 0.0))
     ma_off = float(d.get("anomaly_offset", 0.0))
     source = d.get("source")
@@ -178,7 +229,7 @@ def _constellation_from_dict(d: dict, base_dir: Path) -> ConstellationConfig:
                 f"constellation {name!r} has no source and is not one of the "
                 f"bundled fleets {sorted(BUILTIN_FLEETS)}"
             )
-        beam = _beam_from_dict(d.get("beam"), fleet.beam)
+        beam = _beam_from_dict(d.get("beam"), fleet.beam, f"{where} beam")
         if fleet.shells is not None:
             return ConstellationConfig(
                 name,
@@ -189,11 +240,13 @@ def _constellation_from_dict(d: dict, base_dir: Path) -> ConstellationConfig:
                 anomaly_offset_deg=ma_off,
             )
         return ConstellationConfig(name, beam, tles=fleet.tles(), raan_offset_deg=raan_off, anomaly_offset_deg=ma_off)
-    beam = _beam_from_dict(d.get("beam"), BeamModel("earth_limb"))
+    _check_keys(source, _mode_keys(source, _SOURCE_KEYS), f"{where} source")
+    beam = _beam_from_dict(d.get("beam"), BeamModel("earth_limb"), f"{where} beam")
     if "walker" in source:
         shells = []
         shell_beams = []
-        for s in source["walker"]:
+        for k, s in enumerate(source["walker"]):
+            _check_keys(s, _SHELL_KEYS, f"{where} walker shell {k}")
             shells.append(
                 ShellSpec(
                     altitude=float(s["altitude"]),
@@ -204,7 +257,11 @@ def _constellation_from_dict(d: dict, base_dir: Path) -> ConstellationConfig:
                     inter_plane_phase=s.get("inter_plane_phase"),
                 )
             )
-            shell_beams.append(_beam_from_dict(s["beam"], beam) if "beam" in s else None)
+            shell_beams.append(
+                _beam_from_dict(s["beam"], beam, f"{where} walker shell {k} beam")
+                if "beam" in s
+                else None
+            )
         if all(b is None for b in shell_beams):
             shell_beams = None
         return ConstellationConfig(
@@ -232,8 +289,10 @@ def _constellation_from_dict(d: dict, base_dir: Path) -> ConstellationConfig:
 
 
 def _users_from_dict(d: dict, epoch: datetime, seed: int) -> tuple[list[UserSpec], dict]:
+    _check_keys(d, _mode_keys(d, _USERS_KEYS), "users")
     if "population" in d:
         p = d["population"] or {}
+        _check_keys(p, _POPULATION_KEYS, "users population")
         n_main = int(p.get("n_main", 1000))
         n_band = int(p.get("n_band", 100))
         pop_seed = int(p.get("seed", seed))
@@ -252,6 +311,7 @@ def _users_from_dict(d: dict, epoch: datetime, seed: int) -> tuple[list[UserSpec
     if "explicit" in d:
         users = []
         for k, e in enumerate(d["explicit"]):
+            _check_keys(e, _EXPLICIT_KEYS, f"explicit user {k}")
             users.append(
                 UserSpec(
                     user_id=k,
@@ -283,9 +343,11 @@ def load_config(path: str | Path) -> ScenarioConfig:
 
 def config_from_dict(raw: dict, base_dir: Path | None = None) -> ScenarioConfig:
     base_dir = base_dir or Path.cwd()
+    _check_keys(raw, _TOP_KEYS, "the scenario")
     epoch = parse_utc(str(raw.get("epoch", DEFAULT_EPOCH)))
     seed = int(raw.get("seed", 0))
     policy_d = raw.get("policy", {"kind": "closest"})
+    _check_keys(policy_d, _POLICY_KEYS, "policy")
     if policy_d.get("kind") == "random" and policy_d.get("seed") is None:
         raise ConfigError("random policy requires a seed")
     policy = SelectionPolicy(kind=policy_d.get("kind", "closest"), seed=policy_d.get("seed"))
@@ -295,6 +357,7 @@ def config_from_dict(raw: dict, base_dir: Path | None = None) -> ScenarioConfig:
     ]
     users, users_echo = _users_from_dict(raw.get("users", {}), epoch, seed)
     grid_d = raw.get("grid", {})
+    _check_keys(grid_d, _GRID_KEYS, "grid")
     grid = GridSpec(
         altitude_bin_km=float(grid_d.get("altitude_bin", 25.0)),
         inclination_bin_deg=float(grid_d.get("inclination_bin", 5.0)),

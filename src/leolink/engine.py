@@ -16,8 +16,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from datetime import timedelta
 from pathlib import Path
@@ -132,12 +134,16 @@ class _Fleet:
     def propagate_block(self, jd: float, fr: np.ndarray):
         """Positions/velocities (S, B, 3) and beam cosines (S, B) for a block."""
         b = len(fr)
-        pos = np.empty((self.n, b, 3))
-        vel = np.empty((self.n, b, 3))
-        if self.batch is not None:
-            p, v = self.batch.propagate_jd(jd, fr)
-            pos[self.near_rows] = p
-            vel[self.near_rows] = v
+        if self.batch is not None and not self.deep:
+            # every row is near-earth, in fleet order: use the batch's arrays
+            pos, vel = self.batch.propagate_jd(jd, fr)
+        else:
+            pos = np.empty((self.n, b, 3))
+            vel = np.empty((self.n, b, 3))
+            if self.batch is not None:
+                p, v = self.batch.propagate_jd(jd, fr)
+                pos[self.near_rows] = p
+                vel[self.near_rows] = v
         for row, rec in self.deep:
             t = ((jd - rec.epoch_jd) + (fr - rec.epoch_fr)) * 1440.0
             for k in range(b):
@@ -316,32 +322,50 @@ def _step_iso(cfg: ScenarioConfig, step: int) -> str:
     return format_utc(cfg.epoch + timedelta(seconds=step * cfg.step_s))
 
 
-def _write_outputs(cfg: ScenarioConfig, manifest: RunManifest, out_dir: Path) -> None:
-    (out_dir / "manifest.json").write_text(json.dumps(manifest.to_dict(), indent=2) + "\n")
+def user_json(u: UserResult) -> dict:
+    """One user's entry in ``summary.json``."""
+    return {
+        "user_id": u.spec.user_id,
+        "tag": u.spec.tag,
+        "alt_km": u.spec.altitude_km,
+        "inc_deg": u.spec.inclination_deg,
+        "raan_deg": u.spec.elements.raan,
+        "ma_deg": u.spec.elements.mean_anomaly,
+        "summaries": {k: s.to_dict() for k, s in u.summaries.items()},
+    }
 
-    users_json = []
-    for u in manifest.users:
-        users_json.append(
-            {
-                "user_id": u.spec.user_id,
-                "tag": u.spec.tag,
-                "alt_km": u.spec.altitude_km,
-                "inc_deg": u.spec.inclination_deg,
-                "raan_deg": u.spec.elements.raan,
-                "ma_deg": u.spec.elements.mean_anomaly,
-                "summaries": {k: s.to_dict() for k, s in u.summaries.items()},
-            }
-        )
+
+@contextmanager
+def _replacing(path: Path, newline: str | None = None):
+    """A text file that takes the place of ``path`` only once it is fully
+    written: it is written under a temporary name in the same directory and
+    renamed over ``path``, or removed if writing fails. A failed or killed
+    run therefore never leaves a truncated output; a power loss is not
+    covered (nothing is fsynced)."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if tmp.exists():
+            tmp.unlink()
+
+
+def _write_outputs(cfg: ScenarioConfig, manifest: RunManifest, out_dir: Path) -> None:
+    """Write every output file, each one atomically; ``manifest.json`` goes
+    last, so a run's manifest is only replaced once its outputs are."""
     summary = {
         "config": manifest.config,
         "reporting_mode": cfg.reporting_mode,
         "aggregate": manifest.aggregate,
-        "users": users_json,
+        "users": [user_json(u) for u in manifest.users],
     }
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    with _replacing(out_dir / "summary.json") as fh:
+        fh.write(json.dumps(summary, indent=2) + "\n")
 
     if cfg.write_intervals:
-        with open(out_dir / "pass_access.csv", "w", newline="") as fh:
+        with _replacing(out_dir / "pass_access.csv", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["user_id", "kind", "sat_id", "start_iso", "end_iso", "duration_min"])
             for u in manifest.users:
@@ -359,7 +383,7 @@ def _write_outputs(cfg: ScenarioConfig, manifest: RunManifest, out_dir: Path) ->
 
     mc = [u for u in manifest.users if u.spec.tag in ("montecarlo", "shell_band")]
     if mc:
-        with open(out_dir / "population.csv", "w", newline="") as fh:
+        with _replacing(out_dir / "population.csv", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["user_id", "alt_km", "inc_deg", "raan_deg", "ma_deg", "tag"])
             for u in manifest.users:
@@ -381,9 +405,12 @@ def _write_outputs(cfg: ScenarioConfig, manifest: RunManifest, out_dir: Path) ->
                 )
                 _write_grid(grid, out_dir / f"grid_{name}_{metric}.csv")
 
+    with _replacing(out_dir / "manifest.json") as fh:
+        fh.write(json.dumps(manifest.to_dict(), indent=2) + "\n")
+
 
 def _write_grid(grid: BinGrid, path: Path) -> None:
-    with open(path, "w", newline="") as fh:
+    with _replacing(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(BinGrid.HEADER)
         for row in grid.to_rows():

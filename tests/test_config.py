@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -220,3 +222,79 @@ def test_load_config_bad_json(tmp_path):
     path.write_text("{nope")
     with pytest.raises(ConfigError, match="JSON"):
         load_config(path)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"duraton": 5}, "unknown key 'duraton' in the scenario; did you mean 'duration'"),
+        ({"policy": {"knd": "closest"}}, "'knd' in policy; did you mean 'kind'"),
+        ({"grid": {"metric": []}}, "'metric' in grid; did you mean 'metrics'"),
+        ({"users": {"preset": "iss", "ran": 3}}, "'ran' in users; did you mean 'raan'"),
+        # a preset's phase keys mean nothing next to a population
+        ({"users": {"population": {}, "raan": 3}}, "'raan' in users"),
+        ({"users": {"population": {"nmain": 3}}}, "'nmain' in users population; did you mean 'n_main'"),
+        (
+            {"users": {"explicit": [{"altitude": 500, "inclination": 3, "eccentrcity": 0.1}]}},
+            "'eccentrcity' in explicit user 0; did you mean 'eccentricity'",
+        ),
+        ({"constellations": [{"nme": "oneweb"}]}, "'nme' in a constellation entry; did you mean 'name'"),
+        (
+            {"constellations": [{"name": "oneweb", "beam": {"kind": "earth_limb", "halfcone": 3}}]},
+            "'halfcone' in constellation 'oneweb' beam; did you mean 'half_cone'",
+        ),
+        (
+            {"constellations": [{"name": "x", "source": {"walkr": []}}]},
+            "'walkr' in constellation 'x' source; did you mean 'walker'",
+        ),
+        (
+            {"constellations": [{"name": "x", "source": {"walker": [], "strict": True}}]},
+            "'strict' in constellation 'x' source",
+        ),
+        (
+            {
+                "constellations": [
+                    {
+                        "name": "x",
+                        "source": {
+                            "walker": [
+                                {"altitude": 550, "inclination": 53, "plane_count": 2,
+                                 "sats_per_plane": 2, "beam": {"kindd": "earth_limb"}}
+                            ]
+                        },
+                    }
+                ]
+            },
+            "'kindd' in constellation 'x' walker shell 0 beam; did you mean 'kind'",
+        ),
+        (
+            {
+                "constellations": [
+                    {"name": "x", "source": {"walker": [{"altitude": 550, "inclination": 53,
+                                                         "plane_cnt": 2, "sats_per_plane": 2}]}}
+                ]
+            },
+            "'plane_cnt' in constellation 'x' walker shell 0; did you mean 'plane_count'",
+        ),
+        ({"policy": "closest"}, "policy must be a JSON object"),
+    ],
+)
+def test_unknown_keys_rejected(change, message):
+    raw = {"constellations": [{"name": "oneweb"}], "users": {"preset": "iss"}, **change}
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        config_from_dict(raw)
+
+
+def test_readme_configuration_resolves(tmp_path):
+    from leolink.fleets import BUILTIN_FLEETS
+    from leolink.tle import dump_tle_file
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+    assert blocks
+    dump_tle_file(BUILTIN_FLEETS["eutelsat_geo"].tles()[:2], tmp_path / "fleet.tle")
+    for block in blocks:
+        raw = json.loads(block)
+        raw["users"]["population"].update(n_main=3, n_band=1)  # keep the draw small
+        cfg = config_from_dict(raw, base_dir=tmp_path)
+        assert [c.name for c in cfg.constellations] == [c["name"] for c in raw["constellations"]]

@@ -1,3 +1,4 @@
+import errno
 import json
 import tempfile
 from datetime import timedelta
@@ -200,6 +201,42 @@ def test_population_outputs_grids(tmp_path):
     assert any("montecarlo" in ln for ln in pop_lines[1:])
     assert m.aggregate["montecarlo_users"] == 2
     assert "overall_coverage" in m.aggregate
+
+
+def test_failed_write_keeps_earlier_summary(tmp_path, monkeypatch):
+    # a second run into the same directory fills the disk halfway through
+    # summary.json: the first run's summary survives whole and no
+    # temporary file is left behind
+    from leolink import engine
+
+    out = tmp_path / "run"
+    run(mini_cfg(duration_s=600.0, output_dir=out))
+    before = (out / "summary.json").read_bytes()
+    assert sorted(p.name for p in out.iterdir()) == [
+        "manifest.json", "pass_access.csv", "summary.json"
+    ]
+    partial = []
+
+    def disk_full_open(path, mode="r", **kw):
+        fh = open(path, mode, **kw)
+        if Path(path).name.startswith(".summary.json"):
+            write = fh.write
+
+            def half_write(text):
+                partial.append(write(text[: len(text) // 2]))
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            fh.write = half_write
+        return fh
+
+    monkeypatch.setattr(engine, "open", disk_full_open, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        run(mini_cfg(duration_s=1200.0, output_dir=out))
+    assert partial and partial[0] > 0
+    assert (out / "summary.json").read_bytes() == before
+    assert sorted(p.name for p in out.iterdir()) == [
+        "manifest.json", "pass_access.csv", "summary.json"
+    ]
 
 
 def test_serving_series_capture():

@@ -111,3 +111,95 @@ def test_batch_decay_error_names_object():
     assert err.value.step == 2
     assert abs((err.value.utc - (EPOCH + timedelta(minutes=30000.0))).total_seconds()) < 1e-3
     assert "step 2, 2021-04-10T05:37:29Z" in str(err.value)
+
+
+def _drag_record(name="DRAG", bstar=2.0e-4, catalog_id=22222):
+    from leolink.tle import TwoLineElementSet
+
+    tle = TwoLineElementSet(
+        name=name,
+        epoch=EPOCH,
+        inclination=51.6,
+        raan=30.0,
+        eccentricity=0.0005,
+        arg_perigee=80.0,
+        mean_anomaly=10.0,
+        mean_motion=15.5,
+        bstar=bstar,
+        catalog_id=catalog_id,
+    )
+    return satrec_from_tle(tle)
+
+
+def test_tiled_batch_matches_single_row_batches():
+    # T chosen so that a tile holds 3 rows: 10 rows make tiles of 3, 3, 3, 1
+    from leolink.sgp4batch import TILE
+
+    n_steps = TILE // 3
+    assert TILE // n_steps == 3
+    els = build_walker(ShellSpec(550.0, 53.0, 2, 3), EPOCH) + build_walker(
+        ShellSpec(1200.0, 87.9, 2, 2, raan_span=180.0), EPOCH
+    )
+    recs = _records(els)
+    assert len(recs) == 10
+    jd, fr = julian_date(EPOCH)
+    frs = fr + np.arange(n_steps) * (10.0 / 86400.0)
+    pos, vel = SatBatch(recs).propagate_jd(jd, frs)
+    assert pos.shape == vel.shape == (10, n_steps, 3)
+    for i, rec in enumerate(recs):
+        p, v = SatBatch([rec]).propagate_jd(jd, frs)
+        assert np.array_equal(pos[i], p[0]) and np.array_equal(vel[i], v[0])
+
+
+def test_drag_free_tiles_match_the_drag_path():
+    # alone, the Walker rows take the drag-free path; with one bstar != 0 row
+    # in their tile they take the full drag path, which must give the same bits
+    recs = _records(build_walker(ShellSpec(550.0, 53.0, 3, 4), EPOCH))
+    jd, fr = julian_date(EPOCH)
+    frs = fr + np.linspace(-0.5, 2.0, 97)
+    pos, vel = SatBatch(recs).propagate_jd(jd, frs)
+    mixed = recs[:5] + [_drag_record()] + recs[5:]
+    mpos, mvel = SatBatch(mixed).propagate_jd(jd, frs)
+    walker_rows = [i for i in range(len(mixed)) if i != 5]
+    assert np.array_equal(mpos[walker_rows], pos) and np.array_equal(mvel[walker_rows], vel)
+    # and the drag row still agrees with the scalar reference
+    drag = _drag_record()
+    ts = SatBatch([drag]).tsince_minutes(jd, frs)
+    for k in (0, 48, 96):
+        r, v = sgp4core.propagate_record(drag, float(ts[0, k]))
+        assert np.max(np.abs(mpos[5, k] - r)) < 1e-6
+        assert np.max(np.abs(mvel[5, k] - v)) < 1e-9
+
+
+def test_decay_error_in_a_later_tile_names_object():
+    from leolink.propagation import PropagationError
+    from leolink.sgp4batch import TILE
+
+    # one row per tile; the decaying object sits in the fourth tile and
+    # fails from column TILE // 2 on
+    t = np.concatenate([np.full(TILE // 2, 10.0), [30000.0, 30001.0]])[None, :]
+    recs = _records(build_walker(ShellSpec(550.0, 53.0, 1, 3), EPOCH))
+    batch = SatBatch(recs + [_drag_record("SINKER", bstar=0.09, catalog_id=11111)])
+    with pytest.raises(PropagationError, match="SINKER") as err:
+        batch.propagate_tsince(t)
+    assert err.value.object_name == "SINKER"
+    assert err.value.step == TILE // 2
+    assert abs((err.value.utc - (EPOCH + timedelta(minutes=30000.0))).total_seconds()) < 1e-3
+
+
+def test_batch_peak_memory_is_bounded_by_its_output():
+    import tracemalloc
+
+    recs = _records(build_walker(ShellSpec(550.0, 53.0, 40, 50), EPOCH))
+    batch = SatBatch(recs)
+    jd, fr = julian_date(EPOCH)
+    frs = fr + np.arange(512) * (10.0 / 86400.0)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        pos, vel = batch.propagate_jd(jd, frs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pos.shape == (2000, 512, 3)
+    assert peak <= 2 * (pos.nbytes + vel.nbytes)
