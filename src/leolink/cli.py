@@ -4,24 +4,14 @@ report tables, grid exports, and config validation."""
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
 
-from .config import (
-    ConfigError,
-    ConstellationConfig,
-    ScenarioConfig,
-    _constellation_from_dict,
-    load_config,
-    validate,
-)
+from .config import ConfigError, config_from_dict, load_config, read_config, validate
 from .constants import DEFAULT_EPOCH, VERSION
-from .engine import run, user_json
-from .metrics import bin_grid
-from .policy import SelectionPolicy
-from .population import preset as make_preset
+from .engine import _write_grid, run, user_json
+from .metrics import CoverageSummary, bin_grid
 from .propagation import PropagationError
 from .timebase import parse_utc
 from .tle import dump_tle_file, elements_to_tle
@@ -29,9 +19,10 @@ from .walker import ShellSpec, build_walker
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
+    # no defaults here: a flag that is not given leaves the scenario's value
     p.add_argument("--out", help="output directory")
-    p.add_argument("--seed", type=int, default=0, help="scenario seed (echoed to outputs)")
-    p.add_argument("--threads", type=int, default=1, help="worker threads over users")
+    p.add_argument("--seed", type=int, help="scenario seed (echoed to outputs; default 0)")
+    p.add_argument("--threads", type=int, help="worker threads over users (default 1)")
     p.add_argument("--policy", choices=["random", "closest"], help="serving-satellite policy")
     p.add_argument("--min-elev", type=float, help="minimum elevation angle [deg]")
     p.add_argument("--freq", type=float, help="carrier frequency [Hz]")
@@ -41,35 +32,33 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--reporting", choices=["all_visible", "serving_only"], help="statistics mode")
 
 
-def _apply_common(cfg: ScenarioConfig, args) -> ScenarioConfig:
-    if args.out:
-        cfg.output_dir = Path(args.out)
-    cfg.seed = args.seed
-    cfg.threads = args.threads
-    if args.policy:
-        seed = cfg.policy.seed if cfg.policy.seed is not None else args.seed
-        cfg.policy = SelectionPolicy(args.policy, seed if args.policy == "random" else cfg.policy.seed)
-    if args.min_elev is not None:
-        cfg.min_elevation_deg = args.min_elev
-    if args.freq is not None:
-        cfg.carrier_frequency_hz = args.freq
-    if args.duration is not None:
-        cfg.duration_s = args.duration
-    if args.step is not None:
-        cfg.step_s = args.step
-    if args.reporting:
-        cfg.reporting_mode = args.reporting
-    return cfg
-
-
-def _constellations_arg(names: str) -> list[ConstellationConfig]:
-    return [_constellation_from_dict({"name": n.strip()}, Path.cwd()) for n in names.split(",")]
+def _with_flags(raw: dict, args) -> dict:
+    """The raw scenario document with each common flag that was given in
+    place of its key."""
+    given = {
+        "output_dir": args.out,
+        "seed": args.seed,
+        "threads": args.threads,
+        "min_elevation": args.min_elev,
+        "carrier_frequency": args.freq,
+        "duration": args.duration,
+        "step": args.step,
+        "epoch": args.epoch,
+        "reporting_mode": args.reporting,
+    }
+    raw = {**raw, **{k: v for k, v in given.items() if v is not None}}
+    # a policy that is not an object is left for config_from_dict to reject
+    if args.policy and isinstance(raw.get("policy", {}), dict):
+        policy = {**raw.get("policy", {}), "kind": args.policy}
+        if args.policy == "random" and policy.get("seed") is None:
+            policy["seed"] = raw.get("seed", 0)
+        raw["policy"] = policy
+    return raw
 
 
 def _cmd_run(args) -> int:
-    cfg = load_config(args.config)
-    cfg = _apply_common(cfg, args)
-    manifest = run(cfg)
+    raw = _with_flags(read_config(args.config), args)
+    manifest = run(config_from_dict(raw, base_dir=Path(args.config).parent))
     print(f"run complete: {manifest.n_steps} steps, "
           f"{sum(manifest.constellation_counts.values())} satellites, "
           f"{len(manifest.users)} users, {manifest.wallclock_s:.1f} s")
@@ -79,15 +68,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_preset(args) -> int:
-    epoch = parse_utc(args.epoch or DEFAULT_EPOCH)
-    user = make_preset(args.name, epoch=epoch, raan_deg=args.raan, mean_anomaly_deg=args.ma)
-    cfg = ScenarioConfig(
-        epoch=epoch,
-        constellations=_constellations_arg(args.constellations),
-        users=[user],
-        users_echo={"preset": args.name, "raan": args.raan, "mean_anomaly": args.ma},
-    )
-    cfg = _apply_common(cfg, args)
+    raw = {
+        "constellations": [{"name": n.strip()} for n in args.constellations.split(",")],
+        "users": {"preset": args.name, "raan": args.raan, "mean_anomaly": args.ma},
+    }
+    cfg = config_from_dict(_with_flags(raw, args))
     manifest = run(cfg)
     name_list = [c.name for c in cfg.constellations]
     table = _summary_table(
@@ -192,7 +177,6 @@ def _cmd_grid(args) -> int:
         return 1
     doc = json.loads(path.read_text())
     users = doc["users"]
-    from .metrics import CoverageSummary
 
     summaries = []
     for u in users:
@@ -209,11 +193,7 @@ def _cmd_grid(args) -> int:
         args.inc_bin,
         args.metric,
     )
-    with open(args.out_file, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(grid.HEADER)
-        for row in grid.to_rows():
-            w.writerow(row)
+    _write_grid(grid, Path(args.out_file))
     print(f"wrote grid to {args.out_file}")
     return 0
 

@@ -2,8 +2,9 @@
 
 The on-disk format is a single JSON document whose keys mirror
 :class:`ScenarioConfig`. All defaults are resolved at load time and echoed
-into the run manifest so a published result is reproducible from the
-manifest alone.
+into the run manifest. :func:`config_from_dict` is the one place a raw
+document becomes a :class:`ScenarioConfig`; the command line edits the raw
+document before it gets there.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import difflib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -24,17 +25,13 @@ from .constants import (
     EARTH_RADIUS_KM,
 )
 from .elements import KeplerianElements
-from .fleets import BUILTIN_FLEETS
+from .fleets import BUILTIN_FLEETS, ConfigError, ConstellationConfig
 from .geometry import BeamModel
 from .policy import SelectionPolicy
 from .population import UserSpec, generate_population, preset
 from .timebase import format_utc, parse_utc
-from .tle import TwoLineElementSet, load_tle_file
+from .tle import load_tle_file
 from .walker import ShellSpec
-
-
-class ConfigError(ValueError):
-    pass
 
 
 # The keys each level of a configuration document may hold. A key outside
@@ -85,45 +82,6 @@ def _mode_keys(d: dict, table: dict) -> tuple[str, ...]:
 
 
 @dataclass(frozen=True)
-class ConstellationConfig:
-    """One fleet: either Walker shells or a TLE catalog, plus its beam.
-
-    ``shell_beams`` optionally overrides the fleet beam per shell (aligned
-    with ``shells``); operators file different beam layouts per shell.
-    """
-
-    name: str
-    beam: BeamModel
-    shells: list[ShellSpec] | None = None
-    tles: list[TwoLineElementSet] | None = None
-    shell_beams: list[BeamModel | None] | None = None
-    raan_offset_deg: float = 0.0
-    anomaly_offset_deg: float = 0.0
-
-    def __post_init__(self):
-        if (self.shells is None) == (self.tles is None):
-            raise ConfigError(f"constellation {self.name}: exactly one source required")
-        if self.shell_beams is not None and len(self.shell_beams) != len(self.shells or []):
-            raise ConfigError(f"constellation {self.name}: shell_beams must align with shells")
-
-    def beam_for_shell(self, index: int) -> BeamModel:
-        if self.shell_beams is not None and self.shell_beams[index] is not None:
-            return self.shell_beams[index]
-        return self.beam
-
-    @property
-    def count(self) -> int:
-        if self.shells is not None:
-            return sum(s.total for s in self.shells)
-        return len(self.tles)
-
-    def max_altitude_km(self) -> float:
-        if self.shells is not None:
-            return max(s.altitude for s in self.shells)
-        return max(t.altitude_km for t in self.tles)
-
-
-@dataclass(frozen=True)
 class GridSpec:
     altitude_bin_km: float = 25.0
     inclination_bin_deg: float = 5.0
@@ -146,7 +104,6 @@ class ScenarioConfig:
     threads: int = 1
     cull: bool = True
     write_intervals: bool = True
-    capture_series: bool = False
     capture_records: bool = False
     grid: GridSpec = field(default_factory=GridSpec)
     users_echo: dict = field(default_factory=dict)
@@ -219,8 +176,10 @@ def _constellation_from_dict(d: dict, base_dir: Path) -> ConstellationConfig:
     if not name:
         raise ConfigError("constellation entry needs a name")
     where = f"constellation {name!r}"
-    raan_off = float(d.get("raan_offset", 0.0))
-    ma_off = float(d.get("anomaly_offset", 0.0))
+    offsets = dict(
+        raan_offset_deg=float(d.get("raan_offset", 0.0)),
+        anomaly_offset_deg=float(d.get("anomaly_offset", 0.0)),
+    )
     source = d.get("source")
     if source is None:
         fleet = BUILTIN_FLEETS.get(name)
@@ -229,17 +188,11 @@ def _constellation_from_dict(d: dict, base_dir: Path) -> ConstellationConfig:
                 f"constellation {name!r} has no source and is not one of the "
                 f"bundled fleets {sorted(BUILTIN_FLEETS)}"
             )
-        beam = _beam_from_dict(d.get("beam"), fleet.beam, f"{where} beam")
-        if fleet.shells is not None:
-            return ConstellationConfig(
-                name,
-                beam,
-                shells=fleet.shells,
-                shell_beams=None if "beam" in d else fleet.shell_beams,
-                raan_offset_deg=raan_off,
-                anomaly_offset_deg=ma_off,
-            )
-        return ConstellationConfig(name, beam, tles=fleet.tles(), raan_offset_deg=raan_off, anomaly_offset_deg=ma_off)
+        if "beam" in d:
+            # an entry's own beam replaces the per-shell beams as well
+            beam = _beam_from_dict(d["beam"], fleet.beam, f"{where} beam")
+            offsets.update(beam=beam, shell_beams=None)
+        return replace(fleet, **offsets)
     _check_keys(source, _mode_keys(source, _SOURCE_KEYS), f"{where} source")
     beam = _beam_from_dict(d.get("beam"), BeamModel("earth_limb"), f"{where} beam")
     if "walker" in source:
@@ -264,14 +217,7 @@ def _constellation_from_dict(d: dict, base_dir: Path) -> ConstellationConfig:
             )
         if all(b is None for b in shell_beams):
             shell_beams = None
-        return ConstellationConfig(
-            name,
-            beam,
-            shells=shells,
-            shell_beams=shell_beams,
-            raan_offset_deg=raan_off,
-            anomaly_offset_deg=ma_off,
-        )
+        return ConstellationConfig(name, beam, shells=shells, shell_beams=shell_beams, **offsets)
     if "tle_file" in source:
         path = Path(source["tle_file"])
         if not path.is_absolute():
@@ -282,8 +228,7 @@ def _constellation_from_dict(d: dict, base_dir: Path) -> ConstellationConfig:
             name,
             beam,
             tles=load_tle_file(path, strict=bool(source.get("strict", False))),
-            raan_offset_deg=raan_off,
-            anomaly_offset_deg=ma_off,
+            **offsets,
         )
     raise ConfigError(f"constellation {name}: source must contain 'walker' or 'tle_file'")
 
@@ -331,14 +276,18 @@ def _users_from_dict(d: dict, epoch: datetime, seed: int) -> tuple[list[UserSpec
     raise ConfigError("users must contain 'population', 'preset', or 'explicit'")
 
 
-def load_config(path: str | Path) -> ScenarioConfig:
-    """Load and fully resolve a scenario configuration file."""
+def read_config(path: str | Path) -> dict:
+    """The raw scenario document of a configuration file, unresolved."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        return json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-    return config_from_dict(raw, base_dir=path.parent)
+
+
+def load_config(path: str | Path) -> ScenarioConfig:
+    """Load and fully resolve a scenario configuration file."""
+    return config_from_dict(read_config(path), base_dir=Path(path).parent)
 
 
 def config_from_dict(raw: dict, base_dir: Path | None = None) -> ScenarioConfig:

@@ -31,7 +31,7 @@ from .config import ConfigError, ScenarioConfig, validate
 from .constants import EARTH_RADIUS_KM, VERSION
 from .geometry import horizon_candidates, pair_geometry_arrays, visible_mask_arrays
 from .metrics import BinGrid, CoverageSummary, StepRecord, UserAccumulator, bin_grid
-from .policy import serving_pairs, serving_rows
+from .policy import serving_rows
 from .population import UserSpec
 from .propagation import PropagationError, satrec_from_tle
 from .sgp4batch import SatBatch
@@ -46,7 +46,6 @@ class UserResult:
     summaries: dict[str, CoverageSummary]
     passes: list[tuple[int, int, int]]  # (sat_id, start_step, end_step)
     accesses: list[tuple[int, int]]
-    series: dict | None = None
     records: list[StepRecord] | None = None
 
 
@@ -201,18 +200,6 @@ def run(cfg: ScenarioConfig) -> RunManifest:
     jd0, fr0 = julian_date(cfg.epoch)
 
     accs = [UserAccumulator(fleet.names, fleet.const_of_sat, cfg.step_s) for _ in range(n_users)]
-    series = (
-        [
-            {
-                "serving_row": np.full(n_steps, -1, dtype=np.int64),
-                "serving_range_km": np.full(n_steps, np.nan),
-                "serving_range_rate_km_s": np.full(n_steps, np.nan),
-            }
-            for _ in range(n_users)
-        ]
-        if cfg.capture_series
-        else None
-    )
     records_cap = [[] for _ in range(n_users)] if cfg.capture_records else None
 
     block = max(8, min(512, int(4e6 / max(fleet.n, 1))))
@@ -227,11 +214,6 @@ def run(cfg: ScenarioConfig) -> RunManifest:
         vis = visible_mask_arrays(sin_el, cos_off, cfg.min_elevation_deg, cos_half[row, step])
         srv = serving_rows(vis, row, step, rng, cfg.policy, ui, idx)
         accs[ui].update_block(t0, vis, row, step, rng, rr, srv)
-        if series is not None:
-            served, at = serving_pairs(row, step, srv)
-            series[ui]["serving_row"][idx] = srv
-            series[ui]["serving_range_km"][idx[served]] = rng[at]
-            series[ui]["serving_range_rate_km_s"][idx[served]] = rr[at]
         if records_cap is not None:
             elev = np.degrees(np.arcsin(np.clip(sin_el, -1.0, 1.0)))
             visible = [[] for _ in idx]
@@ -279,7 +261,6 @@ def run(cfg: ScenarioConfig) -> RunManifest:
                 summaries=summaries,
                 passes=accs[ui].combined.passes.intervals,
                 accesses=accs[ui].combined.access_intervals(),
-                series=series[ui] if series is not None else None,
                 records=records_cap[ui] if records_cap is not None else None,
             )
         )

@@ -1,4 +1,4 @@
-"""Bundled constellation definitions.
+"""The fleet type, :class:`ConstellationConfig`, and the bundled fleets.
 
 OneWeb and Starlink Phase-1 shells are generated Walker definitions (the
 per-shell plane counts sum to 716 and 4408 satellites). Their default
@@ -20,7 +20,7 @@ from importlib import resources
 
 from .constants import GEO_HALF_CONE_DEG
 from .geometry import BeamModel
-from .tle import TwoLineElementSet, parse_tle
+from .tle import TwoLineElementSet, load_tle_file
 from .walker import ShellSpec
 
 # Near-polar planes spread over a half-circle (Walker star): a full-circle
@@ -44,43 +44,62 @@ STARLINK_SHELLS = [
 _STARLINK_SHELL_BEAMS = [None, None, BeamModel("earth_limb"), BeamModel("earth_limb"), None]
 
 
+class ConfigError(ValueError):
+    pass
+
+
 @dataclass(frozen=True)
-class FleetDef:
+class ConstellationConfig:
+    """One fleet: either Walker shells or a TLE catalog, plus its beam.
+
+    ``shell_beams`` optionally overrides the fleet beam per shell (aligned
+    with ``shells``); operators file different beam layouts per shell.
+    """
+
     name: str
     beam: BeamModel
     shells: list[ShellSpec] | None = None
+    tles: list[TwoLineElementSet] | None = None
     shell_beams: list[BeamModel | None] | None = None
-    tle_resource: str | None = None
+    raan_offset_deg: float = 0.0
+    anomaly_offset_deg: float = 0.0
 
-    def tles(self) -> list[TwoLineElementSet]:
-        if self.tle_resource is None:
-            raise ValueError(f"{self.name} is a Walker definition, not a TLE fleet")
-        text = resources.files("leolink").joinpath("data", self.tle_resource).read_text()
-        records = []
-        buf: list[str] = []
-        for ln in text.splitlines():
-            if not ln.strip():
-                continue
-            buf.append(ln)
-            if ln.startswith("2 "):
-                records.append(parse_tle(buf))
-                buf = []
-        return records
+    def __post_init__(self):
+        if (self.shells is None) == (self.tles is None):
+            raise ConfigError(f"constellation {self.name}: exactly one source required")
+        if self.shell_beams is not None and len(self.shell_beams) != len(self.shells or []):
+            raise ConfigError(f"constellation {self.name}: shell_beams must align with shells")
+
+    def beam_for_shell(self, index: int) -> BeamModel:
+        if self.shell_beams is not None and self.shell_beams[index] is not None:
+            return self.shell_beams[index]
+        return self.beam
+
+    @property
+    def count(self) -> int:
+        if self.shells is not None:
+            return sum(s.total for s in self.shells)
+        return len(self.tles)
+
+    def max_altitude_km(self) -> float:
+        if self.shells is not None:
+            return max(s.altitude for s in self.shells)
+        return max(t.altitude_km for t in self.tles)
 
 
 BUILTIN_FLEETS = {
-    "oneweb": FleetDef(
+    "oneweb": ConstellationConfig(
         "oneweb", BeamModel("ground_service", service_elevation=32.0), shells=ONEWEB_SHELLS
     ),
-    "starlink": FleetDef(
+    "starlink": ConstellationConfig(
         "starlink",
         BeamModel("ground_service", service_elevation=27.0),
         shells=STARLINK_SHELLS,
         shell_beams=_STARLINK_SHELL_BEAMS,
     ),
-    "eutelsat_geo": FleetDef(
+    "eutelsat_geo": ConstellationConfig(
         "eutelsat_geo",
         BeamModel("fixed_half_cone", GEO_HALF_CONE_DEG),
-        tle_resource="eutelsat_geo.tle",
+        tles=load_tle_file(resources.files("leolink") / "data" / "eutelsat_geo.tle"),
     ),
 }

@@ -19,7 +19,7 @@ visible samples lasts k * step seconds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -150,30 +150,7 @@ class CoverageSummary:
         return n / self.pass_count
 
     def to_dict(self) -> dict:
-        return {
-            "total_steps": self.total_steps,
-            "covered_steps": self.covered_steps,
-            "coverage_probability": self.coverage_probability,
-            "access_count": self.access_count,
-            "avg_access_min": self.avg_access_min,
-            "max_access_min": self.max_access_min,
-            "pass_count": self.pass_count,
-            "pass_hist_min": list(self.pass_hist_min),
-            "visible_min": self.visible_min,
-            "visible_avg": self.visible_avg,
-            "visible_max": self.visible_max,
-            "visible_hist": list(self.visible_hist),
-            "fspl_min_db": self.fspl_min_db,
-            "fspl_avg_db": self.fspl_avg_db,
-            "fspl_max_db": self.fspl_max_db,
-            "max_doppler_khz": self.max_doppler_khz,
-            "serving_steps": self.serving_steps,
-            "serving_fspl_min_db": self.serving_fspl_min_db,
-            "serving_fspl_avg_db": self.serving_fspl_avg_db,
-            "serving_fspl_max_db": self.serving_fspl_max_db,
-            "serving_max_doppler_khz": self.serving_max_doppler_khz,
-            "usage_fractions": dict(self.usage_fractions),
-        }
+        return asdict(self)
 
 
 class _IntervalTracker:

@@ -84,7 +84,3 @@ def propagate_satrec(rec: sgp4core.SatRecord, t: datetime) -> StateVector:
         )
     return StateVector(epoch=t, position=np.array(r), velocity=np.array(v))
 
-
-def is_deep_space(rec: sgp4core.SatRecord) -> bool:
-    """Deep-space records (period >= 225 min) use the SDP4 branch."""
-    return rec.method == "d"

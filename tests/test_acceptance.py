@@ -17,6 +17,7 @@ visible-count and path-loss gates.
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -49,21 +50,6 @@ def report(criterion: str, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")
 
 
-def fleet_configs(names):
-    out = []
-    for name in names:
-        d = BUILTIN_FLEETS[name]
-        if d.shells is not None:
-            out.append(
-                ConstellationConfig(
-                    d.name, d.beam, shells=d.shells, shell_beams=d.shell_beams
-                )
-            )
-        else:
-            out.append(ConstellationConfig(d.name, d.beam, tles=d.tles()))
-    return out
-
-
 @pytest.fixture(scope="module")
 def use_case_run():
     """ISS + SSO + above-shell probes against OneWeb+Starlink, 24 h, 10 s,
@@ -76,7 +62,7 @@ def use_case_run():
     ]
     cfg = ScenarioConfig(
         epoch=EPOCH,
-        constellations=fleet_configs(["oneweb", "starlink"]),
+        constellations=[BUILTIN_FLEETS["oneweb"], BUILTIN_FLEETS["starlink"]],
         users=users,
         policy=SelectionPolicy("closest"),
         threads=1,
@@ -90,7 +76,7 @@ def monte_carlo_run():
     users = generate_population(42, n_main=100, n_band=10, epoch=EPOCH)
     cfg = ScenarioConfig(
         epoch=EPOCH,
-        constellations=fleet_configs(["oneweb", "starlink", "eutelsat_geo"]),
+        constellations=[BUILTIN_FLEETS[n] for n in ("oneweb", "starlink", "eutelsat_geo")],
         users=users,
         policy=SelectionPolicy("random", seed=42),
         threads=2,
@@ -247,7 +233,7 @@ def test_criterion_5_sso_oneweb_pass_shape(sso):
 def test_criterion_6_geo_fspl_bound():
     # grazing sight line from the highest-radius GEO platform to the top of
     # the LEO band, through the propagation -> geometry -> link chain
-    tles = BUILTIN_FLEETS["eutelsat_geo"].tles()
+    tles = BUILTIN_FLEETS["eutelsat_geo"].tles
     r_geo = 0.0
     for tle in tles:
         rec = satrec_from_tle(tle)
@@ -271,10 +257,9 @@ def test_criterion_7_scaled_monte_carlo(monte_carlo_run):
     # phasing-band verification for the OneWeb scalar: three plane offsets,
     # paper value must fall inside the observed band union the tolerance
     users = generate_population(42, n_main=100, n_band=10, epoch=EPOCH)
-    d = BUILTIN_FLEETS["oneweb"]
     band = []
     for off in (0.0, 5.0, 10.0):
-        cc = ConstellationConfig(d.name, d.beam, shells=d.shells, raan_offset_deg=off)
+        cc = replace(BUILTIN_FLEETS["oneweb"], raan_offset_deg=off)
         cfg = ScenarioConfig(
             epoch=EPOCH, constellations=[cc], users=users,
             policy=SelectionPolicy("random", seed=42), threads=2,

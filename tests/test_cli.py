@@ -209,15 +209,72 @@ def test_run_command_small_scenario(tmp_path, capsys):
     assert "run complete" in capsys.readouterr().out
 
 
-def test_preset_fleets_resolve_like_config():
+def test_preset_fleets_resolve_like_config(monkeypatch):
     # the CLI and config files share one resolver, per-shell beams included
-    from leolink.cli import _constellations_arg
+    from leolink import cli
     from leolink.config import config_from_dict
     from leolink.fleets import BUILTIN_FLEETS
 
+    class Resolved(Exception):
+        pass
+
+    def stop(cfg):
+        raise Resolved(cfg)
+
+    monkeypatch.setattr(cli, "run", stop)
     names = sorted(BUILTIN_FLEETS)
-    got = _constellations_arg(" , ".join(names))
+    with pytest.raises(Resolved) as caught:
+        main(["preset", "iss", "--constellations", " , ".join(names)])
+    got = caught.value.args[0].constellations
     raw = {"constellations": [{"name": n} for n in names], "users": {"preset": "iss"}}
     assert got == config_from_dict(raw).constellations
     starlink = got[names.index("starlink")]
     assert starlink.shell_beams == BUILTIN_FLEETS["starlink"].shell_beams
+
+
+def test_preset_matches_run_config(tmp_path):
+    assert main(["preset", "iss", "--duration", "600", "--out", str(tmp_path / "a")]) == 0
+    scenario = {
+        "duration": 600,
+        "constellations": [{"name": "oneweb"}, {"name": "starlink"}],
+        "users": {"preset": "iss"},
+        "output_dir": str(tmp_path / "b"),
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["run", "--config", str(path)]) == 0
+    assert "pass," in (tmp_path / "a" / "pass_access.csv").read_text()
+    for name in ("summary.json", "pass_access.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_flags_override_file_values_only_when_given(tmp_path):
+    out = tmp_path / "out"
+    scenario = {
+        "epoch": "2021-03-20T09:37:29Z",
+        "duration": 60,
+        "step": 10,
+        "constellations": [
+            {"name": "mini", "source": {"walker": [
+                {"altitude": 1200, "inclination": 87.9, "plane_count": 3, "sats_per_plane": 8}
+            ]}}
+        ],
+        "users": {"population": {"n_main": 3, "n_band": 1}},
+        "seed": 7,
+        "threads": 2,
+        "output_dir": str(out),
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+
+    assert main(["run", "--config", str(path)]) == 0
+    man = json.loads((out / "manifest.json").read_text())
+    assert (man["seed"], man["threads"]) == (7, 2)
+    assert man["config"]["users"]["population"]["seed"] == 7
+    assert man["config"]["epoch"] == "2021-03-20T09:37:29Z"
+
+    assert main(["run", "--config", str(path), "--seed", "3",
+                 "--epoch", "2021-03-21T00:00:00Z"]) == 0
+    man = json.loads((out / "manifest.json").read_text())
+    assert (man["seed"], man["threads"]) == (3, 2)
+    assert man["config"]["epoch"] == "2021-03-21T00:00:00Z"

@@ -74,6 +74,27 @@ def test_unknown_bundled_fleet():
         config_from_dict({"constellations": [{"name": "iridium"}], "users": {"preset": "iss"}})
 
 
+def test_bundled_fleet_entry_overrides():
+    from leolink.fleets import BUILTIN_FLEETS
+
+    cfg = config_from_dict(
+        {
+            "constellations": [
+                {"name": "starlink"},
+                {"name": "starlink", "beam": {"kind": "earth_limb"}, "raan_offset": 5},
+                {"name": "eutelsat_geo", "anomaly_offset": 2},
+            ],
+            "users": {"preset": "iss"},
+        }
+    )
+    plain, own_beam, geo = cfg.constellations
+    assert plain == BUILTIN_FLEETS["starlink"]
+    # an entry's own beam replaces the fleet beam and the per-shell beams
+    assert own_beam.beam == BeamModel("earth_limb") and own_beam.shell_beams is None
+    assert (own_beam.shells, own_beam.raan_offset_deg) == (plain.shells, 5.0)
+    assert geo.tles == BUILTIN_FLEETS["eutelsat_geo"].tles and geo.anomaly_offset_deg == 2.0
+
+
 def test_missing_tle_file():
     with pytest.raises(ConfigError, match="does not exist"):
         config_from_dict(
@@ -165,14 +186,9 @@ def test_validate_stale_tle_warning():
     from leolink.fleets import BUILTIN_FLEETS
 
     geo = BUILTIN_FLEETS["eutelsat_geo"]
-    cfg = small_cfg(
-        epoch=parse_utc("2023-01-01T00:00:00Z"),
-        constellations=[ConstellationConfig("eutelsat_geo", geo.beam, tles=geo.tles())],
-    )
+    cfg = small_cfg(epoch=parse_utc("2023-01-01T00:00:00Z"), constellations=[geo])
     assert any("accuracy envelope" in m for _, m in validate(cfg))
-    fresh = small_cfg(
-        constellations=[ConstellationConfig("eutelsat_geo", geo.beam, tles=geo.tles())]
-    )
+    fresh = small_cfg(constellations=[geo])
     assert not any("accuracy envelope" in m for _, m in validate(fresh))
 
 
@@ -292,7 +308,7 @@ def test_readme_configuration_resolves(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
     assert blocks
-    dump_tle_file(BUILTIN_FLEETS["eutelsat_geo"].tles()[:2], tmp_path / "fleet.tle")
+    dump_tle_file(BUILTIN_FLEETS["eutelsat_geo"].tles[:2], tmp_path / "fleet.tle")
     for block in blocks:
         raw = json.loads(block)
         raw["users"]["population"].update(n_main=3, n_band=1)  # keep the draw small

@@ -23,7 +23,7 @@ def test_table_rows():
 
 def test_eutelsat_catalog():
     fleet = BUILTIN_FLEETS["eutelsat_geo"]
-    tles = fleet.tles()
+    tles = fleet.tles
     assert len(tles) == 23
     names = {t.name for t in tles}
     assert "EUTELSAT 7 WEST A" in names
@@ -46,5 +46,4 @@ def test_leo_fleet_beams():
 
 
 def test_walker_fleet_has_no_tles():
-    with pytest.raises(ValueError):
-        BUILTIN_FLEETS["oneweb"].tles()
+    assert BUILTIN_FLEETS["oneweb"].tles is None

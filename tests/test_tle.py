@@ -39,7 +39,7 @@ def test_parse_verification_tle_fields():
 
 
 def test_parse_named_record_from_bundled_catalog():
-    records = BUILTIN_FLEETS["eutelsat_geo"].tles()
+    records = BUILTIN_FLEETS["eutelsat_geo"].tles
     by_name = {r.name: r for r in records}
     assert "EUTELSAT 7 WEST A" in by_name
     rec = by_name["EUTELSAT 7 WEST A"]
