@@ -241,6 +241,21 @@ def test_failed_write_keeps_earlier_summary(tmp_path, monkeypatch):
     ]
 
 
+def test_serving_series_capture():
+    # the per-step serving series is read from capture_records
+    cfg = mini_cfg(duration_s=1200.0, capture_records=True)
+    m = run(cfg)
+    recs = m.users[0].records
+    assert recs is not None
+    assert [r.step_index for r in recs] == list(range(cfg.n_steps))
+    served = [r for r in recs if r.serving is not None]
+    for r in served:
+        ranges = {sid: rng for sid, rng, _, _ in r.visible}
+        assert r.serving in ranges
+        assert np.isfinite(ranges[r.serving])
+    assert len(served) == m.users[0].summaries["combined"].serving_steps > 0
+
+
 def test_deep_space_fleet_in_engine():
     from leolink.fleets import BUILTIN_FLEETS
 
