@@ -8,12 +8,11 @@ import json
 import sys
 from pathlib import Path
 
-from .config import ConfigError, config_from_dict, load_config, read_config, validate
+from .config import ConfigError, config_from_dict, load_config, parse_epoch, read_config, validate
 from .constants import DEFAULT_EPOCH, VERSION
 from .engine import _write_grid, run, user_json
 from .metrics import CoverageSummary, bin_grid
 from .propagation import PropagationError
-from .timebase import parse_utc
 from .tle import dump_tle_file, elements_to_tle
 from .walker import ShellSpec, build_walker
 
@@ -94,7 +93,7 @@ def _cmd_walker(args) -> int:
         raan_span=args.raan_span,
         inter_plane_phase=args.phase,
     )
-    epoch = parse_utc(args.epoch or DEFAULT_EPOCH)
+    epoch = parse_epoch(args.epoch or DEFAULT_EPOCH, "--epoch")
     elements = build_walker(shell, epoch)
     records = [
         elements_to_tle(el, catalog_id=k + 1, name=f"{args.name}-{k}")

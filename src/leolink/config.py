@@ -74,6 +74,32 @@ def _check_keys(d, allowed, where: str) -> None:
             raise ConfigError(f"unknown key {key!r} in {where}; {hint}")
 
 
+_REQUIRED = object()
+
+
+def _number(d: dict, key: str, where: str, default=_REQUIRED, kind=float):
+    """``d[key]`` (``default`` when absent) converted by ``kind``, or a
+    :class:`ConfigError` naming the key and its value."""
+    if key not in d and default is _REQUIRED:
+        raise ConfigError(f"{where} needs {key!r}")
+    value = d.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key!r} in {where} must be a number, not {value!r}") from None
+
+
+def parse_epoch(value, key: str = "epoch") -> datetime:
+    """An ISO-8601 UTC instant, or a :class:`ConfigError` naming the key."""
+    try:
+        return parse_utc(str(value))
+    except ValueError:
+        raise ConfigError(
+            f"{key!r} must be an ISO-8601 UTC instant such as "
+            f"'2021-03-20T09:37:29Z', not {value!r}"
+        ) from None
+
+
 def _mode_keys(d: dict, table: dict) -> tuple[str, ...]:
     """The keys allowed next to the first mode key of ``table`` in ``d``, or
     every key of the table when ``d`` names no mode."""
@@ -177,8 +203,8 @@ def _constellation_from_dict(d: dict, base_dir: Path) -> ConstellationConfig:
         raise ConfigError("constellation entry needs a name")
     where = f"constellation {name!r}"
     offsets = dict(
-        raan_offset_deg=float(d.get("raan_offset", 0.0)),
-        anomaly_offset_deg=float(d.get("anomaly_offset", 0.0)),
+        raan_offset_deg=_number(d, "raan_offset", where, 0.0),
+        anomaly_offset_deg=_number(d, "anomaly_offset", where, 0.0),
     )
     source = d.get("source")
     if source is None:
@@ -199,15 +225,17 @@ def _constellation_from_dict(d: dict, base_dir: Path) -> ConstellationConfig:
         shells = []
         shell_beams = []
         for k, s in enumerate(source["walker"]):
-            _check_keys(s, _SHELL_KEYS, f"{where} walker shell {k}")
+            at = f"{where} walker shell {k}"
+            _check_keys(s, _SHELL_KEYS, at)
+            phase = s.get("inter_plane_phase")
             shells.append(
                 ShellSpec(
-                    altitude=float(s["altitude"]),
-                    inclination=float(s["inclination"]),
-                    plane_count=int(s["plane_count"]),
-                    sats_per_plane=int(s["sats_per_plane"]),
-                    raan_span=float(s.get("raan_span", 360.0)),
-                    inter_plane_phase=s.get("inter_plane_phase"),
+                    altitude=_number(s, "altitude", at),
+                    inclination=_number(s, "inclination", at),
+                    plane_count=_number(s, "plane_count", at, kind=int),
+                    sats_per_plane=_number(s, "sats_per_plane", at, kind=int),
+                    raan_span=_number(s, "raan_span", at, 360.0),
+                    inter_plane_phase=None if phase is None else _number(s, "inter_plane_phase", at),
                 )
             )
             shell_beams.append(
@@ -238,9 +266,9 @@ def _users_from_dict(d: dict, epoch: datetime, seed: int) -> tuple[list[UserSpec
     if "population" in d:
         p = d["population"] or {}
         _check_keys(p, _POPULATION_KEYS, "users population")
-        n_main = int(p.get("n_main", 1000))
-        n_band = int(p.get("n_band", 100))
-        pop_seed = int(p.get("seed", seed))
+        n_main = _number(p, "n_main", "users population", 1000, int)
+        n_band = _number(p, "n_band", "users population", 100, int)
+        pop_seed = _number(p, "seed", "users population", seed, int)
         users = generate_population(pop_seed, n_main=n_main, n_band=n_band, epoch=epoch)
         echo = {"population": {"n_main": n_main, "n_band": n_band, "seed": pop_seed}}
         return users, echo
@@ -249,24 +277,25 @@ def _users_from_dict(d: dict, epoch: datetime, seed: int) -> tuple[list[UserSpec
         u = preset(
             name,
             epoch=epoch,
-            raan_deg=float(d.get("raan", 0.0)),
-            mean_anomaly_deg=float(d.get("mean_anomaly", 0.0)),
+            raan_deg=_number(d, "raan", "users", 0.0),
+            mean_anomaly_deg=_number(d, "mean_anomaly", "users", 0.0),
         )
         return [u], {"preset": name, "raan": u.elements.raan, "mean_anomaly": u.elements.mean_anomaly}
     if "explicit" in d:
         users = []
         for k, e in enumerate(d["explicit"]):
-            _check_keys(e, _EXPLICIT_KEYS, f"explicit user {k}")
+            at = f"explicit user {k}"
+            _check_keys(e, _EXPLICIT_KEYS, at)
             users.append(
                 UserSpec(
                     user_id=k,
                     elements=KeplerianElements(
-                        semi_major_axis=EARTH_RADIUS_KM + float(e["altitude"]),
-                        eccentricity=float(e.get("eccentricity", 0.0)),
-                        inclination=float(e["inclination"]),
-                        raan=float(e.get("raan", 0.0)),
-                        arg_perigee=float(e.get("arg_perigee", 0.0)),
-                        mean_anomaly=float(e.get("mean_anomaly", 0.0)),
+                        semi_major_axis=EARTH_RADIUS_KM + _number(e, "altitude", at),
+                        eccentricity=_number(e, "eccentricity", at, 0.0),
+                        inclination=_number(e, "inclination", at),
+                        raan=_number(e, "raan", at, 0.0),
+                        arg_perigee=_number(e, "arg_perigee", at, 0.0),
+                        mean_anomaly=_number(e, "mean_anomaly", at, 0.0),
                         epoch=epoch,
                     ),
                     tag="explicit",
@@ -293,8 +322,8 @@ def load_config(path: str | Path) -> ScenarioConfig:
 def config_from_dict(raw: dict, base_dir: Path | None = None) -> ScenarioConfig:
     base_dir = base_dir or Path.cwd()
     _check_keys(raw, _TOP_KEYS, "the scenario")
-    epoch = parse_utc(str(raw.get("epoch", DEFAULT_EPOCH)))
-    seed = int(raw.get("seed", 0))
+    epoch = parse_epoch(raw.get("epoch", DEFAULT_EPOCH))
+    seed = _number(raw, "seed", "the scenario", 0, int)
     policy_d = raw.get("policy", {"kind": "closest"})
     _check_keys(policy_d, _POLICY_KEYS, "policy")
     if policy_d.get("kind") == "random" and policy_d.get("seed") is None:
@@ -308,24 +337,24 @@ def config_from_dict(raw: dict, base_dir: Path | None = None) -> ScenarioConfig:
     grid_d = raw.get("grid", {})
     _check_keys(grid_d, _GRID_KEYS, "grid")
     grid = GridSpec(
-        altitude_bin_km=float(grid_d.get("altitude_bin", 25.0)),
-        inclination_bin_deg=float(grid_d.get("inclination_bin", 5.0)),
+        altitude_bin_km=_number(grid_d, "altitude_bin", "grid", 25.0),
+        inclination_bin_deg=_number(grid_d, "inclination_bin", "grid", 5.0),
         metrics=tuple(grid_d.get("metrics", GridSpec().metrics)),
     )
     out_dir = raw.get("output_dir")
     cfg = ScenarioConfig(
         epoch=epoch,
-        duration_s=float(raw.get("duration", DEFAULT_DURATION_S)),
-        step_s=float(raw.get("step", DEFAULT_STEP_S)),
-        min_elevation_deg=float(raw.get("min_elevation", DEFAULT_MIN_ELEVATION_DEG)),
-        carrier_frequency_hz=float(raw.get("carrier_frequency", DEFAULT_CARRIER_HZ)),
+        duration_s=_number(raw, "duration", "the scenario", DEFAULT_DURATION_S),
+        step_s=_number(raw, "step", "the scenario", DEFAULT_STEP_S),
+        min_elevation_deg=_number(raw, "min_elevation", "the scenario", DEFAULT_MIN_ELEVATION_DEG),
+        carrier_frequency_hz=_number(raw, "carrier_frequency", "the scenario", DEFAULT_CARRIER_HZ),
         constellations=constellations,
         users=users,
         policy=policy,
         reporting_mode=str(raw.get("reporting_mode", "all_visible")),
         seed=seed,
         output_dir=Path(out_dir) if out_dir else None,
-        threads=int(raw.get("threads", 1)),
+        threads=_number(raw, "threads", "the scenario", 1, int),
         cull=bool(raw.get("cull", True)),
         write_intervals=bool(raw.get("write_intervals", True)),
         grid=grid,

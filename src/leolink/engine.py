@@ -26,7 +26,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import sgp4core
 from .config import ConfigError, ScenarioConfig, validate
 from .constants import EARTH_RADIUS_KM, VERSION
 from .geometry import horizon_candidates, pair_geometry_arrays, visible_mask_arrays
@@ -35,7 +34,7 @@ from .policy import serving_rows
 from .population import UserSpec
 from .propagation import PropagationError, satrec_from_tle
 from .sgp4batch import SatBatch
-from .timebase import datetime_from_jd, format_utc, julian_date
+from .timebase import format_utc, julian_date
 from .tle import elements_to_tle
 from .walker import build_walker
 
@@ -125,38 +124,11 @@ class _Fleet:
         self.const_of_sat = np.array(const_of_sat, dtype=np.int64)
         self.nadir_mask = np.array(limb, dtype=bool)[:, None]
         self.beam_factor = np.array(fixed_cos, dtype=float)[:, None]
-        near_rows = [i for i, r in enumerate(records) if r.method == "n"]
-        self.deep = [(i, records[i]) for i in range(self.n) if records[i].method == "d"]
-        self.near_rows = np.array(near_rows, dtype=np.int64)
-        self.batch = SatBatch([records[i] for i in near_rows]) if near_rows else None
+        self.batch = SatBatch(records)
 
     def propagate_block(self, jd: float, fr: np.ndarray):
         """Positions/velocities (S, B, 3) and beam cosines (S, B) for a block."""
-        b = len(fr)
-        if self.batch is not None and not self.deep:
-            # every row is near-earth, in fleet order: use the batch's arrays
-            pos, vel = self.batch.propagate_jd(jd, fr)
-        else:
-            pos = np.empty((self.n, b, 3))
-            vel = np.empty((self.n, b, 3))
-            if self.batch is not None:
-                p, v = self.batch.propagate_jd(jd, fr)
-                pos[self.near_rows] = p
-                vel[self.near_rows] = v
-        for row, rec in self.deep:
-            t = ((jd - rec.epoch_jd) + (fr - rec.epoch_fr)) * 1440.0
-            for k in range(b):
-                r, v = sgp4core.propagate_record(rec, float(t[k]))
-                if rec.error != 0:
-                    raise PropagationError(
-                        f"SGP4 failed for {rec.name}: "
-                        f"{sgp4core.SGP4_ERRORS.get(rec.error, rec.error)}",
-                        rec.name,
-                        step=k,
-                        utc=datetime_from_jd(jd, float(fr[k])),
-                    )
-                pos[row, k] = r
-                vel[row, k] = v
+        pos, vel = self.batch.propagate_jd(jd, fr)
         sat_r = np.sqrt(np.einsum("sbk,sbk->sb", pos, pos))
         nadir_cos = np.sqrt(
             np.maximum(0.0, 1.0 - (self.beam_factor * EARTH_RADIUS_KM / sat_r) ** 2)

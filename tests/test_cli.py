@@ -278,3 +278,16 @@ def test_flags_override_file_values_only_when_given(tmp_path):
     man = json.loads((out / "manifest.json").read_text())
     assert (man["seed"], man["threads"]) == (3, 2)
     assert man["config"]["epoch"] == "2021-03-21T00:00:00Z"
+
+
+def test_malformed_values_exit_with_a_message(tmp_path, capsys):
+    assert main(["preset", "iss", "--epoch", "garbage"]) == 1
+    err = capsys.readouterr().err
+    assert "error: 'epoch' must be an ISO-8601 UTC instant" in err and "'garbage'" in err
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({
+        "constellations": [{"name": "eutelsat_geo"}],
+        "users": {"explicit": [{"altitude": "x", "inclination": 55}]},
+    }))
+    assert main(["validate", "--config", str(path)]) == 1
+    assert "error: 'altitude' in explicit user 0 must be a number, not 'x'" in capsys.readouterr().out

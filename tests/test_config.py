@@ -314,3 +314,38 @@ def test_readme_configuration_resolves(tmp_path):
         raw["users"]["population"].update(n_main=3, n_band=1)  # keep the draw small
         cfg = config_from_dict(raw, base_dir=tmp_path)
         assert [c.name for c in cfg.constellations] == [c["name"] for c in raw["constellations"]]
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"epoch": "garbage"}, "'epoch' must be an ISO-8601 UTC instant"),
+        ({"duration": "abc"}, "'duration' in the scenario must be a number, not 'abc'"),
+        ({"seed": [1]}, "'seed' in the scenario must be a number, not [1]"),
+        ({"grid": {"altitude_bin": None}}, "'altitude_bin' in grid must be a number, not None"),
+        ({"users": {"preset": "iss", "raan": "east"}}, "'raan' in users must be a number"),
+        ({"users": {"population": {"n_main": "many"}}}, "'n_main' in users population must be"),
+        (
+            {"users": {"explicit": [{"altitude": "x", "inclination": 55}]}},
+            "'altitude' in explicit user 0 must be a number, not 'x'",
+        ),
+        ({"users": {"explicit": [{"altitude": 500}]}}, "explicit user 0 needs 'inclination'"),
+        (
+            {"constellations": [{"name": "oneweb", "raan_offset": "1o"}]},
+            "'raan_offset' in constellation 'oneweb' must be a number, not '1o'",
+        ),
+        (
+            {
+                "constellations": [
+                    {"name": "x", "source": {"walker": [{"altitude": 550, "inclination": 53,
+                                                         "plane_count": "two", "sats_per_plane": 2}]}}
+                ]
+            },
+            "'plane_count' in constellation 'x' walker shell 0 must be a number, not 'two'",
+        ),
+    ],
+)
+def test_malformed_values_rejected(change, message):
+    raw = {"constellations": [{"name": "oneweb"}], "users": {"preset": "iss"}, **change}
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        config_from_dict(raw)

@@ -290,6 +290,76 @@ def test_decay_error_names_scenario_step_and_instant():
     assert abs((err.value.utc - expected).total_seconds()) < 1e-3
 
 
+def test_deep_space_user_matches_record_reference():
+    # a user on a GNSS-altitude (12 h, deep-space) orbit goes through the
+    # same batch propagator as the fleet, over two engine blocks
+    from leolink.fleets import BUILTIN_FLEETS
+
+    cfg = mini_cfg(
+        constellations=[BUILTIN_FLEETS["eutelsat_geo"], mini_cfg().constellations[0]],
+        users=[
+            UserSpec(0, KeplerianElements(RE + 20200.0, 0.0, 55.0, 30.0, 0.0, 0.0, EPOCH), "explicit"),
+            UserSpec(1, KeplerianElements(RE + 420.0, 0.0, 51.6, 0.0, 0.0, 0.0, EPOCH), "explicit"),
+        ],
+        duration_s=12 * 3600.0,
+        step_s=60.0,
+        capture_records=True,
+    )
+    m = run(cfg)
+    assert m.users[0].summaries["eutelsat_geo"].covered_steps > 0
+    for u in m.users:
+        ref = summarize(u.records, cfg.step_s, cfg.carrier_frequency_hz)
+        got = u.summaries["combined"]
+        for key in ("covered_steps", "access_count", "pass_count", "visible_hist", "serving_steps"):
+            assert getattr(got, key) == getattr(ref, key), key
+        for key in ("fspl_min_db", "fspl_avg_db", "fspl_max_db", "max_doppler_khz"):
+            assert getattr(got, key) == pytest.approx(getattr(ref, key), rel=1e-12), key
+    assert summaries_payload(run(replace(cfg, cull=False))) == summaries_payload(m)
+
+
+def test_deep_space_failure_names_scenario_step_and_instant(monkeypatch):
+    # a GEO record whose mean eccentricity grows past 1 about 900 min after
+    # epoch: at 60 s steps that is past the first 512-step block
+    from leolink import engine, sgp4core
+    from leolink.propagation import satrec_from_tle
+    from leolink.sgp4batch import SatBatch
+    from leolink.timebase import julian_date
+
+    runaway = TwoLineElementSet(
+        name="RUNAWAY", epoch=EPOCH, inclination=3.0, raan=0.0, eccentricity=2e-4,
+        arg_perigee=0.0, mean_anomaly=0.0, mean_motion=1.00273791, bstar=0.0, catalog_id=22222,
+    )
+
+    def runaway_record(tle):
+        rec = satrec_from_tle(tle)
+        rec.dedt = 1.0 / 900.0
+        return rec
+
+    monkeypatch.setattr(engine, "satrec_from_tle", runaway_record)
+    cfg = mini_cfg(
+        constellations=[
+            ConstellationConfig("geo", BeamModel("fixed_half_cone", half_cone=10.5), tles=[runaway])
+        ],
+        users=[preset("iss", epoch=EPOCH)],
+        duration_s=1200 * 60.0,
+        step_s=60.0,
+    )
+    with pytest.raises(PropagationError, match="RUNAWAY: mean eccentricity") as err:
+        run(cfg)
+    # the scalar reference fails at the same scenario step
+    rec = runaway_record(runaway)
+    jd0, fr0 = julian_date(EPOCH)
+    tsince = SatBatch([rec]).tsince_minutes(jd0, fr0 + np.arange(cfg.n_steps) * (60.0 / 86400.0))
+    errors = []
+    for t in tsince[0]:
+        sgp4core.propagate_record(rec, float(t))
+        errors.append(rec.error)
+    assert err.value.object_name == "RUNAWAY"
+    assert err.value.step == errors.index(1) > 512
+    expected = EPOCH + timedelta(seconds=err.value.step * cfg.step_s)
+    assert abs((err.value.utc - expected).total_seconds()) < 1e-3
+
+
 _beams = st.one_of(
     st.just(BeamModel("earth_limb")),
     st.builds(lambda e: BeamModel("ground_service", service_elevation=e), st.floats(0.0, 60.0)),
