@@ -8,7 +8,15 @@ import json
 import sys
 from pathlib import Path
 
-from .config import ConfigError, config_from_dict, load_config, parse_epoch, read_config, validate
+from .config import (
+    ConfigError,
+    _naming,
+    config_from_dict,
+    load_config,
+    parse_epoch,
+    read_config,
+    validate,
+)
 from .constants import DEFAULT_EPOCH, VERSION
 from .engine import _write_grid, run, user_json
 from .metrics import CoverageSummary, bin_grid
@@ -85,14 +93,15 @@ def _cmd_preset(args) -> int:
 
 
 def _cmd_walker(args) -> int:
-    shell = ShellSpec(
-        altitude=args.alt,
-        inclination=args.inc,
-        plane_count=args.planes,
-        sats_per_plane=args.per_plane,
-        raan_span=args.raan_span,
-        inter_plane_phase=args.phase,
-    )
+    with _naming("walker shell"):
+        shell = ShellSpec(
+            altitude=args.alt,
+            inclination=args.inc,
+            plane_count=args.planes,
+            sats_per_plane=args.per_plane,
+            raan_span=args.raan_span,
+            inter_plane_phase=args.phase,
+        )
     epoch = parse_epoch(args.epoch or DEFAULT_EPOCH, "--epoch")
     elements = build_walker(shell, epoch)
     records = [

@@ -12,6 +12,7 @@ from __future__ import annotations
 import difflib
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -39,8 +40,7 @@ from .walker import ShellSpec
 # 24 h default.
 _TOP_KEYS = (
     "epoch", "duration", "step", "min_elevation", "carrier_frequency", "constellations",
-    "users", "policy", "reporting_mode", "seed", "output_dir", "threads", "cull",
-    "write_intervals", "grid",
+    "users", "policy", "reporting_mode", "seed", "output_dir", "threads", "cull", "grid",
 )
 _CONSTELLATION_KEYS = ("name", "beam", "source", "raan_offset", "anomaly_offset")
 _BEAM_KEYS = ("kind", "half_cone", "service_elevation")
@@ -79,14 +79,44 @@ _REQUIRED = object()
 
 def _number(d: dict, key: str, where: str, default=_REQUIRED, kind=float):
     """``d[key]`` (``default`` when absent) converted by ``kind``, or a
-    :class:`ConfigError` naming the key and its value."""
+    :class:`ConfigError` naming the key and its value. A boolean is not a
+    number, a float key takes finite values only, and an ``int`` key
+    integral ones."""
     if key not in d and default is _REQUIRED:
         raise ConfigError(f"{where} needs {key!r}")
     value = d.get(key, default)
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{key!r} in {where} must be an integer, not {value!r}")
     try:
-        return kind(value)
+        if isinstance(value, bool):  # kind() would read true as 1
+            raise TypeError
+        number = kind(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{key!r} in {where} must be a number, not {value!r}") from None
+    if kind is float and not math.isfinite(number):  # JSON NaN and Infinity parse
+        raise ConfigError(f"{key!r} in {where} must be a finite number, not {value!r}")
+    return number
+
+
+def _flag(d: dict, key: str, where: str, default: bool) -> bool:
+    """``d[key]`` (``default`` when absent) if it is a JSON boolean, else a
+    :class:`ConfigError` naming the key: ``"false"`` is not false."""
+    value = d.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key!r} in {where} must be true or false, not {value!r}")
+    return value
+
+
+@contextmanager
+def _naming(where: str):
+    """Turn a model constructor's ``ValueError`` into a :class:`ConfigError`
+    that names the configuration entry ``where``."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def parse_epoch(value, key: str = "epoch") -> datetime:
@@ -129,7 +159,6 @@ class ScenarioConfig:
     output_dir: Path | None = None
     threads: int = 1
     cull: bool = True
-    write_intervals: bool = True
     capture_records: bool = False
     grid: GridSpec = field(default_factory=GridSpec)
     users_echo: dict = field(default_factory=dict)
@@ -189,11 +218,12 @@ def _beam_from_dict(d: dict | None, default: BeamModel, where: str) -> BeamModel
     if d is None:
         return default
     _check_keys(d, _BEAM_KEYS, where)
-    return BeamModel(
-        kind=d.get("kind", "earth_limb"),
-        half_cone=d.get("half_cone"),
-        service_elevation=d.get("service_elevation"),
-    )
+    with _naming(where):
+        return BeamModel(
+            kind=d.get("kind", "earth_limb"),
+            half_cone=d.get("half_cone"),
+            service_elevation=d.get("service_elevation"),
+        )
 
 
 def _constellation_from_dict(d: dict, base_dir: Path) -> ConstellationConfig:
@@ -228,16 +258,17 @@ def _constellation_from_dict(d: dict, base_dir: Path) -> ConstellationConfig:
             at = f"{where} walker shell {k}"
             _check_keys(s, _SHELL_KEYS, at)
             phase = s.get("inter_plane_phase")
-            shells.append(
-                ShellSpec(
-                    altitude=_number(s, "altitude", at),
-                    inclination=_number(s, "inclination", at),
-                    plane_count=_number(s, "plane_count", at, kind=int),
-                    sats_per_plane=_number(s, "sats_per_plane", at, kind=int),
-                    raan_span=_number(s, "raan_span", at, 360.0),
-                    inter_plane_phase=None if phase is None else _number(s, "inter_plane_phase", at),
+            with _naming(at):
+                shells.append(
+                    ShellSpec(
+                        altitude=_number(s, "altitude", at),
+                        inclination=_number(s, "inclination", at),
+                        plane_count=_number(s, "plane_count", at, kind=int),
+                        sats_per_plane=_number(s, "sats_per_plane", at, kind=int),
+                        raan_span=_number(s, "raan_span", at, 360.0),
+                        inter_plane_phase=None if phase is None else _number(s, "inter_plane_phase", at),
+                    )
                 )
-            )
             shell_beams.append(
                 _beam_from_dict(s["beam"], beam, f"{where} walker shell {k} beam")
                 if "beam" in s
@@ -252,12 +283,10 @@ def _constellation_from_dict(d: dict, base_dir: Path) -> ConstellationConfig:
             path = base_dir / path
         if not path.exists():
             raise ConfigError(f"constellation {name}: TLE file {path} does not exist")
-        return ConstellationConfig(
-            name,
-            beam,
-            tles=load_tle_file(path, strict=bool(source.get("strict", False))),
-            **offsets,
-        )
+        strict = _flag(source, "strict", f"{where} source", False)
+        with _naming(f"{where} TLE file {path}"):
+            tles = load_tle_file(path, strict=strict)
+        return ConstellationConfig(name, beam, tles=tles, **offsets)
     raise ConfigError(f"constellation {name}: source must contain 'walker' or 'tle_file'")
 
 
@@ -269,38 +298,36 @@ def _users_from_dict(d: dict, epoch: datetime, seed: int) -> tuple[list[UserSpec
         n_main = _number(p, "n_main", "users population", 1000, int)
         n_band = _number(p, "n_band", "users population", 100, int)
         pop_seed = _number(p, "seed", "users population", seed, int)
-        users = generate_population(pop_seed, n_main=n_main, n_band=n_band, epoch=epoch)
+        with _naming("users population"):
+            users = generate_population(pop_seed, n_main=n_main, n_band=n_band, epoch=epoch)
         echo = {"population": {"n_main": n_main, "n_band": n_band, "seed": pop_seed}}
         return users, echo
     if "preset" in d:
         name = d["preset"]
-        u = preset(
-            name,
-            epoch=epoch,
-            raan_deg=_number(d, "raan", "users", 0.0),
-            mean_anomaly_deg=_number(d, "mean_anomaly", "users", 0.0),
-        )
+        with _naming("users"):
+            u = preset(
+                name,
+                epoch=epoch,
+                raan_deg=_number(d, "raan", "users", 0.0),
+                mean_anomaly_deg=_number(d, "mean_anomaly", "users", 0.0),
+            )
         return [u], {"preset": name, "raan": u.elements.raan, "mean_anomaly": u.elements.mean_anomaly}
     if "explicit" in d:
         users = []
         for k, e in enumerate(d["explicit"]):
             at = f"explicit user {k}"
             _check_keys(e, _EXPLICIT_KEYS, at)
-            users.append(
-                UserSpec(
-                    user_id=k,
-                    elements=KeplerianElements(
-                        semi_major_axis=EARTH_RADIUS_KM + _number(e, "altitude", at),
-                        eccentricity=_number(e, "eccentricity", at, 0.0),
-                        inclination=_number(e, "inclination", at),
-                        raan=_number(e, "raan", at, 0.0),
-                        arg_perigee=_number(e, "arg_perigee", at, 0.0),
-                        mean_anomaly=_number(e, "mean_anomaly", at, 0.0),
-                        epoch=epoch,
-                    ),
-                    tag="explicit",
+            with _naming(at):
+                elements = KeplerianElements(
+                    semi_major_axis=EARTH_RADIUS_KM + _number(e, "altitude", at),
+                    eccentricity=_number(e, "eccentricity", at, 0.0),
+                    inclination=_number(e, "inclination", at),
+                    raan=_number(e, "raan", at, 0.0),
+                    arg_perigee=_number(e, "arg_perigee", at, 0.0),
+                    mean_anomaly=_number(e, "mean_anomaly", at, 0.0),
+                    epoch=epoch,
                 )
-            )
+            users.append(UserSpec(user_id=k, elements=elements, tag="explicit"))
         return users, {"explicit": len(users)}
     raise ConfigError("users must contain 'population', 'preset', or 'explicit'")
 
@@ -326,9 +353,11 @@ def config_from_dict(raw: dict, base_dir: Path | None = None) -> ScenarioConfig:
     seed = _number(raw, "seed", "the scenario", 0, int)
     policy_d = raw.get("policy", {"kind": "closest"})
     _check_keys(policy_d, _POLICY_KEYS, "policy")
-    if policy_d.get("kind") == "random" and policy_d.get("seed") is None:
-        raise ConfigError("random policy requires a seed")
-    policy = SelectionPolicy(kind=policy_d.get("kind", "closest"), seed=policy_d.get("seed"))
+    policy_seed = policy_d.get("seed")
+    if policy_seed is not None:
+        policy_seed = _number(policy_d, "seed", "policy", kind=int)
+    with _naming("policy"):
+        policy = SelectionPolicy(kind=policy_d.get("kind", "closest"), seed=policy_seed)
 
     constellations = [
         _constellation_from_dict(c, base_dir) for c in raw.get("constellations", [])
@@ -355,8 +384,7 @@ def config_from_dict(raw: dict, base_dir: Path | None = None) -> ScenarioConfig:
         seed=seed,
         output_dir=Path(out_dir) if out_dir else None,
         threads=_number(raw, "threads", "the scenario", 1, int),
-        cull=bool(raw.get("cull", True)),
-        write_intervals=bool(raw.get("write_intervals", True)),
+        cull=_flag(raw, "cull", "the scenario", True),
         grid=grid,
         users_echo=users_echo,
     )

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -27,8 +26,13 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, ScenarioConfig, validate
-from .constants import EARTH_RADIUS_KM, VERSION
-from .geometry import horizon_candidates, pair_geometry_arrays, visible_mask_arrays
+from .constants import VERSION
+from .geometry import (
+    beam_cos_half_arrays,
+    horizon_candidates,
+    pair_geometry_arrays,
+    visible_mask_arrays,
+)
 from .metrics import BinGrid, CoverageSummary, StepRecord, UserAccumulator, bin_grid
 from .policy import serving_rows
 from .population import UserSpec
@@ -76,26 +80,15 @@ class RunManifest:
 
 
 class _Fleet:
-    """Flattened satellite set across all configured constellations."""
+    """Flattened satellite set across all configured constellations, with
+    each row's constellation index and beam cone parameters."""
 
     def __init__(self, cfg: ScenarioConfig):
         records = []
         const_of_sat = []
-        limb = []
-        fixed_cos = []
+        cone_params = []  # each row's beam in beam_cos_half_arrays
         self.names = [c.name for c in cfg.constellations]
         self.counts: dict[str, int] = {}
-
-        def add_beam(beam, n_added):
-            # nadir-law cones obey sin(half) = factor * Re / r_sat; fixed
-            # cones store cos(half) directly
-            is_nadir = beam.kind != "fixed_half_cone"
-            limb.extend([is_nadir] * n_added)
-            if is_nadir:
-                fixed_cos.extend([beam.nadir_factor] * n_added)
-            else:
-                fixed_cos.extend([math.cos(math.radians(beam.half_cone))] * n_added)
-
         for ci, cc in enumerate(cfg.constellations):
             n0 = len(records)
             if cc.shells is not None:
@@ -110,31 +103,24 @@ class _Fleet:
                         k = len(records)
                         tle = elements_to_tle(el, catalog_id=k + 1, name=f"{cc.name}-{k - n0}")
                         records.append(satrec_from_tle(tle))
-                    add_beam(cc.beam_for_shell(si), shell.total)
+                    cone_params += [cc.beam_for_shell(si).cone_params] * shell.total
             else:
                 for tle in cc.tles:
                     records.append(satrec_from_tle(tle))
-                add_beam(cc.beam, len(cc.tles))
+                cone_params += [cc.beam.cone_params] * len(cc.tles)
             n_added = len(records) - n0
             self.counts[cc.name] = n_added
             const_of_sat.extend([ci] * n_added)
 
-        self.records = records
         self.n = len(records)
         self.const_of_sat = np.array(const_of_sat, dtype=np.int64)
-        self.nadir_mask = np.array(limb, dtype=bool)[:, None]
-        self.beam_factor = np.array(fixed_cos, dtype=float)[:, None]
+        self.beam_nadir = np.array([nadir for nadir, _ in cone_params], dtype=bool)
+        self.beam_param = np.array([param for _, param in cone_params], dtype=float)
         self.batch = SatBatch(records)
 
-    def propagate_block(self, jd: float, fr: np.ndarray):
-        """Positions/velocities (S, B, 3) and beam cosines (S, B) for a block."""
-        pos, vel = self.batch.propagate_jd(jd, fr)
-        sat_r = np.sqrt(np.einsum("sbk,sbk->sb", pos, pos))
-        nadir_cos = np.sqrt(
-            np.maximum(0.0, 1.0 - (self.beam_factor * EARTH_RADIUS_KM / sat_r) ** 2)
-        )
-        cos_half = np.where(self.nadir_mask, nadir_cos, self.beam_factor)
-        return pos, vel, cos_half
+    def propagate_block(self, jd: float, fr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Positions and velocities (S, B, 3) for a block."""
+        return self.batch.propagate_jd(jd, fr)
 
 
 def _user_records(cfg: ScenarioConfig):
@@ -176,15 +162,14 @@ def run(cfg: ScenarioConfig) -> RunManifest:
 
     block = max(8, min(512, int(4e6 / max(fleet.n, 1))))
 
-    def process_user(
-        ui: int, t0: int, idx: np.ndarray, sat_pos, sat_vel, cos_half, u_pos, u_vel, cand
-    ):
+    def process_user(ui: int, t0: int, idx: np.ndarray, sat_pos, sat_vel, u_pos, u_vel, cand):
         row, step = cand[ui]
-        rng, rr, sin_el, cos_off = pair_geometry_arrays(
+        rng, rr, sin_el, cos_off, sat_r = pair_geometry_arrays(
             sat_pos[row, step], sat_vel[row, step], u_pos[ui][step], u_vel[ui][step]
         )
-        vis = visible_mask_arrays(sin_el, cos_off, cfg.min_elevation_deg, cos_half[row, step])
-        srv = serving_rows(vis, row, step, rng, cfg.policy, ui, idx)
+        cos_half = beam_cos_half_arrays(fleet.beam_nadir[row], fleet.beam_param[row], sat_r)
+        vis = visible_mask_arrays(sin_el, cos_off, cfg.min_elevation_deg, cos_half)
+        srv = serving_rows(vis, step, rng, cfg.policy, ui, idx)
         accs[ui].update_block(t0, vis, row, step, rng, rr, srv)
         if records_cap is not None:
             elev = np.degrees(np.arcsin(np.clip(sin_el, -1.0, 1.0)))
@@ -192,7 +177,7 @@ def run(cfg: ScenarioConfig) -> RunManifest:
             for s, k, *link in zip(*(a[vis].tolist() for a in (row, step, rng, rr, elev))):
                 visible[k].append((s, *link))  # rows ascend within each step
             records_cap[ui].extend(
-                StepRecord(int(t0 + k), visible[k], int(srv[k]) if srv[k] >= 0 else None)
+                StepRecord(int(t0 + k), visible[k], int(row[srv[k]]) if srv[k] >= 0 else None)
                 for k in range(len(idx))
             )
 
@@ -202,7 +187,7 @@ def run(cfg: ScenarioConfig) -> RunManifest:
             idx = np.arange(t0, min(t0 + block, n_steps))
             fr = fr0 + idx * (cfg.step_s / 86400.0)
             try:
-                sat_pos, sat_vel, cos_half = fleet.propagate_block(jd0, fr)
+                sat_pos, sat_vel = fleet.propagate_block(jd0, fr)
                 u_pos, u_vel = user_batch.propagate_jd(jd0, fr)
             except PropagationError as exc:
                 if exc.step is not None:
@@ -212,7 +197,7 @@ def run(cfg: ScenarioConfig) -> RunManifest:
                 cand = horizon_candidates(sat_pos, u_pos)
             else:
                 cand = [np.divmod(np.arange(fleet.n * len(idx)), len(idx))] * n_users
-            args = (t0, idx, sat_pos, sat_vel, cos_half, u_pos, u_vel, cand)
+            args = (t0, idx, sat_pos, sat_vel, u_pos, u_vel, cand)
             if pool is None:
                 for ui in range(n_users):
                     process_user(ui, *args)
@@ -317,22 +302,21 @@ def _write_outputs(cfg: ScenarioConfig, manifest: RunManifest, out_dir: Path) ->
     with _replacing(out_dir / "summary.json") as fh:
         fh.write(json.dumps(summary, indent=2) + "\n")
 
-    if cfg.write_intervals:
-        with _replacing(out_dir / "pass_access.csv", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["user_id", "kind", "sat_id", "start_iso", "end_iso", "duration_min"])
-            for u in manifest.users:
-                uid = u.spec.user_id
-                for sat, s, e in u.passes:
-                    w.writerow(
-                        [uid, "pass", sat, _step_iso(cfg, s), _step_iso(cfg, e),
-                         f"{(e - s + 1) * cfg.step_s / 60.0:.4f}"]
-                    )
-                for s, e in u.accesses:
-                    w.writerow(
-                        [uid, "access", "", _step_iso(cfg, s), _step_iso(cfg, e),
-                         f"{(e - s + 1) * cfg.step_s / 60.0:.4f}"]
-                    )
+    with _replacing(out_dir / "pass_access.csv", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["user_id", "kind", "sat_id", "start_iso", "end_iso", "duration_min"])
+        for u in manifest.users:
+            uid = u.spec.user_id
+            for sat, s, e in u.passes:
+                w.writerow(
+                    [uid, "pass", sat, _step_iso(cfg, s), _step_iso(cfg, e),
+                     f"{(e - s + 1) * cfg.step_s / 60.0:.4f}"]
+                )
+            for s, e in u.accesses:
+                w.writerow(
+                    [uid, "access", "", _step_iso(cfg, s), _step_iso(cfg, e),
+                     f"{(e - s + 1) * cfg.step_s / 60.0:.4f}"]
+                )
 
     mc = [u for u in manifest.users if u.spec.tag in ("montecarlo", "shell_band")]
     if mc:

@@ -51,6 +51,13 @@ class BeamModel:
             return math.cos(math.radians(self.service_elevation))
         raise ValueError("fixed beams have no nadir factor")
 
+    @property
+    def cone_params(self) -> tuple[bool, float]:
+        """This beam's (nadir flag, parameter) in :func:`beam_cos_half_arrays`."""
+        if self.kind == "fixed_half_cone":
+            return False, math.cos(math.radians(self.half_cone))
+        return True, self.nadir_factor
+
     def half_cone_deg(self, sat_altitude_km: float) -> float:
         if self.kind == "fixed_half_cone":
             return float(self.half_cone)
@@ -204,8 +211,9 @@ def pair_geometry_arrays(
     sat_vel: np.ndarray,
     user_pos: np.ndarray,
     user_vel: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Range [km], range-rate [km/s], sin(elevation), cos(off-nadir).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Range [km], range-rate [km/s], sin(elevation), cos(off-nadir) and the
+    satellite's distance from the Earth's centre [km].
 
     sat arrays (..., 3), user arrays broadcastable against them.
     """
@@ -217,7 +225,19 @@ def pair_geometry_arrays(
     rs = np.sqrt(np.einsum("...k,...k->...", sat_pos, sat_pos))
     sin_elev = np.einsum("...k,...k->...", d, user_pos) / (rng * ru)
     cos_off = np.einsum("...k,...k->...", d, sat_pos) / (rng * rs)
-    return rng, rr, sin_elev, cos_off
+    return rng, rr, sin_elev, cos_off, rs
+
+
+def beam_cos_half_arrays(
+    nadir: np.ndarray, param: np.ndarray, sat_r_km: np.ndarray
+) -> np.ndarray:
+    """cos(half-cone) of each pair's satellite beam, the array form of
+    :meth:`BeamModel.half_cone_deg`. Aligned per pair: ``nadir`` and
+    ``param`` are the beam's :attr:`BeamModel.cone_params` (a nadir-law
+    cone obeys sin(half) = param * Re / r_sat, a fixed cone has cos(half) =
+    param), ``sat_r_km`` the satellite's distance from the Earth's centre."""
+    nadir_cos = np.sqrt(np.maximum(0.0, 1.0 - (param * EARTH_RADIUS_KM / sat_r_km) ** 2))
+    return np.where(nadir, nadir_cos, param)
 
 
 def visible_mask_arrays(

@@ -24,7 +24,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .link import doppler_offset_hz, fspl_db
-from .policy import serving_pairs
 
 
 @dataclass(frozen=True)
@@ -350,18 +349,18 @@ class UserAccumulator:
         step: np.ndarray,
         rng: np.ndarray,
         rr: np.ndarray,
-        serving_row: np.ndarray,
+        serving: np.ndarray,
     ) -> None:
         """One block of candidate pairs starting at absolute step t0: aligned
         arrays in (row, step) order of visibility, satellite row, step within
-        the block, range and range-rate, plus each step's serving row (-1 for
-        none)."""
-        n_steps = len(serving_row)
-        row, step, rng, rr = row[vis], step[vis], rng[vis], rr[vis]
-        served, at = serving_pairs(row, step, serving_row)
+        the block, range and range-rate, plus each step's serving pair as an
+        index into those arrays (-1 for none)."""
+        n_steps = len(serving)
+        at = serving[serving >= 0]  # in step order
         srv_rng, srv_rr = rng[at], rr[at]
-        srv_const = self.const_of_sat[serving_row[served]]
+        srv_const = self.const_of_sat[row[at]]
         self.serving_by_const += np.bincount(srv_const, minlength=len(self.names))
+        row, step, rng, rr = row[vis], step[vis], rng[vis], rr[vis]
 
         self.combined.passes.update(t0, n_steps, row, step)
         self.combined.update_block(t0, n_steps, step, rng, rr, srv_rng, srv_rr)

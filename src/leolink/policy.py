@@ -83,7 +83,6 @@ def select_serving(
 
 def serving_rows(
     vis: np.ndarray,
-    row: np.ndarray,
     step: np.ndarray,
     rng_km: np.ndarray,
     policy: SelectionPolicy,
@@ -92,36 +91,28 @@ def serving_rows(
 ) -> np.ndarray:
     """Vector form over one block's candidate pairs.
 
-    vis, row, step, rng_km: aligned arrays over the candidate pairs in
-    (row, step) order, with rows ordered by satellite id and ``step`` the
-    position in ``step_indices``. Returns the serving row per step, -1 when
-    the step has no visible pair. Matches :func:`select_serving` per step.
+    vis, step, rng_km: aligned arrays over the candidate pairs in (row,
+    step) order, with rows ordered by satellite id and ``step`` the position
+    in ``step_indices``. Returns, per step, the index of the serving pair
+    among the candidate pairs, -1 when the step has no visible pair. The
+    serving pair's satellite matches :func:`select_serving` per step.
     """
-    row, step = row[vis], step[vis]
+    pair = np.flatnonzero(vis)
+    step = step[pair]
     out = np.full(len(step_indices), -1, dtype=np.int64)
     if policy.kind == "closest":
         # by step, then range; the sort is stable, so ties keep row order and
         # each step's first entry is the minimum range with the lowest id
-        order = np.lexsort((rng_km[vis], step))
+        order = np.lexsort((rng_km[pair], step))
         first = order[np.diff(step[order], prepend=-1) != 0]
-        out[step[first]] = row[first]
+        out[step[first]] = pair[first]
     else:
         counts = np.bincount(step, minlength=len(step_indices))
         u = keyed_uniform(policy.seed, user_index, step_indices)
         j = np.minimum((u * counts).astype(np.int64), np.maximum(counts - 1, 0))
         served = np.flatnonzero(counts)
-        # (step, row) order: segment k holds step k's visible rows by id
-        by_step = row[np.argsort(step, kind="stable")]
+        # (step, row) order: segment k holds step k's visible pairs by id
+        by_step = pair[np.argsort(step, kind="stable")]
         seg_start = np.cumsum(counts) - counts
         out[served] = by_step[seg_start[served] + j[served]]
     return out
-
-
-def serving_pairs(
-    row: np.ndarray, step: np.ndarray, serving_row: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Served steps of a block and, for each, the position of its serving
-    pair among (row, step)-ordered pairs that include it."""
-    steps = np.flatnonzero(serving_row >= 0)
-    n = len(serving_row)
-    return steps, np.searchsorted(row * n + step, serving_row[steps] * n + steps)

@@ -28,7 +28,9 @@ changes in row order.
 Both kinds then share one Kepler / short-period / orientation tail, fed
 (rows, 1) per-satellite columns for near-earth rows and (rows, T) arrays
 for deep-space rows. Agreement with the scalar reference is enforced by
-tests to sub-millimeter.
+tests to sub-millimeter. A failure raises :class:`PropagationError` naming
+the object, column and instant: each of the reference's error codes, and a
+non-finite position or velocity, which the reference returns with no code.
 """
 
 from __future__ import annotations
@@ -322,6 +324,11 @@ class SatBatch:
         vel[..., 0] = (mvt * ux + rvdot * vx) * self.vkmpersec
         vel[..., 1] = (mvt * uy + rvdot * vy) * self.vkmpersec
         vel[..., 2] = (mvt * uz + rvdot * vz) * self.vkmpersec
+        # degenerate elements, such as a subnormal inclination, can give NaN
+        # with no error code from the reference
+        if not np.isfinite(pos.sum() + vel.sum()):
+            bad = ~(np.isfinite(pos).all(axis=-1) & np.isfinite(vel).all(axis=-1))
+            self._raise(bad, t, r0, "position or velocity is not finite")
 
     @staticmethod
     def _dspace(c, t, argpm, mm, nodem):
@@ -441,16 +448,15 @@ class SatBatch:
             return ep, inclp, nodel, argpl, mp
         return ep, inclp, np.where(high, nodeh, nodel), np.where(high, argph, argpl), mp
 
-    def _raise(self, bad: np.ndarray, t: np.ndarray, r0: int, code: int):
-        """Raise the reference's error ``code`` for the first failing object
-        of a tile starting at row ``r0``, with the column and UTC instant of
-        its first failing entry."""
+    def _raise(self, bad: np.ndarray, t: np.ndarray, r0: int, code: int | str):
+        """Raise the reference's error ``code`` (or the reason ``code``) for
+        the first failing object of a tile starting at row ``r0``, with the
+        column and UTC instant of its first failing entry."""
         i, k = (int(x) for x in np.argwhere(np.broadcast_to(bad, t.shape))[0])
         name = self.names[r0 + i]
         utc = datetime_from_jd(self.epoch_jd[r0 + i], self.epoch_fr[r0 + i] + t[i, k] / 1440.0)
-        raise PropagationError(
-            f"SGP4 failed for {name}: {sgp4core.SGP4_ERRORS[code]}", name, step=k, utc=utc
-        )
+        reason = sgp4core.SGP4_ERRORS.get(code, code)
+        raise PropagationError(f"SGP4 failed for {name}: {reason}", name, step=k, utc=utc)
 
     def _first_failure(self, c, t, r0: int, deep: bool, exc: PropagationError):
         """The failure of a tile at its earliest failing column, naming the

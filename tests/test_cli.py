@@ -28,6 +28,14 @@ def test_walker_writes_records(tmp_path):
     assert records[0].altitude_km == pytest.approx(1200.0, abs=5.0)
 
 
+def test_walker_rejects_an_empty_shell(tmp_path, capsys):
+    out = tmp_path / "shell.tle"
+    rc = main(["walker", "--alt", "550", "--inc", "53", "--planes", "0", "--per-plane", "4",
+               "--out", str(out)])
+    assert rc == 1 and not out.exists()
+    assert "error: walker shell: plane_count and sats_per_plane must be >= 1" in capsys.readouterr().err
+
+
 def test_report_missing_file(capsys):
     assert main(["report", "missing.json"]) == 1
     assert "not found" in capsys.readouterr().err
@@ -291,3 +299,26 @@ def test_malformed_values_exit_with_a_message(tmp_path, capsys):
     }))
     assert main(["validate", "--config", str(path)]) == 1
     assert "error: 'altitude' in explicit user 0 must be a number, not 'x'" in capsys.readouterr().out
+    # values the model constructors reject, and values of the wrong type, end
+    # both commands with the entry named and no traceback
+    for change, message in (
+        ({"users": {"preset": "isss"}}, "users: unknown preset 'isss'"),
+        ({"constellations": [{"name": "oneweb", "beam": {"kind": "cone"}}]},
+         "constellation 'oneweb' beam: unknown beam kind 'cone'"),
+        ({"policy": {"kind": "nearest"}}, "policy: unknown policy kind 'nearest'"),
+        ({"constellations": [{"name": "x", "source": {"walker": [
+            {"altitude": 550, "inclination": 53, "plane_count": 0, "sats_per_plane": 2}]}}]},
+         "constellation 'x' walker shell 0: plane_count and sats_per_plane must be >= 1"),
+        ({"users": {"explicit": [{"altitude": -10, "inclination": 55}]}},
+         "explicit user 0: semi-major axis"),
+        ({"cull": "false"}, "'cull' in the scenario must be true or false, not 'false'"),
+        ({"threads": 2.9}, "'threads' in the scenario must be an integer, not 2.9"),
+    ):
+        raw = {"constellations": [{"name": "eutelsat_geo"}], "users": {"preset": "iss"},
+               "duration": 60, "output_dir": str(tmp_path / "out"), **change}
+        path.write_text(json.dumps(raw))
+        assert main(["validate", "--config", str(path)]) == 1
+        assert f"error: {message}" in capsys.readouterr().out
+        assert main(["run", "--config", str(path)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -343,9 +343,77 @@ def test_readme_configuration_resolves(tmp_path):
             },
             "'plane_count' in constellation 'x' walker shell 0 must be a number, not 'two'",
         ),
+        # values the model constructors reject, named by their entry
+        ({"users": {"preset": "isss"}}, "users: unknown preset 'isss'"),
+        (
+            {"constellations": [{"name": "oneweb", "beam": {"kind": "cone"}}]},
+            "constellation 'oneweb' beam: unknown beam kind 'cone'",
+        ),
+        ({"policy": {"kind": "nearest"}}, "policy: unknown policy kind 'nearest'"),
+        (
+            {"constellations": [{"name": "x", "source": {"walker": [
+                {"altitude": 550, "inclination": 53, "plane_count": 0, "sats_per_plane": 2}
+            ]}}]},
+            "constellation 'x' walker shell 0: plane_count and sats_per_plane must be >= 1",
+        ),
+        (
+            {"users": {"explicit": [{"altitude": -10, "inclination": 55}]}},
+            "explicit user 0: semi-major axis 6368.137 km is below the Earth radius",
+        ),
+        ({"users": {"population": {"seed": -1}}}, "users population: "),
+        # strict types: JSON booleans for flags, integral numbers for counts
+        ({"cull": "false"}, "'cull' in the scenario must be true or false, not 'false'"),
+        ({"cull": 0}, "'cull' in the scenario must be true or false, not 0"),
+        ({"threads": 2.9}, "'threads' in the scenario must be an integer, not 2.9"),
+        ({"threads": True}, "'threads' in the scenario must be a number, not True"),
+        ({"duration": float("nan")}, "'duration' in the scenario must be a finite number, not nan"),
+        ({"step": float("inf")}, "'step' in the scenario must be a finite number, not inf"),
+        ({"seed": 0.5}, "'seed' in the scenario must be an integer, not 0.5"),
+        ({"policy": {"kind": "random", "seed": 2.5}}, "'seed' in policy must be an integer, not 2.5"),
+        ({"users": {"population": {"n_main": 3.5}}}, "'n_main' in users population must be an integer"),
+        ({"users": {"population": {"n_band": 1e-3}}}, "'n_band' in users population must be an integer"),
+        ({"users": {"population": {"seed": 7.1}}}, "'seed' in users population must be an integer"),
+        (
+            {"constellations": [{"name": "x", "source": {"walker": [
+                {"altitude": 550, "inclination": 53, "plane_count": 2, "sats_per_plane": 2.5}
+            ]}}]},
+            "'sats_per_plane' in constellation 'x' walker shell 0 must be an integer, not 2.5",
+        ),
+        (
+            {"constellations": [{"name": "x", "source": {"walker": [
+                {"altitude": 550, "inclination": 53, "plane_count": float("nan"), "sats_per_plane": 2}
+            ]}}]},
+            "'plane_count' in constellation 'x' walker shell 0 must be an integer, not nan",
+        ),
     ],
 )
 def test_malformed_values_rejected(change, message):
     raw = {"constellations": [{"name": "oneweb"}], "users": {"preset": "iss"}, **change}
     with pytest.raises(ConfigError, match=re.escape(message)):
         config_from_dict(raw)
+
+
+def test_integral_numbers_accepted_for_integer_keys():
+    cfg = config_from_dict(
+        {"constellations": [{"name": "oneweb"}], "users": {"preset": "iss"},
+         "threads": 2.0, "seed": 3.0, "cull": False}
+    )
+    assert (cfg.threads, cfg.seed, cfg.cull) == (2, 3, False)
+    assert type(cfg.threads) is int and type(cfg.seed) is int
+
+
+def test_tle_source_strict_takes_a_boolean(tmp_path):
+    from leolink.fleets import BUILTIN_FLEETS
+    from leolink.tle import dump_tle_file
+
+    dump_tle_file(BUILTIN_FLEETS["eutelsat_geo"].tles[:2], tmp_path / "fleet.tle")
+    raw = {"constellations": [{"name": "x", "source": {"tle_file": "fleet.tle", "strict": True}}],
+           "users": {"preset": "iss"}}
+    assert config_from_dict(raw, base_dir=tmp_path).constellations[0].count == 2
+    raw["constellations"][0]["source"]["strict"] = "yes"
+    with pytest.raises(ConfigError, match="'strict' in constellation 'x' source must be true or false"):
+        config_from_dict(raw, base_dir=tmp_path)
+    (tmp_path / "bad.tle").write_text("not a record\n")
+    raw["constellations"][0]["source"] = {"tle_file": "bad.tle"}
+    with pytest.raises(ConfigError, match=re.escape(f"constellation 'x' TLE file {tmp_path / 'bad.tle'}: ")):
+        config_from_dict(raw, base_dir=tmp_path)

@@ -450,3 +450,81 @@ def test_engine_properties_on_random_scenarios(
             run(replace(cfg, threads=threads, output_dir=out))
             outputs.append([(out / f).read_bytes() for f in ("summary.json", "pass_access.csv")])
     assert outputs[0] == outputs[1]
+
+
+def test_engine_visibility_matches_scalar_predicate():
+    # the visible sets the engine captures equal the scalar two-sided
+    # predicate, with each satellite's BeamModel, on the same batch positions
+    from leolink import engine
+    from leolink.elements import StateVector
+    from leolink.fleets import BUILTIN_FLEETS
+    from leolink.geometry import is_visible, relative_geometry
+    from leolink.policy import select_serving
+    from leolink.sgp4batch import SatBatch
+    from leolink.timebase import julian_date
+
+    service = BeamModel("ground_service", service_elevation=25.0)
+    limb = BeamModel("earth_limb")
+    cfg = mini_cfg(
+        constellations=[
+            ConstellationConfig(
+                "mixed",
+                service,
+                shells=[ShellSpec(550.0, 53.0, 4, 5), ShellSpec(1200.0, 87.9, 3, 6, raan_span=180.0),
+                        ShellSpec(800.0, 97.0, 2, 4)],
+                shell_beams=[None, limb, BeamModel("fixed_half_cone", half_cone=40.0)],
+            ),
+            ConstellationConfig("limb", limb, shells=[ShellSpec(1000.0, 60.0, 3, 4)]),
+            replace(BUILTIN_FLEETS["eutelsat_geo"], beam=BeamModel("fixed_half_cone", half_cone=8.0)),
+        ],
+        users=[preset("iss", epoch=EPOCH), *random_users(2, 21)],
+        duration_s=3600.0,
+        step_s=60.0,
+        capture_records=True,
+    )
+    m = run(cfg)
+
+    beams = []
+    for c in cfg.constellations:
+        if c.shells is None:
+            beams += [c.beam] * c.count
+        else:
+            for si, shell in enumerate(c.shells):
+                beams += [c.beam_for_shell(si)] * shell.total
+    jd0, fr0 = julian_date(EPOCH)
+    fr = fr0 + np.arange(cfg.n_steps) * (cfg.step_s / 86400.0)
+    sat_pos, sat_vel = engine._Fleet(cfg).propagate_block(jd0, fr)
+    u_pos, u_vel = SatBatch(engine._user_records(cfg)).propagate_jd(jd0, fr)
+    assert len(beams) == len(sat_pos)
+
+    cone_cut = {}  # pairs above min elevation that the beam cone alone rejects
+    visible = {}
+    for ui, u in enumerate(m.users):
+        for k, rec in enumerate(u.records):
+            user = StateVector(EPOCH, u_pos[ui, k], u_vel[ui, k])
+            expected = []
+            for s, beam in enumerate(beams):
+                g = relative_geometry(user, StateVector(EPOCH, sat_pos[s, k], sat_vel[s, k]))
+                alt = float(np.linalg.norm(sat_pos[s, k])) - RE
+                if is_visible(g, cfg.min_elevation_deg, beam, alt):
+                    expected.append((s, g))
+                    visible[beam.kind] = visible.get(beam.kind, 0) + 1
+                elif g.los_clear and g.user_elevation_deg >= cfg.min_elevation_deg:
+                    cone_cut[beam.kind] = cone_cut.get(beam.kind, 0) + 1
+            assert [v[0] for v in rec.visible] == [s for s, _ in expected]
+            assert rec.serving == select_serving(expected, cfg.policy, k, ui)
+    # every beam kind both admits pairs and rejects some on its cone
+    kinds = {"earth_limb", "ground_service", "fixed_half_cone"}
+    assert set(visible) == kinds and set(cone_cut) == kinds
+
+
+def test_non_finite_user_orbit_names_the_user():
+    # a deep-space orbit with a subnormal inclination propagates to NaN with
+    # no SGP4 error code; the run stops instead of never seeing a satellite
+    user = UserSpec(
+        0, KeplerianElements(RE + 20200.0, 0.0, 2.2e-311, 0.0, 0.0, 0.0, EPOCH), "explicit"
+    )
+    with pytest.raises(PropagationError, match="position or velocity is not finite") as err:
+        run(mini_cfg(users=[user], duration_s=600.0))
+    assert (err.value.object_name, err.value.step) == ("user-0", 0)
+    assert abs((err.value.utc - EPOCH).total_seconds()) < 1e-3

@@ -11,6 +11,7 @@ from leolink.constants import EARTH_RADIUS_KM
 from leolink.elements import StateVector
 from leolink.geometry import (
     BeamModel,
+    beam_cos_half_arrays,
     earth_limb_half_cone,
     grazing_range_km,
     horizon_candidates,
@@ -184,13 +185,14 @@ def test_array_kernels_match_scalar():
     user_pos, user_vel = _random_states(5, rng)
     sp = np.broadcast_to(sat_pos[:, None, :], (40, 5, 3))
     svl = np.broadcast_to(sat_vel[:, None, :], (40, 5, 3))
-    rng_a, rr_a, sin_el, cos_off = pair_geometry_arrays(sp, svl, user_pos, user_vel)
+    rng_a, rr_a, sin_el, cos_off, sat_r = pair_geometry_arrays(sp, svl, user_pos, user_vel)
     cos_half = math.cos(math.radians(60.0))
     vis = visible_mask_arrays(sin_el, cos_off, 25.0, cos_half)
     for i in range(40):
         for j in range(5):
             g = relative_geometry(sv(user_pos[j], user_vel[j]), sv(sat_pos[i], sat_vel[i]))
             assert rng_a[i, j] == pytest.approx(g.range_km, rel=1e-12)
+            assert sat_r[i, j] == pytest.approx(np.linalg.norm(sat_pos[i]), rel=1e-15)
             assert rr_a[i, j] == pytest.approx(g.range_rate_km_s, rel=1e-9, abs=1e-12)
             assert math.degrees(math.asin(np.clip(sin_el[i, j], -1, 1))) == pytest.approx(
                 g.user_elevation_deg, abs=1e-9
@@ -201,6 +203,26 @@ def test_array_kernels_match_scalar():
                 and g.sat_off_nadir_deg <= 60.0
             )
             assert bool(vis[i, j]) == expected
+
+
+def test_beam_cone_kernel_matches_beam_model():
+    # one array call over mixed beams, each pair against its beam's scalar law
+    beams = [
+        BeamModel("earth_limb"),
+        BeamModel("ground_service", service_elevation=0.0),
+        BeamModel("ground_service", service_elevation=27.0),
+        BeamModel("ground_service", service_elevation=89.0),
+        BeamModel("fixed_half_cone", half_cone=8.7),
+        BeamModel("fixed_half_cone", half_cone=90.0),
+    ]
+    alts = np.array([160.0, 550.0, 1200.0, 20200.0, 35786.0])
+    beam_of = np.repeat(np.arange(len(beams)), len(alts))
+    alt = np.tile(alts, len(beams))
+    nadir, param = (np.array(col) for col in zip(*(beams[b].cone_params for b in beam_of)))
+    cos_half = beam_cos_half_arrays(nadir, param, EARTH_RADIUS_KM + alt)
+    for k, b in enumerate(beam_of):
+        expected = beams[b].half_cone_deg(float(alt[k]))
+        assert math.degrees(math.acos(cos_half[k])) == pytest.approx(expected, abs=1e-9)
 
 
 def test_horizon_cull_is_conservative(monkeypatch):
@@ -222,7 +244,7 @@ def test_horizon_cull_is_conservative(monkeypatch):
             mask[row, step] = True
             above = np.einsum("sbk,bk->sb", sp, user_pos) >= np.sum(user_pos**2, axis=1)
             assert np.array_equal(mask, above)
-            _, _, sin_el, cos_off = pair_geometry_arrays(sp, svl, user_pos, user_vel)
+            _, _, sin_el, cos_off, _ = pair_geometry_arrays(sp, svl, user_pos, user_vel)
             for min_el in (0.0, 10.0, 25.0):
                 vis = visible_mask_arrays(sin_el, cos_off, min_el, -1.0)
                 assert not np.any(vis & ~mask)

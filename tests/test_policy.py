@@ -90,11 +90,13 @@ def test_serving_rows_matches_scalar_selection():
         (np.round(ranges, -2), SelectionPolicy("closest")),
         (ranges, SelectionPolicy("random", seed=17)),
     ):
-        rows = serving_rows(
-            vis[row, step], row, step, rng_km[row, step], policy, user_index=4, step_indices=steps
+        pairs = serving_rows(
+            vis[row, step], step, rng_km[row, step], policy, user_index=4, step_indices=steps
         )
         for k in range(n_steps):
             visible = [(s, geom(rng_km[s, k])) for s in range(n_sats) if vis[s, k]]
             expected = select_serving(visible, policy, int(steps[k]), 4)
-            got = int(rows[k]) if rows[k] >= 0 else None
+            got = int(row[pairs[k]]) if pairs[k] >= 0 else None
             assert got == expected
+            if got is not None:
+                assert step[pairs[k]] == k

@@ -3,7 +3,7 @@ from datetime import timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leolink import sgp4core
@@ -83,7 +83,7 @@ def _deep_record(name, rev_per_day, ecc, inc, bstar=0.0, argp=270.0, raan=40.0, 
 
 def _assert_matches_scalar(recs, t):
     """Every (row, column) of one batch call agrees with the scalar
-    reference at the sub-millimeter gates, NaN where it is NaN."""
+    reference at the sub-millimeter gates."""
     pos, vel = SatBatch(recs).propagate_tsince(t)
     for i, rec in enumerate(recs):
         for k in range(t.shape[1]):
@@ -157,17 +157,29 @@ def test_mixed_batch_keeps_fleet_order():
     bstar=st.sampled_from([0.0, 1e-5]),
     t_min=st.floats(-4320.0, 4320.0),
 )
+# a subnormal inclination: the reference returns NaN with error code 0
+@example(1.00273791, 2e-4, 2.2e-311, 270.0, 40.0, 10.0, 0.0, 100.0)
 def test_deep_batch_matches_scalar_property(rev_per_day, ecc, inc, argp, raan, ma, bstar, t_min):
     from hypothesis import assume
+
+    from leolink.propagation import PropagationError
 
     a = 42164.0 * (1.00273791 / rev_per_day) ** (2.0 / 3.0)
     assume(a * (1.0 - ecc) > 6378.137 + 500.0)  # keep perigee in orbit
     rec = _deep_record("prop", rev_per_day, ecc, inc, bstar, argp, raan, ma)
     t = np.array([[t_min, -t_min, 0.0]])
+    finite = []
     for k in range(3):
-        sgp4core.propagate_record(rec, float(t[0, k]))
+        r, v = sgp4core.propagate_record(rec, float(t[0, k]))
         assume(rec.error == 0)
-    _assert_matches_scalar([rec], t)
+        finite.append(bool(np.isfinite(r).all() and np.isfinite(v).all()))
+    if all(finite):
+        _assert_matches_scalar([rec], t)
+        return
+    # the batch raises at the first column where the reference is not finite
+    with pytest.raises(PropagationError, match="position or velocity is not finite") as err:
+        SatBatch([rec]).propagate_tsince(t)
+    assert (err.value.object_name, err.value.step) == ("prop", finite.index(False))
 
 
 def test_masked_division_is_silent_at_zero_inclination():
