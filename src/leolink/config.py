@@ -28,6 +28,7 @@ from .constants import (
 from .elements import KeplerianElements
 from .fleets import BUILTIN_FLEETS, ConfigError, ConstellationConfig
 from .geometry import BeamModel
+from .metrics import CoverageSummary
 from .policy import SelectionPolicy
 from .population import UserSpec, generate_population, preset
 from .timebase import format_utc, parse_utc
@@ -96,6 +97,27 @@ def _number(d: dict, key: str, where: str, default=_REQUIRED, kind=float):
     if kind is float and not math.isfinite(number):  # JSON NaN and Infinity parse
         raise ConfigError(f"{key!r} in {where} must be a finite number, not {value!r}")
     return number
+
+
+def _positive(d: dict, key: str, where: str, default: float) -> float:
+    """:func:`_number`, and greater than zero."""
+    number = _number(d, key, where, default)
+    if number <= 0.0:
+        raise ConfigError(f"{key!r} in {where} must be positive, not {number!r}")
+    return number
+
+
+def _grid_metrics(names) -> tuple[str, ...]:
+    """The grid's metric names, each a scalar field of a coverage summary."""
+    valid = CoverageSummary.grid_metrics()
+    if not isinstance(names, (list, tuple)) or not all(isinstance(n, str) for n in names):
+        raise ConfigError(f"'metrics' in grid must be a list of names, not {names!r}")
+    for name in names:
+        if name not in valid:
+            raise ConfigError(
+                f"'metrics' in grid: unknown metric {name!r}; valid metrics: {', '.join(valid)}"
+            )
+    return tuple(names)
 
 
 def _flag(d: dict, key: str, where: str, default: bool) -> bool:
@@ -366,9 +388,9 @@ def config_from_dict(raw: dict, base_dir: Path | None = None) -> ScenarioConfig:
     grid_d = raw.get("grid", {})
     _check_keys(grid_d, _GRID_KEYS, "grid")
     grid = GridSpec(
-        altitude_bin_km=_number(grid_d, "altitude_bin", "grid", 25.0),
-        inclination_bin_deg=_number(grid_d, "inclination_bin", "grid", 5.0),
-        metrics=tuple(grid_d.get("metrics", GridSpec().metrics)),
+        altitude_bin_km=_positive(grid_d, "altitude_bin", "grid", 25.0),
+        inclination_bin_deg=_positive(grid_d, "inclination_bin", "grid", 5.0),
+        metrics=_grid_metrics(grid_d.get("metrics", GridSpec().metrics)),
     )
     out_dir = raw.get("output_dir")
     cfg = ScenarioConfig(

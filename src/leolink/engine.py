@@ -1,14 +1,24 @@
 """End-to-end scenario execution.
 
 Propagates every constellation satellite and user over the configured
-window in time blocks. Per block, one conservative cull for all users
-(satellite at or above the user's geometric horizon) gives each user a
-candidate list of (satellite row, step) pairs in (row, step) order;
-``cull=False`` makes every pair a candidate instead. Per user, the
-two-sided visibility predicate, the selection policy and the streaming
-metric accumulators run on that list only. Users are independent units of
-parallelism inside each block, so results are identical for any thread
-count.
+window in time blocks. Per block, users are propagated at every step and
+the fleet exactly only at knots, about every ``_KNOT_S`` seconds. One
+horizon screen for all users (:func:`geometry.horizon_screen`) bounds each
+(user, satellite) pair's height above the user's horizon plane between
+knots and keeps the (satellite row, step) pairs that may be at or above
+it. The fleet is then propagated only at the pairs any user keeps between
+knots (:meth:`SatBatch.propagate_pairs`), or in dense tiles at every step
+between knots when that is predicted to cost less (most pairs kept, as
+with many users); rows whose propagation can fail are propagated at every
+step, so a failure is raised as a block without the screen raises it, and
+a fleet whose rows all can fail (a GEO fleet) has a knot at every step. The exact
+horizon test then gives each user its candidate list of (row, step)
+pairs in (row, step) order; ``cull=False`` makes every step a knot and
+every pair a candidate instead. Per user, the two-sided visibility
+predicate, the selection policy and the streaming metric accumulators run
+on that list only. Users are independent units of parallelism inside each
+block, so results are identical for any thread count, and satellite
+states are bit-identical whichever way a block propagates them.
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ from .config import ConfigError, ScenarioConfig, validate
 from .constants import VERSION
 from .geometry import (
     beam_cos_half_arrays,
-    horizon_candidates,
+    horizon_screen,
     pair_geometry_arrays,
     visible_mask_arrays,
 )
@@ -41,6 +51,21 @@ from .sgp4batch import SatBatch
 from .timebase import format_utc, julian_date
 from .tle import elements_to_tle
 from .walker import build_walker
+
+
+# Knot spacing of the horizon screen [s]: the fleet is propagated exactly
+# every round(_KNOT_S / step) steps. On the first 512-step block of iss_leo
+# and population_mc (10 s steps), knots every 60, 120 and 240 s left 18%,
+# 10% and 7% (iss_leo) and 41%, 38% and 48% (population_mc) of the
+# satellite-steps to propagate, and the screen took 79, 50 and 32 ms
+# (iss_leo) and 428, 221 and 245 ms (population_mc).
+_KNOT_S = 120.0
+# Per-element propagation costs [ns] of (near-earth, deep-space) records in
+# dense tiles and as gathered pairs: the best of five calls on the first
+# 512-step block of iss_leo and geo_deep, 10% of the pairs drawn at random,
+# on a 2-vCPU x86-64 host.
+_DENSE_NS = (500.0, 950.0)
+_PAIR_NS = (600.0, 2600.0)
 
 
 @dataclass
@@ -117,10 +142,33 @@ class _Fleet:
         self.beam_nadir = np.array([nadir for nadir, _ in cone_params], dtype=bool)
         self.beam_param = np.array([param for _, param in cone_params], dtype=float)
         self.batch = SatBatch(records)
+        self.bounds = self.batch.orbit_bounds()
+        self.may_fail = self.batch.may_fail
 
     def propagate_block(self, jd: float, fr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Positions and velocities (S, B, 3) for a block."""
+        """Positions and velocities (S, B, 3) at the instants (jd, fr[b])."""
         return self.batch.propagate_jd(jd, fr)
+
+    def propagate_between(self, jd: float, fr: np.ndarray, need: np.ndarray):
+        """States of the pairs an (S, B) mask marks, at the block's instants
+        (jd, fr[b]): (pos, vel, keys), pos and vel (P, 3) and keys their
+        flat indices row * B + step, ascending. Marked pairs go through
+        :meth:`SatBatch.propagate_pairs`, unless propagating every row at
+        each marked step in dense tiles is predicted to cost less; then P
+        covers all those pairs."""
+        deep = self.batch.deep
+        n_deep, marked_deep = int(deep.sum()), int(np.count_nonzero(need[deep]))
+        pairs_ns = _PAIR_NS[0] * (np.count_nonzero(need) - marked_deep) + _PAIR_NS[1] * marked_deep
+        cols = np.flatnonzero(need.any(axis=0))
+        dense_ns = len(cols) * (_DENSE_NS[0] * (self.n - n_deep) + _DENSE_NS[1] * n_deep)
+        if pairs_ns < dense_ns:
+            keys = np.flatnonzero(need)
+            rows, steps = np.divmod(keys, need.shape[1])
+            pos, vel = self.batch.propagate_pairs(jd, fr, rows, steps)
+            return pos, vel, keys
+        pos, vel = self.batch.propagate_jd(jd, fr[cols])
+        keys = (np.arange(self.n)[:, None] * need.shape[1] + cols).ravel()
+        return pos.reshape(-1, 3), vel.reshape(-1, 3), keys
 
 
 def _user_records(cfg: ScenarioConfig):
@@ -153,6 +201,7 @@ def run(cfg: ScenarioConfig) -> RunManifest:
 
     fleet = _Fleet(cfg)
     user_batch = SatBatch(_user_records(cfg))
+    user_bounds = user_batch.orbit_bounds()
     n_users = len(cfg.users)
     n_steps = cfg.n_steps
     jd0, fr0 = julian_date(cfg.epoch)
@@ -161,11 +210,22 @@ def run(cfg: ScenarioConfig) -> RunManifest:
     records_cap = [[] for _ in range(n_users)] if cfg.capture_records else None
 
     block = max(8, min(512, int(4e6 / max(fleet.n, 1))))
+    # Every step is a knot without the cull, which makes every pair a
+    # candidate, and when every row may fail and so is propagated at every
+    # step anyway.
+    knot_every = max(1, round(_KNOT_S / cfg.step_s))
+    if not cfg.cull or fleet.may_fail.all():
+        knot_every = 1
 
     def process_user(ui: int, t0: int, idx: np.ndarray, sat_pos, sat_vel, u_pos, u_vel, cand):
-        row, step = cand[ui]
+        row, step, at = cand[ui]
+        up = u_pos[ui][step]
+        sp = sat_pos[at]
+        if cfg.cull and knot_every > 1:  # the exact horizon test on the screen's pairs
+            above = np.einsum("pk,pk->p", sp, up) >= np.einsum("pk,pk->p", up, up)
+            row, step, at, up, sp = row[above], step[above], at[above], up[above], sp[above]
         rng, rr, sin_el, cos_off, sat_r = pair_geometry_arrays(
-            sat_pos[row, step], sat_vel[row, step], u_pos[ui][step], u_vel[ui][step]
+            sp, sat_vel[at], up, u_vel[ui][step]
         )
         cos_half = beam_cos_half_arrays(fleet.beam_nadir[row], fleet.beam_param[row], sat_r)
         vis = visible_mask_arrays(sin_el, cos_off, cfg.min_elevation_deg, cos_half)
@@ -186,18 +246,16 @@ def run(cfg: ScenarioConfig) -> RunManifest:
         for t0 in range(0, n_steps, block):
             idx = np.arange(t0, min(t0 + block, n_steps))
             fr = fr0 + idx * (cfg.step_s / 86400.0)
+            knots = np.unique(np.r_[np.arange(0, len(idx), knot_every), len(idx) - 1])
             try:
-                sat_pos, sat_vel = fleet.propagate_block(jd0, fr)
+                k_pos, k_vel = fleet.propagate_block(jd0, fr[knots])
                 u_pos, u_vel = user_batch.propagate_jd(jd0, fr)
+                states = _block_states(
+                    cfg, fleet, user_bounds, jd0, fr, knots, k_pos, k_vel, u_pos, u_vel
+                )
             except PropagationError as exc:
-                if exc.step is not None:
-                    exc.step += t0  # the propagators count from the block start
-                raise
-            if cfg.cull:
-                cand = horizon_candidates(sat_pos, u_pos)
-            else:
-                cand = [np.divmod(np.arange(fleet.n * len(idx)), len(idx))] * n_users
-            args = (t0, idx, sat_pos, sat_vel, u_pos, u_vel, cand)
+                raise _block_failure(fleet, jd0, fr, t0, exc) from None
+            args = (t0, idx, *states[:2], u_pos, u_vel, states[2])
             if pool is None:
                 for ui in range(n_users):
                     process_user(ui, *args)
@@ -238,6 +296,53 @@ def run(cfg: ScenarioConfig) -> RunManifest:
     if out_dir is not None:
         _write_outputs(cfg, manifest, out_dir)
     return manifest
+
+
+def _block_states(cfg, fleet, user_bounds, jd, fr, knots, k_pos, k_vel, u_pos, u_vel):
+    """(pos, vel, cand) of one block. pos and vel hold (P, 3) satellite
+    states: the knots', then the pairs the screen keeps between knots. Per
+    user, cand holds the candidate (row, step) pairs in (row, step) order
+    and each one's index into pos and vel; with the cull on and steps
+    between knots, the exact horizon test is still to be applied to them."""
+    n_sat, n_knot = k_pos.shape[:2]
+    n_steps = len(fr)
+    pos, vel = k_pos.reshape(-1, 3), k_vel.reshape(-1, 3)
+    if not cfg.cull:  # every step is a knot, and every pair a candidate
+        every = np.arange(n_sat * n_steps)
+        return pos, vel, [(*np.divmod(every, n_steps), every)] * len(u_pos)
+    keys = horizon_screen(
+        k_pos, k_vel, u_pos[:, knots], u_vel[:, knots], knots, cfg.step_s,
+        fleet.bounds, user_bounds,
+    )
+    if n_knot == n_steps:  # a knot at every step: keys index the knot states
+        return pos, vel, [(*np.divmod(k, n_steps), k) for k in keys]
+    # between the knots: the pairs any user keeps, and every step of the rows
+    # that may fail, so that a failure shows at the step a dense block has it
+    need = np.zeros((n_sat, n_steps), dtype=bool)
+    need.ravel()[np.concatenate(keys)] = True
+    need[fleet.may_fail] = True
+    need[:, knots] = False
+    slot = np.empty(n_sat * n_steps, dtype=np.int64)
+    slot.reshape(n_sat, n_steps)[:, knots] = np.arange(n_sat * n_knot).reshape(n_sat, n_knot)
+    if need.any():
+        p_pos, p_vel, p_keys = fleet.propagate_between(jd, fr, need)
+        slot[p_keys] = len(pos) + np.arange(len(p_keys))
+        pos, vel = np.concatenate([pos, p_pos]), np.concatenate([vel, p_vel])
+    return pos, vel, [(*np.divmod(k, n_steps), slot[k]) for k in keys]
+
+
+def _block_failure(fleet, jd, fr, t0, exc):
+    """The error of a block that failed, counted from the scenario start. A
+    block propagates the fleet only at some pairs, so the error is taken
+    from the fleet's dense block, which fails first if it fails at all,
+    as a run without the screen does; else it is ``exc``, the users'."""
+    try:
+        fleet.propagate_block(jd, fr)
+    except PropagationError as dense:
+        exc = dense
+    if exc.step is not None:
+        exc.step += t0  # the propagators count from the block start
+    return exc
 
 
 def _aggregate(cfg: ScenarioConfig, users: list[UserResult], fleet: _Fleet) -> dict:

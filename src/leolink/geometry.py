@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import EARTH_RADIUS_KM
+from .constants import EARTH_RADIUS_KM, MU_EARTH
 from .elements import StateVector
 
 
@@ -157,53 +157,200 @@ def grazing_range_km(r1_km: float, r2_km: float, radius: float = EARTH_RADIUS_KM
 # ---------------------------------------------------------------------------
 
 
-# Floats per dot-product chunk of the horizon cull (16 MB of float64)
+# Floats per dot-product chunk of the horizon screen (16 MB of float64). Between
+# knots the screen keeps about a dozen arrays of a chunk's shape, so it takes
+# chunks 1/32 of this size there: on the population_mc block that held the
+# screen's peak (tracemalloc) to 23 MB, against 37 MB at 1/8, at the same speed.
 _CULL_CHUNK = 1 << 21
 # Multiply-adds per matrix product. OpenBLAS runs a product this small on the
 # calling thread; parallelism belongs to the engine's ``threads`` option, and
 # a BLAS thread pool competing with other processes stalls every product.
 _GEMM_SIZE = 1 << 18
+# Relative margin on the accelerations in the screen's bound on |z''|: the
+# non-Keplerian forces of SGP4 (J2 is below 0.4% of gravity). On the orbits
+# that RADIUS_MARGIN was measured on, the batch positions' acceleration came
+# to at most 0.6% above mu / r_p^2, which r_lo alone already covers.
+_ACCEL_MARGIN = 0.01
+# SGP4's velocity is not exactly the rate of its position: on the orbits of
+# RADIUS_MARGIN, |velocity - d(position)/dt| was at most 2.7e-4 of the
+# fastest speed (largest for eccentric deep-space orbits), and the
+# resonance integrator's 720-minute steps kink the velocity by at most
+# 5e-6 km/s. The screen widens each horizon rate by this share of speed.
+_VELOCITY_SLACK = 1e-3
 
 
-def horizon_candidates(
-    sat_pos: np.ndarray, user_pos: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Conservative cull of one time block for every user: the pairs with the
-    satellite at or above the user's geometric horizon plane (elevation >= 0).
+def horizon_screen(
+    sat_pos: np.ndarray,
+    sat_vel: np.ndarray | None,
+    user_pos: np.ndarray,
+    user_vel: np.ndarray | None,
+    knots: np.ndarray,
+    step_s: float = 0.0,
+    sat_bounds: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    user_bounds: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> list[np.ndarray]:
+    """Conservative horizon cull of one time block for every user, from
+    exact states at knot steps only.
 
-    elevation >= 0  <=>  dot(sat - user, user) >= 0  <=>  dot(sat, user) >= |user|^2,
-    so any pair failing this can never pass a min-elevation >= 0 test.
-    sat_pos: (S, B, 3); user_pos: (U, B, 3). Returns, per user, the kept
-    (row, step) index arrays in (row, step) order. The dot products are
-    (U, 3) x (3, satellites) products per step, taken a few steps and
-    satellites at a time so that no (B, U, S) array is built.
+    A pair (user u, satellite s) is kept at a step if the satellite may be
+    at or above the user's geometric horizon plane (elevation >= 0):
+
+        elevation >= 0  <=>  dot(sat, user) >= |user|^2  <=>  z >= 0,
+        z = dot(sat, û) - |user|.
+
+    At a knot the test is exact. Between knots k and k+1, h after knot k
+    and h' = H - h before knot k+1, z is at most
+
+        z_k + (ż_k + D) h + A h^2 / 2   and   z_k+1 + (D - ż_k+1) h' + A h'^2 / 2,
+
+    where A bounds |z''| and D the gap between SGP4's velocity and the rate
+    of its position (``_screen_rates``). Both bounds are convex parabolas,
+    so their ends decide each whole interval; only surviving intervals are
+    tested step by step. With a knot at every step this is the exact cull.
+
+    sat_pos, sat_vel: (S, K, 3) at the knots; user_pos, user_vel: (U, K, 3)
+    at the knots; knots: (K,) ascending steps of the block, the first 0 and
+    the last the block's last step; step_s: the step [s]; sat_bounds and
+    user_bounds: each object's (r_lo, r_hi, v_hi) from
+    :meth:`SatBatch.orbit_bounds`; an infinite v_hi (no bound) keeps every
+    pair with that object at every step. Velocities and bounds are read only if
+    some knots are more than one step apart. Returns, per user, the kept
+    pairs as keys row * B + step, ascending (in (row, step) order). The
+    products are (U, 3) x (3, satellites) per knot, taken a few knots and
+    satellites at a time, so no (K, U, S) array is built.
     """
-    n_sat, n_steps, _ = sat_pos.shape
+    n_sat, n_knot, _ = sat_pos.shape
     n_user = user_pos.shape[0]
+    knots = np.asarray(knots, dtype=np.int64)
+    n_steps = int(knots[-1]) + 1
+    gap = np.diff(knots)
+    screened = bool((gap > 1).any())
     ru2 = np.einsum("ubk,ubk->bu", user_pos, user_pos)
+    if screened:
+        ru = np.sqrt(ru2)
+        uhat = user_pos.transpose(1, 0, 2) / ru[..., None]
+        uvel = user_vel.transpose(1, 0, 2)
+        rdot = np.einsum("buk,buk->bu", uhat, uvel)
+        # (û, dû/dt) per knot and user, for ż = v_sat . û + sat . dû/dt - d|user|/dt
+        lead = np.concatenate([uhat, (uvel - uhat * rdot[..., None]) / ru[..., None]], axis=2)
+        span = gap * step_s
+        sat_r = np.sqrt(np.einsum("sbk,sbk->sb", sat_pos, sat_pos))
+        rates = _screen_rates(sat_bounds, user_bounds, sat_r.max(axis=1), span.max())
     width = max(1, _GEMM_SIZE // (3 * n_user))
     keys = []
     for s0 in range(0, n_sat, width):
         sats = sat_pos[s0 : s0 + width]
         n = len(sats)
-        chunk = max(1, _CULL_CHUNK // (n * n_user))
-        for b0 in range(0, n_steps, chunk):
-            b1 = min(n_steps, b0 + chunk)
+        chunk = max(1, (_CULL_CHUNK // 32 if screened else _CULL_CHUNK) // (n * n_user))
+        if screened:
+            accel, slack = (r[:, s0 : s0 + n] for r in rates)
+        b0 = 0
+        while True:
+            b1 = min(n_knot - 1, b0 + chunk)
+            kn = slice(b0, b1 + 1)
             # strided (C, U, 3) x (C, 3, n) views, multiplied without copies
-            above = np.matmul(
-                user_pos[:, b0:b1].transpose(1, 0, 2), sats[:, b0:b1].transpose(1, 2, 0)
-            ) >= ru2[b0:b1, :, None]
+            dot = np.matmul(user_pos[:, kn].transpose(1, 0, 2), sats[:, kn].transpose(1, 2, 0))
+            # knots b0 .. b1 - 1 here; the last knot with the last chunk
+            n_own = b1 - b0 + (b1 == n_knot - 1)
             # flat index (b * U + u) * n + s
-            b, us = np.divmod(np.flatnonzero(above), n_user * n)
+            b, us = np.divmod(np.flatnonzero(dot[:n_own] >= ru2[b0 : b0 + n_own, :, None]), n_user * n)
             u, s = np.divmod(us, n)
-            keys.append((u * n_sat + s0 + s) * n_steps + (b0 + b))
+            keys.append((u * n_sat + s0 + s) * n_steps + knots[b0 + b])
+            if screened and (gap[b0:b1] > 1).any():
+                z = (dot - ru2[kn, :, None]) / ru[kn, :, None]
+                both = np.concatenate([sat_vel[s0 : s0 + n, kn], sats[:, kn]], axis=2)
+                zdot = np.matmul(lead[kn], both.transpose(1, 2, 0)) - rdot[kn, :, None]
+                i, u, s, step = _between_knots(
+                    z, zdot, accel, slack, gap[b0:b1], span[b0:b1], step_s
+                )
+                keys.append((u * n_sat + s0 + s) * n_steps + knots[b0 + i] + step)
+            if b1 == n_knot - 1:
+                break
+            b0 = b1
     # sorted keys (u * S + s) * B + b run user by user, each in (row, step) order
-    keys = np.sort(np.concatenate(keys))
+    keys = np.concatenate(keys)
+    keys.sort()
     per_user = n_sat * n_steps
     bounds = np.searchsorted(keys, np.arange(n_user + 1) * per_user)
-    return [
-        np.divmod(keys[bounds[u] : bounds[u + 1]] - u * per_user, n_steps) for u in range(n_user)
-    ]
+    return [keys[bounds[u] : bounds[u + 1]] - u * per_user for u in range(n_user)]
+
+
+def _screen_rates(sat_bounds, user_bounds, sat_r_knots, span_max):
+    """(A, D), each (U, S): A bounds |z''| [km/s^2] and D the error [km/s]
+    of ż taken from SGP4's velocities, for every (user, satellite) pair.
+
+    With z = sat . û - r (r = |user|),
+
+        z'' = sat'' . û + 2 sat' . û' + sat . û'' - r'',
+
+    so |z''| <= |sat''| + 2 |sat'| |û'| + |sat| |û''| + |r''|, where
+    |sat''| <= mu / r_lo^2 (widened by ``_ACCEL_MARGIN``), |sat'| <= v_hi,
+    |û'| <= v / r, and from user'' = r'' û + 2 r' û' + r û'',
+    |û''| <= (|user''| + |r''| + 2 |r'| |û'|) / r. On a Kepler orbit
+    |r''| <= mu e / r_p^2 and |r'| <= e sqrt(mu / p) <= e sqrt(mu / r_p),
+    with e <= (r_hi - r_lo) / (r_hi + r_lo). |sat| is at most r_hi, and at
+    most the largest knot radius plus v_hi times half the longest knot
+    interval (for drag orbits, whose r_hi is infinite).
+    """
+    s_lo, s_hi, s_v = sat_bounds
+    u_lo, u_hi, u_v = user_bounds
+    mu = MU_EARTH
+    s_acc = (1.0 + _ACCEL_MARGIN) * mu / s_lo**2
+    s_r = np.minimum(s_hi, sat_r_knots + 0.5 * span_max * s_v)
+    u_acc = (1.0 + _ACCEL_MARGIN) * mu / u_lo**2
+    u_e = (1.0 - u_lo / u_hi) / (1.0 + u_lo / u_hi)
+    u_ang = u_v / u_lo
+    u_rdd = (u_e + _ACCEL_MARGIN) * mu / u_lo**2
+    u_rd = u_e * np.sqrt(mu / u_lo)
+    u_ang2 = (u_acc + u_rdd + 2.0 * u_rd * u_ang) / u_lo
+    accel = s_acc + 2.0 * u_ang[:, None] * s_v + u_ang2[:, None] * s_r + u_rdd[:, None]
+    slack = _VELOCITY_SLACK * (s_v + u_v[:, None] * (1.0 + s_r / u_lo[:, None]))
+    return accel, slack
+
+
+def _between_knots(z, zdot, accel, slack, gap, span, step_s):
+    """Steps strictly between knots that the bounds keep: (interval, user,
+    satellite, steps after the interval's first knot) arrays. z, zdot: (C,
+    U, n) at C consecutive knots; accel, slack: (U, n); gap, span: the C - 1
+    intervals in steps and seconds."""
+    h = span[:, None, None]
+    half = 0.5 * accel * h * h
+    # each bound's larger end value, over the whole interval
+    fwd = zdot[:-1] + slack
+    fwd *= h
+    fwd += z[:-1]
+    fwd += half
+    np.maximum(fwd, z[:-1], out=fwd)
+    bwd = slack - zdot[1:]
+    bwd *= h
+    bwd += z[1:]
+    bwd += half
+    np.maximum(bwd, z[1:], out=bwd)
+    live = (fwd >= 0.0) & (bwd >= 0.0) & (gap > 1)[:, None, None]
+    i, u, s = np.nonzero(live)
+    # the surviving intervals, step by step
+    m = np.arange(1, int(gap.max()))
+    after = m * step_s
+    before = np.maximum(gap[i, None] - m, 1) * step_s  # positive also where masked
+    a, d = accel[u, s][:, None], slack[u, s][:, None]
+    z0, z1 = z[i, u, s][:, None], z[i + 1, u, s][:, None]
+    keep = z0 + (zdot[i, u, s][:, None] + d) * after + 0.5 * a * after * after >= 0.0
+    keep &= z1 + (d - zdot[i + 1, u, s][:, None]) * before + 0.5 * a * before * before >= 0.0
+    keep &= m < gap[i, None]
+    t, k = np.nonzero(keep)
+    return i[t], u[t], s[t], m[k]
+
+
+def horizon_candidates(
+    sat_pos: np.ndarray, user_pos: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The exact horizon cull of one time block: the screen with a knot at
+    every step. sat_pos: (S, B, 3); user_pos: (U, B, 3). Returns, per user,
+    the (row, step) index arrays of the pairs with the satellite at or
+    above the user's horizon plane, in (row, step) order."""
+    n_steps = sat_pos.shape[1]
+    keys = horizon_screen(sat_pos, None, user_pos, None, np.arange(n_steps))
+    return [np.divmod(k, n_steps) for k in keys]
 
 
 def pair_geometry_arrays(

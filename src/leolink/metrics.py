@@ -19,7 +19,7 @@ visible samples lasts k * step seconds.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -137,6 +137,11 @@ class CoverageSummary:
             self.visible_min <= self.visible_avg <= self.visible_max
         ):
             raise ValueError("visible-count statistics out of order")
+
+    @classmethod
+    def grid_metrics(cls) -> tuple[str, ...]:
+        """The scalar fields, the metrics a population grid can average."""
+        return tuple(f.name for f in fields(cls) if f.type in ("int", "float", "float | None"))
 
     def pass_fraction_below(self, minutes: float) -> float:
         """Fraction of passes strictly shorter than the given duration."""

@@ -313,6 +313,8 @@ def test_malformed_values_exit_with_a_message(tmp_path, capsys):
          "explicit user 0: semi-major axis"),
         ({"cull": "false"}, "'cull' in the scenario must be true or false, not 'false'"),
         ({"threads": 2.9}, "'threads' in the scenario must be an integer, not 2.9"),
+        ({"grid": {"metrics": ["coverage"]}}, "'metrics' in grid: unknown metric 'coverage'"),
+        ({"grid": {"altitude_bin": -5}}, "'altitude_bin' in grid must be positive, not -5.0"),
     ):
         raw = {"constellations": [{"name": "eutelsat_geo"}], "users": {"preset": "iss"},
                "duration": 60, "output_dir": str(tmp_path / "out"), **change}

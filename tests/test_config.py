@@ -385,6 +385,19 @@ def test_readme_configuration_resolves(tmp_path):
             ]}}]},
             "'plane_count' in constellation 'x' walker shell 0 must be an integer, not nan",
         ),
+        # the population grid, checked before the run rather than when it is written
+        (
+            {"grid": {"metrics": ["coverage"]}},
+            "'metrics' in grid: unknown metric 'coverage'; valid metrics: total_steps, "
+            "covered_steps, coverage_probability,",
+        ),
+        ({"grid": {"metrics": "coverage_probability"}}, "'metrics' in grid must be a list of names"),
+        ({"grid": {"altitude_bin": -5}}, "'altitude_bin' in grid must be positive, not -5.0"),
+        ({"grid": {"inclination_bin": 0}}, "'inclination_bin' in grid must be positive, not 0.0"),
+        (
+            {"grid": {"altitude_bin": float("inf")}},
+            "'altitude_bin' in grid must be a finite number, not inf",
+        ),
     ],
 )
 def test_malformed_values_rejected(change, message):

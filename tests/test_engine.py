@@ -528,3 +528,121 @@ def test_non_finite_user_orbit_names_the_user():
         run(mini_cfg(users=[user], duration_s=600.0))
     assert (err.value.object_name, err.value.step) == ("user-0", 0)
     assert abs((err.value.utc - EPOCH).total_seconds()) < 1e-3
+
+
+def _path_spy(monkeypatch):
+    """Call counts: blocks that propagate the fleet between knots, and of
+    those the ones that take gathered pairs (the others take dense tiles)."""
+    from leolink import engine
+    from leolink.sgp4batch import SatBatch
+
+    calls = {"between": 0, "pairs": 0, "need": []}
+    pairs, between = SatBatch.propagate_pairs, engine._Fleet.propagate_between
+
+    def spy_pairs(self, *args):
+        calls["pairs"] += 1
+        return pairs(self, *args)
+
+    def spy_between(self, jd, fr, need):
+        calls["between"] += 1
+        calls["need"].append(need.copy())
+        return between(self, jd, fr, need)
+
+    monkeypatch.setattr(SatBatch, "propagate_pairs", spy_pairs)
+    monkeypatch.setattr(engine._Fleet, "propagate_between", spy_between)
+    return calls
+
+
+def test_sparse_and_dense_blocks_give_the_same_bytes(tmp_path, monkeypatch):
+    # the same scenario with every block between knots propagated as gathered
+    # pairs, then in dense tiles, gives each user the exact cull's candidates,
+    # writes the same bytes and captures the same records: a mixed LEO + GEO
+    # fleet, 3 users, 2 blocks
+    from leolink import engine
+    from leolink.fleets import BUILTIN_FLEETS
+    from leolink.geometry import horizon_candidates
+    from leolink.sgp4batch import SatBatch
+    from leolink.timebase import julian_date
+
+    cfg = mini_cfg(
+        constellations=[*mini_cfg().constellations, BUILTIN_FLEETS["eutelsat_geo"]],
+        users=[preset("iss", epoch=EPOCH), *random_users(2, 4)],
+        duration_s=700 * 10.0,
+        capture_records=True,
+    )
+    # each user's candidates, block by block, are the exact cull's
+    jd0, fr0 = julian_date(EPOCH)
+    fleet, crew = engine._Fleet(cfg), SatBatch(engine._user_records(cfg))
+    exact = []
+    for t0 in (0, 512):
+        fr = fr0 + np.arange(t0, min(t0 + 512, cfg.n_steps)) * (cfg.step_s / 86400.0)
+        cands = horizon_candidates(fleet.propagate_block(jd0, fr)[0], crew.propagate_jd(jd0, fr)[0])
+        exact += [len(row) for row, _ in cands]
+    geometry = engine.pair_geometry_arrays
+
+    def counted(sat_pos, *args):
+        sizes.append(len(sat_pos))
+        return geometry(sat_pos, *args)
+
+    monkeypatch.setattr(engine, "pair_geometry_arrays", counted)
+    outputs = []
+    for path, pair_ns in (("pairs", (0.0, 0.0)), ("dense", (1e12, 1e12))):
+        calls = _path_spy(monkeypatch)
+        sizes = []
+        monkeypatch.setattr(engine, "_PAIR_NS", pair_ns)
+        m = run(replace(cfg, output_dir=tmp_path / path))
+        outputs.append(
+            [(tmp_path / path / f).read_bytes() for f in ("summary.json", "pass_access.csv")]
+            + [[u.records for u in m.users]]
+        )
+        assert (calls["between"], calls["pairs"]) == (2, 2 if path == "pairs" else 0)
+        assert sizes == exact
+    assert outputs[0] == outputs[1]
+    assert any(r.visible for u in outputs[0][2] for r in u)
+
+
+def test_decay_in_a_sparse_block_raises_the_dense_error(monkeypatch):
+    # a drag-heavy object decays about 36 min in (2 s steps), in the second
+    # block; the rest of the fleet keeps that block on gathered pairs. The
+    # run stops with the error a run without the screen raises, at the
+    # scalar reference's first failing step
+    from leolink import sgp4core
+    from leolink.propagation import satrec_from_tle
+    from leolink.sgp4batch import SatBatch
+    from leolink.timebase import julian_date
+
+    sinker = TwoLineElementSet(
+        name="SINKER", epoch=EPOCH, inclination=53.0, raan=0.0, eccentricity=0.0,
+        arg_perigee=0.0, mean_anomaly=0.0, mean_motion=16.4, bstar=0.09, catalog_id=11111,
+    )
+    cfg = mini_cfg(
+        constellations=[
+            *mini_cfg().constellations,
+            ConstellationConfig("sink", BeamModel("earth_limb"), tles=[sinker]),
+        ],
+        duration_s=3000.0,
+        step_s=2.0,
+    )
+    calls = _path_spy(monkeypatch)
+    with pytest.raises(PropagationError, match="SINKER") as sparse:
+        run(cfg)
+    # the first block went through gathered pairs, with every step between
+    # knots of the row that may fail, and few of the others
+    assert calls["pairs"] >= 1
+    need = calls["need"][0]
+    assert need[-1].sum() == 512 - len(range(0, 512, 60)) - 1
+    assert need[:-1].mean() < 0.2
+    with pytest.raises(PropagationError, match="SINKER") as dense:
+        run(replace(cfg, cull=False))
+    got, want = sparse.value, dense.value
+    assert (got.object_name, got.step, got.utc, str(got)) == (
+        want.object_name, want.step, want.utc, str(want)
+    )
+    rec = satrec_from_tle(sinker)
+    jd0, fr0 = julian_date(EPOCH)
+    tsince = SatBatch([rec]).tsince_minutes(jd0, fr0 + np.arange(cfg.n_steps) * (2.0 / 86400.0))
+    errors = []
+    for t in tsince[0]:
+        sgp4core.propagate_record(rec, float(t))
+        errors.append(rec.error)
+    assert got.step == next(k for k, e in enumerate(errors) if e) > 512

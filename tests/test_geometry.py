@@ -3,7 +3,7 @@ from datetime import timezone, datetime
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leolink import geometry
@@ -268,3 +268,117 @@ def test_above_shell_invariant(alt_user, alt_sat, theta):
     g = relative_geometry(user, sat)
     if g.user_elevation_deg >= 0.0:
         assert g.sat_off_nadir_deg > earth_limb_half_cone(alt_sat)
+
+
+
+@st.composite
+def _orbit_records(draw, n):
+    """n SGP4 records of random kinds: LEO with and without drag, MEO,
+    resonant GEO, eccentric near-earth and deep-space (HEO), and resonant
+    12 h Molniya orbits."""
+    from dataclasses import replace
+
+    from leolink.elements import KeplerianElements
+    from leolink.propagation import satrec_from_tle
+    from leolink.timebase import parse_utc
+    from leolink.tle import elements_to_tle
+
+    recs = []
+    for k in range(n):
+        kind = draw(st.sampled_from(["leo", "leo_drag", "meo", "geo", "heo", "molniya"]))
+        if kind.startswith("leo"):
+            a, e = EARTH_RADIUS_KM + draw(st.floats(300.0, 2000.0)), draw(st.floats(0.0, 0.02))
+        elif kind == "meo":
+            a, e = EARTH_RADIUS_KM + draw(st.floats(5000.0, 25000.0)), draw(st.floats(0.0, 0.05))
+        elif kind == "geo":
+            a, e = 42164.0 * draw(st.floats(0.995, 1.005)), draw(st.floats(0.0, 0.01))
+        elif kind == "heo":
+            e = draw(st.floats(0.1, 0.75))
+            a = min((EARTH_RADIUS_KM + draw(st.floats(300.0, 3000.0))) / (1.0 - e), 46000.0)
+        else:
+            a, e = 26560.0, draw(st.floats(0.5, 0.75))
+        angles = [draw(st.floats(0.0, 360.0)) for _ in range(3)]
+        el = KeplerianElements(
+            a, e, draw(st.floats(0.0, 180.0)), *angles, parse_utc("2021-03-20T09:37:29Z")
+        )
+        tle = elements_to_tle(el, catalog_id=k + 1)
+        if kind == "leo_drag":
+            tle = replace(tle, bstar=1e-4)
+        recs.append(satrec_from_tle(tle))
+    return recs
+
+
+def _jumping_records():
+    """A 12 h orbit (e = 0.5) and a GEO one (e = 0), both with every angle
+    0 and inclination 0 or 1 degree, and four LEO orbits. At their epoch the
+    two deep-space positions jump as their node crosses zero (the Lyddane
+    form of the lunar-solar periodics below 0.2 rad inclination)."""
+    from leolink.elements import KeplerianElements
+    from leolink.propagation import satrec_from_tle
+    from leolink.timebase import parse_utc
+    from leolink.tle import elements_to_tle
+
+    epoch = parse_utc("2021-03-20T09:37:29Z")
+    orbits = [(26560.0, 0.5, 0.0), (42164.0, 0.0, 1.0)] + [(EARTH_RADIUS_KM + 300.0, 0.0, 0.0)] * 4
+    return [
+        satrec_from_tle(elements_to_tle(KeplerianElements(a, e, i, 0.0, 0.0, 0.0, epoch), k + 1))
+        for k, (a, e, i) in enumerate(orbits)
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@example(
+    sats=_jumping_records(), users=_jumping_records()[:3], n_steps=27, step_s=1.0,
+    knot_every=3, start_days=0.0,
+)
+@given(
+    sats=_orbit_records(6),
+    users=_orbit_records(3),
+    n_steps=st.integers(3, 150),
+    step_s=st.sampled_from([1.0, 5.0, 10.0, 30.0, 60.0, 120.0]),
+    knot_every=st.integers(2, 30),
+    start_days=st.floats(-1.0, 1.0),
+)
+def test_screen_keeps_every_pair_above_the_horizon(
+    sats, users, n_steps, step_s, knot_every, start_days
+):
+    # no pair that passes the exact horizon test is dropped by the screen,
+    # and A bounds |z''| (hypothesis reports the largest |z''| / A it saw)
+    from hypothesis import assume, note, target
+
+    from leolink.propagation import PropagationError
+    from leolink.sgp4batch import SatBatch
+    from leolink.timebase import julian_date
+
+    fleet, crew = SatBatch(sats), SatBatch(users)
+    for r in sats + users:
+        note(f"{r.method} n={r.no_kozai:.6g} e={r.ecco:.6g} i={r.inclo:.6g} bstar={r.bstar}")
+    jd, fr = julian_date(datetime(2021, 3, 20, 9, 37, 29, tzinfo=timezone.utc))
+    frs = fr + start_days + np.arange(n_steps) * (step_s / 86400.0)
+    try:
+        sp, svel = fleet.propagate_jd(jd, frs)
+        up, uvel = crew.propagate_jd(jd, frs)
+    except PropagationError:
+        assume(False)  # a drag orbit that decays in the window
+    knots = np.unique(np.r_[np.arange(0, n_steps, knot_every), n_steps - 1])
+    kept = geometry.horizon_screen(
+        sp[:, knots], svel[:, knots], up[:, knots], uvel[:, knots], knots, step_s,
+        fleet.orbit_bounds(), crew.orbit_bounds(),
+    )
+    is_knot = np.zeros(n_steps, dtype=bool)
+    is_knot[knots] = True
+    for (row, step), keys in zip(horizon_candidates(sp, up), kept):
+        assert np.isin(row * n_steps + step, keys).all()
+        # at the knots the screen is the exact test
+        assert np.array_equal(np.sort((row * n_steps + step)[is_knot[step]]), keys[is_knot[keys % n_steps]])
+
+    ru = np.linalg.norm(up, axis=-1)
+    z = np.einsum("sbk,ubk->usb", sp, up / ru[..., None]) - ru[:, None, :]
+    zdd = np.abs(z[..., 2:] - 2.0 * z[..., 1:-1] + z[..., :-2]).max(axis=-1) / step_s**2
+    span = np.diff(knots).max() * step_s
+    accel, _ = geometry._screen_rates(
+        fleet.orbit_bounds(), crew.orbit_bounds(), np.linalg.norm(sp[:, knots], axis=-1).max(axis=1), span
+    )
+    ratio = float((zdd / accel).max())
+    target(ratio, label="largest |z''| / A")
+    assert ratio <= 1.0

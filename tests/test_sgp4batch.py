@@ -399,3 +399,101 @@ def test_batch_peak_memory_is_bounded_by_its_output():
         tracemalloc.stop()
     assert pos.shape == (2000, 512, 3)
     assert peak <= 2 * (pos.nbytes + vel.nbytes)
+
+
+def _mixed_records():
+    """Drag-free Walker rows, drag rows and deep-space rows (a resonant GEO,
+    a 12 h Molniya and a non-resonant 8 h orbit), interleaved."""
+    walker = _records(build_walker(ShellSpec(550.0, 53.0, 2, 3), EPOCH))
+    return [
+        walker[0], _drag_record("DRAG1"), walker[1], _deep_record("GEO", *_GEO), walker[2],
+        _deep_record("MOLNIYA", 2.00611, 0.72, 63.4), _drag_record("DRAG2", 1e-3, 22223),
+        walker[3], _deep_record("EIGHT", 3.0, 0.1, 30.0), walker[4], walker[5],
+    ]
+
+
+_MIXED = SatBatch(_mixed_records())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_steps=st.integers(1, 300),
+    share=st.floats(0.0, 1.0),
+    step_s=st.sampled_from([1.0, 10.0, 60.0, 600.0]),
+    start_days=st.floats(-3.0, 3.0),
+    small_tiles=st.booleans(),
+)
+def test_pairs_match_dense_tiles_bit_for_bit(seed, n_steps, share, step_s, start_days, small_tiles):
+    # any (row, step) subset of a mixed batch, in tiles of any size, gives
+    # the same bits as the dense tiles at those elements
+    from leolink import sgp4batch
+
+    jd, fr = julian_date(EPOCH)
+    frs = fr + start_days + np.arange(n_steps) * (step_s / 86400.0)
+    pos, vel = _MIXED.propagate_tsince(_MIXED.tsince_minutes(jd, frs))
+    keys = np.flatnonzero(np.random.default_rng(seed).random(_MIXED.n * n_steps) < share)
+    rows, steps = np.divmod(keys, n_steps)
+    with pytest.MonkeyPatch.context() as mp:
+        if small_tiles:
+            mp.setattr(sgp4batch, "TILE", 7)
+            mp.setattr(sgp4batch, "DEEP_TILE", 3)
+        p, v = _MIXED.propagate_pairs(jd, frs, rows, steps)
+    assert p.shape == v.shape == (len(keys), 3)
+    assert np.array_equal(p, pos[rows, steps]) and np.array_equal(v, vel[rows, steps])
+
+
+def test_pair_failure_is_the_dense_failure():
+    # with every step of the failing rows among the pairs, propagate_pairs
+    # names the object, step and instant the dense call names, whichever
+    # tiles the pairs fall in
+    from leolink import sgp4batch
+    from leolink.propagation import PropagationError
+
+    late = _failing_record("LATE", _GEO, {"dedt": 1.0 / 900.0})
+    early = _failing_record("EARLY", (2.00611, 0.8, 63.4), {})
+    twin = _failing_record("TWIN", (2.00611, 0.8, 63.4), {})
+    sinker = _drag_record("SINKER", bstar=0.09, mean_motion=16.4)
+    walker = _records(build_walker(ShellSpec(550.0, 53.0, 1, 3), EPOCH))
+    jd, fr = julian_date(EPOCH)
+    frs = fr + _FAIL_T / 1440.0
+    rng = np.random.default_rng(3)
+    for recs, name in (
+        ([walker[0], late, walker[1], early], "EARLY"),
+        ([late, early, twin, walker[2]], "EARLY"),
+        ([walker[0], late, sinker, early], "SINKER"),
+        ([late, early, walker[1], sinker], "SINKER"),
+    ):
+        batch = SatBatch(recs)
+        with pytest.raises(PropagationError) as dense:
+            batch.propagate_jd(jd, frs)
+        assert dense.value.object_name == name
+        need = rng.random((len(recs), len(frs))) < 0.2
+        need[[i for i, r in enumerate(recs) if r.name in ("LATE", "EARLY", "TWIN", "SINKER")]] = True
+        assert not need.all()
+        rows, steps = np.nonzero(need)
+        for tile in (sgp4batch.TILE, 5):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sgp4batch, "TILE", tile)
+                mp.setattr(sgp4batch, "DEEP_TILE", tile)
+                with pytest.raises(PropagationError) as err:
+                    batch.propagate_pairs(jd, frs, rows, steps)
+            got, want = err.value, dense.value
+            assert (got.object_name, got.step, got.utc, str(got)) == (
+                want.object_name, want.step, want.utc, str(want)
+            )
+
+
+def test_orbit_bounds_hold_for_batch_states():
+    # every propagated radius and speed lies inside the record's bounds
+    recs = _mixed_records()
+    batch = SatBatch(recs)
+    r_lo, r_hi, v_hi = batch.orbit_bounds()
+    jd, fr = julian_date(EPOCH)
+    pos, vel = batch.propagate_jd(jd, fr + np.linspace(-2.0, 2.0, 2001))
+    r = np.linalg.norm(pos, axis=-1)
+    assert np.all(r_lo[:, None] <= r) and np.all(r <= r_hi[:, None])
+    assert np.all(np.linalg.norm(vel, axis=-1) <= v_hi[:, None])
+    drag = np.array([rec.bstar != 0.0 for rec in recs])
+    assert np.array_equal(batch.may_fail, drag | batch.deep)
+    assert np.all(np.isinf(r_hi[drag])) and np.all(np.isfinite(r_hi[~drag]))
