@@ -6,19 +6,18 @@ the fleet exactly only at knots, about every ``_KNOT_S`` seconds. One
 horizon screen for all users (:func:`geometry.horizon_screen`) bounds each
 (user, satellite) pair's height above the user's horizon plane between
 knots and keeps the (satellite row, step) pairs that may be at or above
-it. The fleet is then propagated only at the pairs any user keeps between
-knots (:meth:`SatBatch.propagate_pairs`), or in dense tiles at every step
-between knots when that is predicted to cost less (most pairs kept, as
-with many users); rows whose propagation can fail are propagated at every
-step, so a failure is raised as a block without the screen raises it, and
-a fleet whose rows all can fail (a GEO fleet) has a knot at every step. The exact
-horizon test then gives each user its candidate list of (row, step)
-pairs in (row, step) order; ``cull=False`` makes every step a knot and
-every pair a candidate instead. Per user, the two-sided visibility
+it. Between knots the fleet is then propagated only at the pairs any user
+keeps (:meth:`SatBatch.propagate_pairs`); rows whose propagation can fail
+are propagated at every step, so a failure is raised as a block without
+the screen raises it, and a fleet whose rows all can fail (a GEO fleet)
+has a knot at every step. The exact horizon test then gives each user
+its candidate list of (row, step) pairs in (row, step) order;
+``cull=False`` makes every step a knot and every pair a candidate
+instead. Per user, the two-sided visibility
 predicate, the selection policy and the streaming metric accumulators run
 on that list only. Users are independent units of parallelism inside each
 block, so results are identical for any thread count, and satellite
-states are bit-identical whichever way a block propagates them.
+states are bit-identical whether taken at knots or as gathered pairs.
 """
 
 from __future__ import annotations
@@ -60,12 +59,6 @@ from .walker import build_walker
 # satellite-steps to propagate, and the screen took 79, 50 and 32 ms
 # (iss_leo) and 428, 221 and 245 ms (population_mc).
 _KNOT_S = 120.0
-# Per-element propagation costs [ns] of (near-earth, deep-space) records in
-# dense tiles and as gathered pairs: the best of five calls on the first
-# 512-step block of iss_leo and geo_deep, 10% of the pairs drawn at random,
-# on a 2-vCPU x86-64 host.
-_DENSE_NS = (500.0, 950.0)
-_PAIR_NS = (600.0, 2600.0)
 
 
 @dataclass
@@ -148,27 +141,6 @@ class _Fleet:
     def propagate_block(self, jd: float, fr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Positions and velocities (S, B, 3) at the instants (jd, fr[b])."""
         return self.batch.propagate_jd(jd, fr)
-
-    def propagate_between(self, jd: float, fr: np.ndarray, need: np.ndarray):
-        """States of the pairs an (S, B) mask marks, at the block's instants
-        (jd, fr[b]): (pos, vel, keys), pos and vel (P, 3) and keys their
-        flat indices row * B + step, ascending. Marked pairs go through
-        :meth:`SatBatch.propagate_pairs`, unless propagating every row at
-        each marked step in dense tiles is predicted to cost less; then P
-        covers all those pairs."""
-        deep = self.batch.deep
-        n_deep, marked_deep = int(deep.sum()), int(np.count_nonzero(need[deep]))
-        pairs_ns = _PAIR_NS[0] * (np.count_nonzero(need) - marked_deep) + _PAIR_NS[1] * marked_deep
-        cols = np.flatnonzero(need.any(axis=0))
-        dense_ns = len(cols) * (_DENSE_NS[0] * (self.n - n_deep) + _DENSE_NS[1] * n_deep)
-        if pairs_ns < dense_ns:
-            keys = np.flatnonzero(need)
-            rows, steps = np.divmod(keys, need.shape[1])
-            pos, vel = self.batch.propagate_pairs(jd, fr, rows, steps)
-            return pos, vel, keys
-        pos, vel = self.batch.propagate_jd(jd, fr[cols])
-        keys = (np.arange(self.n)[:, None] * need.shape[1] + cols).ravel()
-        return pos.reshape(-1, 3), vel.reshape(-1, 3), keys
 
 
 def _user_records(cfg: ScenarioConfig):
@@ -325,7 +297,8 @@ def _block_states(cfg, fleet, user_bounds, jd, fr, knots, k_pos, k_vel, u_pos, u
     slot = np.empty(n_sat * n_steps, dtype=np.int64)
     slot.reshape(n_sat, n_steps)[:, knots] = np.arange(n_sat * n_knot).reshape(n_sat, n_knot)
     if need.any():
-        p_pos, p_vel, p_keys = fleet.propagate_between(jd, fr, need)
+        p_keys = np.flatnonzero(need)
+        p_pos, p_vel = fleet.batch.propagate_pairs(jd, fr, *np.divmod(p_keys, n_steps))
         slot[p_keys] = len(pos) + np.arange(len(p_keys))
         pos, vel = np.concatenate([pos, p_pos]), np.concatenate([vel, p_vel])
     return pos, vel, [(*np.divmod(k, n_steps), slot[k]) for k in keys]

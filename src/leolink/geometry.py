@@ -160,7 +160,7 @@ def grazing_range_km(r1_km: float, r2_km: float, radius: float = EARTH_RADIUS_KM
 # Floats per dot-product chunk of the horizon screen (16 MB of float64). Between
 # knots the screen keeps about a dozen arrays of a chunk's shape, so it takes
 # chunks 1/32 of this size there: on the population_mc block that held the
-# screen's peak (tracemalloc) to 23 MB, against 37 MB at 1/8, at the same speed.
+# screen's peak (tracemalloc) to 14 MB, against 29 MB at 1/8, at the same speed.
 _CULL_CHUNK = 1 << 21
 # Multiply-adds per matrix product. OpenBLAS runs a product this small on the
 # calling thread; parallelism belongs to the engine's ``threads`` option, and
@@ -217,7 +217,9 @@ def horizon_screen(
     some knots are more than one step apart. Returns, per user, the kept
     pairs as keys row * B + step, ascending (in (row, step) order). The
     products are (U, 3) x (3, satellites) per knot, taken a few knots and
-    satellites at a time, so no (K, U, S) array is built.
+    satellites at a time; they and the bounds A and D cover at most
+    ``_GEMM_SIZE`` / 3 (user, satellite) pairs at once, so no (U, S) array
+    is built.
     """
     n_sat, n_knot, _ = sat_pos.shape
     n_user = user_pos.shape[0]
@@ -234,16 +236,17 @@ def horizon_screen(
         # (û, dû/dt) per knot and user, for ż = v_sat . û + sat . dû/dt - d|user|/dt
         lead = np.concatenate([uhat, (uvel - uhat * rdot[..., None]) / ru[..., None]], axis=2)
         span = gap * step_s
-        sat_r = np.sqrt(np.einsum("sbk,sbk->sb", sat_pos, sat_pos))
-        rates = _screen_rates(sat_bounds, user_bounds, sat_r.max(axis=1), span.max())
     width = max(1, _GEMM_SIZE // (3 * n_user))
     keys = []
     for s0 in range(0, n_sat, width):
         sats = sat_pos[s0 : s0 + width]
         n = len(sats)
         chunk = max(1, (_CULL_CHUNK // 32 if screened else _CULL_CHUNK) // (n * n_user))
-        if screened:
-            accel, slack = (r[:, s0 : s0 + n] for r in rates)
+        if screened:  # (U, n) like the products, so bounded by _GEMM_SIZE
+            sat_r = np.sqrt(np.einsum("sbk,sbk->sb", sats, sats).max(axis=1))
+            accel, slack = _screen_rates(
+                [b[s0 : s0 + n] for b in sat_bounds], user_bounds, sat_r, span.max()
+            )
         b0 = 0
         while True:
             b1 = min(n_knot - 1, b0 + chunk)
@@ -264,6 +267,7 @@ def horizon_screen(
                     z, zdot, accel, slack, gap[b0:b1], span[b0:b1], step_s
                 )
                 keys.append((u * n_sat + s0 + s) * n_steps + knots[b0 + i] + step)
+            del dot  # before the next chunk's product is allocated
             if b1 == n_knot - 1:
                 break
             b0 = b1
@@ -276,8 +280,9 @@ def horizon_screen(
 
 
 def _screen_rates(sat_bounds, user_bounds, sat_r_knots, span_max):
-    """(A, D), each (U, S): A bounds |z''| [km/s^2] and D the error [km/s]
-    of ż taken from SGP4's velocities, for every (user, satellite) pair.
+    """(A, D), each (U, n): A bounds |z''| [km/s^2] and D the error [km/s]
+    of ż taken from SGP4's velocities, for every pair of a user and one of
+    the n satellites that ``sat_bounds`` and ``sat_r_knots`` describe.
 
     With z = sat . û - r (r = |user|),
 

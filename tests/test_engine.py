@@ -530,34 +530,30 @@ def test_non_finite_user_orbit_names_the_user():
     assert abs((err.value.utc - EPOCH).total_seconds()) < 1e-3
 
 
-def _path_spy(monkeypatch):
-    """Call counts: blocks that propagate the fleet between knots, and of
-    those the ones that take gathered pairs (the others take dense tiles)."""
-    from leolink import engine
+def _pairs_spy(monkeypatch):
+    """The (S, B) masks of the satellite-steps each call of
+    ``SatBatch.propagate_pairs`` propagates."""
     from leolink.sgp4batch import SatBatch
 
-    calls = {"between": 0, "pairs": 0, "need": []}
-    pairs, between = SatBatch.propagate_pairs, engine._Fleet.propagate_between
+    masks = []
+    pairs = SatBatch.propagate_pairs
 
-    def spy_pairs(self, *args):
-        calls["pairs"] += 1
-        return pairs(self, *args)
+    def spy(self, jd, fr, rows, steps):
+        need = np.zeros((self.n, len(fr)), dtype=bool)
+        need[rows, steps] = True
+        masks.append(need)
+        return pairs(self, jd, fr, rows, steps)
 
-    def spy_between(self, jd, fr, need):
-        calls["between"] += 1
-        calls["need"].append(need.copy())
-        return between(self, jd, fr, need)
-
-    monkeypatch.setattr(SatBatch, "propagate_pairs", spy_pairs)
-    monkeypatch.setattr(engine._Fleet, "propagate_between", spy_between)
-    return calls
+    monkeypatch.setattr(SatBatch, "propagate_pairs", spy)
+    return masks
 
 
-def test_sparse_and_dense_blocks_give_the_same_bytes(tmp_path, monkeypatch):
-    # the same scenario with every block between knots propagated as gathered
-    # pairs, then in dense tiles, gives each user the exact cull's candidates,
-    # writes the same bytes and captures the same records: a mixed LEO + GEO
-    # fleet, 3 users, 2 blocks
+def test_screened_blocks_give_the_cull_off_bytes(tmp_path, monkeypatch):
+    # the same scenario with the screen and gathered pairs between knots,
+    # then with every step a knot and no cull, writes the same bytes and
+    # captures the same records, and with the screen each user's
+    # candidates are the exact cull's: a mixed LEO + GEO fleet, 3 users,
+    # 2 blocks
     from leolink import engine
     from leolink.fleets import BUILTIN_FLEETS
     from leolink.geometry import horizon_candidates
@@ -586,17 +582,20 @@ def test_sparse_and_dense_blocks_give_the_same_bytes(tmp_path, monkeypatch):
 
     monkeypatch.setattr(engine, "pair_geometry_arrays", counted)
     outputs = []
-    for path, pair_ns in (("pairs", (0.0, 0.0)), ("dense", (1e12, 1e12))):
-        calls = _path_spy(monkeypatch)
+    for cull in (True, False):
+        masks = _pairs_spy(monkeypatch)
         sizes = []
-        monkeypatch.setattr(engine, "_PAIR_NS", pair_ns)
-        m = run(replace(cfg, output_dir=tmp_path / path))
-        outputs.append(
-            [(tmp_path / path / f).read_bytes() for f in ("summary.json", "pass_access.csv")]
-            + [[u.records for u in m.users]]
-        )
-        assert (calls["between"], calls["pairs"]) == (2, 2 if path == "pairs" else 0)
-        assert sizes == exact
+        out = tmp_path / str(cull)
+        m = run(replace(cfg, cull=cull, output_dir=out))
+        summary = (out / "summary.json").read_bytes()
+        if cull:
+            assert len(masks) == 2 and sizes == exact
+            # the echoed option is the only difference in the outputs
+            summary = summary.replace(b'"culling": true', b'"culling": false')
+        else:
+            blocks = (512, cfg.n_steps - 512)
+            assert masks == [] and sizes == [fleet.n * b for b in blocks for _ in range(3)]
+        outputs.append([summary, (out / "pass_access.csv").read_bytes(), [u.records for u in m.users]])
     assert outputs[0] == outputs[1]
     assert any(r.visible for u in outputs[0][2] for r in u)
 
@@ -623,13 +622,12 @@ def test_decay_in_a_sparse_block_raises_the_dense_error(monkeypatch):
         duration_s=3000.0,
         step_s=2.0,
     )
-    calls = _path_spy(monkeypatch)
+    masks = _pairs_spy(monkeypatch)
     with pytest.raises(PropagationError, match="SINKER") as sparse:
         run(cfg)
     # the first block went through gathered pairs, with every step between
     # knots of the row that may fail, and few of the others
-    assert calls["pairs"] >= 1
-    need = calls["need"][0]
+    need = masks[0]
     assert need[-1].sum() == 512 - len(range(0, 512, 60)) - 1
     assert need[:-1].mean() < 0.2
     with pytest.raises(PropagationError, match="SINKER") as dense:

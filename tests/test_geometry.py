@@ -382,3 +382,52 @@ def test_screen_keeps_every_pair_above_the_horizon(
     ratio = float((zdd / accel).max())
     target(ratio, label="largest |z''| / A")
     assert ratio <= 1.0
+
+
+def test_screen_peak_memory_is_bounded_by_its_output():
+    # 1,000 users against 4,000 satellites, knots two steps apart: the
+    # screen works a few knots and satellites at a time, so it never holds
+    # a (users, satellites) array (32 MB here), only its output and about a
+    # dozen arrays of two knots by _GEMM_SIZE / 3 (user, satellite) pairs
+    import tracemalloc
+
+    from leolink.constants import MU_EARTH
+
+    rng = np.random.default_rng(3)
+
+    def circular(n, radius, n_knot, spread):
+        # n circular orbits through random points of a cap, at n_knot instants
+        pos = rng.normal(size=(n, 3)) * [spread, spread, 1.0] + [0.0, 0.0, 1.0]
+        pos *= radius / np.linalg.norm(pos, axis=1, keepdims=True)
+        vel = np.cross(pos, rng.normal(size=(n, 3)))
+        vel *= math.sqrt(MU_EARTH / radius) / np.linalg.norm(vel, axis=1, keepdims=True)
+        t = np.arange(n_knot)[None, :, None] * 20.0
+        bounds = (np.full(n, radius), np.full(n, radius), np.full(n, math.sqrt(MU_EARTH / radius)))
+        return pos[:, None] + vel[:, None] * t, np.repeat(vel[:, None], n_knot, axis=1), bounds
+
+    def traced(*args):
+        geometry.horizon_screen(*args)  # warmed up
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            keys = geometry.horizon_screen(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return sum(k.nbytes for k in keys), peak
+
+    sat_pos, sat_vel, sat_bounds = circular(4000, 7000.0, 2, 10.0)
+    user_pos, user_vel, user_bounds = circular(1000, 6800.0, 2, 0.1)
+    out, peak = traced(
+        sat_pos, sat_vel, user_pos, user_vel, np.array([0, 2]), 10.0, sat_bounds, user_bounds
+    )
+    assert 0 < out < 1000 * 4000 * 3 * 8 // 100
+    assert peak <= 2 * out + 16 * 2 * (geometry._GEMM_SIZE // 3) * 8
+    # with a knot at every step (the exact cull), one product of about
+    # _CULL_CHUNK floats is alive at a time: 100 users, 1,000 satellites
+    # and 60 steps take three of them per satellite chunk
+    sat_pos, _, _ = circular(1000, 7000.0, 60, 10.0)
+    user_pos, _, _ = circular(100, 6800.0, 60, 0.1)
+    out, peak = traced(sat_pos, None, user_pos, None, np.arange(60))
+    assert 0 < out < 1000 * 100 * 60 * 8 // 100
+    assert peak <= 2 * out + 1.5 * geometry._CULL_CHUNK * 8
