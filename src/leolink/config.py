@@ -432,6 +432,13 @@ def validate(cfg: ScenarioConfig) -> list[tuple[str, str]]:
         )
     if not cfg.constellations:
         out.append(("error", "at least one constellation is required"))
+    # results are keyed by constellation name, "combined" for the whole fleet
+    names = [c.name for c in cfg.constellations]
+    for k, name in enumerate(names):
+        if name == "combined" or name in names[:k]:
+            why = ("reserved for the all-fleet summary" if name == "combined"
+                   else f"already used by entry {names.index(name)}")
+            out.append(("error", f"constellation {name!r} (entry {k}): the name is {why}"))
     if not cfg.users:
         out.append(("error", "at least one user is required"))
     if math.fmod(cfg.duration_s, cfg.step_s) > 1e-9:

@@ -5,19 +5,19 @@ window in time blocks. Per block, users are propagated at every step and
 the fleet exactly only at knots, about every ``_KNOT_S`` seconds. One
 horizon screen for all users (:func:`geometry.horizon_screen`) bounds each
 (user, satellite) pair's height above the user's horizon plane between
-knots and keeps the (satellite row, step) pairs that may be at or above
-it. Between knots the fleet is then propagated only at the pairs any user
-keeps (:meth:`SatBatch.propagate_pairs`); rows whose propagation can fail
-are propagated at every step, so a failure is raised as a block without
-the screen raises it, and a fleet whose rows all can fail (a GEO fleet)
-has a knot at every step. The exact horizon test then gives each user
-its candidate list of (row, step) pairs in (row, step) order;
-``cull=False`` makes every step a knot and every pair a candidate
-instead. Per user, the two-sided visibility
-predicate, the selection policy and the streaming metric accumulators run
-on that list only. Users are independent units of parallelism inside each
-block, so results are identical for any thread count, and satellite
-states are bit-identical whether taken at knots or as gathered pairs.
+knots and keeps, per user, the (satellite row, step) pairs that may be at
+or above it, in (row, step) order. Between knots the fleet is then
+propagated only at the pairs any user keeps
+(:meth:`SatBatch.propagate_pairs`); rows whose propagation can fail are
+propagated at every step, so a failure is raised as a block without the
+screen raises it, and a fleet whose rows all can fail (a GEO fleet) has a
+knot at every step. ``cull=False`` makes every step a knot and every pair
+a candidate instead. Per user, the two-sided visibility predicate, whose
+elevation test is the exact horizon test, the selection policy and the
+streaming metric accumulators run on the kept pairs only. Users are
+independent units of parallelism inside each block, so results are
+identical for any thread count, and satellite states are bit-identical
+whether taken at knots or as gathered pairs.
 """
 
 from __future__ import annotations
@@ -112,19 +112,15 @@ class _Fleet:
             if cc.shells is not None:
                 for si, shell in enumerate(cc.shells):
                     for el in build_walker(shell, cfg.epoch):
-                        if cc.raan_offset_deg or cc.anomaly_offset_deg:
-                            el = replace(
-                                el,
-                                raan=(el.raan + cc.raan_offset_deg) % 360.0,
-                                mean_anomaly=(el.mean_anomaly + cc.anomaly_offset_deg) % 360.0,
-                            )
                         k = len(records)
-                        tle = elements_to_tle(el, catalog_id=k + 1, name=f"{cc.name}-{k - n0}")
+                        tle = elements_to_tle(
+                            _offset(cc, el), catalog_id=k + 1, name=f"{cc.name}-{k - n0}"
+                        )
                         records.append(satrec_from_tle(tle))
                     cone_params += [cc.beam_for_shell(si).cone_params] * shell.total
             else:
                 for tle in cc.tles:
-                    records.append(satrec_from_tle(tle))
+                    records.append(satrec_from_tle(_offset(cc, tle)))
                 cone_params += [cc.beam.cone_params] * len(cc.tles)
             n_added = len(records) - n0
             self.counts[cc.name] = n_added
@@ -141,6 +137,18 @@ class _Fleet:
     def propagate_block(self, jd: float, fr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Positions and velocities (S, B, 3) at the instants (jd, fr[b])."""
         return self.batch.propagate_jd(jd, fr)
+
+
+def _offset(cc, el):
+    """Walker elements or a TLE of constellation ``cc``, with its RAAN and
+    mean anomaly shifted by the constellation's offsets."""
+    if not (cc.raan_offset_deg or cc.anomaly_offset_deg):
+        return el
+    return replace(
+        el,
+        raan=(el.raan + cc.raan_offset_deg) % 360.0,
+        mean_anomaly=(el.mean_anomaly + cc.anomaly_offset_deg) % 360.0,
+    )
 
 
 def _user_records(cfg: ScenarioConfig):
@@ -191,13 +199,8 @@ def run(cfg: ScenarioConfig) -> RunManifest:
 
     def process_user(ui: int, t0: int, idx: np.ndarray, sat_pos, sat_vel, u_pos, u_vel, cand):
         row, step, at = cand[ui]
-        up = u_pos[ui][step]
-        sp = sat_pos[at]
-        if cfg.cull and knot_every > 1:  # the exact horizon test on the screen's pairs
-            above = np.einsum("pk,pk->p", sp, up) >= np.einsum("pk,pk->p", up, up)
-            row, step, at, up, sp = row[above], step[above], at[above], up[above], sp[above]
         rng, rr, sin_el, cos_off, sat_r = pair_geometry_arrays(
-            sp, sat_vel[at], up, u_vel[ui][step]
+            sat_pos[at], sat_vel[at], u_pos[ui][step], u_vel[ui][step]
         )
         cos_half = beam_cos_half_arrays(fleet.beam_nadir[row], fleet.beam_param[row], sat_r)
         vis = visible_mask_arrays(sin_el, cos_off, cfg.min_elevation_deg, cos_half)
@@ -272,10 +275,10 @@ def run(cfg: ScenarioConfig) -> RunManifest:
 
 def _block_states(cfg, fleet, user_bounds, jd, fr, knots, k_pos, k_vel, u_pos, u_vel):
     """(pos, vel, cand) of one block. pos and vel hold (P, 3) satellite
-    states: the knots', then the pairs the screen keeps between knots. Per
-    user, cand holds the candidate (row, step) pairs in (row, step) order
-    and each one's index into pos and vel; with the cull on and steps
-    between knots, the exact horizon test is still to be applied to them."""
+    states: the knots', then the pairs between knots that the screen keeps
+    or whose row may fail. Per user, cand holds the candidate (row, step)
+    pairs in (row, step) order and each one's index into pos and vel: with
+    the cull on, the pairs the screen keeps, else every pair."""
     n_sat, n_knot = k_pos.shape[:2]
     n_steps = len(fr)
     pos, vel = k_pos.reshape(-1, 3), k_vel.reshape(-1, 3)
@@ -286,8 +289,6 @@ def _block_states(cfg, fleet, user_bounds, jd, fr, knots, k_pos, k_vel, u_pos, u
         k_pos, k_vel, u_pos[:, knots], u_vel[:, knots], knots, cfg.step_s,
         fleet.bounds, user_bounds,
     )
-    if n_knot == n_steps:  # a knot at every step: keys index the knot states
-        return pos, vel, [(*np.divmod(k, n_steps), k) for k in keys]
     # between the knots: the pairs any user keeps, and every step of the rows
     # that may fail, so that a failure shows at the step a dense block has it
     need = np.zeros((n_sat, n_steps), dtype=bool)

@@ -346,18 +346,6 @@ def _between_knots(z, zdot, accel, slack, gap, span, step_s):
     return i[t], u[t], s[t], m[k]
 
 
-def horizon_candidates(
-    sat_pos: np.ndarray, user_pos: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The exact horizon cull of one time block: the screen with a knot at
-    every step. sat_pos: (S, B, 3); user_pos: (U, B, 3). Returns, per user,
-    the (row, step) index arrays of the pairs with the satellite at or
-    above the user's horizon plane, in (row, step) order."""
-    n_steps = sat_pos.shape[1]
-    keys = horizon_screen(sat_pos, None, user_pos, None, np.arange(n_steps))
-    return [np.divmod(k, n_steps) for k in keys]
-
-
 def pair_geometry_arrays(
     sat_pos: np.ndarray,
     sat_vel: np.ndarray,

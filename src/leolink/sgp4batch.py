@@ -95,10 +95,10 @@ _STEP2 = 259200.0
 
 
 class SatBatch:
-    """Fleet-sized batch of initialized SGP4 records, in the given order."""
+    """Fleet-sized batch of initialized SGP4 records, in the given order.
+    The records' constants are copied into columns; the records are not kept."""
 
     def __init__(self, records: list[sgp4core.SatRecord]):
-        self.records = records
         self.n = len(records)
         self.names = [r.name for r in records]
         self._cols = _columns(records, _FIELDS + ("epoch_jd", "epoch_fr", "isimp"))
@@ -114,9 +114,11 @@ class SatBatch:
             # only deep-space tiles read these; near-earth rows stay zero
             rows = [i for i, d in enumerate(deep) if d]
             recs = [records[i] for i in rows]
+            # the AFSPC mode of the lunar-solar periodics, init_record's default
+            other = [r.name for r in recs if r.operationmode != "a"]
+            if other:
+                raise ValueError(f"{other[0]}: deep-space records need operation mode 'a'")
             self._cols.update(_columns(recs, _DEEP_FIELDS + ("irez",), rows, self.n))
-            self._cols["afspc"] = np.zeros((self.n, 1), dtype=bool)
-            self._cols["afspc"][rows, 0] = [r.operationmode == "a" for r in recs]
         # maximal runs of rows of one kind, as (start, stop, deep)
         edges = [0] + [i for i in range(1, self.n) if deep[i] != deep[i - 1]] + [self.n]
         self._runs = [(a, b, deep[a]) for a, b in zip(edges, edges[1:]) if a < b]
@@ -536,11 +538,11 @@ class SatBatch:
         betdp = betdp + dbet
         nodel = np.where(nodep >= 0.0, nodep % _TWOPI, -((-nodep) % _TWOPI))
         # the AFSPC wrap of angles used without a trigonometric function
-        nodel = np.where((nodel < 0.0) & c.afspc, nodel + _TWOPI, nodel)
+        nodel = np.where(nodel < 0.0, nodel + _TWOPI, nodel)
         xls = mp + argpp + pl + pgh + (cosip - pinc * sinip) * nodel
         xnoh = nodel
         nodel = np.arctan2(alfdp, betdp)
-        nodel = np.where((nodel < 0.0) & c.afspc, nodel + _TWOPI, nodel)
+        nodel = np.where(nodel < 0.0, nodel + _TWOPI, nodel)
         wrap = np.fabs(xnoh - nodel) > np.pi
         nodel = np.where(wrap, np.where(nodel < xnoh, nodel + _TWOPI, nodel - _TWOPI), nodel)
         mp = mp + pl

@@ -315,6 +315,11 @@ def test_malformed_values_exit_with_a_message(tmp_path, capsys):
         ({"threads": 2.9}, "'threads' in the scenario must be an integer, not 2.9"),
         ({"grid": {"metrics": ["coverage"]}}, "'metrics' in grid: unknown metric 'coverage'"),
         ({"grid": {"altitude_bin": -5}}, "'altitude_bin' in grid must be positive, not -5.0"),
+        ({"constellations": [{"name": "eutelsat_geo"}, {"name": "eutelsat_geo"}]},
+         "constellation 'eutelsat_geo' (entry 1): the name is already used by entry 0"),
+        ({"constellations": [{"name": "combined", "source": {"walker": [
+            {"altitude": 550, "inclination": 53, "plane_count": 2, "sats_per_plane": 2}]}}]},
+         "constellation 'combined' (entry 0): the name is reserved for the all-fleet summary"),
     ):
         raw = {"constellations": [{"name": "eutelsat_geo"}], "users": {"preset": "iss"},
                "duration": 60, "output_dir": str(tmp_path / "out"), **change}

@@ -77,17 +77,14 @@ def test_unknown_bundled_fleet():
 def test_bundled_fleet_entry_overrides():
     from leolink.fleets import BUILTIN_FLEETS
 
-    cfg = config_from_dict(
-        {
-            "constellations": [
-                {"name": "starlink"},
-                {"name": "starlink", "beam": {"kind": "earth_limb"}, "raan_offset": 5},
-                {"name": "eutelsat_geo", "anomaly_offset": 2},
-            ],
-            "users": {"preset": "iss"},
-        }
-    )
-    plain, own_beam, geo = cfg.constellations
+    def resolve(*entries):
+        return config_from_dict({"constellations": list(entries), "users": {"preset": "iss"}})
+
+    (plain,) = resolve({"name": "starlink"}).constellations
+    own_beam, geo = resolve(
+        {"name": "starlink", "beam": {"kind": "earth_limb"}, "raan_offset": 5},
+        {"name": "eutelsat_geo", "anomaly_offset": 2},
+    ).constellations
     assert plain == BUILTIN_FLEETS["starlink"]
     # an entry's own beam replaces the fleet beam and the per-shell beams
     assert own_beam.beam == BeamModel("earth_limb") and own_beam.shell_beams is None
@@ -397,6 +394,17 @@ def test_readme_configuration_resolves(tmp_path):
         (
             {"grid": {"altitude_bin": float("inf")}},
             "'altitude_bin' in grid must be a finite number, not inf",
+        ),
+        # results are keyed by constellation name, "combined" for the whole fleet
+        (
+            {"constellations": [{"name": "oneweb"}, {"name": "starlink"}, {"name": "oneweb"}]},
+            "constellation 'oneweb' (entry 2): the name is already used by entry 0",
+        ),
+        (
+            {"constellations": [{"name": "combined", "source": {"walker": [
+                {"altitude": 550, "inclination": 53, "plane_count": 2, "sats_per_plane": 2}
+            ]}}]},
+            "constellation 'combined' (entry 0): the name is reserved for the all-fleet summary",
         ),
     ],
 )

@@ -551,12 +551,11 @@ def _pairs_spy(monkeypatch):
 def test_screened_blocks_give_the_cull_off_bytes(tmp_path, monkeypatch):
     # the same scenario with the screen and gathered pairs between knots,
     # then with every step a knot and no cull, writes the same bytes and
-    # captures the same records, and with the screen each user's
-    # candidates are the exact cull's: a mixed LEO + GEO fleet, 3 users,
-    # 2 blocks
+    # captures the same records; with the screen each user's candidates
+    # hold the exact cull and go to pair geometry as they are: a mixed
+    # LEO + GEO fleet, 3 users, 2 blocks
     from leolink import engine
     from leolink.fleets import BUILTIN_FLEETS
-    from leolink.geometry import horizon_candidates
     from leolink.sgp4batch import SatBatch
     from leolink.timebase import julian_date
 
@@ -566,30 +565,43 @@ def test_screened_blocks_give_the_cull_off_bytes(tmp_path, monkeypatch):
         duration_s=700 * 10.0,
         capture_records=True,
     )
-    # each user's candidates, block by block, are the exact cull's
+    # each user's exact cull, block by block, as keys row * B + step:
+    # dot(sat, user) >= |user|^2
     jd0, fr0 = julian_date(EPOCH)
     fleet, crew = engine._Fleet(cfg), SatBatch(engine._user_records(cfg))
     exact = []
     for t0 in (0, 512):
         fr = fr0 + np.arange(t0, min(t0 + 512, cfg.n_steps)) * (cfg.step_s / 86400.0)
-        cands = horizon_candidates(fleet.propagate_block(jd0, fr)[0], crew.propagate_jd(jd0, fr)[0])
-        exact += [len(row) for row, _ in cands]
-    geometry = engine.pair_geometry_arrays
+        sp, up = fleet.propagate_block(jd0, fr)[0], crew.propagate_jd(jd0, fr)[0]
+        above = np.einsum("sbk,ubk->usb", sp, up) >= np.einsum("ubk,ubk->ub", up, up)[:, None]
+        exact += [np.flatnonzero(a) for a in above]
+    block_states, geometry = engine._block_states, engine.pair_geometry_arrays
+
+    def states(*args):
+        out = block_states(*args)
+        cands.extend(out[2])
+        return out
 
     def counted(sat_pos, *args):
         sizes.append(len(sat_pos))
         return geometry(sat_pos, *args)
 
+    monkeypatch.setattr(engine, "_block_states", states)
     monkeypatch.setattr(engine, "pair_geometry_arrays", counted)
     outputs = []
     for cull in (True, False):
         masks = _pairs_spy(monkeypatch)
-        sizes = []
+        cands, sizes = [], []
         out = tmp_path / str(cull)
         m = run(replace(cfg, cull=cull, output_dir=out))
         summary = (out / "summary.json").read_bytes()
+        # every candidate goes to pair geometry, no other pair
+        assert sizes == [len(row) for row, _, _ in cands]
         if cull:
-            assert len(masks) == 2 and sizes == exact
+            assert len(masks) == 2
+            for (row, step, _), want, b in zip(cands, exact, [512] * 3 + [cfg.n_steps - 512] * 3):
+                assert np.isin(want, row * b + step).all()
+                assert len(row) < fleet.n * b // 2  # and not every pair
             # the echoed option is the only difference in the outputs
             summary = summary.replace(b'"culling": true', b'"culling": false')
         else:
@@ -644,3 +656,52 @@ def test_decay_in_a_sparse_block_raises_the_dense_error(monkeypatch):
         sgp4core.propagate_record(rec, float(t))
         errors.append(rec.error)
     assert got.step == next(k for k, e in enumerate(errors) if e) > 512
+
+
+def test_catalog_offsets_shift_every_record(tmp_path):
+    # raan_offset and anomaly_offset move a TLE catalog as they move a
+    # Walker fleet: the run writes the passes of a catalog whose records
+    # were shifted by hand, not those of the unshifted catalog
+    from leolink.fleets import BUILTIN_FLEETS
+
+    geo = BUILTIN_FLEETS["eutelsat_geo"]
+    by_hand = replace(geo, tles=[
+        replace(t, raan=(t.raan + 90.0) % 360.0, mean_anomaly=(t.mean_anomaly + 90.0) % 360.0)
+        for t in geo.tles
+    ])
+    fleets = {
+        "offset": replace(geo, raan_offset_deg=90.0, anomaly_offset_deg=90.0),
+        "by_hand": by_hand,
+        "none": geo,
+    }
+    out = {}
+    for name, fleet in fleets.items():
+        m = run(mini_cfg(constellations=[fleet], duration_s=7200.0, output_dir=tmp_path / name))
+        out[name] = ((tmp_path / name / "pass_access.csv").read_bytes(), summaries_payload(m))
+    assert b"pass," in out["offset"][0] and b"pass," in out["none"][0]
+    assert out["offset"] == out["by_hand"]
+    assert out["offset"][0] != out["none"][0]
+
+
+def test_fleet_keeps_no_records_after_set_up():
+    # the fleet's batch copies each record's constants into columns and
+    # keeps no SatRecord: OneWeb + Starlink (5,124 satellites) leave about
+    # 2 MB of columns, beams and names, against about 24 MB with the records
+    import gc
+    import tracemalloc
+
+    from leolink import engine
+    from leolink.fleets import BUILTIN_FLEETS
+
+    cfg = mini_cfg(constellations=[BUILTIN_FLEETS["oneweb"], BUILTIN_FLEETS["starlink"]])
+    engine._Fleet(cfg)  # warmed up
+    tracemalloc.start()
+    try:
+        fleet = engine._Fleet(cfg)
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fleet.n == 5124
+    assert not hasattr(fleet.batch, "records")
+    assert held < 4 * 2**20

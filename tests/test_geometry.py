@@ -14,7 +14,6 @@ from leolink.geometry import (
     beam_cos_half_arrays,
     earth_limb_half_cone,
     grazing_range_km,
-    horizon_candidates,
     is_visible,
     pair_geometry_arrays,
     relative_geometry,
@@ -236,9 +235,11 @@ def test_horizon_cull_is_conservative(monkeypatch):
     for chunk, gemm in ((geometry._CULL_CHUNK, geometry._GEMM_SIZE), (1, 3 * 3 * 7)):
         monkeypatch.setattr(geometry, "_CULL_CHUNK", chunk)
         monkeypatch.setattr(geometry, "_GEMM_SIZE", gemm)
-        cands = horizon_candidates(sp, np.stack([pos for pos, _ in users]))
-        assert len(cands) == 3
-        for (user_pos, user_vel), (row, step) in zip(users, cands):
+        # the screen with a knot at every step is the exact cull
+        keys = geometry.horizon_screen(sp, None, np.stack([pos for pos, _ in users]), None, np.arange(4))
+        assert len(keys) == 3
+        for (user_pos, user_vel), k in zip(users, keys):
+            row, step = np.divmod(k, 4)
             assert np.all(np.diff(row * 4 + step) > 0)  # (row, step) order
             mask = np.zeros((60, 4), dtype=bool)
             mask[row, step] = True
@@ -367,10 +368,18 @@ def test_screen_keeps_every_pair_above_the_horizon(
     )
     is_knot = np.zeros(n_steps, dtype=bool)
     is_knot[knots] = True
-    for (row, step), keys in zip(horizon_candidates(sp, up), kept):
-        assert np.isin(row * n_steps + step, keys).all()
+    # the exact cull, keys row * n_steps + step: dot(sat, user) >= |user|^2;
+    # a pair on the plane to rounding (a satellite that is the user) may
+    # fall on either side, so it is left out of both comparisons
+    dot = np.einsum("sbk,ubk->usb", sp, up)
+    ru2 = np.einsum("ubk,ubk->ub", up, up)[:, None]
+    tie = np.abs(dot - ru2) <= 1e-12 * ru2
+    for exact, keys, on_plane in zip(dot >= ru2, kept, tie):
+        exact = np.flatnonzero(exact & ~on_plane)
+        keys = np.setdiff1d(keys, np.flatnonzero(on_plane))
+        assert np.isin(exact, keys).all()
         # at the knots the screen is the exact test
-        assert np.array_equal(np.sort((row * n_steps + step)[is_knot[step]]), keys[is_knot[keys % n_steps]])
+        assert np.array_equal(exact[is_knot[exact % n_steps]], keys[is_knot[keys % n_steps]])
 
     ru = np.linalg.norm(up, axis=-1)
     z = np.einsum("sbk,ubk->usb", sp, up / ru[..., None]) - ru[:, None, :]

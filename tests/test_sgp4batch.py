@@ -182,6 +182,19 @@ def test_deep_batch_matches_scalar_property(rev_per_day, ecc, inc, argp, raan, m
     assert (err.value.object_name, err.value.step) == ("prop", finite.index(False))
 
 
+def test_deep_record_in_improved_mode_is_rejected():
+    # the batch's lunar-solar periodics take the AFSPC (opsmode 'a') angle
+    # wrap, the mode of every record the program initializes
+    from copy import copy
+
+    rec = _deep_record("OTHER-MODE", 1.00273791, 2e-4, 3.0)
+    SatBatch([rec])
+    improved = copy(rec)
+    improved.operationmode = "i"
+    with pytest.raises(ValueError, match="OTHER-MODE: deep-space records need operation mode 'a'"):
+        SatBatch([_records([KeplerianElements(7000.0, 0.0, 53.0, 0.0, 0.0, 0.0, EPOCH)])[0], improved])
+
+
 def test_masked_division_is_silent_at_zero_inclination():
     # with every lunar-solar coefficient zero the periodics vanish: the
     # first column keeps sin(i) = 0 and takes the Lyddane form, the second
@@ -191,7 +204,7 @@ def test_masked_division_is_silent_at_zero_inclination():
 
     from leolink.sgp4batch import _DEEP_FIELDS
 
-    c = SimpleNamespace(**{f: np.zeros((1, 1)) for f in _DEEP_FIELDS}, afspc=np.ones((1, 1), bool))
+    c = SimpleNamespace(**{f: np.zeros((1, 1)) for f in _DEEP_FIELDS})
     ones = np.ones((1, 2))
     ep, inclp, nodep, argpp, mp = SatBatch._dpper(
         c, 0.0 * ones, 0.1 * ones, np.array([[0.0, 0.5]]), ones, ones, ones
