@@ -24,12 +24,14 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from datetime import timedelta
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -46,10 +48,10 @@ from .metrics import BinGrid, CoverageSummary, StepRecord, UserAccumulator, bin_
 from .policy import serving_rows
 from .population import UserSpec
 from .propagation import PropagationError, satrec_from_tle
-from .sgp4batch import SatBatch
+from .sgp4batch import SatBatch, Slots
 from .timebase import format_utc, julian_date
 from .tle import elements_to_tle
-from .walker import build_walker
+from .walker import build_walker, shell_angles
 
 
 # Knot spacing of the horizon screen [s]: the fleet is propagated exactly
@@ -99,38 +101,57 @@ class RunManifest:
 
 class _Fleet:
     """Flattened satellite set across all configured constellations, with
-    each row's constellation index and beam cone parameters."""
+    each row's constellation index and beam cone parameters.
+
+    A near-earth Walker shell gets one SGP4 record, its first slot's, and
+    the batch fills every slot's row from it (:class:`Slots`): the slots
+    differ only in node and mean anomaly. A deep-space shell (period >= 225
+    min) and every TLE catalog row get a record each. Scalar init checks
+    each record at its epoch; the filled slots get the same check as one
+    batch call (:func:`_check_slots`), so set-up fails at the row a
+    record per slot would fail at, with that record's error.
+    """
 
     def __init__(self, cfg: ScenarioConfig):
-        records = []
+        rows = []  # SatRecords and Slots, in fleet order
+        filled = []  # per Slots entry, (first row, slot count, its slots' TLEs)
         const_of_sat = []
         cone_params = []  # each row's beam in beam_cos_half_arrays
         self.names = [c.name for c in cfg.constellations]
         self.counts: dict[str, int] = {}
-        for ci, cc in enumerate(cfg.constellations):
-            n0 = len(records)
-            if cc.shells is not None:
-                for si, shell in enumerate(cc.shells):
-                    for el in build_walker(shell, cfg.epoch):
-                        k = len(records)
-                        tle = elements_to_tle(
-                            _offset(cc, el), catalog_id=k + 1, name=f"{cc.name}-{k - n0}"
-                        )
-                        records.append(satrec_from_tle(tle))
-                    cone_params += [cc.beam_for_shell(si).cone_params] * shell.total
-            else:
-                for tle in cc.tles:
-                    records.append(satrec_from_tle(_offset(cc, tle)))
-                cone_params += [cc.beam.cone_params] * len(cc.tles)
-            n_added = len(records) - n0
-            self.counts[cc.name] = n_added
-            const_of_sat.extend([ci] * n_added)
+        n = 0
+        try:
+            for ci, cc in enumerate(cfg.constellations):
+                n0 = n
+                if cc.shells is not None:
+                    for si, shell in enumerate(cc.shells):
+                        tles = partial(_shell_tles, cc, shell, cfg.epoch, n, n0)
+                        first = satrec_from_tle(tles(1)[0])
+                        if first.method == "n":
+                            rows.append(_slots(cc, shell, first, n - n0))
+                            filled.append((n, shell.total, tles))
+                        else:
+                            rows += [first] + [satrec_from_tle(t) for t in tles()[1:]]
+                        n += shell.total
+                        cone_params += [cc.beam_for_shell(si).cone_params] * shell.total
+                else:
+                    rows += [satrec_from_tle(_offset(cc, tle)) for tle in cc.tles]
+                    n += len(cc.tles)
+                    cone_params += [cc.beam.cone_params] * len(cc.tles)
+                self.counts[cc.name] = n - n0
+                const_of_sat.extend([ci] * (n - n0))
+        except PropagationError:
+            if filled:  # a filled slot before the failing record may fail first
+                _check_slots(SatBatch(rows), filled)
+            raise
 
-        self.n = len(records)
+        self.n = n
         self.const_of_sat = np.array(const_of_sat, dtype=np.int64)
         self.beam_nadir = np.array([nadir for nadir, _ in cone_params], dtype=bool)
         self.beam_param = np.array([param for _, param in cone_params], dtype=float)
-        self.batch = SatBatch(records)
+        self.batch = SatBatch(rows)
+        if filled:
+            _check_slots(self.batch, filled)
         self.bounds = self.batch.orbit_bounds()
         self.may_fail = self.batch.may_fail
 
@@ -139,16 +160,60 @@ class _Fleet:
         return self.batch.propagate_jd(jd, fr)
 
 
+def _shell_tles(cc, shell, epoch, k0: int, n0: int, slots: int | None = None):
+    """The TLEs of a Walker shell's slots, or of its first ``slots`` slots,
+    whose first row is ``k0`` in the fleet and ``k0 - n0`` in constellation
+    ``cc``."""
+    return [
+        elements_to_tle(_offset(cc, el), catalog_id=k + 1, name=f"{cc.name}-{k - n0}")
+        for k, el in enumerate(build_walker(shell, epoch, slots), k0)
+    ]
+
+
+def _slots(cc, shell, first, i0: int) -> Slots:
+    """The rows of a near-earth Walker shell of constellation ``cc`` whose
+    first slot, the constellation's ``i0``-th satellite, has the record
+    ``first``. Each slot's angles go through the operations of
+    :func:`_offset`, :func:`elements_to_tle` and :func:`satrec_from_tle`,
+    so its node and mean anomaly [rad] are bit for bit its record's."""
+    raan, mean_anomaly = _offset_angles(cc, *shell_angles(shell))
+    deg = math.pi / 180.0
+    return Slots(
+        first,
+        [f"{cc.name}-{i}" for i in range(i0, i0 + shell.total)],
+        (raan % 360.0) * deg,
+        (mean_anomaly % 360.0) * deg,
+    )
+
+
+def _check_slots(batch: SatBatch, filled) -> None:
+    """Scalar init's check at epoch (tsince 0) on the batch rows filled
+    from slots, as one batch call. If a row fails it, every filled slot is
+    initialised by scalar init instead, in row order, so the error raised
+    is the one a record per slot raises, or none if no record fails."""
+    try:
+        batch.check_epoch(np.concatenate([np.arange(a, a + m) for a, m, _ in filled]))
+    except PropagationError:
+        for _, _, tles in filled:
+            for tle in tles():
+                satrec_from_tle(tle)
+
+
+def _offset_angles(cc, raan, mean_anomaly):
+    """A RAAN and a mean anomaly [deg], numbers or arrays, shifted by
+    constellation ``cc``'s offsets."""
+    if not (cc.raan_offset_deg or cc.anomaly_offset_deg):
+        return raan, mean_anomaly
+    return (raan + cc.raan_offset_deg) % 360.0, (mean_anomaly + cc.anomaly_offset_deg) % 360.0
+
+
 def _offset(cc, el):
     """Walker elements or a TLE of constellation ``cc``, with its RAAN and
     mean anomaly shifted by the constellation's offsets."""
     if not (cc.raan_offset_deg or cc.anomaly_offset_deg):
         return el
-    return replace(
-        el,
-        raan=(el.raan + cc.raan_offset_deg) % 360.0,
-        mean_anomaly=(el.mean_anomaly + cc.anomaly_offset_deg) % 360.0,
-    )
+    raan, mean_anomaly = _offset_angles(cc, el.raan, el.mean_anomaly)
+    return replace(el, raan=raan, mean_anomaly=mean_anomaly)
 
 
 def _user_records(cfg: ScenarioConfig):
@@ -295,14 +360,23 @@ def _block_states(cfg, fleet, user_bounds, jd, fr, knots, k_pos, k_vel, u_pos, u
     need.ravel()[np.concatenate(keys)] = True
     need[fleet.may_fail] = True
     need[:, knots] = False
-    slot = np.empty(n_sat * n_steps, dtype=np.int64)
-    slot.reshape(n_sat, n_steps)[:, knots] = np.arange(n_sat * n_knot).reshape(n_sat, n_knot)
-    if need.any():
-        p_keys = np.flatnonzero(need)
+    p_keys = np.flatnonzero(need)
+    if len(p_keys):
         p_pos, p_vel = fleet.batch.propagate_pairs(jd, fr, *np.divmod(p_keys, n_steps))
-        slot[p_keys] = len(pos) + np.arange(len(p_keys))
         pos, vel = np.concatenate([pos, p_pos]), np.concatenate([vel, p_vel])
-    return pos, vel, [(*np.divmod(k, n_steps), slot[k]) for k in keys]
+    # a pair's index into pos and vel: row x knots + knot at a knot, else
+    # after the knots, at its place among the sorted p_keys
+    knot_of = np.full(n_steps, -1)
+    knot_of[knots] = np.arange(n_knot)
+    cand = []
+    for k in keys:
+        row, step = np.divmod(k, n_steps)
+        knot = knot_of[step]
+        at = row * n_knot + knot
+        between = knot < 0
+        at[between] = n_sat * n_knot + np.searchsorted(p_keys, k[between])
+        cand.append((row, step, at))
+    return pos, vel, cand
 
 
 def _block_failure(fleet, jd, fr, t0, exc):

@@ -36,11 +36,17 @@ non-finite position or velocity, which the reference returns with no code.
 (record, instant) pairs instead of a grid: each pair tile gathers its
 records' constants into (P, 1) columns, and its outputs are bit-identical
 to the grid's.
+
+A batch is built from initialised scalar records, and a :class:`Slots`
+entry stands for many rows, the slots of one near-earth Walker shell:
+their columns are its record's, with each slot's node and mean anomaly
+and the two constants that depend on them.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from dataclasses import dataclass
+from itertools import accumulate, chain
 from operator import itemgetter
 from types import SimpleNamespace
 
@@ -94,14 +100,48 @@ _STEPP = 720.0
 _STEP2 = 259200.0
 
 
-class SatBatch:
-    """Fleet-sized batch of initialized SGP4 records, in the given order.
-    The records' constants are copied into columns; the records are not kept."""
+@dataclass(frozen=True)
+class Slots:
+    """Rows that share a near-earth record's constants but for their node
+    and mean anomaly at epoch [rad], as the slots of one Walker shell do:
+    near-earth :func:`sgp4core.sgp4init` reads those two angles only into
+    ``nodeo`` and ``mo`` and, through :func:`sgp4core.mean_anomaly_terms`,
+    ``delmo`` and ``sinmao``. ``record`` gives the other constants; it is
+    not checked against the angles."""
 
-    def __init__(self, records: list[sgp4core.SatRecord]):
-        self.n = len(records)
-        self.names = [r.name for r in records]
-        self._cols = _columns(records, _FIELDS + ("epoch_jd", "epoch_fr", "isimp"))
+    record: sgp4core.SatRecord
+    names: list[str]
+    nodeo: np.ndarray
+    mo: np.ndarray
+
+    def __post_init__(self):
+        if self.record.method != "n":
+            raise ValueError(f"{self.record.name}: only near-earth records fill slots")
+
+
+class SatBatch:
+    """Fleet-sized batch of initialized SGP4 records, in the given order;
+    a :class:`Slots` entry stands for one row per slot. The records'
+    constants are copied into columns; the records are not kept."""
+
+    def __init__(self, records: list[sgp4core.SatRecord | Slots]):
+        recs = [r.record if isinstance(r, Slots) else r for r in records]
+        sizes = [len(r.names) if isinstance(r, Slots) else 1 for r in records]
+        starts = list(accumulate(sizes, initial=0))
+        self.n = starts.pop()
+        self.names = list(
+            chain.from_iterable(r.names if isinstance(r, Slots) else (r.name,) for r in records)
+        )
+        self._cols = _columns(recs, _FIELDS + ("epoch_jd", "epoch_fr", "isimp"), sizes)
+        for r, a in zip(records, starts):
+            if isinstance(r, Slots):
+                rows = slice(a, a + len(r.names))
+                self._cols["nodeo"][rows, 0] = r.nodeo
+                self._cols["mo"][rows, 0] = r.mo
+                eta = r.record.eta
+                self._cols["delmo"][rows, 0], self._cols["sinmao"][rows, 0] = zip(
+                    *(sgp4core.mean_anomaly_terms(eta, mo) for mo in r.mo.tolist())
+                )
         self._cols["isimp"] = self._cols["isimp"] != 0.0
         # near-earth SGP4 keeps inclination at its epoch value apart from
         # the short-period terms
@@ -109,27 +149,28 @@ class SatBatch:
         self._cols["cosip"] = np.cos(self._cols["inclo"])
         self.epoch_jd = self._cols.pop("epoch_jd")[:, 0]
         self.epoch_fr = self._cols.pop("epoch_fr")[:, 0]
-        deep = [r.method == "d" for r in records]
-        if any(deep):
+        deep = [i for i, r in enumerate(recs) if r.method == "d"]
+        self.deep = np.zeros(self.n, dtype=bool)
+        if deep:
             # only deep-space tiles read these; near-earth rows stay zero
-            rows = [i for i, d in enumerate(deep) if d]
-            recs = [records[i] for i in rows]
+            rows = [starts[i] for i in deep]
+            self.deep[rows] = True
+            deep_recs = [recs[i] for i in deep]
             # the AFSPC mode of the lunar-solar periodics, init_record's default
-            other = [r.name for r in recs if r.operationmode != "a"]
+            other = [r.name for r in deep_recs if r.operationmode != "a"]
             if other:
                 raise ValueError(f"{other[0]}: deep-space records need operation mode 'a'")
-            self._cols.update(_columns(recs, _DEEP_FIELDS + ("irez",), rows, self.n))
+            self._cols.update(_columns(deep_recs, _DEEP_FIELDS + ("irez",), rows=rows, n=self.n))
         # maximal runs of rows of one kind, as (start, stop, deep)
-        edges = [0] + [i for i in range(1, self.n) if deep[i] != deep[i - 1]] + [self.n]
-        self._runs = [(a, b, deep[a]) for a, b in zip(edges, edges[1:]) if a < b]
-        wc = records[0].whichconst if records else sgp4core.WGS72
+        edges = [0, *(np.flatnonzero(np.diff(self.deep)) + 1).tolist(), self.n]
+        self._runs = [(a, b, bool(self.deep[a])) for a, b in zip(edges, edges[1:]) if a < b]
+        wc = recs[0].whichconst if recs else sgp4core.WGS72
         self.mu = wc[1]
         self.xke = wc[3]
         self.j2 = wc[4]
         self.j3oj2 = wc[7]
         self.radiusearthkm = wc[2]
         self.vkmpersec = self.radiusearthkm * self.xke / 60.0
-        self.deep = np.array(deep, dtype=bool)
         self._drag = self._cols["bstar"][:, 0] != 0.0
 
     def orbit_bounds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -216,6 +257,22 @@ class SatBatch:
         instants would if these were the only failing pairs.
         """
         fr = np.atleast_1d(np.asarray(fr, dtype=float))
+
+        def tsince(r, k):
+            return ((jd - self.epoch_jd[r]) + (fr[k] - self.epoch_fr[r])) * 1440.0
+
+        return self._pairs(rows, steps, tsince)
+
+    def check_epoch(self, rows: np.ndarray) -> None:
+        """Propagate record ``rows[p]`` (ascending) to its epoch, tsince 0,
+        as scalar init does, and raise the first failure as
+        :meth:`propagate_pairs` does, at step 0."""
+        rows = np.asarray(rows, dtype=np.intp)
+        self._pairs(rows, np.zeros_like(rows), lambda r, k: np.zeros(len(r)))
+
+    def _pairs(self, rows, steps, tsince) -> tuple[np.ndarray, np.ndarray]:
+        """The tiles of :meth:`propagate_pairs`; ``tsince(r, k)`` gives the
+        minutes past epoch of a tile's pairs."""
         rows = np.asarray(rows, dtype=np.intp)
         steps = np.asarray(steps, dtype=np.intp)
         pos = np.empty((len(rows), 3))
@@ -232,7 +289,7 @@ class SatBatch:
                 else:
                     fields = _NEAR_COLUMNS if self._drag[r].any() else _DRAG_FREE_COLUMNS
                 c = SimpleNamespace(**{f: self._cols[f][r] for f in fields})
-                t = (((jd - self.epoch_jd[r]) + (fr[k] - self.epoch_fr[r])) * 1440.0)[:, None]
+                t = tsince(r, k)[:, None]
                 try:
                     self._propagate_tile(c, t, pos[tile, None], vel[tile, None], (r, k), deep)
                 except PropagationError as exc:
@@ -598,19 +655,22 @@ class SatBatch:
         return k, int(rows[0]), exc
 
 
-def _columns(records, fields, rows=None, n=None) -> dict[str, np.ndarray]:
+def _columns(records, fields, repeats=None, rows=None, n=None) -> dict[str, np.ndarray]:
     """Each attribute in ``fields`` of every record as a float column, read
-    in one pass over the records: (len(records), 1), or (n, 1) with the
-    records at ``rows`` and zeros elsewhere."""
+    in one pass over the records: (len(records), 1); with ``repeats``, each
+    record's value that many times in a row; or (n, 1) with the records at
+    ``rows`` and zeros elsewhere."""
     get = itemgetter(*fields)
     m = np.fromiter(
         chain.from_iterable(get(vars(r)) for r in records), float, len(records) * len(fields)
-    ).reshape(len(records), len(fields))
+    ).reshape(len(records), len(fields)).T
+    if repeats is not None:
+        m = np.repeat(m, repeats, axis=1)
     if rows is not None:
-        full = np.zeros((n, len(fields)))
-        full[rows] = m
+        full = np.zeros((len(fields), n))
+        full[:, rows] = m
         m = full
-    return dict(zip(fields, np.ascontiguousarray(m.T)[:, :, None]))
+    return dict(zip(fields, np.ascontiguousarray(m)[:, :, None]))
 
 
 def _knots(c, kmax: int, delt: float):

@@ -847,6 +847,15 @@ def _initl(
        )
 
 
+def mean_anomaly_terms(eta, mo):
+    """(delmo, sinmao): the near-earth constants of :func:`sgp4init` that
+    depend on the mean anomaly at epoch. Apart from ``mo`` and ``nodeo``
+    themselves, no other near-earth constant depends on either angle."""
+    #  sgp4fix use multiply for speed instead of pow
+    delmotemp = 1.0 + eta * cos(mo)
+    return delmotemp * delmotemp * delmotemp, sin(mo)
+
+
 def sgp4init(
        whichconst,   opsmode,   satn,   epoch,
        xbstar,   xndot,   xnddot,   xecco,   xargpo,
@@ -1034,10 +1043,7 @@ def sgp4init(
          else:
              satrec.xlcof = -0.25 * satrec.j3oj2 * sinio * (3.0 + 5.0 * cosio) / temp4
          satrec.aycof   = -0.5 * satrec.j3oj2 * sinio
-         #  sgp4fix use multiply for speed instead of pow
-         delmotemp = 1.0 + satrec.eta * cos(satrec.mo)
-         satrec.delmo   = delmotemp * delmotemp * delmotemp
-         satrec.sinmao  = sin(satrec.mo)
+         satrec.delmo, satrec.sinmao = mean_anomaly_terms(satrec.eta, satrec.mo)
          satrec.x7thm1  = 7.0 * cosio2 - 1.0
 
          #  --------------- deep space initialization -------------

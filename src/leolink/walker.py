@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import datetime
 
+import numpy as np
+
 from .constants import EARTH_RADIUS_KM
 from .elements import KeplerianElements
 
@@ -44,29 +46,33 @@ class ShellSpec:
         return 360.0 / (self.plane_count * self.sats_per_plane)
 
 
-def build_walker(shell: ShellSpec, epoch: datetime) -> list[KeplerianElements]:
-    """Synthesize circular elements for every slot of a shell.
+def shell_angles(shell: ShellSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(RAAN, mean anomaly) [deg] of every slot of a shell, plane by plane.
 
     Plane p gets RAAN = p * raan_span / plane_count; slot s of plane p gets
     mean anomaly = s * 360/sats_per_plane + p * inter_plane_phase (mod 360).
     """
+    p, s = np.divmod(np.arange(shell.total), shell.sats_per_plane)
+    raan = (p * (shell.raan_span / shell.plane_count)) % 360.0
+    mean_anomaly = (s * (360.0 / shell.sats_per_plane) + p * shell.phase_deg) % 360.0
+    return raan, mean_anomaly
+
+
+def build_walker(
+    shell: ShellSpec, epoch: datetime, slots: int | None = None
+) -> list[KeplerianElements]:
+    """Circular elements for every slot of a shell, or for its first
+    ``slots`` slots, at the angles of :func:`shell_angles`."""
     a = EARTH_RADIUS_KM + shell.altitude
-    d_raan = shell.raan_span / shell.plane_count
-    d_ma = 360.0 / shell.sats_per_plane
-    phase = shell.phase_deg
-    out = []
-    for p in range(shell.plane_count):
-        raan = (p * d_raan) % 360.0
-        for s in range(shell.sats_per_plane):
-            out.append(
-                KeplerianElements(
-                    semi_major_axis=a,
-                    eccentricity=0.0,
-                    inclination=shell.inclination,
-                    raan=raan,
-                    arg_perigee=0.0,
-                    mean_anomaly=(s * d_ma + p * phase) % 360.0,
-                    epoch=epoch,
-                )
-            )
-    return out
+    return [
+        KeplerianElements(
+            semi_major_axis=a,
+            eccentricity=0.0,
+            inclination=shell.inclination,
+            raan=raan,
+            arg_perigee=0.0,
+            mean_anomaly=mean_anomaly,
+            epoch=epoch,
+        )
+        for raan, mean_anomaly in zip(*(angles[:slots].tolist() for angles in shell_angles(shell)))
+    ]

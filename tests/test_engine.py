@@ -705,3 +705,151 @@ def test_fleet_keeps_no_records_after_set_up():
     assert fleet.n == 5124
     assert not hasattr(fleet.batch, "records")
     assert held < 4 * 2**20
+
+
+def _records_per_row(cfg):
+    """One scalar SGP4 record per fleet row, every Walker slot turned into a
+    TLE of its own: the reference for the batch that _Fleet fills from one
+    record per near-earth shell. Raises the first row's init error."""
+    from leolink.propagation import satrec_from_tle
+    from leolink.tle import elements_to_tle
+    from leolink.walker import build_walker
+
+    def shifted(cc, el):
+        if not (cc.raan_offset_deg or cc.anomaly_offset_deg):
+            return el
+        return replace(
+            el,
+            raan=(el.raan + cc.raan_offset_deg) % 360.0,
+            mean_anomaly=(el.mean_anomaly + cc.anomaly_offset_deg) % 360.0,
+        )
+
+    records = []
+    for cc in cfg.constellations:
+        n0 = len(records)
+        if cc.tles is not None:
+            records += [satrec_from_tle(shifted(cc, tle)) for tle in cc.tles]
+            continue
+        for shell in cc.shells:
+            for el in build_walker(shell, cfg.epoch):
+                k = len(records)
+                tle = elements_to_tle(shifted(cc, el), catalog_id=k + 1, name=f"{cc.name}-{k - n0}")
+                records.append(satrec_from_tle(tle))
+    return records
+
+
+_slot_shells = st.builds(
+    ShellSpec,
+    altitude=st.floats(300.0, 2000.0),
+    inclination=st.floats(0.0, 180.0),
+    plane_count=st.integers(1, 6),
+    sats_per_plane=st.integers(1, 8),
+    raan_span=st.one_of(st.just(360.0), st.floats(1.0, 360.0)),
+    inter_plane_phase=st.one_of(st.none(), st.floats(-720.0, 720.0)),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    shells=st.lists(st.lists(_slot_shells, min_size=1, max_size=3), min_size=1, max_size=3),
+    offsets=st.lists(st.tuples(st.floats(-400.0, 400.0), st.floats(-400.0, 400.0)), min_size=3, max_size=3),
+)
+def test_fleet_fills_slots_as_records_per_slot_would(shells, offsets):
+    # the fleet gets one SGP4 record per near-earth shell and fills every
+    # slot's row from it: each batch column equals the column of one
+    # record per row, and so does every propagated bit. A deep-space
+    # shell (8,000 km up) and a TLE catalog with drag ride along, one
+    # record per row
+    from leolink import engine
+    from leolink.sgp4batch import SatBatch
+    from leolink.timebase import julian_date
+
+    draggy = TwoLineElementSet(
+        name="DRAGGY", epoch=EPOCH - timedelta(hours=7), inclination=51.6, raan=123.4,
+        eccentricity=0.0007, arg_perigee=88.1, mean_anomaly=272.0, mean_motion=15.49,
+        bstar=3.1e-4, catalog_id=25544,
+    )
+    fleets = [
+        ConstellationConfig(
+            f"c{i}", BeamModel("earth_limb"), shells=s, raan_offset_deg=ro, anomaly_offset_deg=mo
+        )
+        for i, (s, (ro, mo)) in enumerate(zip(shells, offsets))
+    ]
+    fleets[0] = replace(fleets[0], shells=[*fleets[0].shells, ShellSpec(8000.0, 55.0, 2, 3)])
+    cfg = mini_cfg(
+        constellations=[*fleets, ConstellationConfig("cat", BeamModel("earth_limb"), tles=[draggy])]
+    )
+    inits = []
+    counted = engine.satrec_from_tle
+
+    def counting(tle):
+        inits.append(tle.name)
+        return counted(tle)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "satrec_from_tle", counting)
+        fleet = engine._Fleet(cfg)
+    want = SatBatch(_records_per_row(cfg))
+    got = fleet.batch
+    assert got.names == want.names
+    assert got._cols.keys() == want._cols.keys()
+    for key, column in want._cols.items():
+        assert np.array_equal(got._cols[key], column), key
+    for key in ("epoch_jd", "epoch_fr", "deep"):
+        assert np.array_equal(getattr(got, key), getattr(want, key)), key
+    assert got._runs == want._runs
+    # one record per near-earth shell, its first slot's; one per deep slot
+    expected = []
+    for f in fleets:
+        i = 0
+        for shell in f.shells:
+            slots = range(i, i + (shell.total if shell.altitude == 8000.0 else 1))
+            expected += [f"{f.name}-{k}" for k in slots]
+            i += shell.total
+    assert inits == expected + ["DRAGGY"]
+    jd, fr = julian_date(EPOCH)
+    fr = fr + np.array([0.0, 0.013, 0.5, 1.7])
+    for a, b in zip(got.propagate_jd(jd, fr), want.propagate_jd(jd, fr)):
+        assert np.array_equal(a, b)
+
+
+_FAILING = ShellSpec(5.0, 53.0, 4, 9)  # 7 of its 36 slots fail scalar init
+_SUB_ORBITAL = TwoLineElementSet(
+    name="SUB", epoch=EPOCH, inclination=53.0, raan=0.0, eccentricity=0.0, arg_perigee=0.0,
+    mean_anomaly=0.0, mean_motion=17.5, bstar=0.0, catalog_id=33333,
+)
+
+
+@pytest.mark.parametrize(
+    "fleets",
+    [
+        [("low", [ShellSpec(550.0, 53.0, 2, 2), _FAILING])],
+        [("ok", [ShellSpec(550.0, 53.0, 2, 2)]), ("low", [_FAILING]), ("sub", [_SUB_ORBITAL])],
+        [("sub", [_SUB_ORBITAL]), ("low", [_FAILING])],
+    ],
+    ids=["shell", "shell-then-catalog", "catalog-then-shell"],
+)
+def test_shell_failing_init_raises_the_per_slot_error(fleets):
+    # a shell whose slots fail init at epoch one by one (its first slot
+    # does not) stops the run with the error of the first failing row that
+    # a record per row raises, and a catalog row that fails after that
+    # shell does not go first
+    cfg = mini_cfg(
+        constellations=[
+            ConstellationConfig(
+                name, BeamModel("earth_limb"),
+                **({"tles": src} if isinstance(src[0], TwoLineElementSet) else {"shells": src}),
+            )
+            for name, src in fleets
+        ],
+        duration_s=60.0,
+    )
+    with pytest.raises(PropagationError) as want:
+        _records_per_row(cfg)
+    with pytest.raises(PropagationError) as got:
+        run(cfg)
+    assert (str(got.value), got.value.object_name, got.value.step, got.value.utc) == (
+        str(want.value), want.value.object_name, None, None
+    )
+    assert "init failed" in str(got.value)
+    assert got.value.object_name in ("low-6", "low-2", "SUB")

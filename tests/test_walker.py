@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from leolink.fleets import ONEWEB_SHELLS, STARLINK_SHELLS
 from leolink.timebase import parse_utc
-from leolink.walker import ShellSpec, build_walker
+from leolink.walker import ShellSpec, build_walker, shell_angles
 
 EPOCH = parse_utc("2021-03-20T09:37:29Z")
 
@@ -65,3 +65,25 @@ def test_count_invariant(p, s, span):
     els = build_walker(ShellSpec(800.0, 60.0, p, s, raan_span=span), EPOCH)
     assert len(els) == p * s
     assert all(0.0 <= e.raan < 360.0 and 0.0 <= e.mean_anomaly < 360.0 for e in els)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.integers(1, 40),
+    s=st.integers(1, 60),
+    span=st.floats(0.5, 360.0),
+    phase=st.one_of(st.none(), st.floats(-720.0, 720.0)),
+)
+def test_shell_angles_are_the_slot_loop(p, s, span, phase):
+    # the arrays hold, bit for bit, the angles of a loop over planes and
+    # slots in Python floats, and build_walker's elements carry them
+    shell = ShellSpec(550.0, 53.0, p, s, raan_span=span, inter_plane_phase=phase)
+    want = [
+        ((i * (span / p)) % 360.0, (k * (360.0 / s) + i * shell.phase_deg) % 360.0)
+        for i in range(p)
+        for k in range(s)
+    ]
+    raan, mean_anomaly = shell_angles(shell)
+    assert list(zip(raan.tolist(), mean_anomaly.tolist())) == want
+    assert [(e.raan, e.mean_anomaly) for e in build_walker(shell, EPOCH)] == want
+    assert [(e.raan, e.mean_anomaly) for e in build_walker(shell, EPOCH, 1)] == want[:1]
