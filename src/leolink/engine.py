@@ -7,12 +7,14 @@ horizon screen for all users (:func:`geometry.horizon_screen`) bounds each
 (user, satellite) pair's height above the user's horizon plane between
 knots and keeps, per user, the (satellite row, step) pairs that may be at
 or above it, in (row, step) order. Between knots the fleet is then
-propagated only at the pairs any user keeps
-(:meth:`SatBatch.propagate_pairs`); rows whose propagation can fail are
-propagated at every step, so a failure is raised as a block without the
-screen raises it, and a fleet whose rows all can fail (a GEO fleet) has a
-knot at every step. ``cull=False`` makes every step a knot and every pair
-a candidate instead. Per user, the two-sided visibility predicate, whose
+propagated only at the pairs any user keeps, in one
+:meth:`SatBatch.propagate_pairs` call per block. Rows whose propagation
+can fail are propagated there at every step, so a failure is raised as a
+block without the screen raises it; the screen leaves them out and gives
+them the exact horizon test at every step once they are propagated, and
+a fleet whose rows all can fail (a GEO fleet) has a knot at every step.
+``cull=False`` makes every step a knot and every pair a candidate
+instead. Per user, the two-sided visibility predicate, whose
 elevation test is the exact horizon test, the selection policy and the
 streaming metric accumulators run on the kept pairs only. Users are
 independent units of parallelism inside each block, so results are
@@ -55,11 +57,12 @@ from .walker import build_walker, shell_angles
 
 
 # Knot spacing of the horizon screen [s]: the fleet is propagated exactly
-# every round(_KNOT_S / step) steps. On the first 512-step block of iss_leo
-# and population_mc (10 s steps), knots every 60, 120 and 240 s left 18%,
-# 10% and 7% (iss_leo) and 41%, 38% and 48% (population_mc) of the
-# satellite-steps to propagate, and the screen took 79, 50 and 32 ms
-# (iss_leo) and 428, 221 and 245 ms (population_mc).
+# every round(_KNOT_S / step) steps. On the first block of iss_leo (512
+# steps) and of population_mc (121 steps), both at 10 s steps, knots every
+# 60, 120 and 240 s left 18%, 10% and 7% (iss_leo) and 41%, 38% and 48%
+# (population_mc) of the satellite-steps to propagate, and the screen took
+# 41, 27 and 18 ms (iss_leo) and 295, 183 and 230 ms (population_mc) on a
+# 2-vCPU host in October 2026.
 _KNOT_S = 120.0
 
 
@@ -343,17 +346,25 @@ def _block_states(cfg, fleet, user_bounds, jd, fr, knots, k_pos, k_vel, u_pos, u
     states: the knots', then the pairs between knots that the screen keeps
     or whose row may fail. Per user, cand holds the candidate (row, step)
     pairs in (row, step) order and each one's index into pos and vel: with
-    the cull on, the pairs the screen keeps, else every pair."""
+    the cull on, the pairs the screen keeps, else every pair. Rows that
+    may fail are propagated at every step, so they get the exact cull
+    there, after the one gathered-pair call; the screen bounds the others."""
     n_sat, n_knot = k_pos.shape[:2]
     n_steps = len(fr)
     pos, vel = k_pos.reshape(-1, 3), k_vel.reshape(-1, 3)
     if not cfg.cull:  # every step is a knot, and every pair a candidate
         every = np.arange(n_sat * n_steps)
         return pos, vel, [(*np.divmod(every, n_steps), every)] * len(u_pos)
+    # the rows that may fail, unless every step is a knot (then every row
+    # gets the exact cull from the screen)
+    dense = np.flatnonzero(fleet.may_fail) if n_knot < n_steps else np.arange(0)
+    screened = np.flatnonzero(~fleet.may_fail) if len(dense) else slice(None)
     keys = horizon_screen(
-        k_pos, k_vel, u_pos[:, knots], u_vel[:, knots], knots, cfg.step_s,
-        fleet.bounds, user_bounds,
+        k_pos[screened], k_vel[screened], u_pos[:, knots], u_vel[:, knots], knots, cfg.step_s,
+        [b[screened] for b in fleet.bounds], user_bounds,
     )
+    if len(dense):
+        keys = _fleet_keys(keys, screened, n_steps)
     # between the knots: the pairs any user keeps, and every step of the rows
     # that may fail, so that a failure shows at the step a dense block has it
     need = np.zeros((n_sat, n_steps), dtype=bool)
@@ -365,18 +376,34 @@ def _block_states(cfg, fleet, user_bounds, jd, fr, knots, k_pos, k_vel, u_pos, u
         p_pos, p_vel = fleet.batch.propagate_pairs(jd, fr, *np.divmod(p_keys, n_steps))
         pos, vel = np.concatenate([pos, p_pos]), np.concatenate([vel, p_vel])
     # a pair's index into pos and vel: row x knots + knot at a knot, else
-    # after the knots, at its place among the sorted p_keys
+    # after the knots, in p_keys order: its row's offset there plus its rank
+    # among the row's propagated steps (at most 511, as a block has 512)
     knot_of = np.full(n_steps, -1)
     knot_of[knots] = np.arange(n_knot)
+    rank = np.cumsum(need, axis=1, dtype=np.int16)
+    offset = np.zeros(n_sat, dtype=np.int64)
+    np.cumsum(rank[:-1, -1], dtype=np.int64, out=offset[1:])
+    offset += n_sat * n_knot - 1
+    if len(dense):  # the exact cull on every step of the rows that may fail
+        d_pos = np.empty((len(dense), n_steps, 3))
+        d_pos[:, knots] = k_pos[dense]
+        d_pos[:, knot_of < 0] = pos[offset[dense, None] + np.arange(1, n_steps - n_knot + 1)]
+        exact = _fleet_keys(horizon_screen(d_pos, None, u_pos, None, np.arange(n_steps)), dense, n_steps)
+        keys = [np.sort(np.concatenate([k, e]), kind="stable") for k, e in zip(keys, exact)]
+    rank = rank.ravel()
     cand = []
     for k in keys:
         row, step = np.divmod(k, n_steps)
         knot = knot_of[step]
-        at = row * n_knot + knot
-        between = knot < 0
-        at[between] = n_sat * n_knot + np.searchsorted(p_keys, k[between])
+        at = np.where(knot < 0, offset[row] + rank[k], row * n_knot + knot)
         cand.append((row, step, at))
     return pos, vel, cand
+
+
+def _fleet_keys(keys, rows, n_steps):
+    """Each user's keys row * n_steps + step from a screen of the fleet rows
+    ``rows``, as keys of the whole fleet."""
+    return [rows[k // n_steps] * n_steps + k % n_steps for k in keys]
 
 
 def _block_failure(fleet, jd, fr, t0, exc):

@@ -158,9 +158,11 @@ def grazing_range_km(r1_km: float, r2_km: float, radius: float = EARTH_RADIUS_KM
 
 
 # Floats per dot-product chunk of the horizon screen (16 MB of float64). Between
-# knots the screen keeps about a dozen arrays of a chunk's shape, so it takes
-# chunks 1/32 of this size there: on the population_mc block that held the
-# screen's peak (tracemalloc) to 14 MB, against 29 MB at 1/8, at the same speed.
+# knots the screen takes all of a block's knots for a satellite tile of 1/32
+# of this size and keeps a few arrays of the tile's shape. On the LEO rows of
+# the population_mc block (110 users, 11 knots, 5,124 satellites; 2-vCPU host,
+# October 2026), tiles of 1/64, 1/32, 1/16 and 1/8 took 200, 174, 181 and
+# 200 ms, and the screen's peak (tracemalloc) was 6.6, 7.2, 7.4 and 12.8 MB.
 _CULL_CHUNK = 1 << 21
 # Multiply-adds per matrix product. OpenBLAS runs a product this small on the
 # calling thread; parallelism belongs to the engine's ``threads`` option, and
@@ -204,9 +206,12 @@ def horizon_screen(
         z_k + (ż_k + D) h + A h^2 / 2   and   z_k+1 + (D - ż_k+1) h' + A h'^2 / 2,
 
     where A bounds |z''| and D the gap between SGP4's velocity and the rate
-    of its position (``_screen_rates``). Both bounds are convex parabolas,
-    so their ends decide each whole interval; only surviving intervals are
-    tested step by step. With a knot at every step this is the exact cull.
+    of its position (``_screen_rates``). A speed pre-test first drops the
+    intervals where the two bounds cannot both reach the horizon at any
+    step (``_speed_test``), before ż is formed. Both bounds are convex
+    parabolas, so their ends decide each remaining interval; only surviving
+    intervals are tested step by step. With a knot at every step this is
+    the exact cull.
 
     sat_pos, sat_vel: (S, K, 3) at the knots; user_pos, user_vel: (U, K, 3)
     at the knots; knots: (K,) ascending steps of the block, the first 0 and
@@ -216,10 +221,12 @@ def horizon_screen(
     pair with that object at every step. Velocities and bounds are read only if
     some knots are more than one step apart. Returns, per user, the kept
     pairs as keys row * B + step, ascending (in (row, step) order). The
-    products are (U, 3) x (3, satellites) per knot, taken a few knots and
-    satellites at a time; they and the bounds A and D cover at most
-    ``_GEMM_SIZE`` / 3 (user, satellite) pairs at once, so no (U, S) array
-    is built.
+    products are (U, 3) x (3, satellites) per knot. With a knot at every
+    step they are taken a few knots and satellites at a time; else all the
+    knots of a satellite tile at once, so each knot's product is made once
+    (a few knots at a time only where one satellite's knots overrun the
+    tile). They and the bounds A, D and V cover at most ``_GEMM_SIZE`` / 3
+    (user, satellite) pairs at once, so no (U, S) array is built.
     """
     n_sat, n_knot, _ = sat_pos.shape
     n_user = user_pos.shape[0]
@@ -228,6 +235,8 @@ def horizon_screen(
     gap = np.diff(knots)
     screened = bool((gap > 1).any())
     ru2 = np.einsum("ubk,ubk->bu", user_pos, user_pos)
+    width = max(1, _GEMM_SIZE // (3 * n_user))
+    budget = _CULL_CHUNK
     if screened:
         ru = np.sqrt(ru2)
         uhat = user_pos.transpose(1, 0, 2) / ru[..., None]
@@ -235,18 +244,26 @@ def horizon_screen(
         rdot = np.einsum("buk,buk->bu", uhat, uvel)
         # (û, dû/dt) per knot and user, for ż = v_sat . û + sat . dû/dt - d|user|/dt
         lead = np.concatenate([uhat, (uvel - uhat * rdot[..., None]) / ru[..., None]], axis=2)
+        turn = np.sqrt(np.einsum("buk,buk->bu", lead[..., 3:], lead[..., 3:]).max(axis=0))
+        climb = np.abs(rdot).max(axis=0)
         span = gap * step_s
-    width = max(1, _GEMM_SIZE // (3 * n_user))
+        # all the knots of a narrower satellite tile at once, so that each
+        # knot's product, z and ż are made once
+        budget = _CULL_CHUNK // 32
+        width = max(1, min(width, budget // (n_knot * n_user)))
     keys = []
     for s0 in range(0, n_sat, width):
         sats = sat_pos[s0 : s0 + width]
         n = len(sats)
-        chunk = max(1, (_CULL_CHUNK // 32 if screened else _CULL_CHUNK) // (n * n_user))
+        chunk = max(1, budget // (n * n_user))
         if screened:  # (U, n) like the products, so bounded by _GEMM_SIZE
+            vels = sat_vel[s0 : s0 + n]
             sat_r = np.sqrt(np.einsum("sbk,sbk->sb", sats, sats).max(axis=1))
+            speed = np.sqrt(np.einsum("sbk,sbk->sb", vels, vels).max(axis=1))
             accel, slack = _screen_rates(
                 [b[s0 : s0 + n] for b in sat_bounds], user_bounds, sat_r, span.max()
             )
+            rate_max = _speed_bound(speed, sat_r, turn, climb, slack)
         b0 = 0
         while True:
             b1 = min(n_knot - 1, b0 + chunk)
@@ -260,14 +277,19 @@ def horizon_screen(
             u, s = np.divmod(us, n)
             keys.append((u * n_sat + s0 + s) * n_steps + knots[b0 + b])
             if screened and (gap[b0:b1] > 1).any():
-                z = (dot - ru2[kn, :, None]) / ru[kn, :, None]
-                both = np.concatenate([sat_vel[s0 : s0 + n, kn], sats[:, kn]], axis=2)
-                zdot = np.matmul(lead[kn], both.transpose(1, 2, 0)) - rdot[kn, :, None]
-                i, u, s, step = _between_knots(
-                    z, zdot, accel, slack, gap[b0:b1], span[b0:b1], step_s
-                )
-                keys.append((u * n_sat + s0 + s) * n_steps + knots[b0 + i] + step)
-            del dot  # before the next chunk's product is allocated
+                z = dot  # dot's last use: z = (dot - |user|^2) / |user|
+                z -= ru2[kn, :, None]
+                z /= ru[kn, :, None]
+                live = _speed_test(z, rate_max, accel, gap[b0:b1], span[b0:b1])
+                if len(live):
+                    both = np.concatenate([vels[:, kn], sats[:, kn]], axis=2)
+                    zdot = np.matmul(lead[kn], both.transpose(1, 2, 0))
+                    zdot -= rdot[kn, :, None]
+                    i, u, s, step = _between_knots(
+                        z, zdot, live, accel, slack, gap[b0:b1], span[b0:b1], step_s
+                    )
+                    keys.append((u * n_sat + s0 + s) * n_steps + knots[b0 + i] + step)
+            dot = z = zdot = None  # freed before the next chunk's product is made
             if b1 == n_knot - 1:
                 break
             b0 = b1
@@ -313,37 +335,69 @@ def _screen_rates(sat_bounds, user_bounds, sat_r_knots, span_max):
     return accel, slack
 
 
-def _between_knots(z, zdot, accel, slack, gap, span, step_s):
+def _speed_bound(sat_speed, sat_r, turn, climb, slack):
+    """V (U, n), with |ż| + D <= V at every knot for each pair of a user
+    and one of n satellites (D, ``slack``, from :func:`_screen_rates`).
+
+    ż = v_sat . û + sat . dû/dt - d|user|/dt and |û| = 1, so by
+    Cauchy-Schwarz |ż| <= |v_sat| + |sat| |dû/dt| + |d|user|/dt|.
+    sat_speed, sat_r: (n,) each satellite's largest speed and radius at the
+    knots; turn, climb: (U,) each user's largest |dû/dt| and |d|user|/dt|
+    there. The factor 1 + 1e-9 covers the rounding of ż.
+    """
+    return (sat_speed + turn[:, None] * sat_r + climb[:, None]) * (1.0 + 1e-9) + slack
+
+
+def _speed_test(z, rate_max, accel, gap, span):
+    """Flat indices into z, (knot * U + user) * n + satellite, of the
+    intervals that the speed pre-test keeps, each at its first knot.
+
+    With V = ``rate_max`` (:func:`_speed_bound`), h after knot k and
+    h' = H - h before knot k+1, the two parabola bounds of
+    :func:`horizon_screen` sum to at most
+
+        z_k + z_k+1 + V h + V h' + A (h^2 + h'^2) / 2 <= z_k + z_k+1 + V H + A H^2 / 2,
+
+    and so to at most that with the longest interval's H. Where that is
+    negative, one of them is negative at every step, so the interval keeps
+    none. z: (C, U, n) at C consecutive knots; rate_max, accel: (U, n); gap,
+    span: the C - 1 intervals in steps and seconds.
+    """
+    h = span.max()
+    top = z[:-1] + z[1:]
+    live = np.flatnonzero(top >= -(rate_max + 0.5 * accel * h) * h)
+    return live[gap[live // z[0].size] > 1]
+
+
+def _between_knots(z, zdot, live, accel, slack, gap, span, step_s):
     """Steps strictly between knots that the bounds keep: (interval, user,
     satellite, steps after the interval's first knot) arrays. z, zdot: (C,
-    U, n) at C consecutive knots; accel, slack: (U, n); gap, span: the C - 1
-    intervals in steps and seconds."""
-    h = span[:, None, None]
-    half = 0.5 * accel * h * h
+    U, n) at C consecutive knots; live: the intervals to test, as flat
+    indices of their first knot into z (:func:`_speed_test`); accel, slack:
+    (U, n); gap, span: the C - 1 intervals in steps and seconds."""
+    i, pair = np.divmod(live, accel.size)
+    h = span[i]
+    a, d = accel.take(pair), slack.take(pair)
+    z0, z1 = z.take(live), z.take(live + accel.size)
+    v0, v1 = zdot.take(live), zdot.take(live + accel.size)
+    half = 0.5 * a * h * h
     # each bound's larger end value, over the whole interval
-    fwd = zdot[:-1] + slack
-    fwd *= h
-    fwd += z[:-1]
-    fwd += half
-    np.maximum(fwd, z[:-1], out=fwd)
-    bwd = slack - zdot[1:]
-    bwd *= h
-    bwd += z[1:]
-    bwd += half
-    np.maximum(bwd, z[1:], out=bwd)
-    live = (fwd >= 0.0) & (bwd >= 0.0) & (gap > 1)[:, None, None]
-    i, u, s = np.nonzero(live)
+    fwd = np.maximum(z0 + (v0 + d) * h + half, z0)
+    bwd = np.maximum(z1 + (d - v1) * h + half, z1)
+    t = np.flatnonzero((fwd >= 0.0) & (bwd >= 0.0))
+    i, pair = i[t], pair[t]
+    a, d = a[t, None], d[t, None]
+    z0, z1, v0, v1 = z0[t, None], z1[t, None], v0[t, None], v1[t, None]
     # the surviving intervals, step by step
     m = np.arange(1, int(gap.max()))
     after = m * step_s
     before = np.maximum(gap[i, None] - m, 1) * step_s  # positive also where masked
-    a, d = accel[u, s][:, None], slack[u, s][:, None]
-    z0, z1 = z[i, u, s][:, None], z[i + 1, u, s][:, None]
-    keep = z0 + (zdot[i, u, s][:, None] + d) * after + 0.5 * a * after * after >= 0.0
-    keep &= z1 + (d - zdot[i + 1, u, s][:, None]) * before + 0.5 * a * before * before >= 0.0
+    keep = z0 + (v0 + d) * after + 0.5 * a * after * after >= 0.0
+    keep &= z1 + (d - v1) * before + 0.5 * a * before * before >= 0.0
     keep &= m < gap[i, None]
     t, k = np.nonzero(keep)
-    return i[t], u[t], s[t], m[k]
+    u, s = np.divmod(pair[t], z.shape[2])
+    return i[t], u, s, m[k]
 
 
 def pair_geometry_arrays(

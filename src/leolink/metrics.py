@@ -19,7 +19,8 @@ visible samples lasts k * step seconds.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from copy import copy
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -154,7 +155,13 @@ class CoverageSummary:
         return n / self.pass_count
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields by name, the histograms and usage fractions copied:
+        what ``dataclasses.asdict`` gives, without its deep copy of every
+        value (the containers hold only numbers)."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name in ("pass_hist_min", "visible_hist", "usage_fractions"):
+            out[name] = copy(out[name])
+        return out
 
 
 class _IntervalTracker:

@@ -552,8 +552,9 @@ def test_screened_blocks_give_the_cull_off_bytes(tmp_path, monkeypatch):
     # the same scenario with the screen and gathered pairs between knots,
     # then with every step a knot and no cull, writes the same bytes and
     # captures the same records; with the screen each user's candidates
-    # hold the exact cull and go to pair geometry as they are: a mixed
-    # LEO + GEO fleet, 3 users, 2 blocks
+    # hold the exact cull, are the exact cull on the rows that may fail (the
+    # GEO rows, propagated at every step), and go to pair geometry as they
+    # are: a mixed LEO + GEO fleet, 3 users, 2 blocks
     from leolink import engine
     from leolink.fleets import BUILTIN_FLEETS
     from leolink.sgp4batch import SatBatch
@@ -598,10 +599,14 @@ def test_screened_blocks_give_the_cull_off_bytes(tmp_path, monkeypatch):
         # every candidate goes to pair geometry, no other pair
         assert sizes == [len(row) for row, _, _ in cands]
         if cull:
-            assert len(masks) == 2
+            assert len(masks) == 2  # one gathered-pair call per block
+            fail = np.flatnonzero(fleet.may_fail)
+            assert len(fail) == 23
             for (row, step, _), want, b in zip(cands, exact, [512] * 3 + [cfg.n_steps - 512] * 3):
                 assert np.isin(want, row * b + step).all()
                 assert len(row) < fleet.n * b // 2  # and not every pair
+                on_fail = np.isin(row, fail)
+                assert np.array_equal((row * b + step)[on_fail], want[np.isin(want // b, fail)])
             # the echoed option is the only difference in the outputs
             summary = summary.replace(b'"culling": true', b'"culling": false')
         else:

@@ -1,5 +1,6 @@
 import math
 from datetime import timezone, datetime
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -391,6 +392,94 @@ def test_screen_keeps_every_pair_above_the_horizon(
     ratio = float((zdd / accel).max())
     target(ratio, label="largest |z''| / A")
     assert ratio <= 1.0
+
+
+@settings(max_examples=100, deadline=None)
+@example(
+    sats=_jumping_records(), users=_jumping_records()[:3], n_steps=27, step_s=1.0,
+    knot_every=3, start_days=0.0,
+)
+@given(
+    sats=_orbit_records(6),
+    users=_orbit_records(3),
+    n_steps=st.integers(3, 150),
+    step_s=st.sampled_from([1.0, 5.0, 10.0, 30.0, 60.0, 120.0]),
+    knot_every=st.integers(2, 30),
+    start_days=st.floats(-1.0, 1.0),
+)
+def test_screen_keeps_what_both_parabola_bounds_keep(
+    sats, users, n_steps, step_s, knot_every, start_days
+):
+    # the speed pre-test drops nothing: the screen keeps exactly the steps
+    # where both parabola bounds, evaluated at every step with ż from the
+    # velocities, reach the horizon (and at the knots the exact cull); and
+    # V bounds |ż| + D at every knot
+    from hypothesis import assume
+
+    from leolink.propagation import PropagationError
+    from leolink.sgp4batch import SatBatch
+    from leolink.timebase import julian_date
+
+    fleet, crew = SatBatch(sats), SatBatch(users)
+    jd, fr = julian_date(datetime(2021, 3, 20, 9, 37, 29, tzinfo=timezone.utc))
+    frs = fr + start_days + np.arange(n_steps) * (step_s / 86400.0)
+    try:
+        sp, svel = fleet.propagate_jd(jd, frs)
+        up, uvel = crew.propagate_jd(jd, frs)
+    except PropagationError:
+        assume(False)  # a drag orbit that decays in the window
+    knots = np.unique(np.r_[np.arange(0, n_steps, knot_every), n_steps - 1])
+    args = (
+        sp[:, knots], svel[:, knots], up[:, knots], uvel[:, knots], knots, step_s,
+        fleet.orbit_bounds(), crew.orbit_bounds(),
+    )
+    kept = geometry.horizon_screen(*args)
+    # and the same screen taking one satellite and two knot intervals at a time
+    with mock.patch.object(geometry, "_CULL_CHUNK", 32 * 2 * len(users)):
+        chunked = geometry.horizon_screen(*args)
+    # z = sat . û - |user| and ż = v_sat . û + sat . dû/dt - d|user|/dt,
+    # (U, S, K) at the knots
+    s_pos, s_vel, u_pos, u_vel = sp[:, knots], svel[:, knots], up[:, knots], uvel[:, knots]
+    ru = np.linalg.norm(u_pos, axis=-1)
+    uhat = u_pos / ru[..., None]
+    climb = np.einsum("ukc,ukc->uk", uhat, u_vel)
+    turn = (u_vel - uhat * climb[..., None]) / ru[..., None]
+    dot = np.einsum("skc,ukc->usk", s_pos, u_pos)
+    z = (dot - ru[:, None] ** 2) / ru[:, None]
+    zdot = (
+        np.einsum("skc,ukc->usk", s_vel, uhat)
+        + np.einsum("skc,ukc->usk", s_pos, turn)
+        - climb[:, None]
+    )
+    sat_r = np.linalg.norm(s_pos, axis=-1).max(axis=1)
+    accel, slack = geometry._screen_rates(
+        fleet.orbit_bounds(), crew.orbit_bounds(), sat_r, np.diff(knots).max() * step_s
+    )
+    reach = geometry._speed_bound(
+        np.linalg.norm(s_vel, axis=-1).max(axis=1), sat_r,
+        np.linalg.norm(turn, axis=-1).max(axis=1), np.abs(climb).max(axis=1), slack,
+    )
+    assert (reach[..., None] >= np.abs(zdot) + slack[..., None]).all()
+
+    # the dense reference: the exact test at the knots, and between knots
+    # z_k + (ż_k + D) h + A h^2 / 2 >= 0 and z_k+1 + (D - ż_k+1) h' + A h'^2 / 2 >= 0
+    a, d = accel[..., None], slack[..., None]
+    want = np.zeros((len(users), len(sats), n_steps), dtype=bool)
+    want[..., knots] = dot >= ru[:, None] ** 2
+    for k, (k0, k1) in enumerate(zip(knots[:-1], knots[1:])):
+        after = np.arange(1, k1 - k0) * step_s
+        before = (k1 - k0) * step_s - after
+        fwd = z[..., k, None] + (zdot[..., k, None] + d) * after + 0.5 * a * after * after
+        bwd = z[..., k + 1, None] + (d - zdot[..., k + 1, None]) * before + 0.5 * a * before * before
+        want[..., k0 + 1 : k1] = (fwd >= 0.0) & (bwd >= 0.0)
+    # a pair on the plane to rounding at a knot (a satellite that is the
+    # user) may fall on either side there, so it is left out
+    on_plane = np.zeros_like(want)
+    on_plane[..., knots] = np.abs(dot - ru[:, None] ** 2) <= 1e-12 * ru[:, None] ** 2
+    for w, *screens, tie in zip(want, kept, chunked, on_plane):
+        for keys in screens:
+            keys = np.setdiff1d(keys, np.flatnonzero(tie))
+            assert np.array_equal(keys, np.flatnonzero(w & ~tie))
 
 
 def test_screen_peak_memory_is_bounded_by_its_output():

@@ -85,6 +85,20 @@ def test_summary_usage_fractions():
     assert s.serving_steps == 3
 
 
+def test_summary_to_dict_is_asdict_with_copied_containers():
+    # the same dict as dataclasses.asdict, key order included, whose
+    # containers the caller may change without changing the summary
+    from dataclasses import asdict
+
+    recs = records_from_pattern({3: "TTFFTTTFTF", 7: "FTTTFFFTTT"})
+    recs[1] = StepRecord(1, recs[1].visible, serving=7)
+    s = summarize(recs, STEP, F, constellation_of={3: "a", 7: "b"})
+    d = s.to_dict()
+    assert d == asdict(s) and list(d) == list(asdict(s))
+    for name in ("pass_hist_min", "visible_hist", "usage_fractions"):
+        assert d[name] == getattr(s, name) and d[name] is not getattr(s, name)
+
+
 def test_single_satellite_passes_equal_accesses():
     recs = records_from_pattern({3: "TTFFTTTFTF"})
     passes = extract_passes(recs, 3, STEP)
