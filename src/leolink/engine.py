@@ -3,19 +3,20 @@
 Propagates every constellation satellite and user over the configured
 window in time blocks. Per block, users are propagated at every step and
 the fleet exactly only at knots, about every ``_KNOT_S`` seconds. One
-horizon screen for all users (:func:`geometry.horizon_screen`) bounds each
-(user, satellite) pair's height above the user's horizon plane between
-knots and keeps, per user, the (satellite row, step) pairs that may be at
-or above it, in (row, step) order. Between knots the fleet is then
-propagated only at the pairs any user keeps, in one
+elevation screen for all users (:func:`geometry.horizon_screen`) bounds
+each (user, satellite) pair's height above the user's horizon plane
+between knots, against the least height at which the satellite can clear
+the elevation mask, and keeps, per user, the (satellite row, step) pairs
+that may be at or above the mask, in (row, step) order. Between knots the
+fleet is then propagated only at the pairs any user keeps, in one
 :meth:`SatBatch.propagate_pairs` call per block. Rows whose propagation
 can fail are propagated there at every step, so a failure is raised as a
 block without the screen raises it; the screen leaves them out and gives
-them the exact horizon test at every step once they are propagated, and
-a fleet whose rows all can fail (a GEO fleet) has a knot at every step.
+them the same test at every step once they are propagated, and a fleet
+whose rows all can fail (a GEO fleet) has a knot at every step.
 ``cull=False`` makes every step a knot and every pair a candidate
-instead. Per user, the two-sided visibility predicate, whose
-elevation test is the exact horizon test, the selection policy and the
+instead. Per user, the two-sided visibility predicate, whose elevation
+test is the one exact test of the mask, the selection policy and the
 streaming metric accumulators run on the kept pairs only. Users are
 independent units of parallelism inside each block, so results are
 identical for any thread count, and satellite states are bit-identical
@@ -33,7 +34,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from datetime import timedelta
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -56,13 +57,13 @@ from .tle import elements_to_tle
 from .walker import build_walker, shell_angles
 
 
-# Knot spacing of the horizon screen [s]: the fleet is propagated exactly
+# Knot spacing of the elevation screen [s]: the fleet is propagated exactly
 # every round(_KNOT_S / step) steps. On the first block of iss_leo (512
-# steps) and of population_mc (121 steps), both at 10 s steps, knots every
-# 60, 120 and 240 s left 18%, 10% and 7% (iss_leo) and 41%, 38% and 48%
-# (population_mc) of the satellite-steps to propagate, and the screen took
-# 41, 27 and 18 ms (iss_leo) and 295, 183 and 230 ms (population_mc) on a
-# 2-vCPU host in October 2026.
+# steps) and of population_mc (121 steps), both at 10 s steps and a 25 deg
+# mask, knots every 60, 120 and 240 s left 17%, 9% and 6% (iss_leo) and
+# 24%, 21% and 35% (population_mc) of the satellite-steps to propagate, and
+# the screen took 45, 31 and 25 ms (iss_leo) and 262, 181 and 268 ms
+# (population_mc) on a 2-vCPU host in October 2026.
 _KNOT_S = 120.0
 
 
@@ -347,8 +348,9 @@ def _block_states(cfg, fleet, user_bounds, jd, fr, knots, k_pos, k_vel, u_pos, u
     or whose row may fail. Per user, cand holds the candidate (row, step)
     pairs in (row, step) order and each one's index into pos and vel: with
     the cull on, the pairs the screen keeps, else every pair. Rows that
-    may fail are propagated at every step, so they get the exact cull
-    there, after the one gathered-pair call; the screen bounds the others."""
+    may fail are propagated at every step, so they get the screen's knot
+    test at every step there, after the one gathered-pair call; the screen
+    bounds the others between knots."""
     n_sat, n_knot = k_pos.shape[:2]
     n_steps = len(fr)
     pos, vel = k_pos.reshape(-1, 3), k_vel.reshape(-1, 3)
@@ -356,12 +358,12 @@ def _block_states(cfg, fleet, user_bounds, jd, fr, knots, k_pos, k_vel, u_pos, u
         every = np.arange(n_sat * n_steps)
         return pos, vel, [(*np.divmod(every, n_steps), every)] * len(u_pos)
     # the rows that may fail, unless every step is a knot (then every row
-    # gets the exact cull from the screen)
+    # gets the knot test at every step from the screen)
     dense = np.flatnonzero(fleet.may_fail) if n_knot < n_steps else np.arange(0)
     screened = np.flatnonzero(~fleet.may_fail) if len(dense) else slice(None)
     keys = horizon_screen(
         k_pos[screened], k_vel[screened], u_pos[:, knots], u_vel[:, knots], knots, cfg.step_s,
-        [b[screened] for b in fleet.bounds], user_bounds,
+        [b[screened] for b in fleet.bounds], user_bounds, cfg.min_elevation_deg,
     )
     if len(dense):
         keys = _fleet_keys(keys, screened, n_steps)
@@ -384,11 +386,15 @@ def _block_states(cfg, fleet, user_bounds, jd, fr, knots, k_pos, k_vel, u_pos, u
     offset = np.zeros(n_sat, dtype=np.int64)
     np.cumsum(rank[:-1, -1], dtype=np.int64, out=offset[1:])
     offset += n_sat * n_knot - 1
-    if len(dense):  # the exact cull on every step of the rows that may fail
+    if len(dense):  # the knot test on every step of the rows that may fail
         d_pos = np.empty((len(dense), n_steps, 3))
         d_pos[:, knots] = k_pos[dense]
         d_pos[:, knot_of < 0] = pos[offset[dense, None] + np.arange(1, n_steps - n_knot + 1)]
-        exact = _fleet_keys(horizon_screen(d_pos, None, u_pos, None, np.arange(n_steps)), dense, n_steps)
+        exact = horizon_screen(
+            d_pos, None, u_pos, None, np.arange(n_steps), cfg.step_s,
+            [b[dense] for b in fleet.bounds], user_bounds, cfg.min_elevation_deg,
+        )
+        exact = _fleet_keys(exact, dense, n_steps)
         keys = [np.sort(np.concatenate([k, e]), kind="stable") for k, e in zip(keys, exact)]
     rank = rank.ravel()
     cand = []
@@ -482,6 +488,8 @@ def _write_outputs(cfg: ScenarioConfig, manifest: RunManifest, out_dir: Path) ->
     with _replacing(out_dir / "summary.json") as fh:
         fh.write(json.dumps(summary, indent=2) + "\n")
 
+    # an interval end is one of at most n_steps instants, so each is formatted once
+    stamp = lru_cache(maxsize=None)(partial(_step_iso, cfg))
     with _replacing(out_dir / "pass_access.csv", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["user_id", "kind", "sat_id", "start_iso", "end_iso", "duration_min"])
@@ -489,12 +497,12 @@ def _write_outputs(cfg: ScenarioConfig, manifest: RunManifest, out_dir: Path) ->
             uid = u.spec.user_id
             for sat, s, e in u.passes:
                 w.writerow(
-                    [uid, "pass", sat, _step_iso(cfg, s), _step_iso(cfg, e),
+                    [uid, "pass", sat, stamp(s), stamp(e),
                      f"{(e - s + 1) * cfg.step_s / 60.0:.4f}"]
                 )
             for s, e in u.accesses:
                 w.writerow(
-                    [uid, "access", "", _step_iso(cfg, s), _step_iso(cfg, e),
+                    [uid, "access", "", stamp(s), stamp(e),
                      f"{(e - s + 1) * cfg.step_s / 60.0:.4f}"]
                 )
 

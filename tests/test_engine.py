@@ -552,9 +552,12 @@ def test_screened_blocks_give_the_cull_off_bytes(tmp_path, monkeypatch):
     # the same scenario with the screen and gathered pairs between knots,
     # then with every step a knot and no cull, writes the same bytes and
     # captures the same records; with the screen each user's candidates
-    # hold the exact cull, are the exact cull on the rows that may fail (the
-    # GEO rows, propagated at every step), and go to pair geometry as they
-    # are: a mixed LEO + GEO fleet, 3 users, 2 blocks
+    # hold every pair at or above the elevation mask, hold on the rows that
+    # may fail (the GEO rows, propagated at every step) no pair more than
+    # the stated margin below the screen's elevation floor, and go to pair
+    # geometry as they are: a mixed LEO + GEO fleet, 3 users, 2 blocks
+    import math
+
     from leolink import engine
     from leolink.fleets import BUILTIN_FLEETS
     from leolink.sgp4batch import SatBatch
@@ -566,16 +569,29 @@ def test_screened_blocks_give_the_cull_off_bytes(tmp_path, monkeypatch):
         duration_s=700 * 10.0,
         capture_records=True,
     )
-    # each user's exact cull, block by block, as keys row * B + step:
-    # dot(sat, user) >= |user|^2
+    # per user and block, as keys row * B + step: the elevation test of pair
+    # geometry, sin(el) >= sin(min_elevation), and the pairs whose height
+    # z = sat . û - |user| above the horizon plane is at least the floor
+    # c = sin e (sqrt(r_s^2 - r_u^2 cos^2 e) - r_u sin e) at the block's
+    # largest user radius and least satellite radius (within the orbit
+    # bounds), lowered by the margin of 1e-9 r_s + 1 mm (and 1 um for the
+    # rounding of z)
+    e = math.radians(cfg.min_elevation_deg)
     jd0, fr0 = julian_date(EPOCH)
     fleet, crew = engine._Fleet(cfg), SatBatch(engine._user_records(cfg))
-    exact = []
+    (s_lo, _, _), (_, u_hi, _) = fleet.bounds, crew.orbit_bounds()
+    exact, floor = [], []
     for t0 in (0, 512):
         fr = fr0 + np.arange(t0, min(t0 + 512, cfg.n_steps)) * (cfg.step_s / 86400.0)
-        sp, up = fleet.propagate_block(jd0, fr)[0], crew.propagate_jd(jd0, fr)[0]
-        above = np.einsum("sbk,ubk->usb", sp, up) >= np.einsum("ubk,ubk->ub", up, up)[:, None]
-        exact += [np.flatnonzero(a) for a in above]
+        (sp, sv), (up, uv) = fleet.propagate_block(jd0, fr), crew.propagate_jd(jd0, fr)
+        for p, v, hi in zip(up, uv, u_hi):
+            _, _, sin_el, _, r_s = engine.pair_geometry_arrays(sp, sv, p, v)
+            exact.append(np.flatnonzero(sin_el >= math.sin(e)))
+            r_u = np.linalg.norm(p, axis=-1)
+            z = np.einsum("sbk,bk->sb", sp, p / r_u[:, None]) - r_u
+            r_u, r_s = min(hi, r_u.max()), np.maximum(s_lo, r_s.min(axis=1))[:, None]
+            c = math.sin(e) * (np.sqrt(np.maximum(r_s**2 - (r_u * math.cos(e)) ** 2, 0.0)) - r_u * math.sin(e))
+            floor.append(np.flatnonzero(z >= c - (1e-9 * r_s + 1e-6) - 1e-9))
     block_states, geometry = engine._block_states, engine.pair_geometry_arrays
 
     def states(*args):
@@ -602,11 +618,12 @@ def test_screened_blocks_give_the_cull_off_bytes(tmp_path, monkeypatch):
             assert len(masks) == 2  # one gathered-pair call per block
             fail = np.flatnonzero(fleet.may_fail)
             assert len(fail) == 23
-            for (row, step, _), want, b in zip(cands, exact, [512] * 3 + [cfg.n_steps - 512] * 3):
+            blocks = [512] * 3 + [cfg.n_steps - 512] * 3
+            for (row, step, _), want, top, b in zip(cands, exact, floor, blocks):
                 assert np.isin(want, row * b + step).all()
                 assert len(row) < fleet.n * b // 2  # and not every pair
                 on_fail = np.isin(row, fail)
-                assert np.array_equal((row * b + step)[on_fail], want[np.isin(want // b, fail)])
+                assert np.isin((row * b + step)[on_fail], top).all()
             # the echoed option is the only difference in the outputs
             summary = summary.replace(b'"culling": true', b'"culling": false')
         else:
@@ -615,6 +632,32 @@ def test_screened_blocks_give_the_cull_off_bytes(tmp_path, monkeypatch):
         outputs.append([summary, (out / "pass_access.csv").read_bytes(), [u.records for u in m.users]])
     assert outputs[0] == outputs[1]
     assert any(r.visible for u in outputs[0][2] for r in u)
+
+
+@pytest.mark.parametrize("min_el", [0.0, 10.0, 60.0])
+def test_elevation_screen_gives_the_cull_off_bytes_with_a_deep_space_user(tmp_path, min_el):
+    # a mixed LEO + GEO fleet and a Molniya user (deep space: no speed
+    # bound, so the screen narrows its floor from the orbit bounds alone)
+    # among LEO users: the cull on and off write the same bytes, at the
+    # mask 0 (a floor of 0) and above it
+    from leolink.fleets import BUILTIN_FLEETS
+
+    molniya = UserSpec(9, KeplerianElements(26560.0, 0.7, 63.4, 40.0, 270.0, 0.0, EPOCH), "explicit")
+    cfg = mini_cfg(
+        constellations=[*mini_cfg().constellations, BUILTIN_FLEETS["eutelsat_geo"]],
+        users=[preset("iss", epoch=EPOCH), *random_users(2, 7), molniya],
+        duration_s=700 * 10.0,
+        min_elevation_deg=min_el,
+    )
+    outputs = []
+    for cull in (True, False):
+        out = tmp_path / str(cull)
+        run(replace(cfg, cull=cull, output_dir=out))
+        summary = (out / "summary.json").read_bytes().replace(b'"culling": true', b'"culling": false')
+        outputs.append((summary, (out / "pass_access.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+    # the Molniya user sees a satellite at every mask
+    assert b"\n9,pass," in outputs[0][1]
 
 
 def test_decay_in_a_sparse_block_raises_the_dense_error(monkeypatch):

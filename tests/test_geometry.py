@@ -56,6 +56,17 @@ def test_coincident_positions_error():
         relative_geometry(sv((7000.0, 0, 0)), sv((7000.0, 0, 0)))
 
 
+def test_coincident_pair_is_not_visible_in_the_array_kernel():
+    # a user on a satellite's orbit and phase: no direction, no warning,
+    # and never visible, while the other pairs keep their geometry
+    pos = np.array([[7000.0, 0.0, 0.0], [7000.0, 10.0, 0.0]])
+    vel = np.array([[0.0, 7.5, 0.0], [0.0, 7.5, 0.0]])
+    rng, rr, sin_el, cos_off, rs = pair_geometry_arrays(pos, vel, pos[0], vel[0])
+    assert rng[0] == 0.0 and np.isnan([rr[0], sin_el[0], cos_off[0]]).all()
+    assert rng[1] == 10.0 and rs[0] == 7000.0 and np.isfinite([rr[1], sin_el[1], cos_off[1]]).all()
+    assert not visible_mask_arrays(sin_el, cos_off, 0.0, -1.0)[0]
+
+
 def test_earth_limb_half_cone_values():
     assert earth_limb_half_cone(1e-6) == pytest.approx(90.0, abs=0.1)
     assert earth_limb_half_cone(1200.0) == pytest.approx(
@@ -397,6 +408,69 @@ def test_screen_keeps_every_pair_above_the_horizon(
 @settings(max_examples=100, deadline=None)
 @example(
     sats=_jumping_records(), users=_jumping_records()[:3], n_steps=27, step_s=1.0,
+    knot_every=3, start_days=0.0, min_el=25.0,
+)
+@given(
+    sats=_orbit_records(6),
+    users=_orbit_records(3),
+    n_steps=st.integers(3, 150),
+    step_s=st.sampled_from([1.0, 5.0, 10.0, 30.0, 60.0, 120.0]),
+    knot_every=st.integers(2, 30),
+    start_days=st.floats(-1.0, 1.0),
+    min_el=st.one_of(st.just(0.0), st.floats(0.0, 90.0, exclude_max=True)),
+)
+def test_screen_keeps_every_pair_above_the_elevation_mask(
+    sats, users, n_steps, step_s, knot_every, start_days, min_el
+):
+    # no pair that pair geometry puts at or above the elevation mask is
+    # dropped by the screen, and between two knots each radius stays within
+    # the sag of its values there (hypothesis reports the largest excursion
+    # / sag it saw; objects without a speed bound have an infinite sag)
+    from hypothesis import assume, target
+
+    from leolink.propagation import PropagationError
+    from leolink.sgp4batch import SatBatch
+    from leolink.timebase import julian_date
+
+    fleet, crew = SatBatch(sats), SatBatch(users)
+    jd, fr = julian_date(datetime(2021, 3, 20, 9, 37, 29, tzinfo=timezone.utc))
+    frs = fr + start_days + np.arange(n_steps) * (step_s / 86400.0)
+    try:
+        sp, svel = fleet.propagate_jd(jd, frs)
+        up, uvel = crew.propagate_jd(jd, frs)
+    except PropagationError:
+        assume(False)  # a drag orbit that decays in the window
+    knots = np.unique(np.r_[np.arange(0, n_steps, knot_every), n_steps - 1])
+    kept = geometry.horizon_screen(
+        sp[:, knots], svel[:, knots], up[:, knots], uvel[:, knots], knots, step_s,
+        fleet.orbit_bounds(), crew.orbit_bounds(), min_el,
+    )
+    sin_min = math.sin(math.radians(min_el))
+    for p, v, keys in zip(up, uvel, kept):
+        # a satellite that is the user has no elevation (0 / 0)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            _, _, sin_el, _, _ = pair_geometry_arrays(sp, svel, p, v)
+        visible = sin_el >= sin_min
+        # at the mask 0 a pair on the horizon plane to rounding may fall on
+        # either side (above 0 the screen lowers its floor by a margin)
+        ru2 = np.sum(p * p, axis=-1)
+        visible &= np.abs(np.einsum("sbk,bk->sb", sp, p) - ru2) > 1e-12 * ru2
+        assert np.isin(np.flatnonzero(visible), keys).all()
+
+    worst = 0.0
+    for pos, bounds in ((sp, fleet.orbit_bounds()), (up, crew.orbit_bounds())):
+        r = np.linalg.norm(pos, axis=-1)
+        for k0, k1 in zip(knots[:-1], knots[1:]):
+            ends, inner = r[:, [k0, k1]], r[:, k0 : k1 + 1]
+            out = np.maximum(ends.min(axis=1) - inner.min(axis=1), inner.max(axis=1) - ends.max(axis=1))
+            worst = max(worst, float((out / geometry._radius_sag(bounds, (k1 - k0) * step_s)).max()))
+    target(worst, label="largest radius excursion / sag")
+    assert worst <= 1.0
+
+
+@settings(max_examples=100, deadline=None)
+@example(
+    sats=_jumping_records(), users=_jumping_records()[:3], n_steps=27, step_s=1.0,
     knot_every=3, start_days=0.0,
 )
 @given(
@@ -480,6 +554,34 @@ def test_screen_keeps_what_both_parabola_bounds_keep(
         for keys in screens:
             keys = np.setdiff1d(keys, np.flatnonzero(tie))
             assert np.array_equal(keys, np.flatnonzero(w & ~tie))
+
+
+def test_pretest_threshold_is_the_dense_bound():
+    # the pre-test's (U, 5) x (5, n) product is -(V + A H / 2) H from the
+    # dense V and A, to rounding, and -inf for every pair with an object
+    # that has no speed bound
+    from leolink.constants import MU_EARTH
+
+    rng = np.random.default_rng(8)
+    h = 120.0
+
+    def bounds(n, deep):
+        lo = EARTH_RADIUS_KM + rng.uniform(300.0, 2000.0, n)
+        v = np.sqrt(MU_EARTH / lo) * 1.2
+        v[deep] = np.inf
+        return lo, lo * rng.uniform(1.0, 1.5, n), v
+
+    sat_bounds, user_bounds = bounds(7, [2]), bounds(4, [1])
+    sat_r, speed = sat_bounds[1] * 0.99, rng.uniform(6.0, 8.0, 7)
+    turn, climb = rng.uniform(1e-3, 2e-3, 4), rng.uniform(0.0, 0.1, 4)
+    accel, slack = geometry._screen_rates(sat_bounds, user_bounds, sat_r, h)
+    want = -(geometry._speed_bound(speed, sat_r, turn, climb, slack) + 0.5 * accel * h) * h
+    rows = geometry._reach_rows(geometry._user_factors(user_bounds), turn, climb, h)
+    got = geometry._reach(rows, h, geometry._sat_factors(sat_bounds, sat_r, h), speed, sat_r)
+    free = np.zeros((4, 7), dtype=bool)
+    free[1], free[:, 2] = True, True
+    assert np.array_equal(np.isinf(want), free) and (got[free] == -np.inf).all()
+    assert np.allclose(got[~free], want[~free], rtol=1e-13, atol=0.0)
 
 
 def test_screen_peak_memory_is_bounded_by_its_output():
