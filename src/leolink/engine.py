@@ -361,9 +361,10 @@ def _block_states(cfg, fleet, user_bounds, jd, fr, knots, k_pos, k_vel, u_pos, u
     # gets the knot test at every step from the screen)
     dense = np.flatnonzero(fleet.may_fail) if n_knot < n_steps else np.arange(0)
     screened = np.flatnonzero(~fleet.may_fail) if len(dense) else slice(None)
+    u_top = np.sqrt(np.einsum("ubk,ubk->ub", u_pos, u_pos).max(axis=1))
     keys = horizon_screen(
         k_pos[screened], k_vel[screened], u_pos[:, knots], u_vel[:, knots], knots, cfg.step_s,
-        [b[screened] for b in fleet.bounds], user_bounds, cfg.min_elevation_deg,
+        [b[screened] for b in fleet.bounds], user_bounds, cfg.min_elevation_deg, u_top,
     )
     if len(dense):
         keys = _fleet_keys(keys, screened, n_steps)
@@ -392,7 +393,7 @@ def _block_states(cfg, fleet, user_bounds, jd, fr, knots, k_pos, k_vel, u_pos, u
         d_pos[:, knot_of < 0] = pos[offset[dense, None] + np.arange(1, n_steps - n_knot + 1)]
         exact = horizon_screen(
             d_pos, None, u_pos, None, np.arange(n_steps), cfg.step_s,
-            [b[dense] for b in fleet.bounds], user_bounds, cfg.min_elevation_deg,
+            [b[dense] for b in fleet.bounds], user_bounds, cfg.min_elevation_deg, u_top,
         )
         exact = _fleet_keys(exact, dense, n_steps)
         keys = [np.sort(np.concatenate([k, e]), kind="stable") for k, e in zip(keys, exact)]

@@ -191,6 +191,7 @@ def horizon_screen(
     sat_bounds: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     user_bounds: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     min_elevation_deg: float = 0.0,
+    user_r_max: np.ndarray | None = None,
 ) -> list[np.ndarray]:
     """Conservative elevation cull of one time block for every user, from
     exact states at knot steps only.
@@ -204,10 +205,10 @@ def horizon_screen(
         elevation >= 0  <=>  dot(sat, user) >= |user|^2  <=>  z >= 0.
 
     c rises with |sat| and falls with |user|, so the screen takes one c per
-    pair, from the satellite's least and the user's largest radius between
-    knots (:func:`_radius_sag`), and tests z - c >= 0. At a knot the test
-    is exact for that c. Between knots k and k+1, h after knot k and
-    h' = H - h before knot k+1, z - c is at most
+    pair, from the user's largest radius over the block's steps and the
+    satellite's least radius between knots (:func:`_radius_sag`), and tests
+    z - c >= 0. At a knot the test is exact for that c. Between knots k and
+    k+1, h after knot k and h' = H - h before knot k+1, z - c is at most
 
         z_k - c + (ż_k + D) h + A h^2 / 2   and   z_k+1 - c + (D - ż_k+1) h' + A h'^2 / 2,
 
@@ -224,17 +225,18 @@ def horizon_screen(
     the last the block's last step; step_s: the step [s]; sat_bounds and
     user_bounds: each object's (r_lo, r_hi, v_hi) from
     :meth:`SatBatch.orbit_bounds`; an infinite v_hi (no bound) keeps every
-    pair with that object at every step. Velocities and bounds are read only if
-    some knots are more than one step apart, or bounds (to narrow c) for a
-    mask above 0. Returns, per user, the kept
-    pairs as keys row * B + step, ascending (in (row, step) order). The
-    products are (U, 3) x (3, satellites) per knot. With a knot at every
+    pair with that object at every step. Velocities and user_bounds are
+    read only if some knots are more than one step apart; sat_bounds, if
+    given, narrow c. user_r_max: (U,) each user's largest radius over the
+    block's steps [km], needed for a mask above 0 if some knots are more
+    than one step apart, else the largest at the knots. Returns, per user,
+    the kept pairs as keys row * B + step, ascending (in (row, step) order).
+    The products are (U, 3) x (3, satellites) per knot. With a knot at every
     step they are taken a few knots and satellites at a time; else all the
     knots of a satellite tile at once, so each knot's product is made once
     (a few knots at a time only where one satellite's knots overrun the
-    tile). They, c and the pre-test's threshold cover at most
-    ``_GEMM_SIZE`` / 3 (user, satellite) pairs at once, so no (U, S) array
-    is built.
+    tile). They, c and the bounds A, D and V cover at most ``_GEMM_SIZE``
+    / 3 (user, satellite) pairs at once, so no (U, S) array is built.
     """
     n_sat, n_knot, _ = sat_pos.shape
     n_user = user_pos.shape[0]
@@ -248,11 +250,10 @@ def horizon_screen(
     budget = _CULL_CHUNK
     span = gap * step_s
     h = float(span.max()) if screened else 0.0
-    masked = min_elevation_deg > 0.0
-    if masked:
-        u_top = ru.max(axis=0)
-        if user_bounds is not None:
-            u_top = np.minimum(user_bounds[1], u_top + _radius_sag(user_bounds, h))
+    if user_r_max is None:
+        if screened and min_elevation_deg > 0.0:
+            raise ValueError("a mask above 0 between knots needs each user's largest radius")
+        user_r_max = ru.max(axis=0)
     if screened:
         uhat = user_pos.transpose(1, 0, 2) / ru[..., None]
         uvel = user_vel.transpose(1, 0, 2)
@@ -261,8 +262,6 @@ def horizon_screen(
         lead = np.concatenate([uhat, (uvel - uhat * rdot[..., None]) / ru[..., None]], axis=2)
         turn = np.sqrt(np.einsum("buk,buk->bu", lead[..., 3:], lead[..., 3:]).max(axis=0))
         climb = np.abs(rdot).max(axis=0)
-        user_f = _user_factors(user_bounds)
-        user_rows = _reach_rows(user_f, turn, climb, h)
         # all the knots of a narrower satellite tile at once, so that each
         # knot's product, z and ż are made once
         budget = _CULL_CHUNK // 32
@@ -273,49 +272,41 @@ def horizon_screen(
         n = len(sats)
         tile = slice(s0, s0 + n)
         chunk = max(1, budget // (n * n_user))
-        floor = None
-        if masked or screened:
-            sat_low, sat_r = _radius_range(sats, chunk)
-        if masked:
-            if sat_bounds is not None:
-                sag = _radius_sag([b[tile] for b in sat_bounds], h)
-                sat_low = np.maximum(sat_bounds[0][tile], sat_low - sag)
-            floor = _elevation_floor(u_top, sat_low, min_elevation_deg)  # (U, n), like the products
+        sat_low, sat_r = _radius_range(sats, chunk)
+        if sat_bounds is not None:
+            sag = _radius_sag([b[tile] for b in sat_bounds], h)
+            sat_low = np.maximum(sat_bounds[0][tile], sat_low - sag)
+        floor = _elevation_floor(user_r_max, sat_low, min_elevation_deg)  # (U, n), like the products
         if screened:
             vels = sat_vel[tile]
             speed = np.sqrt(np.einsum("sbk,sbk->sb", vels, vels).max(axis=1))
-            sat_f = _sat_factors([b[tile] for b in sat_bounds], sat_r, h)
-            reach = _reach(user_rows, h, sat_f, speed, sat_r)
+            accel, slack = _screen_rates([b[tile] for b in sat_bounds], user_bounds, sat_r, h)
+            rate_max = _speed_bound(speed, sat_r, turn, climb, slack)
         b0 = 0
         while True:
             b1 = min(n_knot - 1, b0 + chunk)
             kn = slice(b0, b1 + 1)
-            between = screened and (gap[b0:b1] > 1).any()
             # strided (C, U, 3) x (C, 3, n) views, multiplied without copies
             dot = np.matmul(user_pos[:, kn].transpose(1, 0, 2), sats[:, kn].transpose(1, 2, 0))
             # knots b0 .. b1 - 1 here; the last knot with the last chunk
             n_own = b1 - b0 + (b1 == n_knot - 1)
-            if floor is None and not between:
-                above = dot[:n_own] >= ru2[b0 : b0 + n_own, :, None]
-            else:
-                z = dot  # dot's last use: z = (dot - |user|^2) / |user| - c
-                z -= ru2[kn, :, None]
-                z /= ru[kn, :, None]
-                if floor is not None:
-                    z -= floor
-                above = z[:n_own] >= 0.0
+            z = dot  # dot's last use: z = (dot - |user|^2) / |user| - c
+            z -= ru2[kn, :, None]
+            z /= ru[kn, :, None]
+            z -= floor
+            above = z[:n_own] >= 0.0
             # flat index (b * U + u) * n + s
             b, us = np.divmod(np.flatnonzero(above), n_user * n)
             u, s = np.divmod(us, n)
             keys.append((u * n_sat + s0 + s) * n_steps + knots[b0 + b])
-            if between:
-                live = _speed_test(z, reach, gap[b0:b1])
+            if screened and (gap[b0:b1] > 1).any():
+                live = _speed_test(z, rate_max, accel, gap[b0:b1], span[b0:b1])
                 if len(live):
                     both = np.concatenate([vels[:, kn], sats[:, kn]], axis=2)
                     zdot = np.matmul(lead[kn], both.transpose(1, 2, 0))
                     zdot -= rdot[kn, :, None]
                     i, u, s, step = _between_knots(
-                        z, zdot, live, sat_f, user_f, gap[b0:b1], span[b0:b1], step_s
+                        z, zdot, live, accel, slack, gap[b0:b1], span[b0:b1], step_s
                     )
                     keys.append((u * n_sat + s0 + s) * n_steps + knots[b0 + i] + step)
             dot = z = zdot = above = None  # freed before the next chunk's product is made
@@ -378,9 +369,12 @@ def _elevation_floor(r_user, r_sat, min_elevation_deg):
     which rises with r_s and falls with r_u. It is lowered by 1e-9 of r_s
     plus 1 mm, so that a pair the predicate decides to be on the mask from
     its own rounded sin(el) stays kept, and clamped at 0 (where it is
-    negative or r_s < r_u cos e, z >= 0 is the tighter test)."""
+    negative or r_s < r_u cos e, z >= 0 is the tighter test). At e = 0 it
+    is 0."""
     e = math.radians(min_elevation_deg)
     sin_e, cos_e = math.sin(e), math.cos(e)
+    if sin_e == 0.0:
+        return np.zeros((len(r_user), len(r_sat)))
     c = r_sat * r_sat - np.square(r_user * cos_e)[:, None]
     np.maximum(c, 0.0, out=c)
     np.sqrt(c, out=c)
@@ -388,38 +382,6 @@ def _elevation_floor(r_user, r_sat, min_elevation_deg):
     c *= sin_e
     c -= 1e-9 * r_sat + 1e-6
     return np.maximum(c, 0.0, out=c)
-
-
-def _sat_factors(sat_bounds, sat_r_knots, span_max):
-    """The satellite factors (n,) of A and D (:func:`_rates`): gravity at
-    r_lo widened by ``_ACCEL_MARGIN``, v_hi, and the bound on |sat|."""
-    s_lo, s_hi, s_v = sat_bounds
-    s_acc = (1.0 + _ACCEL_MARGIN) * MU_EARTH / s_lo**2
-    s_r = np.minimum(s_hi, sat_r_knots + 0.5 * span_max * s_v)
-    return s_acc, s_v, s_r
-
-
-def _user_factors(user_bounds):
-    """The user factors (U,) of A and D (:func:`_rates`): 2 |û'|, the bound
-    on |û''|, on |r''|, v_hi and r_lo."""
-    u_lo, u_hi, u_v = user_bounds
-    mu = MU_EARTH
-    u_acc = (1.0 + _ACCEL_MARGIN) * mu / u_lo**2
-    u_e, u_rdd = _radial_accel(u_lo, u_hi)
-    u_ang = u_v / u_lo
-    u_rd = u_e * np.sqrt(mu / u_lo)
-    u_ang2 = (u_acc + u_rdd + 2.0 * u_rd * u_ang) / u_lo
-    return 2.0 * u_ang, u_ang2, u_rdd, u_v, u_lo
-
-
-def _rates(sat_f, user_f):
-    """(A, D) from :func:`_sat_factors` and :func:`_user_factors`, each
-    taken at the same pairs or broadcast against each other."""
-    s_acc, s_v, s_r = sat_f
-    two_ang, u_ang2, u_rdd, u_v, u_lo = user_f
-    accel = s_acc + two_ang * s_v + u_ang2 * s_r + u_rdd
-    slack = _VELOCITY_SLACK * (s_v + u_v * (1.0 + s_r / u_lo))
-    return accel, slack
 
 
 def _screen_rates(sat_bounds, user_bounds, sat_r_knots, span_max):
@@ -438,12 +400,21 @@ def _screen_rates(sat_bounds, user_bounds, sat_r_knots, span_max):
     |r''| <= mu e / r_p^2 and |r'| <= e sqrt(mu / p) <= e sqrt(mu / r_p),
     with e <= (r_hi - r_lo) / (r_hi + r_lo). |sat| is at most r_hi, and at
     most the largest knot radius plus v_hi times half the longest knot
-    interval (for drag orbits, whose r_hi is infinite). Each bound is a sum
-    of satellite and user factors, so the screen forms A and D only at the
-    pairs it tests between knots.
+    interval (for drag orbits, whose r_hi is infinite).
     """
-    sat_f = _sat_factors(sat_bounds, sat_r_knots, span_max)
-    return _rates(sat_f, [f[:, None] for f in _user_factors(user_bounds)])
+    s_lo, s_hi, s_v = sat_bounds
+    u_lo, u_hi, u_v = user_bounds
+    mu = MU_EARTH
+    s_acc = (1.0 + _ACCEL_MARGIN) * mu / s_lo**2
+    s_r = np.minimum(s_hi, sat_r_knots + 0.5 * span_max * s_v)
+    u_acc = (1.0 + _ACCEL_MARGIN) * mu / u_lo**2
+    u_e, u_rdd = _radial_accel(u_lo, u_hi)
+    u_ang = u_v / u_lo
+    u_rd = u_e * np.sqrt(mu / u_lo)
+    u_ang2 = (u_acc + u_rdd + 2.0 * u_rd * u_ang) / u_lo
+    accel = s_acc + 2.0 * u_ang[:, None] * s_v + u_ang2[:, None] * s_r + u_rdd[:, None]
+    slack = _VELOCITY_SLACK * (s_v + u_v[:, None] * (1.0 + s_r / u_lo[:, None]))
+    return accel, slack
 
 
 def _speed_bound(sat_speed, sat_r, turn, climb, slack):
@@ -454,96 +425,50 @@ def _speed_bound(sat_speed, sat_r, turn, climb, slack):
     Cauchy-Schwarz |ż| <= |v_sat| + |sat| |dû/dt| + |d|user|/dt|.
     sat_speed, sat_r: (n,) each satellite's largest speed and radius at the
     knots; turn, climb: (U,) each user's largest |dû/dt| and |d|user|/dt|
-    there. The factor 1 + 1e-9 covers the rounding of ż, and of the
-    pre-test's threshold (:func:`_reach`).
+    there. The factor 1 + 1e-9 covers the rounding of ż.
     """
     return (sat_speed + turn[:, None] * sat_r + climb[:, None]) * (1.0 + 1e-9) + slack
 
 
-def _reach_rows(user_f, turn, climb, h):
-    """The user rows (U, 5) of :func:`_reach`'s product, with H = h."""
-    two_ang, u_ang2, u_rdd, u_v, u_lo = user_f
-    grow = 1.0 + 1e-9
-    rows = np.stack(
-        [
-            climb * grow + _VELOCITY_SLACK * u_v + 0.5 * h * u_rdd,
-            np.ones_like(u_lo),
-            turn * grow,
-            _VELOCITY_SLACK * u_v / u_lo + 0.5 * h * u_ang2,
-            0.5 * h * two_ang,
-        ],
-        axis=1,
-    )
-    return rows * -h
-
-
-def _reach(user_rows, h, sat_f, sat_speed, sat_r):
-    """-(V + A H / 2) H (U, n), the pre-test's threshold (:func:`_speed_test`)
-    for the longest knot interval H = h, from V of :func:`_speed_bound`
-    and A of :func:`_screen_rates`.
-
-    V + A H / 2 is a sum of satellite and user terms and of three products
-    of a user factor with |sat| or v_hi, so it is one (U, 5) x (5, n)
-    product with the user rows of :func:`_reach_rows`. An infinite bound
-    (v_hi of a deep-space object) makes the threshold -inf: it is left out
-    of the product, which would meet inf * 0, and set after."""
-    s_acc, s_v, s_r = sat_f
-    grow = 1.0 + 1e-9
-    cols = np.stack(
-        [np.ones_like(s_r), sat_speed * grow + _VELOCITY_SLACK * s_v + 0.5 * h * s_acc, sat_r, s_r, s_v]
-    )
-    free_u = ~np.isfinite(user_rows).all(axis=1)
-    free_s = ~np.isfinite(cols).all(axis=0)
-    if free_u.any():
-        user_rows = np.where(free_u[:, None], 0.0, user_rows)
-    if free_s.any():
-        cols = np.where(free_s, 0.0, cols)
-    reach = np.matmul(user_rows, cols)
-    reach[free_u] = -np.inf
-    reach[:, free_s] = -np.inf
-    return reach
-
-
-def _speed_test(z, reach, gap):
+def _speed_test(z, rate_max, accel, gap, span):
     """Flat indices into z, (knot * U + user) * n + satellite, of the
     intervals that the speed pre-test keeps, each at its first knot.
 
-    With V from :func:`_speed_bound`, h after knot k and h' = H - h before
-    knot k+1, the two parabola bounds of :func:`horizon_screen` sum to at
-    most
+    With V = ``rate_max`` (:func:`_speed_bound`), h after knot k and
+    h' = H - h before knot k+1, the two parabola bounds of
+    :func:`horizon_screen` sum to at most
 
         z_k + z_k+1 - 2 c + V h + V h' + A (h^2 + h'^2) / 2 <= z_k + z_k+1 - 2 c + V H + A H^2 / 2,
 
     and so to at most that with the longest interval's H. Where that is
     negative, one of them is negative at every step, so the interval keeps
-    none. z: (C, U, n), z - c at C consecutive knots; reach: (U, n),
-    -(V H + A H^2 / 2) (:func:`_reach`); gap: the C - 1 intervals in steps.
+    none. z: (C, U, n), z - c at C consecutive knots; rate_max, accel: (U,
+    n); gap, span: the C - 1 intervals in steps and seconds.
     """
+    h = span.max()
     top = z[:-1] + z[1:]
-    live = np.flatnonzero(top >= reach)
+    live = np.flatnonzero(top >= -(rate_max + 0.5 * accel * h) * h)
     return live[gap[live // z[0].size] > 1]
 
 
-def _between_knots(z, zdot, live, sat_f, user_f, gap, span, step_s):
+def _between_knots(z, zdot, live, accel, slack, gap, span, step_s):
     """Steps strictly between knots that the bounds keep: (interval, user,
     satellite, steps after the interval's first knot) arrays. z, zdot: (C,
     U, n), z - c and ż at C consecutive knots; live: the intervals to test,
     as flat indices of their first knot into z (:func:`_speed_test`);
-    sat_f, user_f: the factors of A and D (:func:`_rates`); gap, span: the
-    C - 1 intervals in steps and seconds."""
-    n = z.shape[2]
-    i, pair = np.divmod(live, z[0].size)
-    u, s = np.divmod(pair, n)
-    a, d = _rates([f[s] for f in sat_f], [f[u] for f in user_f])
+    accel, slack: (U, n); gap, span: the C - 1 intervals in steps and
+    seconds."""
+    i, pair = np.divmod(live, accel.size)
     h = span[i]
-    z0, z1 = z.take(live), z.take(live + z[0].size)
-    v0, v1 = zdot.take(live), zdot.take(live + z[0].size)
+    a, d = accel.take(pair), slack.take(pair)
+    z0, z1 = z.take(live), z.take(live + accel.size)
+    v0, v1 = zdot.take(live), zdot.take(live + accel.size)
     half = 0.5 * a * h * h
     # each bound's larger end value, over the whole interval
     fwd = np.maximum(z0 + (v0 + d) * h + half, z0)
     bwd = np.maximum(z1 + (d - v1) * h + half, z1)
     t = np.flatnonzero((fwd >= 0.0) & (bwd >= 0.0))
-    i, u, s = i[t], u[t], s[t]
+    i, pair = i[t], pair[t]
     a, d = a[t, None], d[t, None]
     z0, z1, v0, v1 = z0[t, None], z1[t, None], v0[t, None], v1[t, None]
     # the surviving intervals, step by step
@@ -554,7 +479,8 @@ def _between_knots(z, zdot, live, sat_f, user_f, gap, span, step_s):
     keep &= z1 + (d - v1) * before + 0.5 * a * before * before >= 0.0
     keep &= m < gap[i, None]
     t, k = np.nonzero(keep)
-    return i[t], u[t], s[t], m[k]
+    u, s = np.divmod(pair[t], z.shape[2])
+    return i[t], u, s, m[k]
 
 
 def pair_geometry_arrays(

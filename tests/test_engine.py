@@ -573,23 +573,23 @@ def test_screened_blocks_give_the_cull_off_bytes(tmp_path, monkeypatch):
     # geometry, sin(el) >= sin(min_elevation), and the pairs whose height
     # z = sat . û - |user| above the horizon plane is at least the floor
     # c = sin e (sqrt(r_s^2 - r_u^2 cos^2 e) - r_u sin e) at the block's
-    # largest user radius and least satellite radius (within the orbit
-    # bounds), lowered by the margin of 1e-9 r_s + 1 mm (and 1 um for the
+    # largest user radius and least satellite radius (at least the orbit's
+    # r_lo), lowered by the margin of 1e-9 r_s + 1 mm (and 1 um for the
     # rounding of z)
     e = math.radians(cfg.min_elevation_deg)
     jd0, fr0 = julian_date(EPOCH)
     fleet, crew = engine._Fleet(cfg), SatBatch(engine._user_records(cfg))
-    (s_lo, _, _), (_, u_hi, _) = fleet.bounds, crew.orbit_bounds()
+    s_lo = fleet.bounds[0]
     exact, floor = [], []
     for t0 in (0, 512):
         fr = fr0 + np.arange(t0, min(t0 + 512, cfg.n_steps)) * (cfg.step_s / 86400.0)
         (sp, sv), (up, uv) = fleet.propagate_block(jd0, fr), crew.propagate_jd(jd0, fr)
-        for p, v, hi in zip(up, uv, u_hi):
+        for p, v in zip(up, uv):
             _, _, sin_el, _, r_s = engine.pair_geometry_arrays(sp, sv, p, v)
             exact.append(np.flatnonzero(sin_el >= math.sin(e)))
             r_u = np.linalg.norm(p, axis=-1)
             z = np.einsum("sbk,bk->sb", sp, p / r_u[:, None]) - r_u
-            r_u, r_s = min(hi, r_u.max()), np.maximum(s_lo, r_s.min(axis=1))[:, None]
+            r_u, r_s = r_u.max(), np.maximum(s_lo, r_s.min(axis=1))[:, None]
             c = math.sin(e) * (np.sqrt(np.maximum(r_s**2 - (r_u * math.cos(e)) ** 2, 0.0)) - r_u * math.sin(e))
             floor.append(np.flatnonzero(z >= c - (1e-9 * r_s + 1e-6) - 1e-9))
     block_states, geometry = engine._block_states, engine.pair_geometry_arrays
@@ -637,7 +637,7 @@ def test_screened_blocks_give_the_cull_off_bytes(tmp_path, monkeypatch):
 @pytest.mark.parametrize("min_el", [0.0, 10.0, 60.0])
 def test_elevation_screen_gives_the_cull_off_bytes_with_a_deep_space_user(tmp_path, min_el):
     # a mixed LEO + GEO fleet and a Molniya user (deep space: no speed
-    # bound, so the screen narrows its floor from the orbit bounds alone)
+    # bound, so the screen keeps its pairs at every step between knots)
     # among LEO users: the cull on and off write the same bytes, at the
     # mask 0 (a floor of 0) and above it
     from leolink.fleets import BUILTIN_FLEETS

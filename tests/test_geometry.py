@@ -441,15 +441,17 @@ def test_screen_keeps_every_pair_above_the_elevation_mask(
     except PropagationError:
         assume(False)  # a drag orbit that decays in the window
     knots = np.unique(np.r_[np.arange(0, n_steps, knot_every), n_steps - 1])
-    kept = geometry.horizon_screen(
+    args = (
         sp[:, knots], svel[:, knots], up[:, knots], uvel[:, knots], knots, step_s,
         fleet.orbit_bounds(), crew.orbit_bounds(), min_el,
     )
+    kept = geometry.horizon_screen(*args, np.linalg.norm(up, axis=-1).max(axis=1))
+    if min_el > 0.0:  # the users' radii at the knots alone do not bound c
+        with pytest.raises(ValueError):
+            geometry.horizon_screen(*args)
     sin_min = math.sin(math.radians(min_el))
     for p, v, keys in zip(up, uvel, kept):
-        # a satellite that is the user has no elevation (0 / 0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            _, _, sin_el, _, _ = pair_geometry_arrays(sp, svel, p, v)
+        _, _, sin_el, _, _ = pair_geometry_arrays(sp, svel, p, v)
         visible = sin_el >= sin_min
         # at the mask 0 a pair on the horizon plane to rounding may fall on
         # either side (above 0 the screen lowers its floor by a margin)
@@ -554,34 +556,6 @@ def test_screen_keeps_what_both_parabola_bounds_keep(
         for keys in screens:
             keys = np.setdiff1d(keys, np.flatnonzero(tie))
             assert np.array_equal(keys, np.flatnonzero(w & ~tie))
-
-
-def test_pretest_threshold_is_the_dense_bound():
-    # the pre-test's (U, 5) x (5, n) product is -(V + A H / 2) H from the
-    # dense V and A, to rounding, and -inf for every pair with an object
-    # that has no speed bound
-    from leolink.constants import MU_EARTH
-
-    rng = np.random.default_rng(8)
-    h = 120.0
-
-    def bounds(n, deep):
-        lo = EARTH_RADIUS_KM + rng.uniform(300.0, 2000.0, n)
-        v = np.sqrt(MU_EARTH / lo) * 1.2
-        v[deep] = np.inf
-        return lo, lo * rng.uniform(1.0, 1.5, n), v
-
-    sat_bounds, user_bounds = bounds(7, [2]), bounds(4, [1])
-    sat_r, speed = sat_bounds[1] * 0.99, rng.uniform(6.0, 8.0, 7)
-    turn, climb = rng.uniform(1e-3, 2e-3, 4), rng.uniform(0.0, 0.1, 4)
-    accel, slack = geometry._screen_rates(sat_bounds, user_bounds, sat_r, h)
-    want = -(geometry._speed_bound(speed, sat_r, turn, climb, slack) + 0.5 * accel * h) * h
-    rows = geometry._reach_rows(geometry._user_factors(user_bounds), turn, climb, h)
-    got = geometry._reach(rows, h, geometry._sat_factors(sat_bounds, sat_r, h), speed, sat_r)
-    free = np.zeros((4, 7), dtype=bool)
-    free[1], free[:, 2] = True, True
-    assert np.array_equal(np.isinf(want), free) and (got[free] == -np.inf).all()
-    assert np.allclose(got[~free], want[~free], rtol=1e-13, atol=0.0)
 
 
 def test_screen_peak_memory_is_bounded_by_its_output():
