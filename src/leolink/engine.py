@@ -2,18 +2,25 @@
 
 Propagates every constellation satellite and user over the configured
 window in time blocks. Per block, users are propagated at every step and
-the fleet exactly only at knots, about every ``_KNOT_S`` seconds. One
-elevation screen for all users (:func:`geometry.horizon_screen`) bounds
+the fleet exactly only at knots, about every ``_KNOT_S`` seconds: every
+row at the first knot, in one :meth:`_Fleet.propagate_block` call, then,
+after the users' call, each later knot's rows in one
+:meth:`SatBatch.propagate_pairs` call, a row only where some user may see
+it before its next knot; once a knot skips no row, every later knot is
+taken in one :meth:`SatBatch.propagate_jd` call (:func:`_lazy_knots`).
+One elevation screen for all users (:func:`geometry.horizon_screen`) bounds
 each (user, satellite) pair's height above the user's horizon plane
 between knots, against the least height at which the satellite can clear
 the elevation mask, and keeps, per user, the (satellite row, step) pairs
-that may be at or above the mask, in (row, step) order. Between knots the
-fleet is then propagated only at the pairs any user keeps, in one
-:meth:`SatBatch.propagate_pairs` call per block. Rows whose propagation
-can fail are propagated there at every step, so a failure is raised as a
-block without the screen raises it; the screen leaves them out and gives
-them the same test at every step once they are propagated, and a fleet
-whose rows all can fail (a GEO fleet) has a knot at every step.
+that may be at or above the mask, in (row, step) order; a skipped knot,
+and an interval it ends, keeps none. Between knots the fleet is then
+propagated only at the pairs any user keeps, in one more
+:meth:`SatBatch.propagate_pairs` call. Rows whose propagation can fail
+are taken at every knot, and at every step between knots in a call of
+their own, so a failure is raised as a block without the screen raises
+it; the screen leaves them out and gives them the same test at every
+step once they are propagated, and a fleet whose rows all can fail (a
+GEO fleet) has a knot at every step, all taken in the first call.
 ``cull=False`` makes every step a knot and every pair a candidate
 instead. Per user, the two-sided visibility predicate, whose elevation
 test is the one exact test of the mask, the selection policy and the
@@ -44,6 +51,8 @@ from .constants import VERSION
 from .geometry import (
     beam_cos_half_arrays,
     horizon_screen,
+    mask_reach,
+    mask_wait,
     pair_geometry_arrays,
     visible_mask_arrays,
 )
@@ -57,13 +66,13 @@ from .tle import elements_to_tle
 from .walker import build_walker, shell_angles
 
 
-# Knot spacing of the elevation screen [s]: the fleet is propagated exactly
-# every round(_KNOT_S / step) steps. On the first block of iss_leo (512
-# steps) and of population_mc (121 steps), both at 10 s steps and a 25 deg
-# mask, knots every 60, 120 and 240 s left 17%, 9% and 6% (iss_leo) and
-# 24%, 21% and 35% (population_mc) of the satellite-steps to propagate, and
-# the screen took 45, 31 and 25 ms (iss_leo) and 262, 181 and 268 ms
-# (population_mc) on a 2-vCPU host in October 2026.
+# Knot spacing of the elevation screen [s]: a knot every round(_KNOT_S /
+# step) steps, where each row is propagated only if some user may see it
+# before its next knot. At seed 0 (10 s steps, 25 deg mask), knots every
+# 60, 120 and 240 s took 96K, 93K and 87K knot states on iss_leo and 105K,
+# 57K and 31K on population_mc (which skips none), and whole runs took a
+# median of 353, 234 and 237 ms (iss_leo) and 763, 563 and 715 ms
+# (population_mc), 7 runs each on a 2-vCPU host in October 2026.
 _KNOT_S = 120.0
 
 
@@ -261,10 +270,11 @@ def run(cfg: ScenarioConfig) -> RunManifest:
     block = max(8, min(512, int(4e6 / max(fleet.n, 1))))
     # Every step is a knot without the cull, which makes every pair a
     # candidate, and when every row may fail and so is propagated at every
-    # step anyway.
-    knot_every = max(1, round(_KNOT_S / cfg.step_s))
-    if not cfg.cull or fleet.may_fail.all():
-        knot_every = 1
+    # step anyway. Else a block's first fleet call takes its first knot
+    # only, and _block_states each later knot for the rows some user may
+    # see before the one after.
+    lazy = cfg.cull and not fleet.may_fail.all()
+    knot_every = max(1, round(_KNOT_S / cfg.step_s)) if lazy else 1
 
     def process_user(ui: int, t0: int, idx: np.ndarray, sat_pos, sat_vel, u_pos, u_vel, cand):
         row, step, at = cand[ui]
@@ -292,7 +302,7 @@ def run(cfg: ScenarioConfig) -> RunManifest:
             fr = fr0 + idx * (cfg.step_s / 86400.0)
             knots = np.unique(np.r_[np.arange(0, len(idx), knot_every), len(idx) - 1])
             try:
-                k_pos, k_vel = fleet.propagate_block(jd0, fr[knots])
+                k_pos, k_vel = fleet.propagate_block(jd0, fr[knots[:1] if lazy else knots])
                 u_pos, u_vel = user_batch.propagate_jd(jd0, fr)
                 states = _block_states(
                     cfg, fleet, user_bounds, jd0, fr, knots, k_pos, k_vel, u_pos, u_vel
@@ -344,67 +354,119 @@ def run(cfg: ScenarioConfig) -> RunManifest:
 
 def _block_states(cfg, fleet, user_bounds, jd, fr, knots, k_pos, k_vel, u_pos, u_vel):
     """(pos, vel, cand) of one block. pos and vel hold (P, 3) satellite
-    states: the knots', then the pairs between knots that the screen keeps
-    or whose row may fail. Per user, cand holds the candidate (row, step)
-    pairs in (row, step) order and each one's index into pos and vel: with
-    the cull on, the pairs the screen keeps, else every pair. Rows that
-    may fail are propagated at every step, so they get the screen's knot
-    test at every step there, after the one gathered-pair call; the screen
-    bounds the others between knots."""
-    n_sat, n_knot = k_pos.shape[:2]
-    n_steps = len(fr)
-    pos, vel = k_pos.reshape(-1, 3), k_vel.reshape(-1, 3)
+    states: the knots' (NaN at a knot a row skips), then the steps between
+    knots of the rows that may fail, then the pairs between knots that the
+    screen keeps. Per user, cand holds the candidate (row, step) pairs in
+    (row, step) order and each one's index into pos and vel: with the cull
+    on, the pairs the screen keeps, else every pair. k_pos and k_vel: (S,
+    K', 3), the fleet at the block's first K' knots; if that is not every
+    knot, the later ones are taken here (:func:`_lazy_knots`). Rows that
+    may fail are propagated at every step, between the knots first, so
+    they get the screen's knot test at every step; the screen bounds the
+    others between knots."""
+    n_sat, n_knot, n_steps = fleet.n, len(knots), len(fr)
     if not cfg.cull:  # every step is a knot, and every pair a candidate
         every = np.arange(n_sat * n_steps)
-        return pos, vel, [(*np.divmod(every, n_steps), every)] * len(u_pos)
+        cand = [(*np.divmod(every, n_steps), every)] * len(u_pos)
+        return k_pos.reshape(-1, 3), k_vel.reshape(-1, 3), cand
+    knot_of = np.full(n_steps, -1)
+    knot_of[knots] = np.arange(n_knot)
+    between = np.flatnonzero(knot_of < 0)
     # the rows that may fail, unless every step is a knot (then every row
     # gets the knot test at every step from the screen)
-    dense = np.flatnonzero(fleet.may_fail) if n_knot < n_steps else np.arange(0)
+    dense = np.flatnonzero(fleet.may_fail) if len(between) else np.arange(0)
     screened = np.flatnonzero(~fleet.may_fail) if len(dense) else slice(None)
-    u_top = np.sqrt(np.einsum("ubk,ubk->ub", u_pos, u_pos).max(axis=1))
+    # their steps between knots first, as they need no screen
+    d_keys = (dense[:, None] * n_steps + between).ravel()
+    if len(dense):
+        d_pos, d_vel = fleet.batch.propagate_pairs(jd, fr, *np.divmod(d_keys, n_steps))
+    u_r = np.sqrt(np.einsum("ubk,ubk->ub", u_pos, u_pos))
+    if k_pos.shape[1] < n_knot:
+        reach, rate = mask_reach(fleet.bounds, user_bounds, u_r.min(), cfg.min_elevation_deg)
+        rate[fleet.may_fail] = np.inf  # never skipped
+        k_pos, k_vel = _lazy_knots(
+            fleet.batch, jd, fr, knots, knots * cfg.step_s, k_pos, k_vel, u_pos[:, knots],
+            reach, rate,
+        )
+    u_top = u_r.max(axis=1)
     keys = horizon_screen(
         k_pos[screened], k_vel[screened], u_pos[:, knots], u_vel[:, knots], knots, cfg.step_s,
         [b[screened] for b in fleet.bounds], user_bounds, cfg.min_elevation_deg, u_top,
     )
     if len(dense):
         keys = _fleet_keys(keys, screened, n_steps)
-    # between the knots: the pairs any user keeps, and every step of the rows
-    # that may fail, so that a failure shows at the step a dense block has it
+    # between the knots: the pairs any user keeps
     need = np.zeros((n_sat, n_steps), dtype=bool)
     need.ravel()[np.concatenate(keys)] = True
-    need[fleet.may_fail] = True
     need[:, knots] = False
     p_keys = np.flatnonzero(need)
+    need = None  # freed before the pairs' tiles are made
+    between_states = [(d_pos, d_vel)] if len(dense) else []
     if len(p_keys):
-        p_pos, p_vel = fleet.batch.propagate_pairs(jd, fr, *np.divmod(p_keys, n_steps))
-        pos, vel = np.concatenate([pos, p_pos]), np.concatenate([vel, p_vel])
-    # a pair's index into pos and vel: row x knots + knot at a knot, else
-    # after the knots, in p_keys order: its row's offset there plus its rank
-    # among the row's propagated steps (at most 511, as a block has 512)
-    knot_of = np.full(n_steps, -1)
-    knot_of[knots] = np.arange(n_knot)
-    rank = np.cumsum(need, axis=1, dtype=np.int16)
-    offset = np.zeros(n_sat, dtype=np.int64)
-    np.cumsum(rank[:-1, -1], dtype=np.int64, out=offset[1:])
-    offset += n_sat * n_knot - 1
+        between_states.append(fleet.batch.propagate_pairs(jd, fr, *np.divmod(p_keys, n_steps)))
+    pos, vel = k_pos.reshape(-1, 3), k_vel.reshape(-1, 3)
+    if between_states:
+        pos = np.concatenate([pos, *(p for p, _ in between_states)])
+        vel = np.concatenate([vel, *(v for _, v in between_states)])
+    # a state's index into pos and vel: row x knots + knot at a knot, else
+    # its place after the knots, from a table written only at the keys of
+    # the states taken between knots
+    slot = np.empty(n_sat * n_steps, dtype=np.int32)
+    taken = np.concatenate([d_keys, p_keys])
+    slot[taken] = np.arange(n_sat * n_knot, n_sat * n_knot + len(taken))
     if len(dense):  # the knot test on every step of the rows that may fail
-        d_pos = np.empty((len(dense), n_steps, 3))
-        d_pos[:, knots] = k_pos[dense]
-        d_pos[:, knot_of < 0] = pos[offset[dense, None] + np.arange(1, n_steps - n_knot + 1)]
+        d_all = np.empty((len(dense), n_steps, 3))
+        d_all[:, knots] = k_pos[dense]
+        d_all[:, between] = d_pos.reshape(len(dense), len(between), 3)
         exact = horizon_screen(
-            d_pos, None, u_pos, None, np.arange(n_steps), cfg.step_s,
+            d_all, None, u_pos, None, np.arange(n_steps), cfg.step_s,
             [b[dense] for b in fleet.bounds], user_bounds, cfg.min_elevation_deg, u_top,
         )
         exact = _fleet_keys(exact, dense, n_steps)
         keys = [np.sort(np.concatenate([k, e]), kind="stable") for k, e in zip(keys, exact)]
-    rank = rank.ravel()
     cand = []
     for k in keys:
         row, step = np.divmod(k, n_steps)
         knot = knot_of[step]
-        at = np.where(knot < 0, offset[row] + rank[k], row * n_knot + knot)
-        cand.append((row, step, at))
+        cand.append((row, step, np.where(knot < 0, slot[k], row * n_knot + knot)))
     return pos, vel, cand
+
+
+def _lazy_knots(batch, jd, fr, knots, t_knot, pos0, vel0, u_knots, reach, rate):
+    """The fleet's states (S, K, 3) at a block's knots, NaN at each knot
+    where a row is not taken. pos0, vel0: (S, 1, 3) at the first knot;
+    t_knot: the knots' times [s]; u_knots: (U, K, 3) the users there;
+    reach, rate: each row's Θ and Ω (:func:`mask_reach`).
+
+    No user can see a row taken at knot j before t_j + :func:`mask_wait`.
+    The row is next taken at the last knot at or before that time, but not
+    before knot j + 1, and at no later knot of the block if that time is
+    past its last one. So every knot it skips, and every interval that
+    such a knot ends, holds only steps at which no user sees it. Each knot
+    takes its rows in one :meth:`SatBatch.propagate_pairs` call. Once a
+    knot skips no row, every later knot takes every row, in one
+    :meth:`SatBatch.propagate_jd` call, with no more deciding.
+    """
+    n_sat, n_knot = len(pos0), len(knots)
+    pos, vel = np.full((n_sat, n_knot, 3), np.nan), np.full((n_sat, n_knot, 3), np.nan)
+    rows, p, v = np.arange(n_sat), pos0[:, 0], vel0[:, 0]
+    due = np.zeros(n_sat, dtype=np.intp)  # each row's next knot; n_knot: none
+    for j in range(n_knot):
+        if j:
+            rows = np.flatnonzero(due == j)
+            p, v = batch.propagate_pairs(jd, fr, rows, np.full(len(rows), knots[j]))
+        pos[rows, j], vel[rows, j] = p, v
+        if j == n_knot - 1:
+            break
+        seen = t_knot[j] + mask_wait(p, u_knots[:, j], reach[rows], rate[rows])
+        nxt = np.maximum(np.searchsorted(t_knot, seen, side="right") - 1, j + 1)
+        nxt[seen > t_knot[-1]] = n_knot
+        nxt[np.isnan(seen)] = j + 1  # a state that is not finite is taken at the next knot
+        due[rows] = nxt
+        if (due == j + 1).all():
+            pos[:, j + 1 :], vel[:, j + 1 :] = batch.propagate_jd(jd, fr[knots[j + 1 :]])
+            break
+    return pos, vel
 
 
 def _fleet_keys(keys, rows, n_steps):

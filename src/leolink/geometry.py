@@ -225,8 +225,11 @@ def horizon_screen(
     the last the block's last step; step_s: the step [s]; sat_bounds and
     user_bounds: each object's (r_lo, r_hi, v_hi) from
     :meth:`SatBatch.orbit_bounds`; an infinite v_hi (no bound) keeps every
-    pair with that object at every step. Velocities and user_bounds are
-    read only if some knots are more than one step apart; sat_bounds, if
+    pair with that object at every step. A satellite's state may be NaN at
+    any knot but the first (a knot skipped after :func:`mask_wait`): that
+    knot is then absent, and neither it nor an interval it ends is tested,
+    nor enters the satellite's radii and speeds. Velocities and user_bounds
+    are read only if some knots are more than one step apart; sat_bounds, if
     given, narrow c. user_r_max: (U,) each user's largest radius over the
     block's steps [km], needed for a mask above 0 if some knots are more
     than one step apart, else the largest at the knots. Returns, per user,
@@ -279,7 +282,7 @@ def horizon_screen(
         floor = _elevation_floor(user_r_max, sat_low, min_elevation_deg)  # (U, n), like the products
         if screened:
             vels = sat_vel[tile]
-            speed = np.sqrt(np.einsum("sbk,sbk->sb", vels, vels).max(axis=1))
+            speed = np.sqrt(np.fmax.reduce(np.einsum("sbk,sbk->sb", vels, vels), axis=1))
             accel, slack = _screen_rates([b[tile] for b in sat_bounds], user_bounds, sat_r, h)
             rate_max = _speed_bound(speed, sat_r, turn, climb, slack)
         b0 = 0
@@ -323,14 +326,61 @@ def horizon_screen(
 
 def _radius_range(pos, chunk):
     """Each object's least and largest radius [km] over the knots of pos
-    (N, K, 3), taken ``chunk`` knots at a time."""
+    (N, K, 3), taken ``chunk`` knots at a time; NaN states (absent knots)
+    are left out."""
     lo, hi = np.full(len(pos), np.inf), np.zeros(len(pos))
     for b0 in range(0, pos.shape[1], chunk):
         part = pos[:, b0 : b0 + chunk]
         r2 = np.einsum("sbk,sbk->sb", part, part)
-        np.minimum(lo, r2.min(axis=1), out=lo)
-        np.maximum(hi, r2.max(axis=1), out=hi)
+        np.fmin(lo, np.fmin.reduce(r2, axis=1), out=lo)
+        np.fmax(hi, np.fmax.reduce(r2, axis=1), out=hi)
     return np.sqrt(lo), np.sqrt(hi)
+
+
+def mask_reach(sat_bounds, user_bounds, user_r_min, min_elevation_deg):
+    """(Θ, Ω), each (n,), for n satellites and a set of users: Θ [rad] is
+    the largest central angle between a satellite and a user at which the
+    user can see it at or above the elevation mask e, and Ω [rad/s] bounds
+    how fast that angle can change.
+
+    A satellite at radius r_s is at elevation >= e from a user at radius
+    r_u only within the central angle arccos(cos e r_u / r_s) - e, which
+    rises with r_s and falls with r_u; so Θ takes it at the orbit's r_hi
+    and ``user_r_min``, the users' least radius [km] over the instants to
+    be bounded (a satellite that cannot rise to the mask gets Θ = -e). The
+    direction of an object at radius at least r_lo moving at most at v_hi
+    turns at most at v_hi / r_lo, and SGP4's positions move at most
+    ``_VELOCITY_SLACK`` of the speed faster than its velocities say, so
+    Ω = (1 + slack) (v_hi / r_lo + the users' largest v_hi / r_lo). An
+    infinite v_hi (no speed bound) makes Ω infinite. sat_bounds and
+    user_bounds: each object's (r_lo, r_hi, v_hi) from
+    :meth:`SatBatch.orbit_bounds`.
+    """
+    s_lo, s_hi, s_v = sat_bounds
+    u_lo, _, u_v = user_bounds
+    e = math.radians(min_elevation_deg)
+    reach = np.arccos(np.minimum(1.0, math.cos(e) * user_r_min / s_hi)) - e
+    rate = (1.0 + _VELOCITY_SLACK) * (s_v / s_lo + np.max(u_v / u_lo))
+    return reach, rate
+
+
+def mask_wait(sat_pos, user_pos, reach, rate):
+    """Seconds (n,) after the instant of the states before which no user
+    can see each satellite at or above the elevation mask: (θ - Θ) / Ω,
+    with θ the central angle from the satellite to its nearest user, and
+    Θ = ``reach`` and Ω = ``rate`` from :func:`mask_reach`. At most 0
+    where a user may see it at once, and where Ω is infinite; NaN where a
+    state is not finite. sat_pos: (n, 3); user_pos: (U, 3), at one
+    instant. The (U, 3) x (3, n) product is taken ``_GEMM_SIZE`` / 3
+    (user, satellite) pairs at a time.
+    """
+    uhat = user_pos / np.linalg.norm(user_pos, axis=1, keepdims=True)
+    shat = sat_pos / np.linalg.norm(sat_pos, axis=1, keepdims=True)
+    near = np.empty(len(shat))  # cos θ
+    width = max(1, _GEMM_SIZE // (3 * len(uhat)))
+    for s0 in range(0, len(shat), width):
+        np.max(uhat @ shat[s0 : s0 + width].T, axis=0, out=near[s0 : s0 + width])
+    return (np.arccos(np.clip(near, -1.0, 1.0)) - reach) / rate
 
 
 def _radial_accel(r_lo, r_hi):

@@ -615,7 +615,10 @@ def test_screened_blocks_give_the_cull_off_bytes(tmp_path, monkeypatch):
         # every candidate goes to pair geometry, no other pair
         assert sizes == [len(row) for row, _, _ in cands]
         if cull:
-            assert len(masks) == 2  # one gathered-pair call per block
+            # per block, one gathered-pair call for the steps between knots of
+            # the rows that may fail, one per knot after the first (the GEO
+            # rows are taken at each) and one for the pairs the screen keeps
+            assert len(masks) == sum(len(range(0, b - 1, 12)) + 2 for b in (512, cfg.n_steps - 512))
             fail = np.flatnonzero(fleet.may_fail)
             assert len(fail) == 23
             blocks = [512] * 3 + [cfg.n_steps - 512] * 3
@@ -630,6 +633,36 @@ def test_screened_blocks_give_the_cull_off_bytes(tmp_path, monkeypatch):
             blocks = (512, cfg.n_steps - 512)
             assert masks == [] and sizes == [fleet.n * b for b in blocks for _ in range(3)]
         outputs.append([summary, (out / "pass_access.csv").read_bytes(), [u.records for u in m.users]])
+    assert outputs[0] == outputs[1]
+    assert any(r.visible for u in outputs[0][2] for r in u)
+
+
+def test_lazy_knots_give_the_cull_off_bytes(tmp_path, monkeypatch):
+    # one ISS user against a Walker fleet over 2 blocks: rows are taken
+    # only at the knots where the user may see them before the next one,
+    # so fewer than half of rows x knots knot states are propagated, and the run
+    # writes the bytes and captures the records of a run without the cull
+    from leolink import engine
+
+    cfg = mini_cfg(duration_s=700 * 10.0, capture_records=True)
+    lazy_knots, taken, knots = engine._lazy_knots, [], []
+
+    def counted(batch, jd, fr, block_knots, *args):
+        pos, vel = lazy_knots(batch, jd, fr, block_knots, *args)
+        taken.append(int(np.isfinite(pos[..., 0]).sum()))
+        knots.append(len(block_knots))
+        return pos, vel
+
+    monkeypatch.setattr(engine, "_lazy_knots", counted)
+    outputs = []
+    for cull in (True, False):
+        out = tmp_path / str(cull)
+        m = run(replace(cfg, cull=cull, output_dir=out))
+        summary = (out / "summary.json").read_bytes().replace(b'"culling": true', b'"culling": false')
+        outputs.append([summary, (out / "pass_access.csv").read_bytes(), [u.records for u in m.users]])
+    n_sat = sum(m.constellation_counts.values())
+    assert len(taken) == 2  # both blocks, with the cull on only
+    assert sum(taken) < n_sat * sum(knots) // 2
     assert outputs[0] == outputs[1]
     assert any(r.visible for u in outputs[0][2] for r in u)
 

@@ -558,6 +558,121 @@ def test_screen_keeps_what_both_parabola_bounds_keep(
             assert np.array_equal(keys, np.flatnonzero(w & ~tie))
 
 
+def _dense_states(sats, users, n_steps, step_s, start_days):
+    """Both batches, the Julian date and the step instants, and the
+    satellites' and users' (pos, vel) at every step; the example is
+    rejected if an orbit with drag decays in the window."""
+    from hypothesis import assume
+
+    from leolink.propagation import PropagationError
+    from leolink.sgp4batch import SatBatch
+    from leolink.timebase import julian_date
+
+    fleet, crew = SatBatch(sats), SatBatch(users)
+    jd, fr = julian_date(datetime(2021, 3, 20, 9, 37, 29, tzinfo=timezone.utc))
+    frs = fr + start_days + np.arange(n_steps) * (step_s / 86400.0)
+    try:
+        return fleet, crew, jd, frs, fleet.propagate_jd(jd, frs), crew.propagate_jd(jd, frs)
+    except PropagationError:
+        assume(False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sats=_orbit_records(6),
+    users=_orbit_records(3),
+    n_steps=st.integers(2, 150),
+    step_s=st.sampled_from([1.0, 5.0, 10.0, 30.0, 60.0, 120.0]),
+    start_days=st.floats(-1.0, 1.0),
+    min_el=st.one_of(st.just(0.0), st.floats(0.0, 90.0, exclude_max=True)),
+)
+def test_mask_reach_bounds_the_central_angle(sats, users, n_steps, step_s, start_days, min_el):
+    # for near-earth users: between any two steps the central angle θ from
+    # a satellite to a user moves by at most Ω times the time between
+    # them (hypothesis reports the largest move / Ω Δt it saw), and every
+    # pair at or above the elevation mask has θ <= Θ
+    from hypothesis import assume, target
+
+    users = [r for r in users if r.method == "n"]
+    assume(users)
+    fleet, crew, _, _, (sp, svel), (up, uvel) = _dense_states(sats, users, n_steps, step_s, start_days)
+    r_u = np.linalg.norm(up, axis=-1)
+    reach, rate = geometry.mask_reach(fleet.orbit_bounds(), crew.orbit_bounds(), r_u.min(), min_el)
+    shat = sp / np.linalg.norm(sp, axis=-1, keepdims=True)
+    theta = np.arccos(np.clip(np.einsum("sbk,ubk->usb", shat, up / r_u[..., None]), -1.0, 1.0))
+    # every pair of steps, through the largest move of θ over each span
+    moved = max(
+        float((np.abs(theta[..., lag:] - theta[..., :-lag]) / (rate[:, None] * lag * step_s)).max())
+        for lag in range(1, n_steps)
+    )
+    target(moved, label="largest move of θ / Ω Δt")
+    assert moved <= 1.0
+    sin_min = math.sin(math.radians(min_el))
+    for u, (p, v) in enumerate(zip(up, uvel)):
+        _, _, sin_el, _, _ = pair_geometry_arrays(sp, svel, p, v)
+        s, b = np.nonzero(sin_el >= sin_min)
+        assert (theta[u, s, b] <= reach[s]).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sats=_orbit_records(6),
+    users=_orbit_records(3),
+    n_steps=st.integers(3, 150),
+    step_s=st.sampled_from([1.0, 5.0, 10.0, 30.0, 60.0, 120.0]),
+    knot_every=st.integers(1, 30),
+    start_days=st.floats(-1.0, 1.0),
+    min_el=st.one_of(st.just(0.0), st.floats(0.0, 90.0, exclude_max=True)),
+)
+def test_screen_with_skipped_knots_keeps_every_pair_above_the_mask(
+    sats, users, n_steps, step_s, knot_every, start_days, min_el
+):
+    # the engine's lazy knots take each satellite only at the knots where
+    # some user may see it before the next one (NaN elsewhere), at the
+    # states a dense call gives; the screen on those knots still keeps
+    # every pair that pair geometry puts at or above the elevation mask
+    # (hypothesis reports the most such pairs it saw after a skipped knot
+    # of their satellite; a deep-space user, with no speed bound, would
+    # skip none)
+    from hypothesis import assume, target
+
+    from leolink.engine import _lazy_knots
+
+    users = [r for r in users if r.method == "n"]
+    assume(users)
+    fleet, crew, jd, frs, (sp, svel), (up, uvel) = _dense_states(
+        sats, users, n_steps, step_s, start_days
+    )
+    knots = np.unique(np.r_[np.arange(0, n_steps, knot_every), n_steps - 1])
+    r_u = np.linalg.norm(up, axis=-1)
+    reach, rate = geometry.mask_reach(fleet.orbit_bounds(), crew.orbit_bounds(), r_u.min(), min_el)
+    pos, vel = _lazy_knots(
+        fleet, jd, frs, knots, knots * step_s, sp[:, :1], svel[:, :1], up[:, knots], reach, rate
+    )
+    taken = np.isfinite(pos[..., 0])
+    assert taken[:, 0].all()
+    assert np.array_equal(pos[taken], sp[:, knots][taken])
+    assert np.array_equal(vel[taken], svel[:, knots][taken])
+    # the first skipped knot of each satellite, or none
+    first_skip = np.where(taken.all(axis=1), n_steps, knots[np.argmin(taken, axis=1)])
+    kept = geometry.horizon_screen(
+        pos, vel, up[:, knots], uvel[:, knots], knots, step_s,
+        fleet.orbit_bounds(), crew.orbit_bounds(), min_el, r_u.max(axis=1),
+    )
+    sin_min = math.sin(math.radians(min_el))
+    after_skip = 0
+    for p, v, keys in zip(up, uvel, kept):
+        _, _, sin_el, _, _ = pair_geometry_arrays(sp, svel, p, v)
+        visible = sin_el >= sin_min
+        # at the mask 0 a pair on the horizon plane to rounding may fall on
+        # either side (above 0 the screen lowers its floor by a margin)
+        ru2 = np.sum(p * p, axis=-1)
+        visible &= np.abs(np.einsum("sbk,bk->sb", sp, p) - ru2) > 1e-12 * ru2
+        assert np.isin(np.flatnonzero(visible), keys).all()
+        after_skip += int((visible & (np.arange(n_steps) > first_skip[:, None])).sum())
+    target(float(after_skip), label="visible pairs after a skipped knot")
+
+
 def test_screen_peak_memory_is_bounded_by_its_output():
     # 1,000 users against 4,000 satellites, knots two steps apart: the
     # screen works a few knots and satellites at a time, so it never holds
