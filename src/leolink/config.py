@@ -159,6 +159,18 @@ def _mode_keys(d: dict, table: dict) -> tuple[str, ...]:
     return table[mode] if mode else tuple(k for keys in table.values() for k in keys)
 
 
+def whole_steps(duration_s: float, step_s: float) -> tuple[int, bool]:
+    """(n, exact): the whole steps in a duration, and whether they fill it.
+    A quotient within 1e-9 (relative) of an integer counts as that integer,
+    so 33 s in steps of 1.1 s is 30 steps, not 29 and a remainder, though
+    33 / 1.1 rounds to 29.999999999999996."""
+    q = duration_s / step_s
+    n = round(q)
+    if abs(q - n) <= 1e-9 * max(n, 1):
+        return n, True
+    return math.floor(q), False
+
+
 @dataclass(frozen=True)
 class GridSpec:
     altitude_bin_km: float = 25.0
@@ -188,7 +200,7 @@ class ScenarioConfig:
     @property
     def n_steps(self) -> int:
         # endpoint-inclusive time loop
-        return int(math.floor(self.duration_s / self.step_s)) + 1
+        return whole_steps(self.duration_s, self.step_s)[0] + 1
 
     def echo(self) -> dict:
         """Fully resolved configuration for the manifest."""
@@ -441,7 +453,7 @@ def validate(cfg: ScenarioConfig) -> list[tuple[str, str]]:
             out.append(("error", f"constellation {name!r} (entry {k}): the name is {why}"))
     if not cfg.users:
         out.append(("error", "at least one user is required"))
-    if math.fmod(cfg.duration_s, cfg.step_s) > 1e-9:
+    if not whole_steps(cfg.duration_s, cfg.step_s)[1]:
         out.append(
             ("warning", f"step {cfg.step_s}s does not divide duration {cfg.duration_s}s; "
              "the last partial interval is dropped")

@@ -4,16 +4,19 @@ Propagates every constellation satellite and user over the configured
 window in time blocks. Per block, users are propagated at every step and
 the fleet exactly only at knots, about every ``_KNOT_S`` seconds: every
 row at the first knot, in one :meth:`_Fleet.propagate_block` call, then,
-after the users' call, each later knot's rows in one
-:meth:`SatBatch.propagate_pairs` call, a row only where some user may see
-it before its next knot; once a knot skips no row, every later knot is
-taken in one :meth:`SatBatch.propagate_jd` call (:func:`_lazy_knots`).
-One elevation screen for all users (:func:`geometry.horizon_screen`) bounds
-each (user, satellite) pair's height above the user's horizon plane
-between knots, against the least height at which the satellite can clear
-the elevation mask, and keeps, per user, the (satellite row, step) pairs
-that may be at or above the mask, in (row, step) order; a skipped knot,
-and an interval it ends, keeps none. Between knots the fleet is then
+after the users' call, every later knot's rows in one
+:meth:`SatBatch.propagate_pairs` call. :func:`_knot_plan` decides them all
+first, from each row's direction predicted from its mean elements: a row
+is taken at a knot only if some user may see it in an interval next to
+it, and a row taken at no later knot is left out of the screen. Where the
+first interval clears too few rows to pay, every later knot is taken in
+one :meth:`SatBatch.propagate_jd` call instead. One elevation screen for
+all users (:func:`geometry.horizon_screen`) bounds each (user, satellite)
+pair's height above the user's horizon plane between knots, against the
+least height at which the satellite can clear the elevation mask, and
+keeps, per user, the (satellite row, step) pairs that may be at or above
+the mask, in (row, step) order; a skipped knot, and an interval it ends,
+keeps none. Between knots the fleet is then
 propagated only at the pairs any user keeps, in one more
 :meth:`SatBatch.propagate_pairs` call. Rows whose propagation can fail
 are taken at every knot, and at every step between knots in a call of
@@ -51,8 +54,8 @@ from .constants import VERSION
 from .geometry import (
     beam_cos_half_arrays,
     horizon_screen,
+    mask_clear,
     mask_reach,
-    mask_wait,
     pair_geometry_arrays,
     visible_mask_arrays,
 )
@@ -67,13 +70,22 @@ from .walker import build_walker, shell_angles
 
 
 # Knot spacing of the elevation screen [s]: a knot every round(_KNOT_S /
-# step) steps, where each row is propagated only if some user may see it
-# before its next knot. At seed 0 (10 s steps, 25 deg mask), knots every
-# 60, 120 and 240 s took 96K, 93K and 87K knot states on iss_leo and 105K,
-# 57K and 31K on population_mc (which skips none), and whole runs took a
-# median of 353, 234 and 237 ms (iss_leo) and 763, 563 and 715 ms
-# (population_mc), 7 runs each on a 2-vCPU host in October 2026.
+# step) steps, where each row is propagated only if some user may see it in
+# an interval next to the knot. At seed 0 (10 s steps, 25 deg mask), knots
+# every 60, 120 and 240 s took 16.2K, 16.8K and 19.1K knot states on
+# iss_leo and 108K, 57K and 31K on population_mc (which takes every knot),
+# and whole runs took a median of 147, 112 and 136 ms (iss_leo) and 874,
+# 778 and 964 ms (population_mc), 15 runs each on a 2-vCPU host in October
+# 2026.
 _KNOT_S = 120.0
+# Least share of the rows that cannot fail whose first interval between
+# knots must be cleared for a block to plan its later knots and take them
+# as gathered pairs, rather than take them all in one dense call. At seeds
+# 0 and 5 the first interval cleared 98% of the rows on iss_leo and 17% on
+# population_mc, whose 110 users make the plan's products cost more than
+# the states it skips: planned, its block work took 390-430 ms against
+# 335-355 ms dense (median of 9 runs, 2-vCPU host, October 2026).
+_CLEAR_SHARE = 0.5
 
 
 @dataclass
@@ -271,10 +283,9 @@ def run(cfg: ScenarioConfig) -> RunManifest:
     # Every step is a knot without the cull, which makes every pair a
     # candidate, and when every row may fail and so is propagated at every
     # step anyway. Else a block's first fleet call takes its first knot
-    # only, and _block_states each later knot for the rows some user may
-    # see before the one after.
-    lazy = cfg.cull and not fleet.may_fail.all()
-    knot_every = max(1, round(_KNOT_S / cfg.step_s)) if lazy else 1
+    # only, and _block_states the later knots _knot_plan picks.
+    planned = cfg.cull and not fleet.may_fail.all()
+    knot_every = max(1, round(_KNOT_S / cfg.step_s)) if planned else 1
 
     def process_user(ui: int, t0: int, idx: np.ndarray, sat_pos, sat_vel, u_pos, u_vel, cand):
         row, step, at = cand[ui]
@@ -302,7 +313,7 @@ def run(cfg: ScenarioConfig) -> RunManifest:
             fr = fr0 + idx * (cfg.step_s / 86400.0)
             knots = np.unique(np.r_[np.arange(0, len(idx), knot_every), len(idx) - 1])
             try:
-                k_pos, k_vel = fleet.propagate_block(jd0, fr[knots[:1] if lazy else knots])
+                k_pos, k_vel = fleet.propagate_block(jd0, fr[knots[:1] if planned else knots])
                 u_pos, u_vel = user_batch.propagate_jd(jd0, fr)
                 states = _block_states(
                     cfg, fleet, user_bounds, jd0, fr, knots, k_pos, k_vel, u_pos, u_vel
@@ -354,46 +365,72 @@ def run(cfg: ScenarioConfig) -> RunManifest:
 
 def _block_states(cfg, fleet, user_bounds, jd, fr, knots, k_pos, k_vel, u_pos, u_vel):
     """(pos, vel, cand) of one block. pos and vel hold (P, 3) satellite
-    states: the knots' (NaN at a knot a row skips), then the steps between
-    knots of the rows that may fail, then the pairs between knots that the
-    screen keeps. Per user, cand holds the candidate (row, step) pairs in
-    (row, step) order and each one's index into pos and vel: with the cull
-    on, the pairs the screen keeps, else every pair. k_pos and k_vel: (S,
-    K', 3), the fleet at the block's first K' knots; if that is not every
-    knot, the later ones are taken here (:func:`_lazy_knots`). Rows that
-    may fail are propagated at every step, between the knots first, so
-    they get the screen's knot test at every step; the screen bounds the
-    others between knots."""
+    states: the knots', then the steps between knots of the rows that may
+    fail, then the pairs between knots that the screen keeps. Per user,
+    cand holds the candidate (row, step) pairs in (row, step) order and
+    each one's index into pos and vel: with the cull on, the pairs the
+    screen keeps, else every pair. k_pos and k_vel: (S, K', 3), the fleet
+    at the block's first K' knots; if that is not every knot, the later
+    ones are taken here, each row only at the knots :func:`_knot_plan`
+    picks. Rows that may fail are propagated at every step, between the
+    knots first, so they get the screen's knot test at every step; the
+    screen bounds the others between knots."""
     n_sat, n_knot, n_steps = fleet.n, len(knots), len(fr)
     if not cfg.cull:  # every step is a knot, and every pair a candidate
         every = np.arange(n_sat * n_steps)
         cand = [(*np.divmod(every, n_steps), every)] * len(u_pos)
         return k_pos.reshape(-1, 3), k_vel.reshape(-1, 3), cand
-    knot_of = np.full(n_steps, -1)
-    knot_of[knots] = np.arange(n_knot)
-    between = np.flatnonzero(knot_of < 0)
+    between = np.ones(n_steps, dtype=bool)
+    between[knots] = False
+    between = np.flatnonzero(between)
     # the rows that may fail, unless every step is a knot (then every row
     # gets the knot test at every step from the screen)
     dense = np.flatnonzero(fleet.may_fail) if len(between) else np.arange(0)
-    screened = np.flatnonzero(~fleet.may_fail) if len(dense) else slice(None)
+    screened = np.flatnonzero(~fleet.may_fail) if len(dense) else np.arange(n_sat)
     # their steps between knots first, as they need no screen
     d_keys = (dense[:, None] * n_steps + between).ravel()
     if len(dense):
         d_pos, d_vel = fleet.batch.propagate_pairs(jd, fr, *np.divmod(d_keys, n_steps))
     u_r = np.sqrt(np.einsum("ubk,ubk->ub", u_pos, u_pos))
+    at = None  # every row is taken at every knot, row s's knot j at k_pos[s, j]
     if k_pos.shape[1] < n_knot:
         reach, rate = mask_reach(fleet.bounds, user_bounds, u_r.min(), cfg.min_elevation_deg)
-        rate[fleet.may_fail] = np.inf  # never skipped
-        k_pos, k_vel = _lazy_knots(
-            fleet.batch, jd, fr, knots, knots * cfg.step_s, k_pos, k_vel, u_pos[:, knots],
-            reach, rate,
+        span = float(np.diff(knots).max()) * cfg.step_s
+        take = _knot_plan(
+            fleet.batch, fleet.may_fail, jd, fr, knots, span, u_pos[:, knots], reach, rate
         )
+        # the later knots' states are dropped once joined to the first knot's
+        if take is None:  # every row at every later knot, in one dense call
+            later = fleet.batch.propagate_jd(jd, fr[knots[1:]])
+            k_pos, k_vel = (np.concatenate([k, m], axis=1) for k, m in zip((k_pos, k_vel), later))
+        else:
+            row, knot = np.nonzero(take[:, 1:])
+            later = fleet.batch.propagate_pairs(jd, fr, row, knots[knot + 1])
+            k_pos, k_vel = (np.concatenate([k[:, 0], m]) for k, m in zip((k_pos, k_vel), later))
+            # at[s, j]: the index of row s's state at knot j into k_pos, -1
+            # where the row is not taken there
+            at = np.full((n_sat, n_knot), -1, dtype=np.int32)
+            at[:, 0] = np.arange(n_sat)
+            at[row, knot + 1] = np.arange(n_sat, len(k_pos))
+            # the rows not taken after the first knot cannot be seen in the block
+            screened = screened[take[screened, 1:].any(axis=1)]
+        later = None
+
+    def at_knots(rows):
+        """(pos, vel), each (len(rows), K, 3), NaN at the knots not taken."""
+        if at is None:
+            return (k_pos, k_vel) if len(rows) == n_sat else (k_pos[rows], k_vel[rows])
+        idx = at[rows]
+        pos, vel = k_pos[idx], k_vel[idx]
+        pos[idx < 0] = vel[idx < 0] = np.nan
+        return pos, vel
+
     u_top = u_r.max(axis=1)
     keys = horizon_screen(
-        k_pos[screened], k_vel[screened], u_pos[:, knots], u_vel[:, knots], knots, cfg.step_s,
+        *at_knots(screened), u_pos[:, knots], u_vel[:, knots], knots, cfg.step_s,
         [b[screened] for b in fleet.bounds], user_bounds, cfg.min_elevation_deg, u_top,
     )
-    if len(dense):
+    if len(screened) < n_sat:
         keys = _fleet_keys(keys, screened, n_steps)
     # between the knots: the pairs any user keeps
     need = np.zeros((n_sat, n_steps), dtype=bool)
@@ -405,18 +442,24 @@ def _block_states(cfg, fleet, user_bounds, jd, fr, knots, k_pos, k_vel, u_pos, u
     if len(p_keys):
         between_states.append(fleet.batch.propagate_pairs(jd, fr, *np.divmod(p_keys, n_steps)))
     pos, vel = k_pos.reshape(-1, 3), k_vel.reshape(-1, 3)
+    n_knot_states = len(pos)
     if between_states:
         pos = np.concatenate([pos, *(p for p, _ in between_states)])
         vel = np.concatenate([vel, *(v for _, v in between_states)])
-    # a state's index into pos and vel: row x knots + knot at a knot, else
-    # its place after the knots, from a table written only at the keys of
-    # the states taken between knots
+    # a state's index into pos and vel, from a table written only at the
+    # keys of the states taken
     slot = np.empty(n_sat * n_steps, dtype=np.int32)
+    if at is None:
+        every = np.arange(n_sat * n_knot, dtype=np.int32).reshape(n_sat, n_knot)
+        slot.reshape(n_sat, n_steps)[:, knots] = every
+    else:
+        row, knot = np.nonzero(at >= 0)
+        slot[row * n_steps + knots[knot]] = at[row, knot]
     taken = np.concatenate([d_keys, p_keys])
-    slot[taken] = np.arange(n_sat * n_knot, n_sat * n_knot + len(taken))
+    slot[taken] = np.arange(n_knot_states, n_knot_states + len(taken))
     if len(dense):  # the knot test on every step of the rows that may fail
         d_all = np.empty((len(dense), n_steps, 3))
-        d_all[:, knots] = k_pos[dense]
+        d_all[:, knots] = at_knots(dense)[0]
         d_all[:, between] = d_pos.reshape(len(dense), len(between), 3)
         exact = horizon_screen(
             d_all, None, u_pos, None, np.arange(n_steps), cfg.step_s,
@@ -424,49 +467,45 @@ def _block_states(cfg, fleet, user_bounds, jd, fr, knots, k_pos, k_vel, u_pos, u
         )
         exact = _fleet_keys(exact, dense, n_steps)
         keys = [np.sort(np.concatenate([k, e]), kind="stable") for k, e in zip(keys, exact)]
-    cand = []
-    for k in keys:
-        row, step = np.divmod(k, n_steps)
-        knot = knot_of[step]
-        cand.append((row, step, np.where(knot < 0, slot[k], row * n_knot + knot)))
-    return pos, vel, cand
+    return pos, vel, [(*np.divmod(k, n_steps), slot[k]) for k in keys]
 
 
-def _lazy_knots(batch, jd, fr, knots, t_knot, pos0, vel0, u_knots, reach, rate):
-    """The fleet's states (S, K, 3) at a block's knots, NaN at each knot
-    where a row is not taken. pos0, vel0: (S, 1, 3) at the first knot;
-    t_knot: the knots' times [s]; u_knots: (U, K, 3) the users there;
-    reach, rate: each row's Θ and Ω (:func:`mask_reach`).
+def _knot_plan(batch, may_fail, jd, fr, knots, span, u_knots, reach, rate):
+    """(S, K) bool, the knots at which each row of ``batch`` is taken, or
+    None to take every row at every knot. may_fail: (S,) the rows whose
+    propagation can fail; span: the longest interval between knots [s];
+    u_knots: (U, K, 3) the users at the knots; reach, rate: each row's Θ
+    and Ω (:func:`mask_reach`).
 
-    No user can see a row taken at knot j before t_j + :func:`mask_wait`.
-    The row is next taken at the last knot at or before that time, but not
-    before knot j + 1, and at no later knot of the block if that time is
-    past its last one. So every knot it skips, and every interval that
-    such a knot ends, holds only steps at which no user sees it. Each knot
-    takes its rows in one :meth:`SatBatch.propagate_pairs` call. Once a
-    knot skips no row, every later knot takes every row, in one
-    :meth:`SatBatch.propagate_jd` call, with no more deciding.
+    A row that cannot fail is predicted at every knot from its mean
+    elements, to within a margin μ (:meth:`SatBatch.mean_directions`). The
+    interval between two knots is cleared for the row if, at both, its
+    predicted central angle from every user exceeds Θ + μ + Ω span / 2
+    (:func:`mask_clear`): every step of the interval is within span / 2 of
+    one of them, so no user sees the row there. A row is taken at the
+    first knot and wherever an interval next to a knot is not cleared;
+    rows that may fail, at every knot. Where the first interval clears
+    fewer than ``_CLEAR_SHARE`` of the rows that cannot fail, every row is
+    taken at every knot (None), decided from two products per user only.
     """
-    n_sat, n_knot = len(pos0), len(knots)
-    pos, vel = np.full((n_sat, n_knot, 3), np.nan), np.full((n_sat, n_knot, 3), np.nan)
-    rows, p, v = np.arange(n_sat), pos0[:, 0], vel0[:, 0]
-    due = np.zeros(n_sat, dtype=np.intp)  # each row's next knot; n_knot: none
-    for j in range(n_knot):
-        if j:
-            rows = np.flatnonzero(due == j)
-            p, v = batch.propagate_pairs(jd, fr, rows, np.full(len(rows), knots[j]))
-        pos[rows, j], vel[rows, j] = p, v
-        if j == n_knot - 1:
-            break
-        seen = t_knot[j] + mask_wait(p, u_knots[:, j], reach[rows], rate[rows])
-        nxt = np.maximum(np.searchsorted(t_knot, seen, side="right") - 1, j + 1)
-        nxt[seen > t_knot[-1]] = n_knot
-        nxt[np.isnan(seen)] = j + 1  # a state that is not finite is taken at the next knot
-        due[rows] = nxt
-        if (due == j + 1).all():
-            pos[:, j + 1 :], vel[:, j + 1 :] = batch.propagate_jd(jd, fr[knots[j + 1 :]])
-            break
-    return pos, vel
+    rows = np.flatnonzero(~may_fail)
+    limit = reach[rows] + 0.5 * span * rate[rows]
+
+    def far(cols):
+        dirs, margin = batch.mean_directions(jd, fr[knots[cols]], rows)
+        return mask_clear(dirs, u_knots[:, cols], limit + margin)
+
+    ends = far(slice(0, 2))
+    if np.count_nonzero(ends[0] & ends[1]) < _CLEAR_SHARE * len(rows):
+        return None
+    if len(knots) > 2:
+        ends = np.concatenate([ends, far(slice(2, None))])
+    clear = ends[:-1] & ends[1:]  # (K - 1, R), interval j ends at knots j and j + 1
+    # a later knot is skipped where both intervals next to it are cleared
+    right = np.concatenate([clear[1:], np.ones((1, len(rows)), dtype=bool)])
+    take = np.ones((batch.n, len(knots)), dtype=bool)
+    take[rows, 1:] = ~(clear & right).T
+    return take
 
 
 def _fleet_keys(keys, rows, n_steps):

@@ -226,13 +226,15 @@ def horizon_screen(
     user_bounds: each object's (r_lo, r_hi, v_hi) from
     :meth:`SatBatch.orbit_bounds`; an infinite v_hi (no bound) keeps every
     pair with that object at every step. A satellite's state may be NaN at
-    any knot but the first (a knot skipped after :func:`mask_wait`): that
-    knot is then absent, and neither it nor an interval it ends is tested,
-    nor enters the satellite's radii and speeds. Velocities and user_bounds
-    are read only if some knots are more than one step apart; sat_bounds, if
-    given, narrow c. user_r_max: (U,) each user's largest radius over the
-    block's steps [km], needed for a mask above 0 if some knots are more
-    than one step apart, else the largest at the knots. Returns, per user,
+    any knot but the first, where the engine's knot plan has cleared both
+    intervals next to it (no user can see the satellite there): that knot
+    is then absent, and neither it nor an interval it ends is tested, nor
+    enters the satellite's radii and speeds. With no satellites (S = 0) it
+    keeps no pair. Velocities and user_bounds are read only if some knots
+    are more than one step apart; sat_bounds, if given, narrow c.
+    user_r_max: (U,) each user's largest radius over the block's steps
+    [km], needed for a mask above 0 if some knots are more than one step
+    apart, else the largest at the knots. Returns, per user,
     the kept pairs as keys row * B + step, ascending (in (row, step) order).
     The products are (U, 3) x (3, satellites) per knot. With a knot at every
     step they are taken a few knots and satellites at a time; else all the
@@ -317,7 +319,7 @@ def horizon_screen(
                 break
             b0 = b1
     # sorted keys (u * S + s) * B + b run user by user, each in (row, step) order
-    keys = np.concatenate(keys)
+    keys = np.concatenate([np.zeros(0, dtype=np.int64), *keys])  # with no satellites too
     keys.sort()
     per_user = n_sat * n_steps
     bounds = np.searchsorted(keys, np.arange(n_user + 1) * per_user)
@@ -364,23 +366,29 @@ def mask_reach(sat_bounds, user_bounds, user_r_min, min_elevation_deg):
     return reach, rate
 
 
-def mask_wait(sat_pos, user_pos, reach, rate):
-    """Seconds (n,) after the instant of the states before which no user
-    can see each satellite at or above the elevation mask: (θ - Θ) / Ω,
-    with θ the central angle from the satellite to its nearest user, and
-    Θ = ``reach`` and Ω = ``rate`` from :func:`mask_reach`. At most 0
-    where a user may see it at once, and where Ω is infinite; NaN where a
-    state is not finite. sat_pos: (n, 3); user_pos: (U, 3), at one
-    instant. The (U, 3) x (3, n) product is taken ``_GEMM_SIZE`` / 3
-    (user, satellite) pairs at a time.
+def mask_clear(sat_dir, user_pos, limit):
+    """(K, n) bool, True where each of n satellites' central angle from
+    every user exceeds its ``limit`` [rad], at each of K instants.
+
+    sat_dir: (K, 3, n) unit vectors (:meth:`SatBatch.mean_directions`);
+    user_pos: (U, K, 3); limit: (n,). A limit below 0 is taken as 0 and
+    one of at least pi clears nothing. The products (U, 3) x (3, n) are
+    taken ``_GEMM_SIZE`` / 3 (user, satellite) pairs and a few instants at
+    a time.
     """
-    uhat = user_pos / np.linalg.norm(user_pos, axis=1, keepdims=True)
-    shat = sat_pos / np.linalg.norm(sat_pos, axis=1, keepdims=True)
-    near = np.empty(len(shat))  # cos θ
-    width = max(1, _GEMM_SIZE // (3 * len(uhat)))
-    for s0 in range(0, len(shat), width):
-        np.max(uhat @ shat[s0 : s0 + width].T, axis=0, out=near[s0 : s0 + width])
-    return (np.arccos(np.clip(near, -1.0, 1.0)) - reach) / rate
+    uhat = (user_pos / np.linalg.norm(user_pos, axis=-1, keepdims=True)).transpose(1, 0, 2)
+    cos_limit = np.where(limit < np.pi, np.cos(np.clip(limit, 0.0, np.pi)), -np.inf)
+    n_knot, n_user, n = len(sat_dir), uhat.shape[1], sat_dir.shape[2]
+    width = max(1, _GEMM_SIZE // (3 * n_user))
+    chunk = max(1, (_CULL_CHUNK // 32) // (n_user * min(width, max(n, 1))))
+    far = np.empty((n_knot, n), dtype=bool)
+    for s0 in range(0, n, width):
+        tile = slice(s0, s0 + width)
+        for b0 in range(0, n_knot, chunk):
+            kn = slice(b0, b0 + chunk)
+            near = np.matmul(uhat[kn], sat_dir[kn, :, tile]).max(axis=1)
+            np.less(near, cos_limit[tile], out=far[kn, tile])
+    return far
 
 
 def _radial_accel(r_lo, r_hi):

@@ -174,6 +174,27 @@ def test_validate_step_divisibility_warning():
     assert any("does not divide" in m for _, m in validate(cfg))
 
 
+@pytest.mark.parametrize(
+    "duration, step, n_steps",
+    [(33.0, 1.1, 31), (3600.0, 0.1, 36001), (60.0, 0.1, 601), (0.3, 0.1, 4), (7.0, 0.7, 11)],
+)
+def test_steps_that_divide_the_duration_to_rounding_count_whole(duration, step, n_steps):
+    # 33 / 1.1 rounds to 29.999999999999996 and fmod(3600, 0.1) to 0.09999...:
+    # a quotient within 1e-9 of an integer keeps the last sample and warns not
+    cfg = small_cfg(duration_s=duration, step_s=step)
+    assert cfg.n_steps == n_steps
+    assert not any("does not divide" in m for _, m in validate(cfg))
+
+
+@pytest.mark.parametrize(
+    "duration, step, n_steps", [(20.0, 7.0, 3), (1.0, 0.3, 4), (33.0 + 1e-6, 1.1, 31)]
+)
+def test_steps_that_do_not_divide_the_duration_drop_the_partial_interval(duration, step, n_steps):
+    cfg = small_cfg(duration_s=duration, step_s=step)
+    assert cfg.n_steps == n_steps
+    assert any("does not divide" in m for _, m in validate(cfg))
+
+
 def test_validate_frequency_warning():
     cfg = small_cfg(carrier_frequency_hz=100e9)
     assert any("GHz" in m for _, m in validate(cfg))

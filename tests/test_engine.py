@@ -616,9 +616,9 @@ def test_screened_blocks_give_the_cull_off_bytes(tmp_path, monkeypatch):
         assert sizes == [len(row) for row, _, _ in cands]
         if cull:
             # per block, one gathered-pair call for the steps between knots of
-            # the rows that may fail, one per knot after the first (the GEO
-            # rows are taken at each) and one for the pairs the screen keeps
-            assert len(masks) == sum(len(range(0, b - 1, 12)) + 2 for b in (512, cfg.n_steps - 512))
+            # the rows that may fail, one for the knots after the first (the
+            # GEO rows are taken at each) and one for the pairs the screen keeps
+            assert len(masks) == 2 * 3
             fail = np.flatnonzero(fleet.may_fail)
             assert len(fail) == 23
             blocks = [512] * 3 + [cfg.n_steps - 512] * 3
@@ -637,23 +637,30 @@ def test_screened_blocks_give_the_cull_off_bytes(tmp_path, monkeypatch):
     assert any(r.visible for u in outputs[0][2] for r in u)
 
 
-def test_lazy_knots_give_the_cull_off_bytes(tmp_path, monkeypatch):
-    # one ISS user against a Walker fleet over 2 blocks: rows are taken
-    # only at the knots where the user may see them before the next one,
-    # so fewer than half of rows x knots knot states are propagated, and the run
-    # writes the bytes and captures the records of a run without the cull
+def _counted_plans(monkeypatch):
+    """Per block that plans its knots, the knot states taken (rows x knots
+    if every row is taken at every knot) and the number of knots."""
     from leolink import engine
 
+    knot_plan, plans = engine._knot_plan, []
+
+    def counted(batch, may_fail, jd, fr, knots, *args):
+        take = knot_plan(batch, may_fail, jd, fr, knots, *args)
+        plans.append((batch.n * len(knots) if take is None else int(take.sum()), len(knots)))
+        return take
+
+    monkeypatch.setattr(engine, "_knot_plan", counted)
+    return plans
+
+
+def test_lazy_knots_give_the_cull_off_bytes(tmp_path, monkeypatch):
+    # one ISS user against a Walker fleet over 2 blocks: rows are taken
+    # only at the knots next to an interval where the user may see them, so
+    # fewer than a quarter of rows x knots knot states are propagated, and
+    # the run writes the bytes and captures the records of a run without
+    # the cull
     cfg = mini_cfg(duration_s=700 * 10.0, capture_records=True)
-    lazy_knots, taken, knots = engine._lazy_knots, [], []
-
-    def counted(batch, jd, fr, block_knots, *args):
-        pos, vel = lazy_knots(batch, jd, fr, block_knots, *args)
-        taken.append(int(np.isfinite(pos[..., 0]).sum()))
-        knots.append(len(block_knots))
-        return pos, vel
-
-    monkeypatch.setattr(engine, "_lazy_knots", counted)
+    plans = _counted_plans(monkeypatch)
     outputs = []
     for cull in (True, False):
         out = tmp_path / str(cull)
@@ -661,8 +668,50 @@ def test_lazy_knots_give_the_cull_off_bytes(tmp_path, monkeypatch):
         summary = (out / "summary.json").read_bytes().replace(b'"culling": true', b'"culling": false')
         outputs.append([summary, (out / "pass_access.csv").read_bytes(), [u.records for u in m.users]])
     n_sat = sum(m.constellation_counts.values())
-    assert len(taken) == 2  # both blocks, with the cull on only
-    assert sum(taken) < n_sat * sum(knots) // 2
+    taken, knots = np.sum(plans, axis=0)
+    assert len(plans) == 2  # both blocks, with the cull on only
+    assert taken < n_sat * knots // 4
+    assert outputs[0] == outputs[1]
+    assert any(r.visible for u in outputs[0][2] for r in u)
+
+
+@pytest.mark.parametrize("min_el", [0.0, 25.0])
+def test_planned_knots_give_the_cull_off_bytes_on_a_mixed_fleet(tmp_path, monkeypatch, min_el):
+    # Walker rows, a drag TLE row, an eccentric near-earth row (e = 0.1, a
+    # margin of about 12 deg) and the GEO rows, against the ISS and two
+    # other LEO users over 2 blocks: the blocks skip knots, and the cull on
+    # and off write the same bytes and capture the same records
+    from leolink.fleets import BUILTIN_FLEETS
+
+    drag = TwoLineElementSet(
+        name="DRAG", epoch=EPOCH, inclination=51.6, raan=40.0, eccentricity=0.0005,
+        arg_perigee=0.0, mean_anomaly=10.0, mean_motion=15.5, bstar=2e-4, catalog_id=22222,
+    )
+    eccentric = TwoLineElementSet(
+        name="ECC", epoch=EPOCH, inclination=63.0, raan=200.0, eccentricity=0.1,
+        arg_perigee=90.0, mean_anomaly=0.0, mean_motion=13.0, bstar=0.0, catalog_id=33333,
+    )
+    cfg = mini_cfg(
+        constellations=[
+            *mini_cfg().constellations,
+            ConstellationConfig("tles", BeamModel("earth_limb"), tles=[drag, eccentric]),
+            BUILTIN_FLEETS["eutelsat_geo"],
+        ],
+        users=[preset("iss", epoch=EPOCH), *random_users(2, 11)],
+        duration_s=700 * 10.0,
+        min_elevation_deg=min_el,
+        capture_records=True,
+    )
+    plans = _counted_plans(monkeypatch)
+    outputs = []
+    for cull in (True, False):
+        out = tmp_path / str(cull)
+        m = run(replace(cfg, cull=cull, output_dir=out))
+        summary = (out / "summary.json").read_bytes().replace(b'"culling": true', b'"culling": false')
+        outputs.append([summary, (out / "pass_access.csv").read_bytes(), [u.records for u in m.users]])
+    n_sat = sum(m.constellation_counts.values())
+    assert len(plans) == 2
+    assert all(taken < n_sat * knots for taken, knots in plans)
     assert outputs[0] == outputs[1]
     assert any(r.visible for u in outputs[0][2] for r in u)
 

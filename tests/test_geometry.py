@@ -616,6 +616,42 @@ def test_mask_reach_bounds_the_central_angle(sats, users, n_steps, step_s, start
 
 @settings(max_examples=100, deadline=None)
 @given(
+    sats=_orbit_records(8),
+    n_steps=st.integers(2, 150),
+    step_s=st.sampled_from([1.0, 10.0, 60.0, 600.0]),
+    knot_every=st.integers(1, 30),
+    start_days=st.floats(-3.0, 3.0),
+)
+def test_mean_directions_stay_within_their_margin(sats, n_steps, step_s, knot_every, start_days):
+    # for the records that cannot fail, at knots like the engine's (evenly
+    # spaced but for the last) within 3 days of epoch: the angle from each
+    # predicted direction to the batch position's is at most the record's
+    # margin (hypothesis reports the largest angle / margin it saw)
+    from hypothesis import assume, target
+
+    from leolink.sgp4batch import SatBatch
+
+    rows = np.flatnonzero(~SatBatch(sats).may_fail)
+    assume(len(rows))
+    knots = np.unique(np.r_[np.arange(0, n_steps, knot_every), n_steps - 1])
+    fleet, _, jd, frs, (sp, _), _ = _dense_states(
+        [sats[r] for r in rows], sats[:1], n_steps, step_s, start_days
+    )
+    dirs, margin = fleet.mean_directions(jd, frs[knots], np.arange(len(rows)))
+    dirs = dirs.transpose(2, 0, 1)
+    pos = sp[:, knots]
+    # atan2 keeps small angles exact, where arccos of a dot product does not
+    angle = np.arctan2(
+        np.linalg.norm(np.cross(pos, dirs), axis=-1), np.einsum("skc,skc->sk", pos, dirs)
+    )
+    worst = float((angle / margin[:, None]).max())
+    target(worst, label="largest angle / margin")
+    assert worst <= 1.0
+    assert np.allclose(np.linalg.norm(dirs, axis=-1), 1.0, rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
     sats=_orbit_records(6),
     users=_orbit_records(3),
     n_steps=st.integers(3, 150),
@@ -627,16 +663,17 @@ def test_mask_reach_bounds_the_central_angle(sats, users, n_steps, step_s, start
 def test_screen_with_skipped_knots_keeps_every_pair_above_the_mask(
     sats, users, n_steps, step_s, knot_every, start_days, min_el
 ):
-    # the engine's lazy knots take each satellite only at the knots where
-    # some user may see it before the next one (NaN elsewhere), at the
-    # states a dense call gives; the screen on those knots still keeps
-    # every pair that pair geometry puts at or above the elevation mask
-    # (hypothesis reports the most such pairs it saw after a skipped knot
-    # of their satellite; a deep-space user, with no speed bound, would
-    # skip none)
+    # the engine's knot plan takes each satellite only at the knots next to
+    # an interval where some user may see it, gathered at the states a
+    # dense call gives; the screen on those knots (NaN elsewhere), of the
+    # satellites taken after the first knot, still keeps every pair that
+    # pair geometry puts at or above the elevation mask (hypothesis reports
+    # the most such pairs it saw after a skipped knot of their satellite; a
+    # deep-space user, with no speed bound, would skip none). The plan is
+    # kept for any share of cleared rows, not only where it pays.
     from hypothesis import assume, target
 
-    from leolink.engine import _lazy_knots
+    from leolink import engine
 
     users = [r for r in users if r.method == "n"]
     assume(users)
@@ -646,22 +683,29 @@ def test_screen_with_skipped_knots_keeps_every_pair_above_the_mask(
     knots = np.unique(np.r_[np.arange(0, n_steps, knot_every), n_steps - 1])
     r_u = np.linalg.norm(up, axis=-1)
     reach, rate = geometry.mask_reach(fleet.orbit_bounds(), crew.orbit_bounds(), r_u.min(), min_el)
-    pos, vel = _lazy_knots(
-        fleet, jd, frs, knots, knots * step_s, sp[:, :1], svel[:, :1], up[:, knots], reach, rate
-    )
-    taken = np.isfinite(pos[..., 0])
-    assert taken[:, 0].all()
-    assert np.array_equal(pos[taken], sp[:, knots][taken])
-    assert np.array_equal(vel[taken], svel[:, knots][taken])
+    span = float(np.diff(knots).max()) * step_s
+    with mock.patch.object(engine, "_CLEAR_SHARE", 0.0):
+        taken = engine._knot_plan(
+            fleet, fleet.may_fail, jd, frs, knots, span, up[:, knots], reach, rate
+        )
+    assert taken[:, 0].all() and taken[fleet.may_fail].all()
+    row, knot = np.nonzero(taken)
+    p, v = fleet.propagate_pairs(jd, frs, row, knots[knot])
+    assert np.array_equal(p, sp[:, knots][taken])
+    assert np.array_equal(v, svel[:, knots][taken])
+    pos, vel = np.full((2, len(sats), len(knots), 3), np.nan)
+    pos[taken], vel[taken] = p, v
     # the first skipped knot of each satellite, or none
     first_skip = np.where(taken.all(axis=1), n_steps, knots[np.argmin(taken, axis=1)])
+    live = np.flatnonzero(taken[:, 1:].any(axis=1))
     kept = geometry.horizon_screen(
-        pos, vel, up[:, knots], uvel[:, knots], knots, step_s,
-        fleet.orbit_bounds(), crew.orbit_bounds(), min_el, r_u.max(axis=1),
+        pos[live], vel[live], up[:, knots], uvel[:, knots], knots, step_s,
+        [b[live] for b in fleet.orbit_bounds()], crew.orbit_bounds(), min_el, r_u.max(axis=1),
     )
     sin_min = math.sin(math.radians(min_el))
     after_skip = 0
     for p, v, keys in zip(up, uvel, kept):
+        keys = live[keys // n_steps] * n_steps + keys % n_steps
         _, _, sin_el, _, _ = pair_geometry_arrays(sp, svel, p, v)
         visible = sin_el >= sin_min
         # at the mask 0 a pair on the horizon plane to rounding may fall on
