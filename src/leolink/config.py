@@ -458,11 +458,15 @@ def validate(cfg: ScenarioConfig) -> list[tuple[str, str]]:
             ("warning", f"step {cfg.step_s}s does not divide duration {cfg.duration_s}s; "
              "the last partial interval is dropped")
         )
-    if not 1e9 <= cfg.carrier_frequency_hz <= 50e9:
+    if not cfg.carrier_frequency_hz > 0.0:  # path loss takes its logarithm
+        out.append(("error", f"carrier_frequency {cfg.carrier_frequency_hz} Hz must be positive"))
+    elif not 1e9 <= cfg.carrier_frequency_hz <= 50e9:
         out.append(
             ("warning", f"carrier frequency {cfg.carrier_frequency_hz / 1e9:.3g} GHz "
              "is outside the 1-50 GHz RF band")
         )
+    if cfg.threads < 1:
+        out.append(("error", f"threads {cfg.threads} must be at least 1"))
     if cfg.reporting_mode not in ("all_visible", "serving_only"):
         out.append(("error", f"unknown reporting mode {cfg.reporting_mode!r}"))
     if cfg.constellations:

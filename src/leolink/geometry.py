@@ -245,6 +245,8 @@ def horizon_screen(
     """
     n_sat, n_knot, _ = sat_pos.shape
     n_user = user_pos.shape[0]
+    if n_sat == 0:
+        return [np.zeros(0, dtype=np.int64) for _ in range(n_user)]
     knots = np.asarray(knots, dtype=np.int64)
     n_steps = int(knots[-1]) + 1
     gap = np.diff(knots)
@@ -319,7 +321,7 @@ def horizon_screen(
                 break
             b0 = b1
     # sorted keys (u * S + s) * B + b run user by user, each in (row, step) order
-    keys = np.concatenate([np.zeros(0, dtype=np.int64), *keys])  # with no satellites too
+    keys = np.concatenate(keys)
     keys.sort()
     per_user = n_sat * n_steps
     bounds = np.searchsorted(keys, np.arange(n_user + 1) * per_user)

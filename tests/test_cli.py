@@ -313,6 +313,8 @@ def test_malformed_values_exit_with_a_message(tmp_path, capsys):
          "explicit user 0: semi-major axis"),
         ({"cull": "false"}, "'cull' in the scenario must be true or false, not 'false'"),
         ({"threads": 2.9}, "'threads' in the scenario must be an integer, not 2.9"),
+        ({"threads": 0}, "threads 0 must be at least 1"),
+        ({"carrier_frequency": -1e9}, "carrier_frequency -1000000000.0 Hz must be positive"),
         ({"grid": {"metrics": ["coverage"]}}, "'metrics' in grid: unknown metric 'coverage'"),
         ({"grid": {"altitude_bin": -5}}, "'altitude_bin' in grid must be positive, not -5.0"),
         ({"constellations": [{"name": "eutelsat_geo"}, {"name": "eutelsat_geo"}]},
@@ -327,5 +329,18 @@ def test_malformed_values_exit_with_a_message(tmp_path, capsys):
         assert main(["validate", "--config", str(path)]) == 1
         assert f"error: {message}" in capsys.readouterr().out
         assert main(["run", "--config", str(path)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+    # the same values given as flags
+    for flags, message in (
+        (["--freq", "0"], "carrier_frequency 0.0 Hz must be positive"),
+        (["--threads", "-2"], "threads -2 must be at least 1"),
+    ):
+        path.write_text(json.dumps({
+            "constellations": [{"name": "eutelsat_geo"}], "users": {"preset": "iss"},
+            "duration": 60, "output_dir": str(tmp_path / "out"),
+        }))
+        assert main(["run", "--config", str(path), *flags]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert main(["preset", "iss", "--constellations", "eutelsat_geo", *flags]) == 1
         assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

@@ -196,8 +196,29 @@ def test_steps_that_do_not_divide_the_duration_drop_the_partial_interval(duratio
 
 
 def test_validate_frequency_warning():
-    cfg = small_cfg(carrier_frequency_hz=100e9)
-    assert any("GHz" in m for _, m in validate(cfg))
+    # a positive frequency outside the band is a warning only
+    for freq in (0.5e9, 100e9):
+        diags = validate(small_cfg(carrier_frequency_hz=freq))
+        assert any("GHz" in m for _, m in diags)
+        assert not any(lvl == "error" for lvl, _ in diags)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("carrier_frequency", 0.0, "carrier_frequency 0.0 Hz must be positive"),
+        ("carrier_frequency", -3e9, "carrier_frequency -3000000000.0 Hz must be positive"),
+        ("threads", 0, "threads 0 must be at least 1"),
+        ("threads", -2, "threads -2 must be at least 1"),
+    ],
+)
+def test_frequency_and_threads_outside_the_model_rejected(key, value, message):
+    # a carrier frequency <= 0 gives path losses of -inf or NaN, which are not
+    # JSON, and fewer than one thread cannot run
+    field = "carrier_frequency_hz" if key == "carrier_frequency" else key
+    assert ("error", message) in validate(small_cfg(**{field: value}))
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        config_from_dict({"constellations": [{"name": "oneweb"}], "users": {"preset": "iss"}, key: value})
 
 
 def test_validate_stale_tle_warning():

@@ -367,7 +367,9 @@ _beams = st.one_of(
 )
 _shells = st.builds(
     ShellSpec,
-    altitude=st.floats(400.0, 2000.0),
+    # deep-space shells make rows that may fail, propagated at every step,
+    # among the rows the screen bounds between knots
+    altitude=st.one_of(st.floats(400.0, 2000.0), st.floats(20000.0, 36000.0)),
     inclination=st.floats(0.0, 180.0),
     plane_count=st.integers(1, 5),
     sats_per_plane=st.integers(1, 6),
@@ -387,7 +389,8 @@ _users = st.lists(
     fleets=st.lists(st.tuples(_beams, _shells), min_size=1, max_size=3),
     users=_users,
     n_steps=st.integers(2, 60),
-    step_s=st.sampled_from([10.0, 30.0, 60.0]),
+    # a knot every 12, 4 and 2 steps, then at every step
+    step_s=st.sampled_from([10.0, 30.0, 60.0, 120.0, 300.0]),
     min_elevation=st.floats(0.0, 40.0),
     random_policy=st.booleans(),
 )
@@ -615,10 +618,11 @@ def test_screened_blocks_give_the_cull_off_bytes(tmp_path, monkeypatch):
         # every candidate goes to pair geometry, no other pair
         assert sizes == [len(row) for row, _, _ in cands]
         if cull:
-            # per block, one gathered-pair call for the steps between knots of
-            # the rows that may fail, one for the knots after the first (the
-            # GEO rows are taken at each) and one for the pairs the screen keeps
-            assert len(masks) == 2 * 3
+            # per block, one gathered-pair call for the knots after the first
+            # (the GEO rows are taken at each) and one for the steps between
+            # knots: the pairs the screen keeps and every such step of the
+            # rows that may fail
+            assert len(masks) == 2 * 2
             fail = np.flatnonzero(fleet.may_fail)
             assert len(fail) == 23
             blocks = [512] * 3 + [cfg.n_steps - 512] * 3
@@ -767,9 +771,10 @@ def test_decay_in_a_sparse_block_raises_the_dense_error(monkeypatch):
     masks = _pairs_spy(monkeypatch)
     with pytest.raises(PropagationError, match="SINKER") as sparse:
         run(cfg)
-    # the first block went through gathered pairs, with every step between
-    # knots of the row that may fail, and few of the others
-    need = masks[0]
+    # the first block's steps between knots went through one gathered call,
+    # after its later knots', with every such step of the row that may fail
+    # and few of the others
+    need = masks[1]
     assert need[-1].sum() == 512 - len(range(0, 512, 60)) - 1
     assert need[:-1].mean() < 0.2
     with pytest.raises(PropagationError, match="SINKER") as dense:
