@@ -1,5 +1,7 @@
 import errno
 import json
+import math
+import sys
 import tempfile
 from datetime import timedelta
 from pathlib import Path
@@ -360,20 +362,56 @@ def test_deep_space_failure_names_scenario_step_and_instant(monkeypatch):
     assert abs((err.value.utc - expected).total_seconds()) < 1e-3
 
 
+def test_subnormal_deep_space_inclination_fails_as_the_reference():
+    # SGP4's deep-space terms divide by sin(inclination) whenever it is not
+    # 0, so an inclination whose radian value is subnormal overflows to NaN
+    from leolink import sgp4core
+    from leolink.propagation import satrec_from_tle
+    from leolink.tle import elements_to_tle
+    from leolink.walker import build_walker
+
+    shell = ShellSpec(20000.0, 1.1125369292536007e-308, 1, 1, raan_span=180.0)
+    rec = satrec_from_tle(elements_to_tle(build_walker(shell, EPOCH)[0], catalog_id=1))
+    assert all(math.isnan(x) for x in sgp4core.propagate_record(rec, 0.0)[0])
+    cfg = mini_cfg(
+        constellations=[ConstellationConfig("deep", BeamModel("earth_limb"), shells=[shell])],
+        users=[UserSpec(0, KeplerianElements(RE + 300.0, 0.0, 0.0, 0.0, 0.0, 0.0, EPOCH), "explicit")],
+        duration_s=10.0,
+        step_s=10.0,
+    )
+    with pytest.raises(PropagationError, match="deep-0: position or velocity is not finite") as err:
+        run(cfg)
+    assert err.value.step == 0
+
+
 _beams = st.one_of(
     st.just(BeamModel("earth_limb")),
     st.builds(lambda e: BeamModel("ground_service", service_elevation=e), st.floats(0.0, 60.0)),
     st.builds(lambda h: BeamModel("fixed_half_cone", half_cone=h), st.floats(1.0, 90.0)),
 )
-_shells = st.builds(
-    ShellSpec,
+
+
+def _shells_at(altitude, inclination):
+    return st.builds(
+        ShellSpec,
+        altitude=altitude,
+        inclination=inclination,
+        plane_count=st.integers(1, 5),
+        sats_per_plane=st.integers(1, 6),
+        raan_span=st.sampled_from([180.0, 360.0]),
+    )
+
+
+_shells = st.one_of(
+    _shells_at(st.floats(400.0, 2000.0), st.floats(0.0, 180.0)),
     # deep-space shells make rows that may fail, propagated at every step,
-    # among the rows the screen bounds between knots
-    altitude=st.one_of(st.floats(400.0, 2000.0), st.floats(20000.0, 36000.0)),
-    inclination=st.floats(0.0, 180.0),
-    plane_count=st.integers(1, 5),
-    sats_per_plane=st.integers(1, 6),
-    raan_span=st.sampled_from([180.0, 360.0]),
+    # among the rows the screen bounds between knots; their inclination is 0
+    # or a normal float in radians, as a subnormal one gives NaN in the record
+    # reference too (test_subnormal_deep_space_inclination_fails_as_the_reference)
+    _shells_at(
+        st.floats(20000.0, 36000.0),
+        st.floats(0.0, 180.0).filter(lambda i: i == 0.0 or math.radians(i) >= sys.float_info.min),
+    ),
 )
 _users = st.lists(
     st.tuples(  # altitude, inclination, raan, mean anomaly
