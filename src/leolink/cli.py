@@ -166,12 +166,23 @@ def _summary_table(summary_doc: dict, constellations: list[str] | None = None, u
     return "\n".join(lines)
 
 
-def _cmd_report(args) -> int:
-    path = Path(args.summary)
+def _read_summary(path: str) -> dict:
+    """A run's summary.json document; a missing file or one that is not a
+    summary is a ConfigError."""
+    path = Path(path)
     if not path.exists():
-        print(f"error: summary file {path} not found", file=sys.stderr)
-        return 1
-    doc = json.loads(path.read_text())
+        raise ConfigError(f"summary file {path} not found")
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict) or not isinstance(doc.get("users"), list):
+        raise ConfigError(f"{path}: not a summary, which holds a 'users' list")
+    return doc
+
+
+def _cmd_report(args) -> int:
+    doc = _read_summary(args.summary)
     if args.mode:
         doc["reporting_mode"] = args.mode
     print(_summary_table(doc, user_id=args.user))
@@ -179,12 +190,10 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_grid(args) -> int:
-    path = Path(args.summary)
-    if not path.exists():
-        print(f"error: summary file {path} not found", file=sys.stderr)
-        return 1
-    doc = json.loads(path.read_text())
-    users = doc["users"]
+    for flag, width in (("--alt-bin", args.alt_bin), ("--inc-bin", args.inc_bin)):
+        if not width > 0:
+            raise ConfigError(f"{flag} must be positive, not {width!r}")
+    users = _read_summary(args.summary)["users"]
 
     summaries = []
     for u in users:
@@ -264,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grid", help="bin per-user summaries into a heatmap CSV")
     p.add_argument("summary")
-    p.add_argument("--metric", default="coverage_probability")
+    p.add_argument("--metric", default="coverage_probability", metavar="METRIC",
+                   choices=CoverageSummary.grid_metrics(), help="a scalar summary field")
     p.add_argument("--constellation", default="combined")
     p.add_argument("--alt-bin", type=float, default=25.0)
     p.add_argument("--inc-bin", type=float, default=5.0)

@@ -290,8 +290,9 @@ def run(cfg: ScenarioConfig) -> RunManifest:
 
     def process_user(ui: int, t0: int, idx: np.ndarray, sat_pos, sat_vel, u_pos, u_vel, cand):
         row, step, at = cand[ui]
-        rng, rr, sin_el, cos_off, sat_r = pair_geometry_arrays(
-            sat_pos[at], sat_vel[at], u_pos[ui][step], u_vel[ui][step]
+        rng, rr, sin_el, cos_off, sat_r = pair_geometry_arrays(  # np.take: see _block_states
+            np.take(sat_pos, at, axis=0), np.take(sat_vel, at, axis=0),
+            np.take(u_pos[ui], step, axis=0), np.take(u_vel[ui], step, axis=0),
         )
         cos_half = beam_cos_half_arrays(fleet.beam_nadir[row], fleet.beam_param[row], sat_r)
         vis = visible_mask_arrays(sin_el, cos_off, cfg.min_elevation_deg, cos_half)
@@ -341,7 +342,7 @@ def run(cfg: ScenarioConfig) -> RunManifest:
                 spec=u,
                 summaries=summaries,
                 passes=accs[ui].combined.passes.intervals,
-                accesses=accs[ui].combined.access_intervals(),
+                accesses=accs[ui].combined.accesses.intervals,
                 records=records_cap[ui] if records_cap is not None else None,
             )
         )
@@ -420,17 +421,21 @@ def _block_states(cfg, fleet, user_bounds, jd, fr, knots, k_pos, k_vel, u_pos, u
     need = np.zeros((n_sat, n_steps), dtype=bool)
     need.ravel()[np.concatenate(keys)] = True
     need[may_fail] = True
-    need[:, knots] = False
-    p_keys = np.flatnonzero(need)
+    row, step = np.divmod(np.flatnonzero(need), n_steps)
     need = None  # freed before the pairs' tiles are made
-    row, step = np.divmod(p_keys, n_steps)
+    # the knot states are taken already; dropping them from the kept keys
+    # costs less than clearing the knot columns of need
+    off_knot = np.ones(n_steps, dtype=bool)
+    off_knot[knots] = False
+    kept = off_knot[step]
+    row, step = row[kept], step[kept]
     between = fleet.batch.propagate_pairs(jd, fr, row, step)
     # slot[step, row]: the index of a state into pos and vel, written only
     # where the state is taken; step by step, so that each knot's row is
     # one contiguous write
     slot = np.empty((n_steps, n_sat), dtype=np.int32)
     slot[knots] = at.T
-    slot.ravel()[step * n_sat + row] = np.arange(len(pos), len(pos) + len(p_keys), dtype=np.int32)
+    slot.ravel()[step * n_sat + row] = np.arange(len(pos), len(pos) + len(row), dtype=np.int32)
     pos, vel = (np.concatenate([k, m]) for k, m in zip((pos, vel), between))
     # the knot test on every step of the rows that may fail
     exact = horizon_screen(

@@ -6,11 +6,13 @@ Two layers:
   :func:`extract_accesses`, :func:`coverage_probability`, :func:`summarize`)
   that operate on explicit :class:`StepRecord` sequences. These are the
   readable reference implementations.
-* Streaming accumulators (:class:`UserAccumulator`) fed by the scenario
-  engine one time block of candidate (satellite row, step) pairs at a time.
-  Counts, runs and per-constellation slices come from the visible pairs in
-  (row, step) order, so no pair-level timeline is ever materialized. Tests
-  pin the two layers to identical results.
+* One streaming accumulator per user (:class:`UserAccumulator`), fed by
+  the scenario engine one time block of candidate (satellite row, step)
+  pairs at a time. Its state is arrays over a sets axis: set 0 is the
+  whole fleet, set 1 + c constellation c. Counts, runs and each
+  constellation's slice come from the visible pairs in (row, step) order,
+  so no pair-level timeline is ever materialized. Tests pin the two layers
+  to identical results, for every set.
 
 Durations follow the sample-count convention: a run of k consecutive
 visible samples lasts k * step seconds.
@@ -21,6 +23,7 @@ from __future__ import annotations
 import math
 from copy import copy
 from dataclasses import dataclass, field, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -200,142 +203,54 @@ class _IntervalTracker:
 
 
 class _LinkStats:
-    """Running min/max/log-mean range and peak |range-rate|."""
+    """Running count, min/max/log-sum range and peak |range-rate|, one entry
+    per satellite set."""
 
-    def __init__(self):
-        self.n = 0
-        self.rng_min = math.inf
-        self.rng_max = 0.0
-        self.log_sum = 0.0
-        self.abs_rr_max = 0.0
+    def __init__(self, n_sets: int = 1):
+        self.n = np.zeros(n_sets, dtype=np.int64)
+        self.rng_min = np.full(n_sets, math.inf)
+        self.rng_max = np.zeros(n_sets)
+        self.log_sum = np.zeros(n_sets)
+        self.abs_rr_max = np.zeros(n_sets)
 
-    def update(self, rng: np.ndarray, rr: np.ndarray) -> None:
+    def update(self, rng: np.ndarray, rr: np.ndarray, k: int = 0) -> None:
         if rng.size == 0:
             return
-        self.n += rng.size
-        self.rng_min = min(self.rng_min, float(rng.min()))
-        self.rng_max = max(self.rng_max, float(rng.max()))
-        self.log_sum += float(np.log10(rng).sum())
-        self.abs_rr_max = max(self.abs_rr_max, float(np.abs(rr).max()))
+        self.n[k] += rng.size
+        self.rng_min[k] = min(self.rng_min[k], rng.min())
+        self.rng_max[k] = max(self.rng_max[k], rng.max())
+        self.log_sum[k] += np.log10(rng).sum()
+        self.abs_rr_max[k] = max(self.abs_rr_max[k], np.abs(rr).max())
 
-    def fspl_stats(self, frequency_hz: float):
-        if self.n == 0:
+    def fspl_stats(self, frequency_hz: float, k: int = 0):
+        n = int(self.n[k])
+        if n == 0:
             return None, None, None
-        k = fspl_db(1.0, frequency_hz)  # offset for 1 km
+        offset = fspl_db(1.0, frequency_hz)  # for 1 km
         return (
-            fspl_db(self.rng_min, frequency_hz),
-            k + 20.0 * self.log_sum / self.n,
-            fspl_db(self.rng_max, frequency_hz),
+            fspl_db(float(self.rng_min[k]), frequency_hz),
+            offset + 20.0 * float(self.log_sum[k]) / n,
+            fspl_db(float(self.rng_max[k]), frequency_hz),
         )
 
-    def max_doppler_khz(self, frequency_hz: float):
-        if self.n == 0:
+    def max_doppler_khz(self, frequency_hz: float, k: int = 0):
+        if self.n[k] == 0:
             return None
-        return abs(doppler_offset_hz(self.abs_rr_max, frequency_hz)) / 1e3
-
-
-class ConstellationAccumulator:
-    """Streams one user's statistics over one satellite set: the whole fleet
-    or one constellation."""
-
-    def __init__(self, name: str, step_seconds: float):
-        self.name = name
-        self.step_seconds = step_seconds
-        self.covered = 0
-        self.visible_hist = np.zeros(8, dtype=np.int64)
-        self.passes = _IntervalTracker()
-        self.accesses = _IntervalTracker()
-        self.vis_stats = _LinkStats()
-        self.srv_stats = _LinkStats()
-        self.srv_steps = 0
-
-    def update_block(
-        self,
-        t0: int,
-        n_steps: int,
-        step: np.ndarray,
-        rng: np.ndarray,
-        rr: np.ndarray,
-        srv_rng: np.ndarray,
-        srv_rr: np.ndarray,
-    ) -> None:
-        """One block of this set's visible pairs (step within the block,
-        range, range-rate; in (row, step) order) and, in step order, the
-        serving range and range-rate of the steps this set serves."""
-        counts = np.bincount(step, minlength=n_steps)
-        cmax = int(counts.max(initial=0))
-        if cmax >= len(self.visible_hist):
-            self.visible_hist = np.concatenate(
-                [self.visible_hist, np.zeros(cmax + 1 - len(self.visible_hist), dtype=np.int64)]
-            )
-        self.visible_hist += np.bincount(counts, minlength=len(self.visible_hist))
-        covered = np.flatnonzero(counts)
-        self.covered += len(covered)
-        self.vis_stats.update(rng, rr)
-        self.accesses.update(t0, n_steps, np.zeros(len(covered), dtype=np.int64), covered)
-        self.srv_steps += len(srv_rng)
-        self.srv_stats.update(srv_rng, srv_rr)
-
-    def finalize(
-        self,
-        total_steps: int,
-        frequency_hz: float,
-        usage_fractions: dict[str, float] | None = None,
-    ) -> CoverageSummary:
-        self.passes.close(total_steps - 1)
-        self.accesses.close(total_steps - 1)
-        step_min = self.step_seconds / 60.0
-
-        pass_hist: list[int] = []
-        for _, s, e in self.passes.intervals:
-            b = int((e - s + 1) * step_min)
-            if b >= len(pass_hist):
-                pass_hist.extend([0] * (b + 1 - len(pass_hist)))
-            pass_hist[b] += 1
-
-        acc_durs = [(e - s + 1) * step_min for _, s, e in self.accesses.intervals]
-        hist = self.visible_hist
-        last = int(np.flatnonzero(hist)[-1]) if hist.any() else 0
-        hist = hist[: last + 1]
-        n_counted = int(hist.sum())
-        visible_avg = float((np.arange(len(hist)) * hist).sum() / n_counted) if n_counted else 0.0
-        nonzero = np.flatnonzero(hist)
-        fspl_min, fspl_avg, fspl_max = self.vis_stats.fspl_stats(frequency_hz)
-        sfspl_min, sfspl_avg, sfspl_max = self.srv_stats.fspl_stats(frequency_hz)
-        return CoverageSummary(
-            total_steps=total_steps,
-            covered_steps=self.covered,
-            coverage_probability=self.covered / total_steps if total_steps else 0.0,
-            access_count=len(acc_durs),
-            avg_access_min=float(np.mean(acc_durs)) if acc_durs else 0.0,
-            max_access_min=max(acc_durs) if acc_durs else 0.0,
-            pass_count=len(self.passes.intervals),
-            pass_hist_min=pass_hist,
-            visible_min=int(nonzero[0]) if nonzero.size else 0,
-            visible_avg=visible_avg,
-            visible_max=int(nonzero[-1]) if nonzero.size else 0,
-            visible_hist=hist.tolist(),
-            fspl_min_db=fspl_min,
-            fspl_avg_db=fspl_avg,
-            fspl_max_db=fspl_max,
-            max_doppler_khz=self.vis_stats.max_doppler_khz(frequency_hz),
-            serving_steps=self.srv_steps,
-            serving_fspl_min_db=sfspl_min,
-            serving_fspl_avg_db=sfspl_avg,
-            serving_fspl_max_db=sfspl_max,
-            serving_max_doppler_khz=self.srv_stats.max_doppler_khz(frequency_hz),
-            usage_fractions=usage_fractions or {},
-        )
-
-    def access_intervals(self) -> list[tuple[int, int]]:
-        return [(s, e) for _, s, e in self.accesses.intervals]
+        return abs(doppler_offset_hz(float(self.abs_rr_max[k]), frequency_hz)) / 1e3
 
 
 class UserAccumulator:
-    """Combined plus per-constellation accumulation for one user.
+    """Streams one user's statistics over K = 1 + C satellite sets: set 0 is
+    the whole fleet ("combined"), set 1 + c constellation c.
 
     Satellite rows are satellite ids and are grouped by constellation, so a
-    constellation's pairs are a slice of the (row, step)-ordered pairs.
+    constellation's pairs are a slice of the (row, step)-ordered pairs. Per
+    set there is a row of the visible-count histogram, whose non-zero counts
+    are the covered steps, and an entry of the visible and the serving link
+    statistics, whose serving count gives the serving steps and usage. One
+    tracker keyed by satellite row follows the passes, which finalize
+    assigns to sets by their row's constellation; one keyed by set follows
+    the accesses.
     """
 
     def __init__(
@@ -345,13 +260,15 @@ class UserAccumulator:
             raise ValueError("satellite rows must be grouped by constellation")
         self.names = constellation_names
         self.const_of_sat = const_of_sat
+        self.step_seconds = step_seconds
         # first row of each constellation, then the row count
         self.row_bounds = np.searchsorted(const_of_sat, np.arange(len(constellation_names) + 1))
-        self.combined = ConstellationAccumulator("combined", step_seconds)
-        self.per_const = {
-            name: ConstellationAccumulator(name, step_seconds) for name in constellation_names
-        }
-        self.serving_by_const = np.zeros(len(constellation_names), dtype=np.int64)
+        n_sets = 1 + len(constellation_names)
+        self.visible_hist = np.zeros((n_sets, 8), dtype=np.int64)
+        self.vis_stats = _LinkStats(n_sets)
+        self.srv_stats = _LinkStats(n_sets)
+        self.passes = _IntervalTracker()  # keyed by satellite row
+        self.accesses = _IntervalTracker()  # keyed by set
 
     def update_block(
         self,
@@ -370,35 +287,90 @@ class UserAccumulator:
         n_steps = len(serving)
         at = serving[serving >= 0]  # in step order
         srv_rng, srv_rr = rng[at], rr[at]
-        srv_const = self.const_of_sat[row[at]]
-        self.serving_by_const += np.bincount(srv_const, minlength=len(self.names))
+        srv_set = 1 + self.const_of_sat[row[at]]
         row, step, rng, rr = row[vis], step[vis], rng[vis], rr[vis]
+        self.passes.update(t0, n_steps, row, step)
 
-        self.combined.passes.update(t0, n_steps, row, step)
-        self.combined.update_block(t0, n_steps, step, rng, rr, srv_rng, srv_rr)
+        n_sets, width = self.visible_hist.shape
+        counts = np.empty((n_sets, n_steps), dtype=np.int64)  # visible, by set and step
         cut = np.searchsorted(row, self.row_bounds)
-        for ci, acc in enumerate(self.per_const.values()):
-            mine = slice(cut[ci], cut[ci + 1])
-            member = srv_const == ci
-            acc.update_block(
-                t0, n_steps, step[mine], rng[mine], rr[mine], srv_rng[member], srv_rr[member]
-            )
+        for k in range(1, n_sets):
+            mine = slice(cut[k - 1], cut[k])
+            counts[k] = np.bincount(step[mine], minlength=n_steps)
+            self.vis_stats.update(rng[mine], rr[mine], k)
+            member = srv_set == k
+            self.srv_stats.update(srv_rng[member], srv_rr[member], k)
+        counts[0] = counts[1:].sum(axis=0)
+        self.vis_stats.update(rng, rr)
+        self.srv_stats.update(srv_rng, srv_rr)
+
+        grow = int(counts.max(initial=0)) + 1 - width
+        if grow > 0:
+            self.visible_hist = np.pad(self.visible_hist, ((0, 0), (0, grow)))
+            width += grow
+        keys = counts + width * np.arange(n_sets)[:, None]
+        self.visible_hist += np.bincount(keys.ravel(), minlength=n_sets * width).reshape(n_sets, -1)
+        self.accesses.update(t0, n_steps, *np.nonzero(counts))
 
     def finalize(self, total_steps: int, frequency_hz: float) -> dict[str, CoverageSummary]:
-        served_total = int(self.serving_by_const.sum())
+        """The summaries by set name, "combined" first."""
+        self.passes.close(total_steps - 1)
+        self.accesses.close(total_steps - 1)
+        step_min = self.step_seconds / 60.0
+        n_sets = len(self.visible_hist)
+
+        p_row, p_start, p_end = np.array(self.passes.intervals, dtype=np.int64).reshape(-1, 3).T
+        p_bin = ((p_end - p_start + 1) * step_min).astype(np.int64)  # 1-minute bins
+        width = int(p_bin.max(initial=0)) + 1
+        keys = np.concatenate((p_bin, (1 + self.const_of_sat[p_row]) * width + p_bin))
+        pass_hist = np.bincount(keys, minlength=n_sets * width).reshape(n_sets, width)
+
+        a_set, a_start, a_end = np.array(self.accesses.intervals, dtype=np.int64).reshape(-1, 3).T
+        a_dur = (a_end - a_start + 1) * step_min
+        # engine.run and perfbench's tracer (after_finalize) read the whole
+        # fleet's passes and (start, end) accesses here
+        whole = a_set == 0
+        spans = list(zip(a_start[whole].tolist(), a_end[whole].tolist()))
+        self.combined = SimpleNamespace(passes=self.passes, accesses=SimpleNamespace(intervals=spans))
+
+        served = self.srv_stats.n
         usage = {}
-        if served_total:
-            usage = {
-                name: float(self.serving_by_const[ci] / served_total)
-                for ci, name in enumerate(self.names)
-            }
-        out = {"combined": self.combined.finalize(total_steps, frequency_hz, usage)}
-        # a constellation's passes are the combined passes on its rows
-        for ci, name in enumerate(self.names):
-            lo, hi = self.row_bounds[ci], self.row_bounds[ci + 1]
-            acc = self.per_const[name]
-            acc.passes.intervals = [p for p in self.combined.passes.intervals if lo <= p[0] < hi]
-            out[name] = acc.finalize(total_steps, frequency_hz)
+        if served[0]:
+            usage = {name: float(served[1 + c] / served[0]) for c, name in enumerate(self.names)}
+        out = {}
+        for k, name in enumerate(["combined", *self.names]):
+            hist = np.trim_zeros(self.visible_hist[k], "b")
+            n_counted = int(hist.sum())
+            covered = int(hist[1:].sum())
+            count_sum = (np.arange(len(hist)) * hist).sum()
+            nonzero = np.flatnonzero(hist)
+            durs = a_dur[a_set == k]
+            fspl_min, fspl_avg, fspl_max = self.vis_stats.fspl_stats(frequency_hz, k)
+            sfspl_min, sfspl_avg, sfspl_max = self.srv_stats.fspl_stats(frequency_hz, k)
+            out[name] = CoverageSummary(
+                total_steps=total_steps,
+                covered_steps=covered,
+                coverage_probability=covered / total_steps if total_steps else 0.0,
+                access_count=len(durs),
+                avg_access_min=float(np.mean(durs)) if durs.size else 0.0,
+                max_access_min=float(durs.max()) if durs.size else 0.0,
+                pass_count=int(pass_hist[k].sum()),
+                pass_hist_min=np.trim_zeros(pass_hist[k], "b").tolist(),
+                visible_min=int(nonzero[0]) if nonzero.size else 0,
+                visible_avg=float(count_sum / n_counted) if n_counted else 0.0,
+                visible_max=int(nonzero[-1]) if nonzero.size else 0,
+                visible_hist=hist.tolist(),
+                fspl_min_db=fspl_min,
+                fspl_avg_db=fspl_avg,
+                fspl_max_db=fspl_max,
+                max_doppler_khz=self.vis_stats.max_doppler_khz(frequency_hz, k),
+                serving_steps=int(served[k]),
+                serving_fspl_min_db=sfspl_min,
+                serving_fspl_avg_db=sfspl_avg,
+                serving_fspl_max_db=sfspl_max,
+                serving_max_doppler_khz=self.srv_stats.max_doppler_khz(frequency_hz, k),
+                usage_fractions=usage if k == 0 else {},
+            )
         return out
 
 

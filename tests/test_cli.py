@@ -167,6 +167,27 @@ def test_grid_command(tmp_path, capsys):
     assert len(lines) > 1
 
 
+def test_grid_and_report_reject_bad_input_with_a_message(tmp_path, capsys):
+    src = tmp_path / "summary.json"
+    src.write_text(json.dumps({"users": [{"user_id": 0, "alt_km": 400.0, "inc_deg": 50.0,
+                                          "summaries": {"combined": {"total_steps": 1}}}]}))
+    out = str(tmp_path / "grid.csv")
+    # a metric that is not a scalar summary field is an argparse error
+    for metric in ("bogus", "pass_hist_min"):
+        assert main(["grid", str(src), "--metric", metric, "--out", out]) == 2
+        assert f"invalid choice: '{metric}'" in capsys.readouterr().err
+    for flag, value in (("--alt-bin", "0"), ("--inc-bin", "-5"), ("--alt-bin", "nan")):
+        assert main(["grid", str(src), flag, value, "--out", out]) == 1
+        assert f"error: {flag} must be positive, not {float(value)!r}" in capsys.readouterr().err
+    bad = tmp_path / "bad.json"
+    for text, message in (("not json", "not valid JSON"), ("[1, 2]", "not a summary")):
+        bad.write_text(text)
+        for argv in (["grid", str(bad), "--out", out], ["report", str(bad)]):
+            assert main(argv) == 1
+            assert f"error: {bad}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "grid.csv").exists()
+
+
 def test_report_serving_mode_renders_dashes(tmp_path, capsys):
     path = tmp_path / "summary.json"
     path.write_text(json.dumps(FIXTURE_SUMMARY))

@@ -151,52 +151,96 @@ def test_interval_extraction_matches_brute_force(data):
     _assert_summary_invariants(recs, summarize(recs, STEP, F))
 
 
-def _feed_accumulator(vis, ranges, rates, step_s, freq, block, candidates):
+def _feed_accumulator(vis, ranges, rates, serving, names, const_of_sat, step_s, freq, block,
+                      candidates):
     n_sats, n_steps = vis.shape
-    acc = UserAccumulator(["only"], np.zeros(n_sats, dtype=np.int64), step_s)
+    acc = UserAccumulator(names, const_of_sat, step_s)
     for t0 in range(0, n_steps, block):
         sl = slice(t0, min(t0 + block, n_steps))
         row, step = np.nonzero(candidates[:, sl])  # (row, step) order
         v, r, rr = vis[:, sl], ranges[:, sl], rates[:, sl]
-        no_serving = np.full(sl.stop - t0, -1)
-        acc.update_block(t0, v[row, step], row, step, r[row, step], rr[row, step], no_serving)
+        # each step's serving pair as an index into the candidates, -1 for none
+        srv = np.full(sl.stop - t0, -1)
+        hit = row == serving[t0 + step]
+        srv[step[hit]] = np.flatnonzero(hit)
+        acc.update_block(t0, v[row, step], row, step, r[row, step], rr[row, step], srv)
     return acc.finalize(n_steps, freq)
 
 
-@pytest.mark.parametrize("block", [1, 7, 32, 100])
-def test_streaming_accumulator_matches_reference(block):
+# constellation of each of the six satellites; rows are grouped by constellation
+_CONSTELLATIONS = {1: [0, 0, 0, 0, 0, 0], 3: [0, 0, 1, 1, 1, 2]}
+
+
+@pytest.mark.parametrize(
+    "block, n_const",
+    [pytest.param(b, 1, id=str(b)) for b in (1, 7, 32, 100)]
+    + [pytest.param(b, 3, id=f"{b}-3const") for b in (1, 7, 32, 100)],
+)
+def test_streaming_accumulator_matches_reference(block, n_const):
+    """Every set's streamed summary, the whole fleet's and each
+    constellation's, equals the record reference on that set's records."""
     rng = np.random.default_rng(42)
     n_sats, n_steps = 6, 100
     vis = rng.random((n_sats, n_steps)) < 0.35
     ranges = rng.uniform(200.0, 2500.0, (n_sats, n_steps))
     rates = rng.uniform(-8.0, 8.0, (n_sats, n_steps))
+    const_of_sat = np.array(_CONSTELLATIONS[n_const])
+    names = [f"c{c}" for c in range(n_const)]
+    owner = {s: names[c] for s, c in enumerate(const_of_sat)}
+    # the closest visible satellite serves
+    serving = np.where(vis.any(axis=0), np.where(vis, ranges, np.inf).argmin(axis=0), -1)
     recs = [
         StepRecord(
             k,
             [(s, float(ranges[s, k]), float(rates[s, k]), 40.0) for s in range(n_sats) if vis[s, k]],
+            int(serving[k]) if serving[k] >= 0 else None,
         )
         for k in range(n_steps)
     ]
-    ref = summarize(recs, STEP, F)
+    views = {"combined": recs}
+    for name in names:
+        views[name] = [
+            StepRecord(
+                r.step_index,
+                [v for v in r.visible if owner[v[0]] == name],
+                r.serving if r.serving is not None and owner[r.serving] == name else None,
+            )
+            for r in recs
+        ]
     candidates = vis | (rng.random((n_sats, n_steps)) < 0.2)
-    got = _feed_accumulator(vis, ranges, rates, STEP, F, block, candidates)["combined"]
-    assert got.covered_steps == ref.covered_steps
-    assert got.coverage_probability == pytest.approx(ref.coverage_probability)
-    assert got.access_count == ref.access_count
-    assert got.avg_access_min == pytest.approx(ref.avg_access_min)
-    assert got.max_access_min == pytest.approx(ref.max_access_min)
-    assert got.pass_count == ref.pass_count
-    assert got.pass_hist_min == ref.pass_hist_min
-    assert got.visible_hist == ref.visible_hist
-    assert (got.visible_min, got.visible_avg, got.visible_max) == (
-        ref.visible_min,
-        pytest.approx(ref.visible_avg),
-        ref.visible_max,
+    summaries = _feed_accumulator(
+        vis, ranges, rates, serving, names, const_of_sat, STEP, F, block, candidates
     )
-    assert got.fspl_min_db == pytest.approx(ref.fspl_min_db)
-    assert got.fspl_avg_db == pytest.approx(ref.fspl_avg_db)
-    assert got.fspl_max_db == pytest.approx(ref.fspl_max_db)
-    assert got.max_doppler_khz == pytest.approx(ref.max_doppler_khz)
+    assert list(summaries) == list(views)
+    for name, records in views.items():
+        # the reference names a usage fraction for the whole fleet only
+        ref = summarize(records, STEP, F, owner if name == "combined" else None)
+        got = summaries[name]
+        assert got.covered_steps == ref.covered_steps
+        assert got.coverage_probability == pytest.approx(ref.coverage_probability)
+        assert got.access_count == ref.access_count
+        assert got.avg_access_min == pytest.approx(ref.avg_access_min)
+        assert got.max_access_min == pytest.approx(ref.max_access_min)
+        assert got.pass_count == ref.pass_count
+        assert got.pass_hist_min == ref.pass_hist_min
+        assert got.visible_hist == ref.visible_hist
+        assert (got.visible_min, got.visible_avg, got.visible_max) == (
+            ref.visible_min,
+            pytest.approx(ref.visible_avg),
+            ref.visible_max,
+        )
+        assert got.fspl_min_db == pytest.approx(ref.fspl_min_db)
+        assert got.fspl_avg_db == pytest.approx(ref.fspl_avg_db)
+        assert got.fspl_max_db == pytest.approx(ref.fspl_max_db)
+        assert got.max_doppler_khz == pytest.approx(ref.max_doppler_khz)
+        assert got.serving_steps == ref.serving_steps
+        assert got.serving_fspl_min_db == pytest.approx(ref.serving_fspl_min_db)
+        assert got.serving_fspl_avg_db == pytest.approx(ref.serving_fspl_avg_db)
+        assert got.serving_fspl_max_db == pytest.approx(ref.serving_fspl_max_db)
+        assert got.serving_max_doppler_khz == pytest.approx(ref.serving_max_doppler_khz)
+        # the accumulator also lists the constellations that never serve
+        used = {k: v for k, v in got.usage_fractions.items() if v}
+        assert used == pytest.approx(ref.usage_fractions)
 
 
 def test_summary_invariant_violation_raises():
