@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .config import (
@@ -129,7 +130,7 @@ def _summary_table(summary_doc: dict, constellations: list[str] | None = None, u
             )
         user = users[0]
     else:
-        matches = [u for u in users if u["user_id"] == user_id]
+        matches = [u for u in users if u.get("user_id") == user_id]
         if not matches:
             raise ConfigError(f"no user {user_id} in summary")
         user = matches[0]
@@ -137,7 +138,7 @@ def _summary_table(summary_doc: dict, constellations: list[str] | None = None, u
     summaries = user["summaries"]
     if constellations is None:
         constellations = [k for k in summaries if k != "combined"]
-        if len(constellations) > 1:
+        if len(constellations) != 1:
             constellations = constellations + ["combined"]
     cols = [c for c in constellations if c in summaries]
 
@@ -178,6 +179,30 @@ def _read_summary(path: str) -> dict:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("users"), list):
         raise ConfigError(f"{path}: not a summary, which holds a 'users' list")
+    if not doc["users"]:
+        raise ConfigError(f"{path}: the summary's 'users' list is empty")
+    known = {f.name for f in fields(CoverageSummary)}
+    for i, user in enumerate(doc["users"]):
+        where = f"{path}: users[{i}]"
+        if not isinstance(user, dict):
+            raise ConfigError(f"{where} is not a user summary")
+        for key in ("alt_km", "inc_deg"):
+            if key not in user:
+                raise ConfigError(f"{where} has no {key!r}")
+            value = user[key]
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"{where}: {key!r} must be a number, not {value!r}")
+        summaries = user.get("summaries")
+        if not isinstance(summaries, dict) or not summaries:
+            raise ConfigError(f"{where}: 'summaries' must map constellation names to summaries")
+        for name, summary in summaries.items():
+            if not isinstance(summary, dict):
+                raise ConfigError(f"{where}: 'summaries' entry {name!r} is not a summary")
+            unknown = sorted(summary.keys() - known)
+            if unknown:
+                raise ConfigError(
+                    f"{where}: 'summaries' entry {name!r} has unknown key {unknown[0]!r}"
+                )
     return doc
 
 

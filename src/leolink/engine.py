@@ -133,16 +133,17 @@ class _Fleet:
     the batch fills every slot's row from it (:class:`Slots`): the slots
     differ only in node and mean anomaly. A deep-space shell (period >= 225
     min) and every TLE catalog row get a record each. Scalar init checks
-    each record at its epoch; the filled slots get the same check as one
-    batch call (:func:`_check_slots`), so set-up fails at the row a
-    record per slot would fail at, with that record's error.
+    each record at its epoch; the filled slots that :attr:`SatBatch.may_fail`
+    get the same check as one batch call (:func:`_check_slots`), so set-up
+    fails at the row a record per slot would fail at, with that record's
+    error. The other slots cannot fail there or anywhere else. Apart from
+    each slot's name and its libm cos and sin, set-up works per shell.
     """
 
     def __init__(self, cfg: ScenarioConfig):
         rows = []  # SatRecords and Slots, in fleet order
         filled = []  # per Slots entry, (first row, slot count, its slots' TLEs)
-        const_of_sat = []
-        cone_params = []  # each row's beam in beam_cos_half_arrays
+        groups = []  # per shell or catalog, (rows, constellation, beam cone params)
         self.names = [c.name for c in cfg.constellations]
         self.counts: dict[str, int] = {}
         n = 0
@@ -159,27 +160,30 @@ class _Fleet:
                         else:
                             rows += [first] + [satrec_from_tle(t) for t in tles()[1:]]
                         n += shell.total
-                        cone_params += [cc.beam_for_shell(si).cone_params] * shell.total
+                        groups.append((shell.total, ci, cc.beam_for_shell(si).cone_params))
                 else:
                     rows += [satrec_from_tle(_offset(cc, tle)) for tle in cc.tles]
                     n += len(cc.tles)
-                    cone_params += [cc.beam.cone_params] * len(cc.tles)
+                    groups.append((len(cc.tles), ci, cc.beam.cone_params))
                 self.counts[cc.name] = n - n0
-                const_of_sat.extend([ci] * (n - n0))
         except PropagationError:
-            if filled:  # a filled slot before the failing record may fail first
+            # a filled slot before the failing record may fail first. A
+            # shell's slots share with its record every column that may_fail
+            # reads, so a batch of the records tells whether any slot may
+            if filled and SatBatch([r.record for r in rows if isinstance(r, Slots)]).may_fail.any():
                 _check_slots(SatBatch(rows), filled)
             raise
 
         self.n = n
-        self.const_of_sat = np.array(const_of_sat, dtype=np.int64)
-        self.beam_nadir = np.array([nadir for nadir, _ in cone_params], dtype=bool)
-        self.beam_param = np.array([param for _, param in cone_params], dtype=float)
+        sizes = [m for m, _, _ in groups]
+        self.const_of_sat = np.repeat(np.array([ci for _, ci, _ in groups], dtype=np.int64), sizes)
+        self.beam_nadir = np.repeat(np.array([c[0] for _, _, c in groups], dtype=bool), sizes)
+        self.beam_param = np.repeat(np.array([c[1] for _, _, c in groups], dtype=float), sizes)
         self.batch = SatBatch(rows)
-        if filled:
-            _check_slots(self.batch, filled)
         self.bounds = self.batch.orbit_bounds()
         self.may_fail = self.batch.may_fail
+        if filled:
+            _check_slots(self.batch, filled)
 
     def propagate_block(self, jd: float, fr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Positions and velocities (S, B, 3) at the instants (jd, fr[b])."""
@@ -214,11 +218,21 @@ def _slots(cc, shell, first, i0: int) -> Slots:
 
 def _check_slots(batch: SatBatch, filled) -> None:
     """Scalar init's check at epoch (tsince 0) on the batch rows filled
-    from slots, as one batch call. If a row fails it, every filled slot is
+    from slots that :attr:`SatBatch.may_fail`, as one batch call, or none
+    if no such row.
+
+    A filled row is drag-free, circular and near-earth. If it may not fail,
+    its r_lo is above the Earth, so no SGP4 error code can fire at any
+    instant, epoch included: the engine skips such rows between knots on
+    the same argument. If a checked row fails, every filled slot is
     initialised by scalar init instead, in row order, so the error raised
     is the one a record per slot raises, or none if no record fails."""
+    rows = np.concatenate([np.arange(a, a + m) for a, m, _ in filled])
+    rows = rows[batch.may_fail[rows]]
+    if not rows.size:
+        return
     try:
-        batch.check_epoch(np.concatenate([np.arange(a, a + m) for a, m, _ in filled]))
+        batch.check_epoch(rows)
     except PropagationError:
         for _, _, tles in filled:
             for tle in tles():

@@ -45,7 +45,9 @@ and the two constants that depend on them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, chain
 from operator import itemgetter
 from types import SimpleNamespace
@@ -151,10 +153,12 @@ class SatBatch:
                 rows = slice(a, a + len(r.names))
                 self._cols["nodeo"][rows, 0] = r.nodeo
                 self._cols["mo"][rows, 0] = r.mo
-                eta = r.record.eta
-                self._cols["delmo"][rows, 0], self._cols["sinmao"][rows, 0] = zip(
-                    *(sgp4core.mean_anomaly_terms(eta, mo) for mo in r.mo.tolist())
-                )
+                # sgp4core.mean_anomaly_terms for the whole shell, with libm's
+                # cos and sin (numpy's need not round as libm does)
+                mo = r.mo.tolist()
+                d = 1.0 + r.record.eta * np.fromiter(map(math.cos, mo), float, len(mo))
+                self._cols["delmo"][rows, 0] = d * d * d
+                self._cols["sinmao"][rows, 0] = np.fromiter(map(math.sin, mo), float, len(mo))
         self._cols["isimp"] = self._cols["isimp"] != 0.0
         # near-earth SGP4 keeps inclination at its epoch value apart from
         # the short-period terms
@@ -189,7 +193,7 @@ class SatBatch:
     def orbit_bounds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per record, (r_lo, r_hi, v_hi): the radius [km] stays within
         [r_lo, r_hi] and the speed [km/s] below v_hi at every instant that
-        propagates.
+        propagates. The arrays are computed once per batch and read-only.
 
         The radii are the mean-element perigee and apogee widened by
         ``RADIUS_MARGIN``, and v_hi is the vis-viva speed at r_lo of the
@@ -202,13 +206,20 @@ class SatBatch:
         one second as its node crossed zero. Deep-space records therefore
         get no speed bound (v_hi infinite).
         """
+        return self._bounds
+
+    @cached_property
+    def _bounds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         a = self.radiusearthkm * (self.xke / self._cols["no_unkozai"][:, 0]) ** (2.0 / 3.0)
         e = self._cols["ecco"][:, 0]
         drag = self._drag
         r_lo = np.where(drag, self.radiusearthkm, a * (1.0 - e) * (1.0 - RADIUS_MARGIN))
         r_hi = np.where(drag, np.inf, a * (1.0 + e) * (1.0 + RADIUS_MARGIN))
         v_hi = np.sqrt(2.0 * self.mu / r_lo / (1.0 + r_lo / r_hi))
-        return r_lo, r_hi, np.where(self.deep, np.inf, v_hi)
+        bounds = r_lo, r_hi, np.where(self.deep, np.inf, v_hi)
+        for b in bounds:
+            b.flags.writeable = False
+        return bounds
 
     @property
     def may_fail(self) -> np.ndarray:

@@ -188,6 +188,48 @@ def test_grid_and_report_reject_bad_input_with_a_message(tmp_path, capsys):
     assert not (tmp_path / "grid.csv").exists()
 
 
+def _summary_doc(**user):
+    entry = {"user_id": 0, "alt_km": 400.0, "inc_deg": 50.0,
+             "summaries": {"combined": {"total_steps": 1}}}
+    entry.update(user)
+    return {"users": [{k: v for k, v in entry.items() if v is not None}]}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_summary_doc(summaries={"combined": {"total_steps": 1, "bogus": 2}}),
+         "users[0]: 'summaries' entry 'combined' has unknown key 'bogus'"),
+        (_summary_doc(alt_km=None), "users[0] has no 'alt_km'"),
+        (_summary_doc(inc_deg="50"), "users[0]: 'inc_deg' must be a number, not '50'"),
+        (_summary_doc(summaries=None), "users[0]: 'summaries' must map constellation names"),
+        ({"users": []}, "the summary's 'users' list is empty"),
+    ],
+    ids=["unknown-field", "no-alt", "text-inc", "no-summaries", "no-users"],
+)
+def test_grid_and_report_reject_entries_that_are_not_user_summaries(tmp_path, capsys, doc, message):
+    # each entry of 'users' is checked before either command reads it, and
+    # the message names the entry and the key instead of a traceback
+    src = tmp_path / "summary.json"
+    src.write_text(json.dumps(doc))
+    out = tmp_path / "grid.csv"
+    for argv in (["grid", str(src), "--out", str(out)], ["report", str(src)]):
+        assert main(argv) == 1
+        assert f"error: {src}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_report_shows_a_summary_that_holds_only_combined(tmp_path, capsys):
+    path = tmp_path / "summary.json"
+    doc = {"users": [{**FIXTURE_SUMMARY["users"][0],
+                      "summaries": {"combined": FIXTURE_SUMMARY["users"][0]["summaries"]["combined"]}}]}
+    path.write_text(json.dumps(doc))
+    assert main(["report", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].split() == ["combined"]
+    assert out[1].split()[-1] == "98.75"
+
+
 def test_report_serving_mode_renders_dashes(tmp_path, capsys):
     path = tmp_path / "summary.json"
     path.write_text(json.dumps(FIXTURE_SUMMARY))

@@ -880,11 +880,9 @@ def test_fleet_keeps_no_records_after_set_up():
     assert held < 4 * 2**20
 
 
-def _records_per_row(cfg):
-    """One scalar SGP4 record per fleet row, every Walker slot turned into a
-    TLE of its own: the reference for the batch that _Fleet fills from one
-    record per near-earth shell. Raises the first row's init error."""
-    from leolink.propagation import satrec_from_tle
+def _tles_per_row(cfg):
+    """One TLE per fleet row, every Walker slot turned into a TLE of its
+    own, with the catalog ids and names the fleet gives its rows."""
     from leolink.tle import elements_to_tle
     from leolink.walker import build_walker
 
@@ -897,18 +895,28 @@ def _records_per_row(cfg):
             mean_anomaly=(el.mean_anomaly + cc.anomaly_offset_deg) % 360.0,
         )
 
-    records = []
+    tles = []
     for cc in cfg.constellations:
-        n0 = len(records)
+        n0 = len(tles)
         if cc.tles is not None:
-            records += [satrec_from_tle(shifted(cc, tle)) for tle in cc.tles]
+            tles += [shifted(cc, tle) for tle in cc.tles]
             continue
         for shell in cc.shells:
             for el in build_walker(shell, cfg.epoch):
-                k = len(records)
-                tle = elements_to_tle(shifted(cc, el), catalog_id=k + 1, name=f"{cc.name}-{k - n0}")
-                records.append(satrec_from_tle(tle))
-    return records
+                k = len(tles)
+                tles.append(
+                    elements_to_tle(shifted(cc, el), catalog_id=k + 1, name=f"{cc.name}-{k - n0}")
+                )
+    return tles
+
+
+def _records_per_row(cfg):
+    """One scalar SGP4 record per fleet row (:func:`_tles_per_row`): the
+    reference for the batch that _Fleet fills from one record per
+    near-earth shell. Raises the first row's init error."""
+    from leolink.propagation import satrec_from_tle
+
+    return [satrec_from_tle(tle) for tle in _tles_per_row(cfg)]
 
 
 _slot_shells = st.builds(
@@ -1026,3 +1034,95 @@ def test_shell_failing_init_raises_the_per_slot_error(fleets):
     )
     assert "init failed" in str(got.value)
     assert got.value.object_name in ("low-6", "low-2", "SUB")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shells=st.lists(
+        st.builds(
+            ShellSpec,
+            # from just above the Earth, which ShellSpec and the elements need
+            altitude=st.one_of(st.floats(1e-3, 30.0), st.floats(1e-3, 2000.0)),
+            inclination=st.floats(0.0, 180.0),
+            plane_count=st.integers(1, 6),
+            sats_per_plane=st.integers(1, 8),
+            raan_span=st.one_of(st.just(360.0), st.floats(1.0, 360.0)),
+            inter_plane_phase=st.one_of(st.none(), st.floats(-720.0, 720.0)),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    offsets=st.tuples(st.floats(-400.0, 400.0), st.floats(-400.0, 400.0)),
+)
+def test_slots_that_fail_scalar_init_are_rows_that_may_fail(shells, offsets):
+    # set-up checks at epoch only the filled slots that may_fail: that is
+    # sound if every slot whose own record fails scalar init is flagged.
+    # The fleet is built with the check switched off, so that failing slots
+    # keep their rows; a shell whose first slot fails has no row to compare
+    from hypothesis import assume
+
+    from leolink import engine
+    from leolink.propagation import satrec_from_tle
+    from leolink.sgp4batch import SatBatch
+
+    cfg = mini_cfg(
+        constellations=[
+            ConstellationConfig(
+                "low", BeamModel("earth_limb"), shells=shells,
+                raan_offset_deg=offsets[0], anomaly_offset_deg=offsets[1],
+            )
+        ]
+    )
+    failing = []
+    for k, tle in enumerate(_tles_per_row(cfg)):
+        try:
+            satrec_from_tle(tle)
+        except PropagationError:
+            failing.append(k)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SatBatch, "check_epoch", lambda self, rows: None)
+        try:
+            fleet = engine._Fleet(cfg)
+        except PropagationError:
+            assume(False)
+    assert fleet.batch.may_fail[failing].all()
+
+
+def test_fleet_set_up_checks_only_the_slots_that_may_fail(monkeypatch):
+    # the bundled OneWeb and Starlink slots cannot fail, so setting them up
+    # propagates no row at epoch; a shell low enough to fail is checked,
+    # and only its rows are
+    from leolink import engine
+    from leolink.fleets import BUILTIN_FLEETS
+    from leolink.sgp4batch import SatBatch
+
+    checked = []
+    check = SatBatch.check_epoch
+
+    def spy(self, rows):
+        checked.append(np.asarray(rows).tolist())
+        return check(self, rows)
+
+    monkeypatch.setattr(SatBatch, "check_epoch", spy)
+    fleet = engine._Fleet(mini_cfg(constellations=[BUILTIN_FLEETS["oneweb"], BUILTIN_FLEETS["starlink"]]))
+    assert fleet.n == 5124 and not fleet.may_fail.any()
+    assert checked == []
+    cfg = mini_cfg(
+        constellations=[
+            ConstellationConfig("low", BeamModel("earth_limb"), shells=[ShellSpec(550.0, 53.0, 2, 2), _FAILING])
+        ]
+    )
+    with pytest.raises(PropagationError, match="low-6"):
+        engine._Fleet(cfg)
+    assert checked == [list(range(4, 40))]
+    # a catalog row that fails after a shell that cannot fail is raised
+    # with no check of the shell
+    cfg = mini_cfg(
+        constellations=[
+            ConstellationConfig("ok", BeamModel("earth_limb"), shells=[ShellSpec(550.0, 53.0, 2, 2)]),
+            ConstellationConfig("sub", BeamModel("earth_limb"), tles=[_SUB_ORBITAL]),
+        ]
+    )
+    with pytest.raises(PropagationError, match="SUB"):
+        engine._Fleet(cfg)
+    assert checked == [list(range(4, 40))]
