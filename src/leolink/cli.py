@@ -167,6 +167,26 @@ def _summary_table(summary_doc: dict, constellations: list[str] | None = None, u
     return "\n".join(lines)
 
 
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# what a summary field's value must be, by its CoverageSummary annotation
+_FIELD_CHECKS = {
+    "int": ("an integer", _integer),
+    "float": ("a number", _number),
+    "float | None": ("a number or null", lambda v: v is None or _number(v)),
+    "list[int]": ("a list of integers", lambda v: isinstance(v, list) and all(map(_integer, v))),
+    "dict[str, float]": (
+        "an object of numbers", lambda v: isinstance(v, dict) and all(map(_number, v.values()))
+    ),
+}
+
+
 def _read_summary(path: str) -> dict:
     """A run's summary.json document; a missing file or one that is not a
     summary is a ConfigError."""
@@ -181,7 +201,7 @@ def _read_summary(path: str) -> dict:
         raise ConfigError(f"{path}: not a summary, which holds a 'users' list")
     if not doc["users"]:
         raise ConfigError(f"{path}: the summary's 'users' list is empty")
-    known = {f.name for f in fields(CoverageSummary)}
+    checks = {f.name: _FIELD_CHECKS[f.type] for f in fields(CoverageSummary)}
     for i, user in enumerate(doc["users"]):
         where = f"{path}: users[{i}]"
         if not isinstance(user, dict):
@@ -198,11 +218,17 @@ def _read_summary(path: str) -> dict:
         for name, summary in summaries.items():
             if not isinstance(summary, dict):
                 raise ConfigError(f"{where}: 'summaries' entry {name!r} is not a summary")
-            unknown = sorted(summary.keys() - known)
+            unknown = sorted(summary.keys() - checks.keys())
             if unknown:
                 raise ConfigError(
                     f"{where}: 'summaries' entry {name!r} has unknown key {unknown[0]!r}"
                 )
+            for key, value in summary.items():
+                what, ok = checks[key]
+                if not ok(value):
+                    raise ConfigError(
+                        f"{where}: 'summaries' entry {name!r}: {key!r} must be {what}, not {value!r}"
+                    )
     return doc
 
 

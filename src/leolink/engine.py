@@ -27,11 +27,13 @@ knot at every step, all taken in the first call. All the states a block
 takes go into one (P, 3) store, indexed by one (satellite, step) table.
 ``cull=False`` makes every step a knot and every pair a candidate
 instead. Per user, the two-sided visibility predicate, whose elevation
-test is the one exact test of the mask, the selection policy and the
-streaming metric accumulators run on the kept pairs only. Users are
-independent units of parallelism inside each block, so results are
-identical for any thread count, and satellite states are bit-identical
-whether taken at knots or as gathered pairs.
+test is the one exact test of the mask, and the selection policy run on
+the kept pairs only; then one streaming accumulator takes every user's
+pairs of the block at once, and finalizes them into per-user columns,
+from which the output files are formatted. Users are independent units of
+parallelism inside each block, so results are identical for any thread
+count, and satellite states are bit-identical whether taken at knots or
+as gathered pairs.
 """
 
 from __future__ import annotations
@@ -41,11 +43,12 @@ import json
 import math
 import os
 import time
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from datetime import timedelta
-from functools import lru_cache, partial
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +63,7 @@ from .geometry import (
     pair_geometry_arrays,
     visible_mask_arrays,
 )
-from .metrics import BinGrid, CoverageSummary, StepRecord, UserAccumulator, bin_grid
+from .metrics import BinGrid, CoverageSummary, Results, StepRecord, UserAccumulator, bin_grids
 from .policy import serving_rows
 from .population import UserSpec
 from .propagation import PropagationError, satrec_from_tle
@@ -68,6 +71,7 @@ from .sgp4batch import SatBatch, Slots
 from .timebase import format_utc, julian_date
 from .tle import elements_to_tle
 from .walker import build_walker, shell_angles
+from .writer import grid_text, pass_access_text, summary_text
 
 
 # Knot spacing of the elevation screen [s]: a knot every round(_KNOT_S /
@@ -109,6 +113,7 @@ class RunManifest:
     output_dir: str | None
     aggregate: dict
     users: list[UserResult]
+    results: Results  # every user's summaries, passes and accesses, as columns
 
     threads: int = 1
 
@@ -137,7 +142,8 @@ class _Fleet:
     get the same check as one batch call (:func:`_check_slots`), so set-up
     fails at the row a record per slot would fail at, with that record's
     error. The other slots cannot fail there or anywhere else. Apart from
-    each slot's name and its libm cos and sin, set-up works per shell.
+    each slot's libm cos and sin, set-up works per shell; a slot's name is
+    formatted only when read.
     """
 
     def __init__(self, cfg: ScenarioConfig):
@@ -152,10 +158,11 @@ class _Fleet:
                 n0 = n
                 if cc.shells is not None:
                     for si, shell in enumerate(cc.shells):
-                        tles = partial(_shell_tles, cc, shell, cfg.epoch, n, n0)
+                        angles = shell_angles(shell)
+                        tles = partial(_shell_tles, cc, shell, angles, cfg.epoch, n, n0)
                         first = satrec_from_tle(tles(1)[0])
                         if first.method == "n":
-                            rows.append(_slots(cc, shell, first, n - n0))
+                            rows.append(_slots(cc, shell, angles, first, n - n0))
                             filled.append((n, shell.total, tles))
                         else:
                             rows += [first] + [satrec_from_tle(t) for t in tles()[1:]]
@@ -190,27 +197,42 @@ class _Fleet:
         return self.batch.propagate_jd(jd, fr)
 
 
-def _shell_tles(cc, shell, epoch, k0: int, n0: int, slots: int | None = None):
+def _shell_tles(cc, shell, angles, epoch, k0: int, n0: int, slots: int | None = None):
     """The TLEs of a Walker shell's slots, or of its first ``slots`` slots,
     whose first row is ``k0`` in the fleet and ``k0 - n0`` in constellation
-    ``cc``."""
+    ``cc``; ``angles``, the shell's :func:`shell_angles`."""
     return [
         elements_to_tle(_offset(cc, el), catalog_id=k + 1, name=f"{cc.name}-{k - n0}")
-        for k, el in enumerate(build_walker(shell, epoch, slots), k0)
+        for k, el in enumerate(build_walker(shell, epoch, slots, angles), k0)
     ]
 
 
-def _slots(cc, shell, first, i0: int) -> Slots:
-    """The rows of a near-earth Walker shell of constellation ``cc`` whose
-    first slot, the constellation's ``i0``-th satellite, has the record
-    ``first``. Each slot's angles go through the operations of
-    :func:`_offset`, :func:`elements_to_tle` and :func:`satrec_from_tle`,
-    so its node and mean anomaly [rad] are bit for bit its record's."""
-    raan, mean_anomaly = _offset_angles(cc, *shell_angles(shell))
+class _SlotNames(Sequence):
+    """The names of a constellation's satellites ``ids``, as its TLEs name
+    them, each formatted when read."""
+
+    def __init__(self, constellation: str, ids: range):
+        self.constellation, self.ids = constellation, ids
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, k: int) -> str:
+        return f"{self.constellation}-{self.ids[k]}"
+
+
+def _slots(cc, shell, angles, first, i0: int) -> Slots:
+    """The rows of a near-earth Walker shell of constellation ``cc``, at its
+    ``angles`` (:func:`shell_angles`), whose first slot, the
+    constellation's ``i0``-th satellite, has the record ``first``. Each
+    slot's angles go through the operations of :func:`_offset`,
+    :func:`elements_to_tle` and :func:`satrec_from_tle`, so its node and
+    mean anomaly [rad] are bit for bit its record's."""
+    raan, mean_anomaly = _offset_angles(cc, *angles)
     deg = math.pi / 180.0
     return Slots(
         first,
-        [f"{cc.name}-{i}" for i in range(i0, i0 + shell.total)],
+        _SlotNames(cc.name, range(i0, i0 + shell.total)),
         (raan % 360.0) * deg,
         (mean_anomaly % 360.0) * deg,
     )
@@ -291,7 +313,7 @@ def run(cfg: ScenarioConfig) -> RunManifest:
     n_steps = cfg.n_steps
     jd0, fr0 = julian_date(cfg.epoch)
 
-    accs = [UserAccumulator(fleet.names, fleet.const_of_sat, cfg.step_s) for _ in range(n_users)]
+    acc = UserAccumulator(fleet.names, fleet.const_of_sat, cfg.step_s, n_users)
     records_cap = [[] for _ in range(n_users)] if cfg.capture_records else None
 
     block = max(8, min(512, int(4e6 / max(fleet.n, 1))))
@@ -303,6 +325,8 @@ def run(cfg: ScenarioConfig) -> RunManifest:
     knot_every = max(1, round(_KNOT_S / cfg.step_s)) if planned else 1
 
     def process_user(ui: int, t0: int, idx: np.ndarray, sat_pos, sat_vel, u_pos, u_vel, cand):
+        """User ui's candidate pairs in the block: visibility, row, step,
+        range, range-rate, and each step's serving pair."""
         row, step, at = cand[ui]
         rng, rr, sin_el, cos_off, sat_r = pair_geometry_arrays(  # np.take: see _block_states
             np.take(sat_pos, at, axis=0), np.take(sat_vel, at, axis=0),
@@ -311,7 +335,6 @@ def run(cfg: ScenarioConfig) -> RunManifest:
         cos_half = beam_cos_half_arrays(fleet.beam_nadir[row], fleet.beam_param[row], sat_r)
         vis = visible_mask_arrays(sin_el, cos_off, cfg.min_elevation_deg, cos_half)
         srv = serving_rows(vis, step, rng, cfg.policy, ui, idx)
-        accs[ui].update_block(t0, vis, row, step, rng, rr, srv)
         if records_cap is not None:
             elev = np.degrees(np.arcsin(np.clip(sin_el, -1.0, 1.0)))
             visible = [[] for _ in idx]
@@ -321,6 +344,7 @@ def run(cfg: ScenarioConfig) -> RunManifest:
                 StepRecord(int(t0 + k), visible[k], int(row[srv[k]]) if srv[k] >= 0 else None)
                 for k in range(len(idx))
             )
+        return vis, row, step, rng, rr, srv
 
     pool = ThreadPoolExecutor(max_workers=cfg.threads) if cfg.threads > 1 else None
     try:
@@ -338,30 +362,33 @@ def run(cfg: ScenarioConfig) -> RunManifest:
                 raise _block_failure(fleet, jd0, fr, t0, exc) from None
             args = (t0, idx, *states[:2], u_pos, u_vel, states[2])
             if pool is None:
-                for ui in range(n_users):
-                    process_user(ui, *args)
+                pairs = [process_user(ui, *args) for ui in range(n_users)]
             else:
-                futures = [pool.submit(process_user, ui, *args) for ui in range(n_users)]
-                for f in futures:
-                    f.result()
+                pairs = list(pool.map(lambda ui: process_user(ui, *args), range(n_users)))
+            *pairs, srv = zip(*pairs)
+            sizes = [len(row) for row in pairs[1]]
+            acc.update_block(t0, *(np.concatenate(a) for a in pairs), np.stack(srv), sizes)
     finally:
         if pool is not None:
             pool.shutdown()
 
-    users: list[UserResult] = []
-    for ui, u in enumerate(cfg.users):
-        summaries = accs[ui].finalize(n_steps, cfg.carrier_frequency_hz)
-        users.append(
-            UserResult(
-                spec=u,
-                summaries=summaries,
-                passes=accs[ui].combined.passes.intervals,
-                accesses=accs[ui].combined.accesses.intervals,
-                records=records_cap[ui] if records_cap is not None else None,
-            )
+    results = acc.finalize(n_steps, cfg.carrier_frequency_hz)
+    passes = list(zip(*results.passes[1:].tolist()))
+    accesses = list(zip(*results.accesses[1:].tolist()))
+    p_at, a_at = (np.searchsorted(a[0], np.arange(n_users + 1)).tolist()
+                  for a in (results.passes, results.accesses))
+    users = [
+        UserResult(
+            spec=u,
+            summaries=results.summaries(ui),
+            passes=passes[p_at[ui] : p_at[ui + 1]],
+            accesses=accesses[a_at[ui] : a_at[ui + 1]],
+            records=records_cap[ui] if records_cap is not None else None,
         )
+        for ui, u in enumerate(cfg.users)
+    ]
 
-    aggregate = _aggregate(cfg, users, fleet)
+    aggregate = _aggregate(cfg, results)
     manifest = RunManifest(
         config=cfg.echo(),
         constellation_counts=dict(fleet.counts),
@@ -372,6 +399,7 @@ def run(cfg: ScenarioConfig) -> RunManifest:
         output_dir=str(out_dir) if out_dir is not None else None,
         aggregate=aggregate,
         users=users,
+        results=results,
         threads=cfg.threads,
     )
     if out_dir is not None:
@@ -526,18 +554,18 @@ def _block_failure(fleet, jd, fr, t0, exc):
     return exc
 
 
-def _aggregate(cfg: ScenarioConfig, users: list[UserResult], fleet: _Fleet) -> dict:
+def _aggregate(cfg: ScenarioConfig, results: Results) -> dict:
     """Scenario-level scalars. The headline per-constellation coverage
     averages the Monte Carlo stratum only; near-shell refinement bands feed
     the grids but not this scalar."""
-    mc = [u for u in users if u.spec.tag == "montecarlo"]
+    mc = [ui for ui, u in enumerate(cfg.users) if u.tag == "montecarlo"]
     out: dict = {"montecarlo_users": len(mc)}
     if mc:
-        names = list(fleet.names) + ["combined"]
+        names = results.sets[1:] + ["combined"]
         overall = {}
         for name in names:
-            vals = [u.summaries[name].coverage_probability for u in mc]
-            overall[name] = float(np.mean(vals))
+            coverage = results.column("coverage_probability", results.sets.index(name))
+            overall[name] = float(np.mean([coverage[ui] for ui in mc]))
         out["overall_coverage"] = overall
     return out
 
@@ -546,17 +574,21 @@ def _step_iso(cfg: ScenarioConfig, step: int) -> str:
     return format_utc(cfg.epoch + timedelta(seconds=step * cfg.step_s))
 
 
+def _user_meta(spec: UserSpec) -> dict:
+    """One user's entry in ``summary.json`` before its summaries."""
+    return {
+        "user_id": spec.user_id,
+        "tag": spec.tag,
+        "alt_km": spec.altitude_km,
+        "inc_deg": spec.inclination_deg,
+        "raan_deg": spec.elements.raan,
+        "ma_deg": spec.elements.mean_anomaly,
+    }
+
+
 def user_json(u: UserResult) -> dict:
     """One user's entry in ``summary.json``."""
-    return {
-        "user_id": u.spec.user_id,
-        "tag": u.spec.tag,
-        "alt_km": u.spec.altitude_km,
-        "inc_deg": u.spec.inclination_deg,
-        "raan_deg": u.spec.elements.raan,
-        "ma_deg": u.spec.elements.mean_anomaly,
-        "summaries": {k: s.to_dict() for k, s in u.summaries.items()},
-    }
+    return {**_user_meta(u.spec), "summaries": {k: s.to_dict() for k, s in u.summaries.items()}}
 
 
 @contextmanager
@@ -579,56 +611,41 @@ def _replacing(path: Path, newline: str | None = None):
 def _write_outputs(cfg: ScenarioConfig, manifest: RunManifest, out_dir: Path) -> None:
     """Write every output file, each one atomically; ``manifest.json`` goes
     last, so a run's manifest is only replaced once its outputs are."""
-    summary = {
+    results, specs = manifest.results, [u.spec for u in manifest.users]
+    head = {
         "config": manifest.config,
         "reporting_mode": cfg.reporting_mode,
         "aggregate": manifest.aggregate,
-        "users": [user_json(u) for u in manifest.users],
     }
+    meta = [_user_meta(spec) for spec in specs]
     with _replacing(out_dir / "summary.json") as fh:
-        fh.write(json.dumps(summary, indent=2) + "\n")
+        fh.write(summary_text(head, {k: [m[k] for m in meta] for k in meta[0]}, results))
 
-    # an interval end is one of at most n_steps instants, so each is formatted once
-    stamp = lru_cache(maxsize=None)(partial(_step_iso, cfg))
     with _replacing(out_dir / "pass_access.csv", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["user_id", "kind", "sat_id", "start_iso", "end_iso", "duration_min"])
-        for u in manifest.users:
-            uid = u.spec.user_id
-            for sat, s, e in u.passes:
-                w.writerow(
-                    [uid, "pass", sat, stamp(s), stamp(e),
-                     f"{(e - s + 1) * cfg.step_s / 60.0:.4f}"]
-                )
-            for s, e in u.accesses:
-                w.writerow(
-                    [uid, "access", "", stamp(s), stamp(e),
-                     f"{(e - s + 1) * cfg.step_s / 60.0:.4f}"]
-                )
+        ids = [spec.user_id for spec in specs]
+        fh.write(pass_access_text(ids, results, partial(_step_iso, cfg), cfg.step_s))
 
-    mc = [u for u in manifest.users if u.spec.tag in ("montecarlo", "shell_band")]
-    if mc:
+    if any(spec.tag in ("montecarlo", "shell_band") for spec in specs):
         with _replacing(out_dir / "population.csv", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["user_id", "alt_km", "inc_deg", "raan_deg", "ma_deg", "tag"])
-            for u in manifest.users:
+            for spec in specs:
                 w.writerow(
-                    [u.spec.user_id, f"{u.spec.altitude_km:.3f}",
-                     f"{u.spec.inclination_deg:.3f}", f"{u.spec.elements.raan:.3f}",
-                     f"{u.spec.elements.mean_anomaly:.3f}", u.spec.tag]
+                    [spec.user_id, f"{spec.altitude_km:.3f}",
+                     f"{spec.inclination_deg:.3f}", f"{spec.elements.raan:.3f}",
+                     f"{spec.elements.mean_anomaly:.3f}", spec.tag]
                 )
-        names = [c.name for c in cfg.constellations] + ["combined"]
-        for name in names:
-            for metric in cfg.grid.metrics:
-                grid = bin_grid(
-                    [u.spec.altitude_km for u in manifest.users],
-                    [u.spec.inclination_deg for u in manifest.users],
-                    [u.summaries[name] for u in manifest.users],
-                    cfg.grid.altitude_bin_km,
-                    cfg.grid.inclination_bin_deg,
-                    metric,
-                )
-                _write_grid(grid, out_dir / f"grid_{name}_{metric}.csv")
+        names = [(name, results.sets.index(name)) for name in [*results.sets[1:], "combined"]]
+        grids = bin_grids(
+            [spec.altitude_km for spec in specs],
+            [spec.inclination_deg for spec in specs],
+            [(metric, results.column(metric, k)) for _, k in names for metric in cfg.grid.metrics],
+            cfg.grid.altitude_bin_km,
+            cfg.grid.inclination_bin_deg,
+        )
+        paths = [f"grid_{name}_{metric}.csv" for name, _ in names for metric in cfg.grid.metrics]
+        for path, grid in zip(paths, grids):
+            _write_grid(grid, out_dir / path)
 
     with _replacing(out_dir / "manifest.json") as fh:
         fh.write(json.dumps(manifest.to_dict(), indent=2) + "\n")
@@ -636,7 +653,4 @@ def _write_outputs(cfg: ScenarioConfig, manifest: RunManifest, out_dir: Path) ->
 
 def _write_grid(grid: BinGrid, path: Path) -> None:
     with _replacing(path, newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(BinGrid.HEADER)
-        for row in grid.to_rows():
-            w.writerow(row)
+        fh.write(grid_text(grid))

@@ -6,13 +6,14 @@ Two layers:
   :func:`extract_accesses`, :func:`coverage_probability`, :func:`summarize`)
   that operate on explicit :class:`StepRecord` sequences. These are the
   readable reference implementations.
-* One streaming accumulator per user (:class:`UserAccumulator`), fed by
-  the scenario engine one time block of candidate (satellite row, step)
-  pairs at a time. Its state is arrays over a sets axis: set 0 is the
-  whole fleet, set 1 + c constellation c. Counts, runs and each
-  constellation's slice come from the visible pairs in (row, step) order,
-  so no pair-level timeline is ever materialized. Tests pin the two layers
-  to identical results, for every set.
+* One streaming accumulator for all users (:class:`UserAccumulator`),
+  fed by the scenario engine one time block of every user's candidate
+  (satellite row, step) pairs at a time. Its state is arrays over users x
+  sets: set 0 is the whole fleet, set 1 + c constellation c. Counts, runs
+  and each (user, set)'s slice come from the visible pairs in (user, row,
+  step) order, so no pair-level timeline is ever materialized, and one
+  finalize gives every summary field as a column (:class:`Results`).
+  Tests pin the two layers to identical results, for every user and set.
 
 Durations follow the sample-count convention: a run of k consecutive
 visible samples lasts k * step seconds.
@@ -66,39 +67,33 @@ class AccessInterval:
         return AccessInterval(start, end, (end - start + 1) * step_seconds / 60.0)
 
 
-def extract_passes(records, satellite_id: int, step_seconds: float) -> list[PassInterval]:
-    """Maximal consecutive-step runs where one satellite stays visible."""
-    out: list[PassInterval] = []
-    start = None
-    prev = None
+def _record_runs(records, active) -> list[tuple[int, int]]:
+    """(first, last) step of each maximal run of records where ``active``."""
+    out = []
+    start = prev = None
     for rec in records:
-        seen = any(sid == satellite_id for sid, *_ in rec.visible)
-        if seen and start is None:
+        on = active(rec)
+        if on and start is None:
             start = rec.step_index
-        elif not seen and start is not None:
-            out.append(PassInterval.make(satellite_id, start, prev, step_seconds))
+        elif not on and start is not None:
+            out.append((start, prev))
             start = None
         prev = rec.step_index
     if start is not None:
-        out.append(PassInterval.make(satellite_id, start, prev, step_seconds))
+        out.append((start, prev))
     return out
+
+
+def extract_passes(records, satellite_id: int, step_seconds: float) -> list[PassInterval]:
+    """Maximal consecutive-step runs where one satellite stays visible."""
+    runs = _record_runs(records, lambda rec: any(sid == satellite_id for sid, *_ in rec.visible))
+    return [PassInterval.make(satellite_id, s, e, step_seconds) for s, e in runs]
 
 
 def extract_accesses(records, step_seconds: float) -> list[AccessInterval]:
     """Maximal runs with a non-empty visible set; handovers do not break a run."""
-    out: list[AccessInterval] = []
-    start = None
-    prev = None
-    for rec in records:
-        if rec.visible and start is None:
-            start = rec.step_index
-        elif not rec.visible and start is not None:
-            out.append(AccessInterval.make(start, prev, step_seconds))
-            start = None
-        prev = rec.step_index
-    if start is not None:
-        out.append(AccessInterval.make(start, prev, step_seconds))
-    return out
+    runs = _record_runs(records, lambda rec: rec.visible)
+    return [AccessInterval.make(s, e, step_seconds) for s, e in runs]
 
 
 def coverage_probability(records) -> float:
@@ -168,218 +163,254 @@ class CoverageSummary:
 
 
 class _IntervalTracker:
-    """Runs of consecutive active steps per row across sequential time blocks."""
+    """Runs of consecutive active steps per key across sequential time blocks."""
 
     def __init__(self):
-        # rows whose run reaches the end of the last block, ascending, and the
+        # keys whose run reaches the end of the last block, ascending, and the
         # absolute step each of those runs started at
-        self.open_rows = np.empty(0, dtype=np.int64)
-        self.open_starts = np.empty(0, dtype=np.int64)
-        self.intervals: list[tuple[int, int, int]] = []  # (row, start, end)
+        self.open_keys = self.open_starts = np.empty(0, dtype=np.int64)
+        self.runs: list[np.ndarray] = []  # (3, n) (key, start, end), in the order closed
 
-    def update(self, t0: int, n_steps: int, row: np.ndarray, step: np.ndarray) -> None:
-        """Active (row, step) entries of the n_steps block starting at absolute
-        step t0, in (row, step) order, steps counted from the block start.
-        The runs this block closes are appended by (row, end step)."""
-        # open runs enter as entries on the step before the block
-        rows = np.concatenate((self.open_rows, row))
-        order = np.argsort(rows, kind="stable")
-        rows = rows[order]
-        at = np.concatenate((np.full(len(self.open_rows), t0 - 1), t0 + step))[order]
-        began = np.concatenate((self.open_starts, t0 + step))[order]
-        new_run = np.ones(len(rows) + 1, dtype=bool)
-        new_run[1:-1] = (rows[1:] != rows[:-1]) | (at[1:] != at[:-1] + 1)
+    def update(self, t0: int, n_steps: int, key: np.ndarray, step: np.ndarray) -> None:
+        """Active (key, step) entries of the n_steps block starting at absolute
+        step t0, in (key, step) order, steps counted from the block start.
+        The runs this block closes are appended by (key, end step)."""
+        new_run = np.ones(len(key) + 1, dtype=bool)
+        new_run[1:-1] = (key[1:] != key[:-1]) | (step[1:] != step[:-1] + 1)
         bounds = np.flatnonzero(new_run)
-        rows, starts, ends = rows[bounds[:-1]], began[bounds[:-1]], at[bounds[1:] - 1]
+        keys, starts, ends = key[bounds[:-1]], t0 + step[bounds[:-1]], t0 + step[bounds[1:] - 1]
+        # a run from the block's first step continues its key's open run, if any
+        first = np.flatnonzero(starts == t0)
+        at = np.searchsorted(self.open_keys, keys[first])
+        go_on = at < len(self.open_keys)
+        go_on[go_on] = self.open_keys[at[go_on]] == keys[first[go_on]]
+        starts[first[go_on]] = self.open_starts[at[go_on]]
+        ended = np.ones(len(self.open_keys), dtype=bool)
+        ended[at[go_on]] = False  # the other open runs end before the block
         done = ends < t0 + n_steps - 1
-        self.intervals.extend(zip(rows[done].tolist(), starts[done].tolist(), ends[done].tolist()))
-        self.open_rows, self.open_starts = rows[~done], starts[~done]
+        last = np.full(ended.sum(), t0 - 1)
+        closed = np.hstack((np.stack((self.open_keys[ended], self.open_starts[ended], last)),
+                            np.stack((keys[done], starts[done], ends[done]))))
+        self.runs.append(closed[:, np.argsort(closed[0], kind="stable")])
+        self.open_keys, self.open_starts = keys[~done], starts[~done]
 
-    def close(self, last_step: int) -> None:
-        self.intervals.extend(
-            (r, s, last_step) for r, s in zip(self.open_rows.tolist(), self.open_starts.tolist())
-        )
-        self.open_rows = self.open_starts = np.empty(0, dtype=np.int64)
+    def close(self, last_step: int) -> np.ndarray:
+        """Every run, the open ones ended at last_step: (3, n) (key, start,
+        end), in the order closed."""
+        last = np.full(len(self.open_keys), last_step)
+        self.runs.append(np.stack((self.open_keys, self.open_starts, last)))
+        self.open_keys = self.open_starts = np.empty(0, dtype=np.int64)
+        return np.concatenate(self.runs, axis=1)
+
+
+def _bounds(key: np.ndarray) -> list[int]:
+    """Where each run of equal entries of a non-empty ``key`` starts, then
+    its length."""
+    return np.flatnonzero(np.r_[True, key[1:] != key[:-1], True]).tolist()
+
+
+def _trimmed(table: np.ndarray) -> list[list[int]]:
+    """Each row of a 2-D count table, without its trailing zeros."""
+    seen = table != 0
+    n = np.where(seen.any(axis=1), table.shape[1] - seen[:, ::-1].argmax(axis=1), 0)
+    return [row[:k] for row, k in zip(table.tolist(), n.tolist())]
 
 
 class _LinkStats:
-    """Running count, min/max/log-sum range and peak |range-rate|, one entry
-    per satellite set."""
+    """Running count, min/max/log-sum range and peak |range-rate| per key."""
 
-    def __init__(self, n_sets: int = 1):
-        self.n = np.zeros(n_sets, dtype=np.int64)
-        self.rng_min = np.full(n_sets, math.inf)
-        self.rng_max = np.zeros(n_sets)
-        self.log_sum = np.zeros(n_sets)
-        self.abs_rr_max = np.zeros(n_sets)
+    def __init__(self, n_keys: int = 1):
+        self.n = np.zeros(n_keys, dtype=np.int64)
+        self.rng_min = np.full(n_keys, math.inf)
+        self.rng_max = np.zeros(n_keys)
+        self.log_sum = np.zeros(n_keys)
+        self.abs_rr_max = np.zeros(n_keys)
 
-    def update(self, rng: np.ndarray, rr: np.ndarray, k: int = 0) -> None:
+    def update(self, rng: np.ndarray, rr: np.ndarray, key=0) -> None:
+        """Entries grouped by key, in ascending key order; one key for all
+        if ``key`` is a number."""
         if rng.size == 0:
             return
-        self.n[k] += rng.size
-        self.rng_min[k] = min(self.rng_min[k], rng.min())
-        self.rng_max[k] = max(self.rng_max[k], rng.max())
-        self.log_sum[k] += np.log10(rng).sum()
-        self.abs_rr_max[k] = max(self.abs_rr_max[k], np.abs(rr).max())
+        key = np.broadcast_to(key, rng.shape)
+        bounds = _bounds(key)
+        first, k = bounds[:-1], key[bounds[:-1]]
+        self.n[k] += np.diff(bounds)
+        self.rng_min[k] = np.minimum(self.rng_min[k], np.minimum.reduceat(rng, first))
+        self.rng_max[k] = np.maximum(self.rng_max[k], np.maximum.reduceat(rng, first))
+        self.abs_rr_max[k] = np.maximum(self.abs_rr_max[k], np.maximum.reduceat(np.abs(rr), first))
+        # one pairwise sum per key and call, which segmented sums would not keep
+        self.log_sum[k] += [np.log10(rng[a:b]).sum() for a, b in zip(bounds, bounds[1:])]
 
-    def fspl_stats(self, frequency_hz: float, k: int = 0):
-        n = int(self.n[k])
-        if n == 0:
-            return None, None, None
-        offset = fspl_db(1.0, frequency_hz)  # for 1 km
-        return (
-            fspl_db(float(self.rng_min[k]), frequency_hz),
-            offset + 20.0 * float(self.log_sum[k]) / n,
-            fspl_db(float(self.rng_max[k]), frequency_hz),
-        )
+    def columns(self, frequency_hz: float, prefix: str = "") -> dict[str, list]:
+        """Each key's path loss and Doppler summary fields, their names
+        behind ``prefix``, None for a key with no entry."""
+        seen = self.n > 0
+        values = {
+            "fspl_min_db": fspl_db(np.where(seen, self.rng_min, 1.0), frequency_hz),
+            # the loss at 1 km plus the mean of 20 log10(range)
+            "fspl_avg_db": fspl_db(1.0, frequency_hz) + 20.0 * self.log_sum / np.maximum(self.n, 1),
+            "fspl_max_db": fspl_db(np.where(seen, self.rng_max, 1.0), frequency_hz),
+            "max_doppler_khz": np.abs(doppler_offset_hz(self.abs_rr_max, frequency_hz)) / 1e3,
+        }
+        return {prefix + name: np.where(seen, v, None).tolist() for name, v in values.items()}
 
-    def max_doppler_khz(self, frequency_hz: float, k: int = 0):
-        if self.n[k] == 0:
-            return None
-        return abs(doppler_offset_hz(float(self.abs_rr_max[k]), frequency_hz)) / 1e3
+
+@dataclass
+class Results:
+    """What :class:`UserAccumulator` found for U users over the K sets
+    ``sets``: each :class:`CoverageSummary` field as U x K values, user u's
+    for set k at u * K + k; (user, satellite row, start, end) of each pass
+    and (user, start, end) of each whole-fleet access, as rows, each
+    user's in the order found, users ascending."""
+
+    sets: list[str]
+    columns: dict[str, list]
+    passes: np.ndarray
+    accesses: np.ndarray
+
+    def summaries(self, u: int) -> dict[str, CoverageSummary]:
+        """User u's summaries by set name."""
+        at = u * len(self.sets)
+        return {name: CoverageSummary(**{f: col[at + k] for f, col in self.columns.items()})
+                for k, name in enumerate(self.sets)}
+
+    def column(self, name: str, k: int) -> list:
+        """One field of set k, by user."""
+        return self.columns[name][k :: len(self.sets)]
 
 
 class UserAccumulator:
-    """Streams one user's statistics over K = 1 + C satellite sets: set 0 is
-    the whole fleet ("combined"), set 1 + c constellation c.
+    """Streams the statistics of U users over K = 1 + C satellite sets: set
+    0 is the whole fleet ("combined"), set 1 + c constellation c. Each
+    (user, set) is keyed u * K + k.
 
     Satellite rows are satellite ids and are grouped by constellation, so a
-    constellation's pairs are a slice of the (row, step)-ordered pairs. Per
-    set there is a row of the visible-count histogram, whose non-zero counts
-    are the covered steps, and an entry of the visible and the serving link
-    statistics, whose serving count gives the serving steps and usage. One
-    tracker keyed by satellite row follows the passes, which finalize
-    assigns to sets by their row's constellation; one keyed by set follows
-    the accesses.
+    (user, set)'s pairs are a slice of the (user, row, step)-ordered pairs.
+    Per key there is a row of the visible-count histogram, whose non-zero
+    counts are the covered steps, and an entry of the visible and the
+    serving link statistics, whose serving count gives the serving steps
+    and usage. One tracker keyed by user and satellite row follows the
+    passes, which finalize assigns to sets by their row's constellation;
+    one keyed by user and set follows the accesses.
     """
 
-    def __init__(
-        self, constellation_names: list[str], const_of_sat: np.ndarray, step_seconds: float
-    ):
+    def __init__(self, constellation_names: list[str], const_of_sat: np.ndarray,
+                 step_seconds: float, n_users: int):
         if np.any(np.diff(const_of_sat) < 0):
             raise ValueError("satellite rows must be grouped by constellation")
         self.names = constellation_names
         self.const_of_sat = const_of_sat
         self.step_seconds = step_seconds
-        # first row of each constellation, then the row count
-        self.row_bounds = np.searchsorted(const_of_sat, np.arange(len(constellation_names) + 1))
-        n_sets = 1 + len(constellation_names)
-        self.visible_hist = np.zeros((n_sets, 8), dtype=np.int64)
-        self.vis_stats = _LinkStats(n_sets)
-        self.srv_stats = _LinkStats(n_sets)
-        self.passes = _IntervalTracker()  # keyed by satellite row
-        self.accesses = _IntervalTracker()  # keyed by set
+        self.n_users, self.n_sets = n_users, 1 + len(constellation_names)
+        n_keys = n_users * self.n_sets
+        self.visible_hist = np.zeros((n_keys, 8), dtype=np.int64)
+        self.vis_stats = _LinkStats(n_keys)
+        self.srv_stats = _LinkStats(n_keys)
+        self.passes = _IntervalTracker()  # keyed u * S + satellite row
+        self.accesses = _IntervalTracker()  # keyed u * K + k
 
-    def update_block(
-        self,
-        t0: int,
-        vis: np.ndarray,
-        row: np.ndarray,
-        step: np.ndarray,
-        rng: np.ndarray,
-        rr: np.ndarray,
-        serving: np.ndarray,
-    ) -> None:
+    def update_block(self, t0: int, vis, row, step, rng, rr, serving, sizes) -> None:
         """One block of candidate pairs starting at absolute step t0: aligned
-        arrays in (row, step) order of visibility, satellite row, step within
-        the block, range and range-rate, plus each step's serving pair as an
-        index into those arrays (-1 for none)."""
-        n_steps = len(serving)
-        at = serving[serving >= 0]  # in step order
+        arrays of visibility, satellite row, step within the block, range
+        and range-rate, each user's pairs in (row, step) order, the users'
+        one after another, ``sizes[u]`` of them user u's. serving: (U, B),
+        each user's serving pair at each step as an index into its own
+        pairs (-1 for none)."""
+        n_users, n_sets = self.n_users, self.n_sets
+        n_steps = serving.shape[1]
+        sizes = np.asarray(sizes)
+        user = np.repeat(np.arange(n_users), sizes)
+        srv_user, srv_step = np.nonzero(serving >= 0)  # in (user, step) order
+        at = serving[srv_user, srv_step] + (np.cumsum(sizes) - sizes)[srv_user]
         srv_rng, srv_rr = rng[at], rr[at]
-        srv_set = 1 + self.const_of_sat[row[at]]
-        row, step, rng, rr = row[vis], step[vis], rng[vis], rr[vis]
-        self.passes.update(t0, n_steps, row, step)
+        srv_key = n_sets * srv_user + 1 + self.const_of_sat[row[at]]
+        pick = np.flatnonzero(vis)
+        user, row, step, rng, rr = (np.take(a, pick) for a in (user, row, step, rng, rr))
+        self.passes.update(t0, n_steps, user * len(self.const_of_sat) + row, step)
 
-        n_sets, width = self.visible_hist.shape
-        counts = np.empty((n_sets, n_steps), dtype=np.int64)  # visible, by set and step
-        cut = np.searchsorted(row, self.row_bounds)
-        for k in range(1, n_sets):
-            mine = slice(cut[k - 1], cut[k])
-            counts[k] = np.bincount(step[mine], minlength=n_steps)
-            self.vis_stats.update(rng[mine], rr[mine], k)
-            member = srv_set == k
-            self.srv_stats.update(srv_rng[member], srv_rr[member], k)
-        counts[0] = counts[1:].sum(axis=0)
-        self.vis_stats.update(rng, rr)
-        self.srv_stats.update(srv_rng, srv_rr)
+        base = n_sets * user
+        key = base + 1 + self.const_of_sat[row]  # ascending
+        counts = np.bincount(key * n_steps + step, minlength=n_users * n_sets * n_steps)
+        counts = counts.reshape(n_users, n_sets, n_steps)  # visible, by user, set and step
+        counts[:, 0] = counts[:, 1:].sum(axis=1)
+        counts = counts.reshape(n_users * n_sets, n_steps)
+        self.vis_stats.update(rng, rr, key)
+        self.vis_stats.update(rng, rr, base)
+        order = np.argsort(srv_key, kind="stable")  # each key's served steps in step order
+        self.srv_stats.update(srv_rng[order], srv_rr[order], srv_key[order])
+        self.srv_stats.update(srv_rng, srv_rr, n_sets * srv_user)
 
+        n_keys, width = self.visible_hist.shape
         grow = int(counts.max(initial=0)) + 1 - width
         if grow > 0:
             self.visible_hist = np.pad(self.visible_hist, ((0, 0), (0, grow)))
             width += grow
-        keys = counts + width * np.arange(n_sets)[:, None]
-        self.visible_hist += np.bincount(keys.ravel(), minlength=n_sets * width).reshape(n_sets, -1)
+        keys = counts + width * np.arange(n_keys)[:, None]
+        self.visible_hist += np.bincount(keys.ravel(), minlength=n_keys * width).reshape(n_keys, -1)
         self.accesses.update(t0, n_steps, *np.nonzero(counts))
 
-    def finalize(self, total_steps: int, frequency_hz: float) -> dict[str, CoverageSummary]:
-        """The summaries by set name, "combined" first."""
-        self.passes.close(total_steps - 1)
-        self.accesses.close(total_steps - 1)
+    def finalize(self, total_steps: int, frequency_hz: float) -> Results:
+        """Every user's summaries, passes and accesses, as columns."""
+        n_users, n_sets = self.n_users, self.n_sets
+        n_keys = n_users * n_sets
         step_min = self.step_seconds / 60.0
-        n_sets = len(self.visible_hist)
 
-        p_row, p_start, p_end = np.array(self.passes.intervals, dtype=np.int64).reshape(-1, 3).T
+        p_key, p_start, p_end = self.passes.close(total_steps - 1)
+        p_user, p_row = np.divmod(p_key, len(self.const_of_sat))
         p_bin = ((p_end - p_start + 1) * step_min).astype(np.int64)  # 1-minute bins
         width = int(p_bin.max(initial=0)) + 1
-        keys = np.concatenate((p_bin, (1 + self.const_of_sat[p_row]) * width + p_bin))
-        pass_hist = np.bincount(keys, minlength=n_sets * width).reshape(n_sets, width)
+        keys = n_sets * p_user + np.stack((0 * p_row, 1 + self.const_of_sat[p_row]))
+        pass_hist = np.bincount((keys * width + p_bin).ravel(), minlength=n_keys * width)
+        pass_hist = pass_hist.reshape(n_keys, width)
+        passes = np.stack((p_user, p_row, p_start, p_end))[:, np.argsort(p_user, kind="stable")]
 
-        a_set, a_start, a_end = np.array(self.accesses.intervals, dtype=np.int64).reshape(-1, 3).T
+        runs = self.accesses.close(total_steps - 1)
+        a_key, a_start, a_end = runs[:, np.argsort(runs[0], kind="stable")]
         a_dur = (a_end - a_start + 1) * step_min
-        # engine.run and perfbench's tracer (after_finalize) read the whole
-        # fleet's passes and (start, end) accesses here
-        whole = a_set == 0
-        spans = list(zip(a_start[whole].tolist(), a_end[whole].tolist()))
-        self.combined = SimpleNamespace(passes=self.passes, accesses=SimpleNamespace(intervals=spans))
+        whole = a_key % n_sets == 0
+        accesses = np.stack((a_key[whole] // n_sets, a_start[whole], a_end[whole]))
+        # perfbench's tracer (after_finalize) counts every user's passes and
+        # whole-fleet accesses here
+        self.combined = SimpleNamespace(passes=SimpleNamespace(intervals=passes.T),
+                                        accesses=SimpleNamespace(intervals=accesses.T))
+        avg_access, max_access = np.zeros(n_keys), np.zeros(n_keys)
+        if a_key.size:
+            bounds = _bounds(a_key)
+            k = a_key[bounds[:-1]]
+            max_access[k] = np.maximum.reduceat(a_dur, bounds[:-1])
+            avg_access[k] = [np.mean(a_dur[a:b]) for a, b in zip(bounds, bounds[1:])]
 
-        served = self.srv_stats.n
-        usage = {}
-        if served[0]:
-            usage = {name: float(served[1 + c] / served[0]) for c, name in enumerate(self.names)}
-        out = {}
-        for k, name in enumerate(["combined", *self.names]):
-            hist = np.trim_zeros(self.visible_hist[k], "b")
-            n_counted = int(hist.sum())
-            covered = int(hist[1:].sum())
-            count_sum = (np.arange(len(hist)) * hist).sum()
-            nonzero = np.flatnonzero(hist)
-            durs = a_dur[a_set == k]
-            fspl_min, fspl_avg, fspl_max = self.vis_stats.fspl_stats(frequency_hz, k)
-            sfspl_min, sfspl_avg, sfspl_max = self.srv_stats.fspl_stats(frequency_hz, k)
-            out[name] = CoverageSummary(
-                total_steps=total_steps,
-                covered_steps=covered,
-                coverage_probability=covered / total_steps if total_steps else 0.0,
-                access_count=len(durs),
-                avg_access_min=float(np.mean(durs)) if durs.size else 0.0,
-                max_access_min=float(durs.max()) if durs.size else 0.0,
-                pass_count=int(pass_hist[k].sum()),
-                pass_hist_min=np.trim_zeros(pass_hist[k], "b").tolist(),
-                visible_min=int(nonzero[0]) if nonzero.size else 0,
-                visible_avg=float(count_sum / n_counted) if n_counted else 0.0,
-                visible_max=int(nonzero[-1]) if nonzero.size else 0,
-                visible_hist=hist.tolist(),
-                fspl_min_db=fspl_min,
-                fspl_avg_db=fspl_avg,
-                fspl_max_db=fspl_max,
-                max_doppler_khz=self.vis_stats.max_doppler_khz(frequency_hz, k),
-                serving_steps=int(served[k]),
-                serving_fspl_min_db=sfspl_min,
-                serving_fspl_avg_db=sfspl_avg,
-                serving_fspl_max_db=sfspl_max,
-                serving_max_doppler_khz=self.srv_stats.max_doppler_khz(frequency_hz, k),
-                usage_fractions=usage if k == 0 else {},
-            )
-        return out
+        hist = self.visible_hist
+        visible_hist = _trimmed(hist)
+        n_counted = hist.sum(axis=1)
+        covered = n_counted - hist[:, 0]
+        served = self.srv_stats.n.reshape(n_users, n_sets)
+        usage = [{} for _ in range(n_keys)]
+        for u in np.flatnonzero(served[:, 0]).tolist():
+            usage[u * n_sets] = dict(zip(self.names, (served[u, 1:] / served[u, 0]).tolist()))
+        columns = {
+            "total_steps": [total_steps] * n_keys,
+            "covered_steps": covered.tolist(),
+            "coverage_probability": (covered / max(total_steps, 1)).tolist(),
+            "access_count": np.bincount(a_key, minlength=n_keys).tolist(),
+            "avg_access_min": avg_access.tolist(),
+            "max_access_min": max_access.tolist(),
+            "pass_count": pass_hist.sum(axis=1).tolist(),
+            "pass_hist_min": _trimmed(pass_hist),
+            "visible_min": (hist != 0).argmax(axis=1).tolist(),
+            "visible_avg": (hist @ np.arange(hist.shape[1]) / np.maximum(n_counted, 1)).tolist(),
+            "visible_max": [max(len(h) - 1, 0) for h in visible_hist],
+            "visible_hist": visible_hist,
+            **self.vis_stats.columns(frequency_hz),
+            "serving_steps": self.srv_stats.n.tolist(),
+            **self.srv_stats.columns(frequency_hz, "serving_"),
+            "usage_fractions": usage,
+        }
+        return Results(["combined", *self.names], columns, passes, accesses)
 
 
-def summarize(
-    records,
-    step_seconds: float,
-    frequency_hz: float,
-    constellation_of: dict[int, str] | None = None,
-) -> CoverageSummary:
+def summarize(records, step_seconds: float, frequency_hz: float,
+              constellation_of: dict[int, str] | None = None) -> CoverageSummary:
     """Reference reduction of an explicit record sequence (combined view).
 
     The engine's streamed results are pinned to this implementation by
@@ -392,22 +423,12 @@ def summarize(
     covered = sum(1 for r in records if r.visible)
     accesses = extract_accesses(records, step_seconds)
     sat_ids = sorted({sid for r in records for sid, *_ in r.visible})
-    passes = []
-    for sid in sat_ids:
-        passes.extend(extract_passes(records, sid, step_seconds))
-
-    pass_hist: list[int] = []
-    for p in passes:
-        b = int(p.duration_min)
-        if b >= len(pass_hist):
-            pass_hist.extend([0] * (b + 1 - len(pass_hist)))
-        pass_hist[b] += 1
-
+    passes = [p for sid in sat_ids for p in extract_passes(records, sid, step_seconds)]
+    bins = [int(p.duration_min) for p in passes]  # 1-minute bins
+    pass_hist = [bins.count(b) for b in range(max(bins) + 1)] if bins else []
     counts = [len(r.visible) for r in records]
     vmax = max(counts)
-    visible_hist = [0] * (vmax + 1)
-    for c in counts:
-        visible_hist[c] += 1
+    visible_hist = [counts.count(c) for c in range(vmax + 1)]
 
     stats = _LinkStats()
     for r in records:
@@ -427,8 +448,7 @@ def summarize(
                 usage_counts[cname] = usage_counts.get(cname, 0) + 1
     usage = {k: v / srv_steps for k, v in usage_counts.items()} if srv_steps else {}
 
-    fspl_min, fspl_avg, fspl_max = stats.fspl_stats(frequency_hz)
-    sf_min, sf_avg, sf_max = srv.fspl_stats(frequency_hz)
+    link = {**stats.columns(frequency_hz), **srv.columns(frequency_hz, "serving_")}
     acc_durs = [a.duration_min for a in accesses]
     return CoverageSummary(
         total_steps=total,
@@ -443,16 +463,9 @@ def summarize(
         visible_avg=float(np.mean(counts)),
         visible_max=vmax,
         visible_hist=visible_hist,
-        fspl_min_db=fspl_min,
-        fspl_avg_db=fspl_avg,
-        fspl_max_db=fspl_max,
-        max_doppler_khz=stats.max_doppler_khz(frequency_hz),
         serving_steps=srv_steps,
-        serving_fspl_min_db=sf_min,
-        serving_fspl_avg_db=sf_avg,
-        serving_fspl_max_db=sf_max,
-        serving_max_doppler_khz=srv.max_doppler_khz(frequency_hz),
         usage_fractions=usage,
+        **{name: column[0] for name, column in link.items()},
     )
 
 
@@ -469,61 +482,47 @@ class BinGrid:
     counts: np.ndarray
 
     def to_rows(self) -> list[tuple]:
-        rows = []
-        for i, alt in enumerate(self.alt_lows):
-            for j, inc in enumerate(self.inc_lows):
-                v = self.values[i, j]
-                rows.append(
-                    (
-                        float(alt),
-                        float(inc),
-                        self.metric,
-                        "" if math.isnan(v) else float(v),
-                        int(self.counts[i, j]),
-                    )
-                )
-        return rows
+        cells = zip(self.alt_lows.tolist(), self.values.tolist(), self.counts.tolist())
+        return [(alt, inc, self.metric, "" if math.isnan(v) else v, n)
+                for alt, vs, ns in cells for inc, v, n in zip(self.inc_lows.tolist(), vs, ns)]
 
     HEADER = ("alt_bin_low_km", "inc_bin_low_deg", "metric", "value", "count")
 
 
-def bin_grid(
-    alt_km: list[float],
-    inc_deg: list[float],
-    summaries: list[CoverageSummary],
-    altitude_bin_km: float,
-    inclination_bin_deg: float,
-    metric: str,
-) -> BinGrid:
+def bin_grid(alt_km: list[float], inc_deg: list[float], summaries: list[CoverageSummary],
+             altitude_bin_km: float, inclination_bin_deg: float, metric: str) -> BinGrid:
     """Mean of one metric over users falling in each (altitude, inclination)
     cell; empty cells are NaN-flagged, distinct from zero."""
+    values = [getattr(s, metric) for s in summaries]
+    return bin_grids(alt_km, inc_deg, [(metric, values)], altitude_bin_km, inclination_bin_deg)[0]
+
+
+def bin_grids(alt_km: list[float], inc_deg: list[float], metrics: list[tuple[str, list]],
+              altitude_bin_km: float, inclination_bin_deg: float) -> list[BinGrid]:
+    """The :func:`bin_grid` of each (metric, one value per user) pair, the
+    users binned once; a None value is left out of its cell's mean."""
     if altitude_bin_km <= 0 or inclination_bin_deg <= 0:
         raise ValueError("bin widths must be positive")
-    if not (len(alt_km) == len(inc_deg) == len(summaries)):
+    if any(len(values) != len(alt_km) for _, values in metrics) or len(inc_deg) != len(alt_km):
         raise ValueError("need one summary per user")
     ai = np.floor(np.asarray(alt_km) / altitude_bin_km).astype(int)
     ii = np.floor(np.asarray(inc_deg) / inclination_bin_deg).astype(int)
     a0, a1 = ai.min(), ai.max()
     i0, i1 = ii.min(), ii.max()
     shape = (a1 - a0 + 1, i1 - i0 + 1)
-    sums = np.zeros(shape)
-    counts = np.zeros(shape, dtype=np.int64)
-    valued = np.zeros(shape, dtype=np.int64)
-    for k, summary in enumerate(summaries):
-        cell = (ai[k] - a0, ii[k] - i0)
-        counts[cell] += 1
-        v = getattr(summary, metric)
-        if v is not None:
-            sums[cell] += v
-            valued[cell] += 1
-    with np.errstate(invalid="ignore"):
-        values = np.where(valued > 0, sums / np.maximum(valued, 1), np.nan)
-    return BinGrid(
-        metric=metric,
-        alt_bin_km=altitude_bin_km,
-        inc_bin_deg=inclination_bin_deg,
-        alt_lows=(np.arange(a0, a1 + 1) * altitude_bin_km),
-        inc_lows=(np.arange(i0, i1 + 1) * inclination_bin_deg),
-        values=values,
-        counts=counts,
-    )
+    cell = (ai - a0) * shape[1] + ii - i0
+    counts = np.bincount(cell, minlength=shape[0] * shape[1]).reshape(shape)
+    alt_lows = np.arange(a0, a1 + 1) * altitude_bin_km
+    inc_lows = np.arange(i0, i1 + 1) * inclination_bin_deg
+    grids = []
+    for metric, values in metrics:
+        has = [v is not None for v in values]
+        at = cell[np.array(has, dtype=bool)]
+        # a weighted bincount adds each cell's values in user order
+        sums = np.bincount(at, [v for v in values if v is not None], minlength=counts.size)
+        valued = np.bincount(at, minlength=counts.size)
+        with np.errstate(invalid="ignore"):
+            mean = np.where(valued > 0, sums / np.maximum(valued, 1), np.nan)
+        grids.append(BinGrid(metric, altitude_bin_km, inclination_bin_deg, alt_lows, inc_lows,
+                             mean.reshape(shape), counts))
+    return grids

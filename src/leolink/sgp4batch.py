@@ -46,6 +46,7 @@ and the two constants that depend on them.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain
@@ -125,7 +126,7 @@ class Slots:
     not checked against the angles."""
 
     record: sgp4core.SatRecord
-    names: list[str]
+    names: Sequence[str]
     nodeo: np.ndarray
     mo: np.ndarray
 
@@ -144,9 +145,8 @@ class SatBatch:
         sizes = [len(r.names) if isinstance(r, Slots) else 1 for r in records]
         starts = list(accumulate(sizes, initial=0))
         self.n = starts.pop()
-        self.names = list(
-            chain.from_iterable(r.names if isinstance(r, Slots) else (r.name,) for r in records)
-        )
+        # each row's name, formatted when first read (an error message reads one)
+        self._names = [r.names if isinstance(r, Slots) else (r.name,) for r in records]
         self._cols = _columns(recs, _FIELDS + ("epoch_jd", "epoch_fr", "isimp"), sizes)
         for r, a in zip(records, starts):
             if isinstance(r, Slots):
@@ -189,6 +189,11 @@ class SatBatch:
         self.radiusearthkm = wc[2]
         self.vkmpersec = self.radiusearthkm * self.xke / 60.0
         self._drag = self._cols["bstar"][:, 0] != 0.0
+
+    @cached_property
+    def names(self) -> list[str]:
+        """The name of each row."""
+        return list(chain.from_iterable(self._names))
 
     def orbit_bounds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per record, (r_lo, r_hi, v_hi): the radius [km] stays within

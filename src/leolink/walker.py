@@ -59,10 +59,11 @@ def shell_angles(shell: ShellSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_walker(
-    shell: ShellSpec, epoch: datetime, slots: int | None = None
+    shell: ShellSpec, epoch: datetime, slots: int | None = None, angles=None
 ) -> list[KeplerianElements]:
     """Circular elements for every slot of a shell, or for its first
-    ``slots`` slots, at the angles of :func:`shell_angles`."""
+    ``slots`` slots, at the angles of :func:`shell_angles`, or at
+    ``angles``, that function's result where the caller has it."""
     a = EARTH_RADIUS_KM + shell.altitude
     return [
         KeplerianElements(
@@ -74,5 +75,5 @@ def build_walker(
             mean_anomaly=mean_anomaly,
             epoch=epoch,
         )
-        for raan, mean_anomaly in zip(*(angles[:slots].tolist() for angles in shell_angles(shell)))
+        for raan, mean_anomaly in zip(*(c[:slots].tolist() for c in angles or shell_angles(shell)))
     ]

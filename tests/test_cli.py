@@ -3,6 +3,7 @@ import json
 import pytest
 
 from leolink.cli import main
+from leolink.metrics import CoverageSummary
 from leolink.tle import load_tle_file
 
 
@@ -217,6 +218,75 @@ def test_grid_and_report_reject_entries_that_are_not_user_summaries(tmp_path, ca
         assert main(argv) == 1
         assert f"error: {src}: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "field, value, what",
+    [
+        ("coverage_probability", "abc", "a number"),
+        ("coverage_probability", True, "a number"),
+        ("total_steps", 1.5, "an integer"),
+        ("total_steps", False, "an integer"),
+        ("fspl_min_db", "x", "a number or null"),
+        ("visible_hist", [1, "x"], "a list of integers"),
+        ("pass_hist_min", [True], "a list of integers"),
+        ("pass_hist_min", 3, "a list of integers"),
+        ("usage_fractions", {"a": "b"}, "an object of numbers"),
+        ("usage_fractions", [0.5], "an object of numbers"),
+    ],
+)
+def test_grid_and_report_reject_summary_values_of_the_wrong_type(tmp_path, capsys, field, value, what):
+    # each field is checked against its CoverageSummary annotation, bools
+    # not counted as numbers, and the message names the user, the set and
+    # the field instead of a traceback from the table or the grid
+    fine = {**CoverageSummary().to_dict(), "total_steps": 10, "covered_steps": 5,
+            "coverage_probability": 0.5, "visible_hist": [5, 5], "usage_fractions": {"a": 1}}
+    doc = _summary_doc(summaries={"combined": {**fine}, "a": {**fine, field: value}})
+    src = tmp_path / "summary.json"
+    src.write_text(json.dumps(doc))
+    out = tmp_path / "grid.csv"
+    for argv in (["grid", str(src), "--metric", "coverage_probability", "--out", str(out)],
+                 ["report", str(src), "--user", "0"]):
+        assert main(argv) == 1
+        message = f"users[0]: 'summaries' entry 'a': {field!r} must be {what}, not {value!r}"
+        assert f"error: {src}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+    # the same values, each of its field's type, are read
+    src.write_text(json.dumps(_summary_doc(summaries={"combined": fine, "a": fine})))
+    assert main(["report", str(src), "--user", "0"]) == 0
+
+
+def test_grid_command_reproduces_the_run_grid_files(tmp_path):
+    # `leolink grid` on a run's summary.json writes the bytes of the run's
+    # own grid file, for every set and metric the run grids
+    out = tmp_path / "out"
+    scenario = {
+        "epoch": "2021-03-20T09:37:29Z",
+        "duration": 300,
+        "step": 10,
+        "constellations": [
+            {"name": "mini", "source": {"walker": [
+                {"altitude": 1200, "inclination": 87.9, "plane_count": 3, "sats_per_plane": 8}
+            ]}},
+            {"name": "eutelsat_geo"},
+        ],
+        "users": {"population": {"n_main": 12, "n_band": 2}},
+        "grid": {"altitude_bin": 100, "inclination_bin": 30,
+                 "metrics": ["coverage_probability", "fspl_avg_db", "pass_count"]},
+        "output_dir": str(out),
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["run", "--config", str(path)]) == 0
+    grids = sorted(out.glob("grid_*.csv"))
+    assert len(grids) == 9
+    for name in ("mini", "eutelsat_geo", "combined"):
+        for metric in scenario["grid"]["metrics"]:
+            got = tmp_path / "grid.csv"
+            assert main(["grid", str(out / "summary.json"), "--metric", metric,
+                         "--constellation", name, "--alt-bin", "100", "--inc-bin", "30",
+                         "--out", str(got)]) == 0
+            assert got.read_bytes() == (out / f"grid_{name}_{metric}.csv").read_bytes()
 
 
 def test_report_shows_a_summary_that_holds_only_combined(tmp_path, capsys):

@@ -151,19 +151,26 @@ def test_interval_extraction_matches_brute_force(data):
     _assert_summary_invariants(recs, summarize(recs, STEP, F))
 
 
-def _feed_accumulator(vis, ranges, rates, serving, names, const_of_sat, step_s, freq, block,
+def _feed_accumulator(users, ranges, rates, servings, names, const_of_sat, step_s, freq, block,
                       candidates):
-    n_sats, n_steps = vis.shape
-    acc = UserAccumulator(names, const_of_sat, step_s)
+    """Every user's (vis, ranges, rates, serving, candidates) through one
+    accumulator, a block of all users' pairs at a time."""
+    n_sats, n_steps = users[0].shape
+    acc = UserAccumulator(names, const_of_sat, step_s, len(users))
     for t0 in range(0, n_steps, block):
         sl = slice(t0, min(t0 + block, n_steps))
-        row, step = np.nonzero(candidates[:, sl])  # (row, step) order
-        v, r, rr = vis[:, sl], ranges[:, sl], rates[:, sl]
-        # each step's serving pair as an index into the candidates, -1 for none
-        srv = np.full(sl.stop - t0, -1)
-        hit = row == serving[t0 + step]
-        srv[step[hit]] = np.flatnonzero(hit)
-        acc.update_block(t0, v[row, step], row, step, r[row, step], rr[row, step], srv)
+        parts, srvs = [], []
+        for vis, r, rr, serving, cand in zip(users, ranges, rates, servings, candidates):
+            row, step = np.nonzero(cand[:, sl])  # (row, step) order
+            v, r, rr = vis[:, sl], r[:, sl], rr[:, sl]
+            # each step's serving pair as an index into the candidates, -1 for none
+            srv = np.full(sl.stop - t0, -1)
+            hit = row == serving[t0 + step]
+            srv[step[hit]] = np.flatnonzero(hit)
+            parts.append((v[row, step], row, step, r[row, step], rr[row, step]))
+            srvs.append(srv)
+        arrays = [np.concatenate(a) for a in zip(*parts)]
+        acc.update_block(t0, *arrays, np.stack(srvs), [len(p[1]) for p in parts])
     return acc.finalize(n_steps, freq)
 
 
@@ -172,45 +179,82 @@ _CONSTELLATIONS = {1: [0, 0, 0, 0, 0, 0], 3: [0, 0, 1, 1, 1, 2]}
 
 
 @pytest.mark.parametrize(
-    "block, n_const",
-    [pytest.param(b, 1, id=str(b)) for b in (1, 7, 32, 100)]
-    + [pytest.param(b, 3, id=f"{b}-3const") for b in (1, 7, 32, 100)],
+    "block, n_const, n_users",
+    [pytest.param(b, 1, 1, id=str(b)) for b in (1, 7, 32, 100)]
+    + [pytest.param(b, 3, 1, id=f"{b}-3const") for b in (1, 7, 32, 100)]
+    + [pytest.param(b, 3, 3, id=f"{b}-3const-3users") for b in (1, 7, 32, 100)],
 )
-def test_streaming_accumulator_matches_reference(block, n_const):
-    """Every set's streamed summary, the whole fleet's and each
-    constellation's, equals the record reference on that set's records."""
+def test_streaming_accumulator_matches_reference(block, n_const, n_users):
+    """Every user's and every set's streamed summary, the whole fleet's and
+    each constellation's, equals the record reference on that user's and
+    set's records. With several users, user 1 has no candidates in the
+    second block (in the whole run if there is one block), and user 2's
+    satellite 0 stays visible across the first block boundary."""
     rng = np.random.default_rng(42)
     n_sats, n_steps = 6, 100
-    vis = rng.random((n_sats, n_steps)) < 0.35
-    ranges = rng.uniform(200.0, 2500.0, (n_sats, n_steps))
-    rates = rng.uniform(-8.0, 8.0, (n_sats, n_steps))
     const_of_sat = np.array(_CONSTELLATIONS[n_const])
     names = [f"c{c}" for c in range(n_const)]
     owner = {s: names[c] for s, c in enumerate(const_of_sat)}
-    # the closest visible satellite serves
-    serving = np.where(vis.any(axis=0), np.where(vis, ranges, np.inf).argmin(axis=0), -1)
-    recs = [
-        StepRecord(
-            k,
-            [(s, float(ranges[s, k]), float(rates[s, k]), 40.0) for s in range(n_sats) if vis[s, k]],
-            int(serving[k]) if serving[k] >= 0 else None,
-        )
-        for k in range(n_steps)
-    ]
-    views = {"combined": recs}
-    for name in names:
-        views[name] = [
+    users, all_ranges, all_rates, servings, all_candidates, all_views = [], [], [], [], [], []
+    for u in range(n_users):
+        vis = rng.random((n_sats, n_steps)) < 0.35
+        ranges = rng.uniform(200.0, 2500.0, (n_sats, n_steps))
+        rates = rng.uniform(-8.0, 8.0, (n_sats, n_steps))
+        extra = rng.random((n_sats, n_steps)) < 0.2
+        if u == 1:
+            vis[:, block : 2 * block] = extra[:, block : 2 * block] = False
+            if block >= n_steps:
+                vis[:] = extra[:] = False
+        if u == 2:
+            vis[0, max(0, block - 3) : block + 3] = True
+        # the closest visible satellite serves
+        serving = np.where(vis.any(axis=0), np.where(vis, ranges, np.inf).argmin(axis=0), -1)
+        recs = [
             StepRecord(
-                r.step_index,
-                [v for v in r.visible if owner[v[0]] == name],
-                r.serving if r.serving is not None and owner[r.serving] == name else None,
+                k,
+                [(s, float(ranges[s, k]), float(rates[s, k]), 40.0) for s in range(n_sats) if vis[s, k]],
+                int(serving[k]) if serving[k] >= 0 else None,
             )
-            for r in recs
+            for k in range(n_steps)
         ]
-    candidates = vis | (rng.random((n_sats, n_steps)) < 0.2)
-    summaries = _feed_accumulator(
-        vis, ranges, rates, serving, names, const_of_sat, STEP, F, block, candidates
+        views = {"combined": recs}
+        for name in names:
+            views[name] = [
+                StepRecord(
+                    r.step_index,
+                    [v for v in r.visible if owner[v[0]] == name],
+                    r.serving if r.serving is not None and owner[r.serving] == name else None,
+                )
+                for r in recs
+            ]
+        users.append(vis)
+        all_ranges.append(ranges)
+        all_rates.append(rates)
+        servings.append(serving)
+        all_candidates.append(vis | extra)
+        all_views.append(views)
+    results = _feed_accumulator(
+        users, all_ranges, all_rates, servings, names, const_of_sat, STEP, F, block, all_candidates
     )
+    assert results.sets == list(all_views[0])
+    for u, views in enumerate(all_views):
+        recs = views["combined"]
+        # the whole fleet's passes and accesses of each user, in time order per satellite
+        p_user, p_row, p_start, p_end = results.passes
+        mine = p_user == u
+        got_passes = sorted(zip(p_row[mine].tolist(), p_start[mine].tolist(), p_end[mine].tolist()))
+        assert got_passes == [
+            (p.satellite_id, p.start_step, p.end_step)
+            for s in range(n_sats) for p in extract_passes(recs, s, STEP)
+        ]
+        a_user, a_start, a_end = results.accesses
+        assert list(zip(a_start[a_user == u].tolist(), a_end[a_user == u].tolist())) == [
+            (a.start_step, a.end_step) for a in extract_accesses(recs, STEP)
+        ]
+        _assert_sets_match_reference(results.summaries(u), views, owner)
+
+
+def _assert_sets_match_reference(summaries, views, owner):
     assert list(summaries) == list(views)
     for name, records in views.items():
         # the reference names a usage fraction for the whole fleet only
