@@ -19,7 +19,7 @@ from .config import (
     validate,
 )
 from .constants import DEFAULT_EPOCH, VERSION
-from .engine import _write_grid, run, user_json
+from .engine import _write_grid, run
 from .metrics import CoverageSummary, bin_grid
 from .propagation import PropagationError
 from .tle import dump_tle_file, elements_to_tle
@@ -84,7 +84,7 @@ def _cmd_preset(args) -> int:
     manifest = run(cfg)
     name_list = [c.name for c in cfg.constellations]
     table = _summary_table(
-        {"users": [user_json(manifest.users[0])], "reporting_mode": cfg.reporting_mode},
+        {"users": [{"summaries": manifest.users[0].summaries}], "reporting_mode": cfg.reporting_mode},
         constellations=name_list + (["combined"] if len(name_list) > 1 else []),
     )
     print(table)
@@ -121,7 +121,8 @@ def _fmt(v, digits=2) -> str:
 
 
 def _summary_table(summary_doc: dict, constellations: list[str] | None = None, user_id=None) -> str:
-    """Aligned text table over one user's summaries (Table-style rows)."""
+    """Aligned text table over one user's summaries (Table-style rows); each
+    user's "summaries" map names to :class:`CoverageSummary` values."""
     users = summary_doc["users"]
     if user_id is None:
         if len(users) != 1:
@@ -144,14 +145,14 @@ def _summary_table(summary_doc: dict, constellations: list[str] | None = None, u
 
     def fspl_keys(s):
         if mode == "serving_only":
-            return s["serving_fspl_min_db"], s["serving_fspl_avg_db"], s["serving_fspl_max_db"], s["serving_max_doppler_khz"]
-        return s["fspl_min_db"], s["fspl_avg_db"], s["fspl_max_db"], s["max_doppler_khz"]
+            return s.serving_fspl_min_db, s.serving_fspl_avg_db, s.serving_fspl_max_db, s.serving_max_doppler_khz
+        return s.fspl_min_db, s.fspl_avg_db, s.fspl_max_db, s.max_doppler_khz
 
     rows = [
-        ("Coverage Probability [%]", [_fmt(summaries[c]["coverage_probability"] * 100.0) for c in cols]),
-        ("Avg. Access [min]", [_fmt(summaries[c]["avg_access_min"]) for c in cols]),
-        ("# Visible Satellites", [f"[{summaries[c]['visible_min']}, {summaries[c]['visible_max']}]" for c in cols]),
-        ("Avg. # Visible Satellites", [_fmt(summaries[c]["visible_avg"]) for c in cols]),
+        ("Coverage Probability [%]", [_fmt(summaries[c].coverage_probability * 100.0) for c in cols]),
+        ("Avg. Access [min]", [_fmt(summaries[c].avg_access_min) for c in cols]),
+        ("# Visible Satellites", [f"[{summaries[c].visible_min}, {summaries[c].visible_max}]" for c in cols]),
+        ("Avg. # Visible Satellites", [_fmt(summaries[c].visible_avg) for c in cols]),
         ("FSPL [dB]", [
             f"[{_fmt(fspl_keys(summaries[c])[0])}, {_fmt(fspl_keys(summaries[c])[2])}]" for c in cols
         ]),
@@ -188,7 +189,8 @@ _FIELD_CHECKS = {
 
 
 def _read_summary(path: str) -> dict:
-    """A run's summary.json document; a missing file or one that is not a
+    """A run's summary.json document, each user's summaries read as
+    :class:`CoverageSummary` values; a missing file or one that is not a
     summary is a ConfigError."""
     path = Path(path)
     if not path.exists():
@@ -229,6 +231,11 @@ def _read_summary(path: str) -> dict:
                     raise ConfigError(
                         f"{where}: 'summaries' entry {name!r}: {key!r} must be {what}, not {value!r}"
                     )
+            # a field that is missing takes its default
+            try:
+                summaries[name] = CoverageSummary(**summary)
+            except ValueError as exc:
+                raise ConfigError(f"{where}: 'summaries' entry {name!r}: {exc}") from None
     return doc
 
 
@@ -252,7 +259,7 @@ def _cmd_grid(args) -> int:
         if s is None:
             print(f"error: constellation {args.constellation!r} not in summary", file=sys.stderr)
             return 1
-        summaries.append(CoverageSummary(**s))
+        summaries.append(s)
     grid = bin_grid(
         [u["alt_km"] for u in users],
         [u["inc_deg"] for u in users],

@@ -11,16 +11,23 @@ is taken at a knot only if some user may see it in an interval next to
 it, and a row taken at no later knot is left out of the screen. Where the
 first interval clears too few rows to pay, every later knot is taken in
 one :meth:`SatBatch.propagate_jd` call instead. One elevation screen for
-all users (:func:`geometry.horizon_screen`) bounds each (user, satellite)
-pair's height above the user's horizon plane between knots, against the
-least height at which the satellite can clear the elevation mask, and
-keeps, per user, the (satellite row, step) pairs that may be at or above
-the mask, in (row, step) order; a skipped knot, and an interval it ends,
-keeps none. Rows whose propagation can fail (deep-space or drag rows)
-are taken at every knot and every step, and get the screen's knot test
-at every step instead of its bound. Every state between knots, the pairs
-any user keeps and those steps of the rows that may fail, comes from one
-more :meth:`SatBatch.propagate_pairs` call, so a block makes at most
+all users (:func:`geometry.horizon_screen`) keeps, per user, the
+(satellite row, step) pairs that may be at or above the mask, in (row,
+step) order. It first finds the near (interval, user, satellite) triples:
+at a knot of the interval, the central angle between the two is within a
+cap, the largest angle at which the satellite can clear the mask plus the
+angle both can turn in half an interval. Direction cells, each knot's
+satellite directions binned by declination and right ascension, give the
+candidates, so the work grows with the near triples, not with users x
+satellites. On those triples only, it tests each knot exactly and bounds
+each pair's height above the user's horizon plane between knots against
+the least height at which the satellite can clear the mask; a skipped
+knot, and an interval it ends, keeps none. Rows whose propagation can
+fail (deep-space or drag rows) are taken at every knot and every step,
+and get the screen's knot test at every step instead of its bound. Every
+state between knots, the pairs any user keeps and those steps of the
+rows that may fail, comes from one more
+:meth:`SatBatch.propagate_pairs` call, so a block makes at most
 three fleet calls, and a failure is raised as a block without the
 screen raises it. A fleet whose rows all can fail (a GEO fleet) has a
 knot at every step, all taken in the first call. All the states a block
@@ -46,9 +53,9 @@ import time
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from datetime import timedelta
-from functools import partial
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -95,11 +102,19 @@ _CLEAR_SHARE = 0.5
 
 @dataclass
 class UserResult:
+    """One user's results. Its summaries are built from the run's
+    :class:`Results` columns when first read."""
+
     spec: UserSpec
-    summaries: dict[str, CoverageSummary]
     passes: list[tuple[int, int, int]]  # (sat_id, start_step, end_step)
     accesses: list[tuple[int, int]]
     records: list[StepRecord] | None = None
+    results: Results | None = field(default=None, repr=False, compare=False)
+    index: int = 0  # the user's index into ``results``
+
+    @cached_property
+    def summaries(self) -> dict[str, CoverageSummary]:
+        return self.results.summaries(self.index)
 
 
 @dataclass
@@ -116,6 +131,9 @@ class RunManifest:
     results: Results  # every user's summaries, passes and accesses, as columns
 
     threads: int = 1
+    # seconds in the elevation screen and in the gathered propagate_pairs
+    # calls between knots, and the work counts of _new_profile
+    profile: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -127,7 +145,17 @@ class RunManifest:
             "version": self.version,
             "seed": self.seed,
             "output_dir": self.output_dir,
+            "profile": self.profile,
         }
+
+
+def _new_profile() -> dict:
+    """A run's profile before its first block: seconds in the screen and in
+    the gathered pairs; triples screened (users x rows x intervals, where
+    knots are apart), near triples (:func:`geometry.horizon_screen`),
+    candidate pairs (summed over users) and gathered pairs."""
+    return {"screen_s": 0.0, "gathered_pairs_s": 0.0, "triples": 0, "near_triples": 0,
+            "candidates": 0, "gathered_pairs": 0}
 
 
 class _Fleet:
@@ -314,6 +342,7 @@ def run(cfg: ScenarioConfig) -> RunManifest:
     jd0, fr0 = julian_date(cfg.epoch)
 
     acc = UserAccumulator(fleet.names, fleet.const_of_sat, cfg.step_s, n_users)
+    profile = _new_profile()
     records_cap = [[] for _ in range(n_users)] if cfg.capture_records else None
 
     block = max(8, min(512, int(4e6 / max(fleet.n, 1))))
@@ -356,7 +385,7 @@ def run(cfg: ScenarioConfig) -> RunManifest:
                 k_pos, k_vel = fleet.propagate_block(jd0, fr[knots[:1] if planned else knots])
                 u_pos, u_vel = user_batch.propagate_jd(jd0, fr)
                 states = _block_states(
-                    cfg, fleet, user_bounds, jd0, fr, knots, k_pos, k_vel, u_pos, u_vel
+                    cfg, fleet, user_bounds, jd0, fr, knots, k_pos, k_vel, u_pos, u_vel, profile
                 )
             except PropagationError as exc:
                 raise _block_failure(fleet, jd0, fr, t0, exc) from None
@@ -367,6 +396,7 @@ def run(cfg: ScenarioConfig) -> RunManifest:
                 pairs = list(pool.map(lambda ui: process_user(ui, *args), range(n_users)))
             *pairs, srv = zip(*pairs)
             sizes = [len(row) for row in pairs[1]]
+            profile["candidates"] += sum(sizes)
             acc.update_block(t0, *(np.concatenate(a) for a in pairs), np.stack(srv), sizes)
     finally:
         if pool is not None:
@@ -380,10 +410,11 @@ def run(cfg: ScenarioConfig) -> RunManifest:
     users = [
         UserResult(
             spec=u,
-            summaries=results.summaries(ui),
             passes=passes[p_at[ui] : p_at[ui + 1]],
             accesses=accesses[a_at[ui] : a_at[ui + 1]],
             records=records_cap[ui] if records_cap is not None else None,
+            results=results,
+            index=ui,
         )
         for ui, u in enumerate(cfg.users)
     ]
@@ -401,13 +432,14 @@ def run(cfg: ScenarioConfig) -> RunManifest:
         users=users,
         results=results,
         threads=cfg.threads,
+        profile=profile,
     )
     if out_dir is not None:
         _write_outputs(cfg, manifest, out_dir)
     return manifest
 
 
-def _block_states(cfg, fleet, user_bounds, jd, fr, knots, k_pos, k_vel, u_pos, u_vel):
+def _block_states(cfg, fleet, user_bounds, jd, fr, knots, k_pos, k_vel, u_pos, u_vel, profile):
     """(pos, vel, cand) of one block. pos and vel hold every (P, 3)
     satellite state the block takes: the knots', then those between knots.
     Per user, cand holds the candidate (row, step) pairs in (row, step)
@@ -452,10 +484,12 @@ def _block_states(cfg, fleet, user_bounds, jd, fr, knots, k_pos, k_vel, u_pos, u
     s_pos, s_vel = np.take(pos, idx, axis=0), np.take(vel, idx, axis=0)
     s_pos[idx < 0] = s_vel[idx < 0] = np.nan  # the knots not taken
     u_top = u_r.max(axis=1)
+    t = time.perf_counter()
     keys = horizon_screen(
         s_pos, s_vel, u_knots, u_vel[:, knots], knots, cfg.step_s,
-        [b[screened] for b in fleet.bounds], user_bounds, cfg.min_elevation_deg, u_top,
+        [b[screened] for b in fleet.bounds], user_bounds, cfg.min_elevation_deg, u_top, profile,
     )
+    profile["screen_s"] += time.perf_counter() - t
     keys = _fleet_keys(keys, screened, n_steps)
     s_pos = s_vel = None
     # between the knots: the pairs any user keeps, and every step of the rows
@@ -471,7 +505,10 @@ def _block_states(cfg, fleet, user_bounds, jd, fr, knots, k_pos, k_vel, u_pos, u
     off_knot[knots] = False
     kept = off_knot[step]
     row, step = row[kept], step[kept]
+    t = time.perf_counter()
     between = fleet.batch.propagate_pairs(jd, fr, row, step)
+    profile["gathered_pairs_s"] += time.perf_counter() - t
+    profile["gathered_pairs"] += len(row)
     # slot[step, row]: the index of a state into pos and vel, written only
     # where the state is taken; step by step, so that each knot's row is
     # one contiguous write
@@ -480,10 +517,12 @@ def _block_states(cfg, fleet, user_bounds, jd, fr, knots, k_pos, k_vel, u_pos, u
     slot.ravel()[step * n_sat + row] = np.arange(len(pos), len(pos) + len(row), dtype=np.int32)
     pos, vel = (np.concatenate([k, m]) for k, m in zip((pos, vel), between))
     # the knot test on every step of the rows that may fail
+    t = time.perf_counter()
     exact = horizon_screen(
         np.take(pos, slot[:, may_fail].T, axis=0), None, u_pos, None, np.arange(n_steps),
         cfg.step_s, [b[may_fail] for b in fleet.bounds], user_bounds, cfg.min_elevation_deg, u_top,
     )
+    profile["screen_s"] += time.perf_counter() - t
     exact = _fleet_keys(exact, may_fail, n_steps)
     keys = [np.sort(np.concatenate([k, e]), kind="stable") for k, e in zip(keys, exact)]
     slot, cand = slot.ravel(), []
@@ -584,11 +623,6 @@ def _user_meta(spec: UserSpec) -> dict:
         "raan_deg": spec.elements.raan,
         "ma_deg": spec.elements.mean_anomaly,
     }
-
-
-def user_json(u: UserResult) -> dict:
-    """One user's entry in ``summary.json``."""
-    return {**_user_meta(u.spec), "summaries": {k: s.to_dict() for k, s in u.summaries.items()}}
 
 
 @contextmanager

@@ -157,12 +157,9 @@ def grazing_range_km(r1_km: float, r2_km: float, radius: float = EARTH_RADIUS_KM
 # ---------------------------------------------------------------------------
 
 
-# Floats per dot-product chunk of the horizon screen (16 MB of float64). Between
-# knots the screen takes all of a block's knots for a satellite tile of 1/32
-# of this size and keeps a few arrays of the tile's shape. On the LEO rows of
-# the population_mc block (110 users, 11 knots, 5,124 satellites; 2-vCPU host,
-# October 2026), tiles of 1/64, 1/32, 1/16 and 1/8 took 200, 174, 181 and
-# 200 ms, and the screen's peak (tracemalloc) was 6.6, 7.2, 7.4 and 12.8 MB.
+# Floats per dot-product chunk of the horizon screen's every-step test (16 MB
+# of float64). Where knots are apart, the screen takes the candidates of its
+# direction cells a group of users at a time, about 1/32 of this many.
 _CULL_CHUNK = 1 << 21
 # Multiply-adds per matrix product. OpenBLAS runs a product this small on the
 # calling thread; parallelism belongs to the engine's ``threads`` option, and
@@ -179,6 +176,16 @@ _ACCEL_MARGIN = 0.01
 # resonance integrator's 720-minute steps kink the velocity by at most
 # 5e-6 km/s. The screen widens each horizon rate by this share of speed.
 _VELOCITY_SLACK = 1e-3
+# Angular margin [rad] of the screen's cap, about 7 m at LEO radii: far above
+# the rounding of a central angle taken from unit vectors (1e-15 rad) and of
+# the knot test, whose floor is lowered by 1e-9 of the radius plus 1 mm.
+_CAP_MARGIN = 1e-6
+# Declination width [rad] of the screen's direction cells, and the least
+# width of their right ascension bins. On population_mc's first block (110
+# users, 5,124 rows, 11 knots, 26K near knots; 2-vCPU host, October 2026),
+# widths of 0.05, 0.1, 0.2 and 0.3 rad gave 46K, 47K, 72K and 102K cell
+# candidates, and the screen took a median of 53, 48, 50 and 50 ms.
+_BAND = 0.1
 
 
 def horizon_screen(
@@ -192,6 +199,7 @@ def horizon_screen(
     user_bounds: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     min_elevation_deg: float = 0.0,
     user_r_max: np.ndarray | None = None,
+    tally: dict | None = None,
 ) -> list[np.ndarray]:
     """Conservative elevation cull of one time block for every user, from
     exact states at knot steps only.
@@ -207,41 +215,59 @@ def horizon_screen(
     c rises with |sat| and falls with |user|, so the screen takes one c per
     pair, from the user's largest radius over the block's steps and the
     satellite's least radius between knots (:func:`_radius_sag`), and tests
-    z - c >= 0. At a knot the test is exact for that c. Between knots k and
-    k+1, h after knot k and h' = H - h before knot k+1, z - c is at most
+    z - c >= 0. At a knot the test is exact for that c. With a knot at every
+    step this is the exact cull for c, taken as (U, 3) x (3, satellites)
+    products, a few knots and satellites at a time, so that they cover at
+    most ``_GEMM_SIZE`` / 3 (user, satellite) pairs and ``_CULL_CHUNK``
+    floats at once.
+
+    Where knots are apart, the screen first finds the near (interval, user,
+    satellite) triples (:func:`_near_screen`): those where the central angle
+    between the two at either knot is at most the cap
+
+        Θ(u, s) + Ω(u, s) H / 2 + ``_CAP_MARGIN``,
+
+    with Θ and Ω of :func:`mask_reach` for the pair (Θ from the user's
+    least radius over the block) and H the longest interval. A pair at or
+    above the mask at a step has its central angle within Θ there, and
+    every step is within H / 2 of a knot, so the cap drops no such pair.
+    Direction cells (:class:`_DirectionCells`) bin each knot's satellite
+    directions by class of r_hi, declination band and right ascension; each
+    user's cap for a class is mapped to the cells it touches, and their
+    satellites pass an exact test of the central angle. The knot test then
+    runs only on the knots of the near triples, and between knots k and
+    k+1, h after knot k and h' = H_k - h before knot k+1, z - c is at most
 
         z_k - c + (ż_k + D) h + A h^2 / 2   and   z_k+1 - c + (D - ż_k+1) h' + A h'^2 / 2,
 
     where A bounds |z''| and D the gap between SGP4's velocity and the rate
-    of its position (``_screen_rates``). A speed pre-test first drops the
-    intervals where the two bounds cannot both reach c at any step
-    (``_speed_test``), before ż is formed. Both bounds are convex
-    parabolas, so their ends decide each remaining interval; only surviving
-    intervals are tested step by step. With a knot at every step this is
-    the exact cull for c.
+    of its position (:func:`_pair_rates`), each formed for the pair only.
+    Both bounds are convex parabolas, so their ends decide each near
+    interval (:func:`_between_knots`); only those kept are tested step by
+    step. A step between knots is kept where both bounds and the cap keep
+    it. The triples are taken a batch of users at a time, about
+    ``_CULL_CHUNK`` / 32 cell candidates per batch (more where one user has
+    more).
 
     sat_pos, sat_vel: (S, K, 3) at the knots; user_pos, user_vel: (U, K, 3)
     at the knots; knots: (K,) ascending steps of the block, the first 0 and
     the last the block's last step; step_s: the step [s]; sat_bounds and
     user_bounds: each object's (r_lo, r_hi, v_hi) from
-    :meth:`SatBatch.orbit_bounds`; an infinite v_hi (no bound) keeps every
-    pair with that object at every step. A satellite's state may be NaN at
-    any knot but the first, where the engine's knot plan has cleared both
-    intervals next to it (no user can see the satellite there): that knot
-    is then absent, and neither it nor an interval it ends is tested, nor
-    enters the satellite's radii and speeds. With no satellites (S = 0) it
-    keeps no pair. Velocities and user_bounds are read only if some knots
-    are more than one step apart; sat_bounds, if given, narrow c.
-    user_r_max: (U,) each user's largest radius over the block's steps
-    [km], needed for a mask above 0 if some knots are more than one step
-    apart, else the largest at the knots. Returns, per user,
-    the kept pairs as keys row * B + step, ascending (in (row, step) order).
-    The products are (U, 3) x (3, satellites) per knot. With a knot at every
-    step they are taken a few knots and satellites at a time; else all the
-    knots of a satellite tile at once, so each knot's product is made once
-    (a few knots at a time only where one satellite's knots overrun the
-    tile). They, c and the bounds A, D and V cover at most ``_GEMM_SIZE``
-    / 3 (user, satellite) pairs at once, so no (U, S) array is built.
+    :meth:`SatBatch.orbit_bounds`; an infinite v_hi (no bound) makes the
+    cap and A infinite, which keeps every pair with that object at every
+    step. A satellite's state may be NaN at any knot but the first, where
+    the engine's knot plan has cleared both intervals next to it (no user
+    can see the satellite there): that knot is then absent, never near, and
+    neither it nor an interval it ends is tested, nor enters the
+    satellite's radii. With no satellites (S = 0) it keeps no pair.
+    Velocities and both bounds are read only if some knots are more than
+    one step apart; sat_bounds, if given, narrow c. user_r_max: (U,) each
+    user's largest radius over the block's steps [km], needed for a mask
+    above 0 if some knots are more than one step apart, else the largest at
+    the knots. tally: if given, a dict whose ``"triples"`` (users x
+    satellites x intervals) and ``"near_triples"`` counts the screen adds
+    to where knots are apart. Returns, per user, the kept pairs as keys
+    row * B + step, ascending (in (row, step) order).
     """
     n_sat, n_knot, _ = sat_pos.shape
     n_user = user_pos.shape[0]
@@ -249,83 +275,287 @@ def horizon_screen(
         return [np.zeros(0, dtype=np.int64) for _ in range(n_user)]
     knots = np.asarray(knots, dtype=np.int64)
     n_steps = int(knots[-1]) + 1
-    gap = np.diff(knots)
-    screened = bool((gap > 1).any())
-    ru2 = np.einsum("ubk,ubk->bu", user_pos, user_pos)
-    ru = np.sqrt(ru2)
-    width = max(1, _GEMM_SIZE // (3 * n_user))
-    budget = _CULL_CHUNK
-    span = gap * step_s
-    h = float(span.max()) if screened else 0.0
-    if user_r_max is None:
-        if screened and min_elevation_deg > 0.0:
+    if not (np.diff(knots) > 1).any():
+        keys = _knot_test(sat_pos, user_pos, knots, sat_bounds, min_elevation_deg, user_r_max)
+    else:
+        if user_r_max is None and min_elevation_deg > 0.0:
             raise ValueError("a mask above 0 between knots needs each user's largest radius")
-        user_r_max = ru.max(axis=0)
-    if screened:
-        uhat = user_pos.transpose(1, 0, 2) / ru[..., None]
-        uvel = user_vel.transpose(1, 0, 2)
-        rdot = np.einsum("buk,buk->bu", uhat, uvel)
-        # (û, dû/dt) per knot and user, for ż = v_sat . û + sat . dû/dt - d|user|/dt
-        lead = np.concatenate([uhat, (uvel - uhat * rdot[..., None]) / ru[..., None]], axis=2)
-        turn = np.sqrt(np.einsum("buk,buk->bu", lead[..., 3:], lead[..., 3:]).max(axis=0))
-        climb = np.abs(rdot).max(axis=0)
-        # all the knots of a narrower satellite tile at once, so that each
-        # knot's product, z and ż are made once
-        budget = _CULL_CHUNK // 32
-        width = max(1, min(width, budget // (n_knot * n_user)))
-    keys = []
-    for s0 in range(0, n_sat, width):
-        sats = sat_pos[s0 : s0 + width]
-        n = len(sats)
-        tile = slice(s0, s0 + n)
-        chunk = max(1, budget // (n * n_user))
-        sat_low, sat_r = _radius_range(sats, chunk)
-        if sat_bounds is not None:
-            sag = _radius_sag([b[tile] for b in sat_bounds], h)
-            sat_low = np.maximum(sat_bounds[0][tile], sat_low - sag)
-        floor = _elevation_floor(user_r_max, sat_low, min_elevation_deg)  # (U, n), like the products
-        if screened:
-            vels = sat_vel[tile]
-            speed = np.sqrt(np.fmax.reduce(np.einsum("sbk,sbk->sb", vels, vels), axis=1))
-            accel, slack = _screen_rates([b[tile] for b in sat_bounds], user_bounds, sat_r, h)
-            rate_max = _speed_bound(speed, sat_r, turn, climb, slack)
-        b0 = 0
-        while True:
-            b1 = min(n_knot - 1, b0 + chunk)
-            kn = slice(b0, b1 + 1)
-            # strided (C, U, 3) x (C, 3, n) views, multiplied without copies
-            dot = np.matmul(user_pos[:, kn].transpose(1, 0, 2), sats[:, kn].transpose(1, 2, 0))
-            # knots b0 .. b1 - 1 here; the last knot with the last chunk
-            n_own = b1 - b0 + (b1 == n_knot - 1)
-            z = dot  # dot's last use: z = (dot - |user|^2) / |user| - c
-            z -= ru2[kn, :, None]
-            z /= ru[kn, :, None]
-            z -= floor
-            above = z[:n_own] >= 0.0
-            # flat index (b * U + u) * n + s
-            b, us = np.divmod(np.flatnonzero(above), n_user * n)
-            u, s = np.divmod(us, n)
-            keys.append((u * n_sat + s0 + s) * n_steps + knots[b0 + b])
-            if screened and (gap[b0:b1] > 1).any():
-                live = _speed_test(z, rate_max, accel, gap[b0:b1], span[b0:b1])
-                if len(live):
-                    both = np.concatenate([vels[:, kn], sats[:, kn]], axis=2)
-                    zdot = np.matmul(lead[kn], both.transpose(1, 2, 0))
-                    zdot -= rdot[kn, :, None]
-                    i, u, s, step = _between_knots(
-                        z, zdot, live, accel, slack, gap[b0:b1], span[b0:b1], step_s
-                    )
-                    keys.append((u * n_sat + s0 + s) * n_steps + knots[b0 + i] + step)
-            dot = z = zdot = above = None  # freed before the next chunk's product is made
-            if b1 == n_knot - 1:
-                break
-            b0 = b1
+        keys = _near_screen(
+            sat_pos, sat_vel, user_pos, user_vel, knots, step_s, sat_bounds, user_bounds,
+            min_elevation_deg, user_r_max, tally,
+        )
     # sorted keys (u * S + s) * B + b run user by user, each in (row, step) order
     keys = np.concatenate(keys)
     keys.sort()
     per_user = n_sat * n_steps
     bounds = np.searchsorted(keys, np.arange(n_user + 1) * per_user)
     return [keys[bounds[u] : bounds[u + 1]] - u * per_user for u in range(n_user)]
+
+
+def _knot_test(sat_pos, user_pos, knots, sat_bounds, min_elevation_deg, user_r_max):
+    """The keys (u * S + s) * B + step of a screen with a knot at every
+    step (:func:`horizon_screen`), unsorted: z - c >= 0 at every knot, from
+    (U, 3) x (3, n) products of satellite tiles and a few knots at a time."""
+    n_sat, n_knot, _ = sat_pos.shape
+    n_user = user_pos.shape[0]
+    n_steps = int(knots[-1]) + 1
+    ru2 = np.einsum("ubk,ubk->bu", user_pos, user_pos)
+    ru = np.sqrt(ru2)
+    if user_r_max is None:
+        user_r_max = ru.max(axis=0)
+    width = max(1, _GEMM_SIZE // (3 * n_user))
+    keys = []
+    for s0 in range(0, n_sat, width):
+        sats = sat_pos[s0 : s0 + width]
+        n = len(sats)
+        chunk = max(1, _CULL_CHUNK // (n * n_user))
+        sat_low, _ = _radius_range(sats, chunk)
+        if sat_bounds is not None:
+            sat_low = np.maximum(sat_bounds[0][s0 : s0 + n], sat_low)
+        floor = _elevation_floor(user_r_max[:, None], sat_low, min_elevation_deg)
+        for b0 in range(0, n_knot, chunk):
+            kn = slice(b0, b0 + chunk)
+            # strided (C, U, 3) x (C, 3, n) views, multiplied without copies
+            z = np.matmul(user_pos[:, kn].transpose(1, 0, 2), sats[:, kn].transpose(1, 2, 0))
+            z -= ru2[kn, :, None]
+            z /= ru[kn, :, None]
+            z -= floor
+            # flat index (b * U + u) * n + s
+            b, us = np.divmod(np.flatnonzero(z >= 0.0), n_user * n)
+            u, s = np.divmod(us, n)
+            keys.append((u * n_sat + s0 + s) * n_steps + knots[b0 + b])
+            z = None  # freed before the next chunk's product is made
+    return keys
+
+
+def _near_screen(sat_pos, sat_vel, user_pos, user_vel, knots, step_s, sat_bounds,
+                 user_bounds, min_elevation_deg, user_r_max, tally):
+    """The keys (u * S + s) * B + step of a screen whose knots are apart
+    (:func:`horizon_screen`), as a list of arrays: the knot test on the
+    knots of the near intervals and both parabola bounds on those
+    intervals."""
+    n_sat, n_knot, _ = sat_pos.shape
+    n_user = user_pos.shape[0]
+    n_steps = int(knots[-1]) + 1
+    gap = np.diff(knots)
+    span = gap * step_s
+    h = float(span.max())
+    e = math.radians(min_elevation_deg)
+    # the users at the knots, flat u * K + k: rows of user, û, dû/dt,
+    # |user|^2, |user| and d|user|/dt (_heights)
+    up, uv = user_pos.reshape(-1, 3), user_vel.reshape(-1, 3)
+    ru2 = np.einsum("ik,ik->i", up, up)
+    ru = np.sqrt(ru2)
+    uhat = up / ru[:, None]
+    rdot = np.einsum("ik,ik->i", uhat, uv)
+    turn = (uv - uhat * rdot[:, None]) / ru[:, None]
+    users = np.concatenate([up, uhat, turn, np.stack([ru2, ru, rdot], axis=1)], axis=1).T.copy()
+    u_lo, u_hi, u_v = user_bounds
+    u_min = np.maximum(u_lo, ru.reshape(n_user, n_knot).min(axis=1) - _radius_sag(user_bounds, h))
+    if user_r_max is None:
+        user_r_max = ru.reshape(n_user, n_knot).max(axis=1)
+    # the satellites at the knots, flat s * K + k; NaN at the absent knots
+    sats = sat_pos.reshape(-1, 3), sat_vel.reshape(-1, 3)
+    rs = np.sqrt(np.einsum("ik,ik->i", sats[0], sats[0]))
+    s_lo, s_hi, s_v = sat_bounds
+    sat_r = np.fmax.reduce(rs.reshape(n_sat, n_knot), axis=1)
+    sat_low = np.fmin.reduce(rs.reshape(n_sat, n_knot), axis=1)
+    sat_low = np.maximum(s_lo, sat_low - _radius_sag(sat_bounds, h))
+    # the cap Θ + Ω H / 2 + margin, with Ω = (1 + slack) (v_hi / r_lo of
+    # both); the cells query it per class of satellites whose r_hi are
+    # within 1% (a bundled shell is one class), at the class's largest
+    s_turn, u_turn = s_v / s_lo, u_v / u_lo
+    grow = (1.0 + _VELOCITY_SLACK) * 0.5 * h
+    _, group = np.unique(np.floor(100.0 * np.log(s_hi / EARTH_RADIUS_KM)), return_inverse=True)
+    top = np.full((2, group.max() + 1), -np.inf)
+    np.maximum.at(top, (0, group), s_hi)
+    np.maximum.at(top, (1, group), s_turn)
+    widest = _mask_angle(u_min[:, None], top[0], e)
+    widest += grow * (top[1] + u_turn[:, None]) + _CAP_MARGIN
+    cells = _DirectionCells(sats[0], rs, group, n_knot)
+    ranges, owner = cells.query(uhat, np.repeat(widest, n_knot, axis=0))
+    # batches of whole users, each of about _CULL_CHUNK / 32 candidates
+    user = owner // n_knot
+    per_user = np.bincount(user, weights=ranges[:, 1] - ranges[:, 0], minlength=n_user)
+    batch = (np.cumsum(per_user) - per_user) // max(1, _CULL_CHUNK // 32)
+    cut = np.searchsorted(user, np.r_[np.flatnonzero(np.diff(batch, prepend=-1)), n_user])
+    keys = []
+    for r0, r1 in zip(cut[:-1], cut[1:]):
+        pair, q, unit = cells.candidates(ranges[r0:r1], owner[r0:r1])
+        s, k = np.divmod(pair, n_knot)
+        u = q // n_knot
+        angle = np.arccos(np.clip(_dot(unit, users[3:6].take(q, axis=1)), -1.0, 1.0))
+        cap = _mask_angle(u_min.take(u), s_hi.take(s), e)
+        cap += grow * (s_turn.take(s) + u_turn.take(u)) + _CAP_MARGIN
+        near = np.flatnonzero(angle <= cap)
+        # the near knots as sorted keys (s * U + u) * K + k, satellite by
+        # satellite so that the states below are read in order; the near
+        # intervals, those next to them, by the key of their first knot:
+        # each near knot gives the interval it ends and the one it starts
+        knot = (s.take(near) * n_user + u.take(near)) * n_knot + k.take(near)
+        knot.sort()
+        first = np.stack([knot - 1, knot], axis=1)
+        first[knot % n_knot == 0, 0] = -1
+        first[knot % n_knot == n_knot - 1, 1] = -1
+        first, _ = _distinct(first.ravel())
+        first = first[first >= 0]
+        if tally is not None:
+            tally["near_triples"] = tally.get("near_triples", 0) + len(first)
+        # the knots of the near intervals, each once: interval i ends at
+        # knots left[i] and left[i] + 1 of them
+        ends, left = _distinct(np.stack([first, first + 1], axis=1).ravel())
+        left = left[0::2]
+        su, k = np.divmod(ends, n_knot)
+        s, u = np.divmod(su, n_user)
+        row = u * n_sat + s  # the output's (user, satellite) key
+        # the knot test there
+        z, zdot = _heights(sats, users, s * n_knot + k, u * n_knot + k)
+        z -= _elevation_floor(user_r_max.take(u), sat_low.take(s), min_elevation_deg)
+        at = np.flatnonzero(z >= 0.0)
+        keys.append(row.take(at) * n_steps + knots.take(k.take(at)))
+        # both parabola bounds on the near intervals more than a step long
+        left = left.take(np.flatnonzero(gap.take(k.take(left)) > 1))
+        u, s, j = u.take(left), s.take(left), k.take(left)
+        accel, slack = _pair_rates(
+            (s_lo.take(s), s_hi.take(s), s_v.take(s)), (u_lo.take(u), u_hi.take(u), u_v.take(u)),
+            sat_r.take(s), h,
+        )
+        t, m = _between_knots(
+            z.take(left), z.take(left + 1), zdot.take(left), zdot.take(left + 1), accel, slack,
+            gap.take(j), span.take(j), step_s,
+        )
+        keys.append(row.take(left.take(t)) * n_steps + knots.take(j.take(t)) + m)
+    if tally is not None:
+        tally["triples"] = tally.get("triples", 0) + n_user * n_sat * (n_knot - 1)
+    return keys
+
+
+def _distinct(keys):
+    """(distinct, at): the sorted ``keys`` with each repeated key once, and
+    the index of each key among them."""
+    new = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return keys[new], np.cumsum(new) - 1
+
+
+def _dot(rows, cols):
+    """The dot products of (N, 3) rows with the (3, N) columns."""
+    out = rows[:, 0] * cols[0]
+    out += rows[:, 1] * cols[1]
+    out += rows[:, 2] * cols[2]
+    return out
+
+
+def _heights(sats, users, p, q):
+    """(z, ż) of the satellite states p (rows of ``sats``' positions and
+    velocities) against the user states q (columns of ``users``, as
+    :func:`_near_screen` builds them): z = (sat . user - |user|^2) / |user|
+    and ż = v_sat . û + sat . dû/dt - d|user|/dt; NaN at an absent knot."""
+    pos, vel, u = sats[0].take(p, axis=0), sats[1].take(p, axis=0), users.take(q, axis=1)
+    z = _dot(pos, u[0:3])
+    z -= u[9]
+    z /= u[10]
+    zdot = _dot(vel, u[3:6])
+    zdot += _dot(pos, u[6:9])
+    zdot -= u[11]
+    return z, zdot
+
+
+class _DirectionCells:
+    """The directions of S satellites at K knots, binned into cells: a cell
+    holds one class of satellites at one knot, within one declination band
+    of width ``_BAND`` and one of the band's right ascension bins. The bins
+    are about as wide as the bands, or wider where there are fewer states
+    than that makes cells, so that there are at most about as many cells
+    as states. Built from flat (S K, 3) positions and their radii,
+    NaN where a knot is absent (such a state is in no cell), and each
+    satellite's class."""
+
+    def __init__(self, pos, radius, group, n_knot):
+        self.n_band = math.ceil(math.pi / _BAND)
+        self.n_knot, self.n_group = n_knot, group.max() + 1
+        present = np.flatnonzero(~np.isnan(radius))
+        fill = len(present) // (n_knot * self.n_group * self.n_band)
+        self.n_ra = max(1, min(math.ceil(2.0 * math.pi / _BAND), fill))
+        unit = pos.take(present, axis=0) / radius.take(present)[:, None]
+        dec, ra = _dec_ra(unit)
+        # each state's cell, numbered by knot, class, band and right
+        # ascension bin
+        s, k = np.divmod(present, n_knot)
+        cell = (k * self.n_group + group.take(s)) * self.n_band + self._band(dec)
+        cell *= self.n_ra
+        cell += self._bin(ra)
+        order = np.argsort(cell)
+        self.pair, self.unit = present.take(order), unit.take(order, axis=0)
+        n_cell = n_knot * self.n_group * self.n_band * self.n_ra
+        self.first = np.zeros(n_cell + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cell, minlength=n_cell), out=self.first[1:])
+
+    def _band(self, dec):
+        return np.minimum(((dec + 0.5 * math.pi) / _BAND).astype(np.int64), self.n_band - 1)
+
+    def _bin(self, ra):
+        """The right ascension bins of angles in [-pi, pi], clipped there."""
+        turn = np.clip((ra + math.pi) * (self.n_ra / (2.0 * math.pi)), 0.0, self.n_ra - 1)
+        return turn.astype(np.int64)
+
+    def query(self, uhat, reach):
+        """(ranges, owner): (Q, 2) runs [start, end) of cell entries that
+        hold every satellite of each class c within ``reach[:, c]`` [rad]
+        of each of the (U K,) user directions ``uhat`` (flat u * K + k, at
+        knot k), and the user direction that owns each run, ascending. A
+        reach of at least pi / 2 takes every cell of the class and knot, one
+        below 0 none."""
+        dec, ra = _dec_ra(uhat)
+        # 1e-7 for the rounding of the cells' angles
+        rho = np.minimum(reach + 1e-7, math.pi).ravel()
+        owner = np.arange(len(rho)) // self.n_group  # (user direction, class) pairs
+        dec, ra = dec.take(owner), ra.take(owner)
+        full = rho >= 0.5 * math.pi
+        lo = np.where(full, 0, self._band(np.maximum(dec - rho, -0.5 * math.pi)))
+        hi = np.where(full, self.n_band - 1, self._band(np.minimum(dec + rho, 0.5 * math.pi)))
+        # the cap's largest half-width in right ascension, asin(sin ρ / cos δ),
+        # or every right ascension where the cap reaches a pole
+        polar = np.abs(dec) + rho >= 0.5 * math.pi
+        half = np.full(len(rho), math.pi)
+        tilt = np.sin(rho[~polar]) / np.cos(dec[~polar])
+        half[~polar] = np.arcsin(np.clip(tilt, -1.0, 1.0)) + 1e-9
+        n = np.where(rho < 0.0, 0, hi - lo + 1)
+        src = np.repeat(np.arange(len(rho)), n)
+        band = np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())
+        # the bins of right ascension mid - half .. mid + half, every bin
+        # where they span the circle, or up to two runs where they pass -pi
+        # or pi: bins below 0 or from n_ra continue at the other end
+        mid, half = ra.take(src) + math.pi, half.take(src)
+        lo = np.floor((mid - half) * (self.n_ra / (2.0 * math.pi))).astype(np.int64)
+        hi = np.floor((mid + half) * (self.n_ra / (2.0 * math.pi))).astype(np.int64)
+        every = hi - lo + 1 >= self.n_ra
+        lo[every], hi[every] = 0, self.n_ra - 1
+        runs = np.stack([
+            np.maximum(lo, 0), np.minimum(hi, self.n_ra - 1),
+            np.where(lo < 0, lo + self.n_ra, np.where(hi >= self.n_ra, 0, 1)),
+            np.where(lo < 0, self.n_ra - 1, np.where(hi >= self.n_ra, hi - self.n_ra, 0)),
+        ], axis=1)  # the second run empty, as (1, 0), where there is none
+        base = (((owner.take(src) % self.n_knot) * self.n_group + src % self.n_group)
+                * self.n_band + band) * self.n_ra
+        start = self.first.take(base[:, None] + runs[:, 0::2])
+        end = self.first.take(base[:, None] + runs[:, 1::2] + 1)
+        return np.stack([start.ravel(), end.ravel()], axis=1), np.repeat(owner.take(src), 2)
+
+    def candidates(self, ranges, owner):
+        """(pair, q, unit): the flat state s * K + k of every entry in
+        ``ranges``, the user direction that owns its run, and its unit
+        direction."""
+        count = ranges[:, 1] - ranges[:, 0]
+        at = np.repeat(ranges[:, 0] - np.cumsum(count) + count, count) + np.arange(count.sum())
+        return self.pair.take(at), np.repeat(owner, count), self.unit.take(at, axis=0)
+
+
+def _dec_ra(unit):
+    """Declination and right ascension [rad] of (N, 3) unit vectors. Near a
+    pole the declination, an arcsine, is within 2e-8 rad (sqrt(2 eps)) of
+    the direction's."""
+    return np.arcsin(np.clip(unit[:, 2], -1.0, 1.0)), np.arctan2(unit[:, 1], unit[:, 0])
 
 
 def _radius_range(pos, chunk):
@@ -339,6 +569,14 @@ def _radius_range(pos, chunk):
         np.fmin(lo, np.fmin.reduce(r2, axis=1), out=lo)
         np.fmax(hi, np.fmax.reduce(r2, axis=1), out=hi)
     return np.sqrt(lo), np.sqrt(hi)
+
+
+def _mask_angle(r_user, r_sat, e):
+    """The largest central angle [rad] at which a satellite at radius at most
+    r_sat is at or above the elevation e [rad] from a user at radius at
+    least r_user: arccos(cos e r_user / r_sat) - e, -e where the satellite
+    cannot rise to the mask."""
+    return np.arccos(np.minimum(1.0, math.cos(e) * r_user / r_sat)) - e
 
 
 def mask_reach(sat_bounds, user_bounds, user_r_min, min_elevation_deg):
@@ -362,8 +600,7 @@ def mask_reach(sat_bounds, user_bounds, user_r_min, min_elevation_deg):
     """
     s_lo, s_hi, s_v = sat_bounds
     u_lo, _, u_v = user_bounds
-    e = math.radians(min_elevation_deg)
-    reach = np.arccos(np.minimum(1.0, math.cos(e) * user_r_min / s_hi)) - e
+    reach = _mask_angle(user_r_min, s_hi, math.radians(min_elevation_deg))
     rate = (1.0 + _VELOCITY_SLACK) * (s_v / s_lo + np.max(u_v / u_lo))
     return reach, rate
 
@@ -416,10 +653,10 @@ def _radius_sag(bounds, span_max):
 
 
 def _elevation_floor(r_user, r_sat, min_elevation_deg):
-    """c (U, n) [km], each pair's least height z above the user's horizon
-    plane at which the satellite is at or above the elevation mask e, for
-    users at radius at most r_user (U,) and satellites at radius at least
-    r_sat (n,).
+    """c [km], each pair's least height z above the user's horizon plane at
+    which the satellite is at or above the elevation mask e, for users at
+    radius at most r_user and satellites at radius at least r_sat (arrays
+    that broadcast to the pairs' shape).
 
     From z = sin(el) |sat - user| and |sat - user|^2 = r_s^2 - r_u^2 - 2 r_u z,
     with z >= 0 (el >= 0),
@@ -434,20 +671,21 @@ def _elevation_floor(r_user, r_sat, min_elevation_deg):
     e = math.radians(min_elevation_deg)
     sin_e, cos_e = math.sin(e), math.cos(e)
     if sin_e == 0.0:
-        return np.zeros((len(r_user), len(r_sat)))
-    c = r_sat * r_sat - np.square(r_user * cos_e)[:, None]
+        return np.zeros(np.broadcast(r_user, r_sat).shape)
+    c = r_sat * r_sat - np.square(r_user * cos_e)
     np.maximum(c, 0.0, out=c)
     np.sqrt(c, out=c)
-    c -= (r_user * sin_e)[:, None]
+    c -= r_user * sin_e
     c *= sin_e
     c -= 1e-9 * r_sat + 1e-6
     return np.maximum(c, 0.0, out=c)
 
 
-def _screen_rates(sat_bounds, user_bounds, sat_r_knots, span_max):
-    """(A, D), each (U, n): A bounds |z''| [km/s^2] and D the error [km/s]
-    of ż taken from SGP4's velocities, for every pair of a user and one of
-    the n satellites that ``sat_bounds`` and ``sat_r_knots`` describe.
+def _pair_rates(sat_bounds, user_bounds, sat_r_knots, span_max):
+    """(A, D): A bounds |z''| [km/s^2] and D the error [km/s] of ż taken
+    from SGP4's velocities, for pairs of a user and a satellite, whose
+    bounds and the satellite's largest knot radius ``sat_r_knots`` are
+    arrays that broadcast to the pairs' shape.
 
     With z = sat . û - r (r = |user|),
 
@@ -472,75 +710,56 @@ def _screen_rates(sat_bounds, user_bounds, sat_r_knots, span_max):
     u_ang = u_v / u_lo
     u_rd = u_e * np.sqrt(mu / u_lo)
     u_ang2 = (u_acc + u_rdd + 2.0 * u_rd * u_ang) / u_lo
-    accel = s_acc + 2.0 * u_ang[:, None] * s_v + u_ang2[:, None] * s_r + u_rdd[:, None]
-    slack = _VELOCITY_SLACK * (s_v + u_v[:, None] * (1.0 + s_r / u_lo[:, None]))
+    accel = s_acc + 2.0 * u_ang * s_v + u_ang2 * s_r + u_rdd
+    slack = _VELOCITY_SLACK * (s_v + u_v * (1.0 + s_r / u_lo))
     return accel, slack
 
 
-def _speed_bound(sat_speed, sat_r, turn, climb, slack):
-    """V (U, n), with |ż| + D <= V at every knot for each pair of a user
-    and one of n satellites (D, ``slack``, from :func:`_screen_rates`).
-
-    ż = v_sat . û + sat . dû/dt - d|user|/dt and |û| = 1, so by
-    Cauchy-Schwarz |ż| <= |v_sat| + |sat| |dû/dt| + |d|user|/dt|.
-    sat_speed, sat_r: (n,) each satellite's largest speed and radius at the
-    knots; turn, climb: (U,) each user's largest |dû/dt| and |d|user|/dt|
-    there. The factor 1 + 1e-9 covers the rounding of ż.
-    """
-    return (sat_speed + turn[:, None] * sat_r + climb[:, None]) * (1.0 + 1e-9) + slack
+def _screen_rates(sat_bounds, user_bounds, sat_r_knots, span_max):
+    """(A, D) of :func:`_pair_rates`, each (U, n), for every pair of U users
+    and n satellites."""
+    return _pair_rates(sat_bounds, [b[:, None] for b in user_bounds], sat_r_knots, span_max)
 
 
-def _speed_test(z, rate_max, accel, gap, span):
-    """Flat indices into z, (knot * U + user) * n + satellite, of the
-    intervals that the speed pre-test keeps, each at its first knot.
-
-    With V = ``rate_max`` (:func:`_speed_bound`), h after knot k and
-    h' = H - h before knot k+1, the two parabola bounds of
-    :func:`horizon_screen` sum to at most
-
-        z_k + z_k+1 - 2 c + V h + V h' + A (h^2 + h'^2) / 2 <= z_k + z_k+1 - 2 c + V H + A H^2 / 2,
-
-    and so to at most that with the longest interval's H. Where that is
-    negative, one of them is negative at every step, so the interval keeps
-    none. z: (C, U, n), z - c at C consecutive knots; rate_max, accel: (U,
-    n); gap, span: the C - 1 intervals in steps and seconds.
-    """
-    h = span.max()
-    top = z[:-1] + z[1:]
-    live = np.flatnonzero(top >= -(rate_max + 0.5 * accel * h) * h)
-    return live[gap[live // z[0].size] > 1]
-
-
-def _between_knots(z, zdot, live, accel, slack, gap, span, step_s):
-    """Steps strictly between knots that the bounds keep: (interval, user,
-    satellite, steps after the interval's first knot) arrays. z, zdot: (C,
-    U, n), z - c and ż at C consecutive knots; live: the intervals to test,
-    as flat indices of their first knot into z (:func:`_speed_test`);
-    accel, slack: (U, n); gap, span: the C - 1 intervals in steps and
-    seconds."""
-    i, pair = np.divmod(live, accel.size)
-    h = span[i]
-    a, d = accel.take(pair), slack.take(pair)
-    z0, z1 = z.take(live), z.take(live + accel.size)
-    v0, v1 = zdot.take(live), zdot.take(live + accel.size)
-    half = 0.5 * a * h * h
+def _between_knots(z0, z1, v0, v1, accel, slack, gap, span, step_s):
+    """(t, m): the steps strictly between knots that both parabola bounds of
+    :func:`horizon_screen` keep, as the index t of their interval and the
+    steps m after its first knot. Per interval: z0, z1, z - c at its two
+    knots; v0, v1, ż there; accel, slack, the pair's A and D
+    (:func:`_pair_rates`); gap, span, its length in steps and seconds."""
+    half = 0.5 * accel * span * span
     # each bound's larger end value, over the whole interval
-    fwd = np.maximum(z0 + (v0 + d) * h + half, z0)
-    bwd = np.maximum(z1 + (d - v1) * h + half, z1)
+    fwd = np.maximum(z0 + (v0 + slack) * span + half, z0)
+    bwd = np.maximum(z1 + (slack - v1) * span + half, z1)
     t = np.flatnonzero((fwd >= 0.0) & (bwd >= 0.0))
-    i, pair = i[t], pair[t]
-    a, d = a[t, None], d[t, None]
-    z0, z1, v0, v1 = z0[t, None], z1[t, None], v0[t, None], v1[t, None]
-    # the surviving intervals, step by step
-    m = np.arange(1, int(gap.max()))
-    after = m * step_s
-    before = np.maximum(gap[i, None] - m, 1) * step_s  # positive also where masked
-    keep = z0 + (v0 + d) * after + 0.5 * a * after * after >= 0.0
-    keep &= z1 + (d - v1) * before + 0.5 * a * before * before >= 0.0
-    keep &= m < gap[i, None]
-    t, k = np.nonzero(keep)
-    u, s = np.divmod(pair[t], z.shape[2])
-    return i[t], u, s, m[k]
+    # the intervals kept, step by step, as (steps, intervals) arrays of at
+    # most _GEMM_SIZE / 3 values
+    m = np.arange(1, int(gap.max(initial=1)))
+    after = (m * step_s)[:, None]
+    width = max(1, (_GEMM_SIZE // 3) // max(len(m), 1))
+    out = []
+    for c in range(0, len(t), width):
+        i = t[c : c + width]
+        a, d, n = 0.5 * accel.take(i), slack.take(i), gap.take(i)
+        before = np.maximum(n - m[:, None], 1) * step_s  # positive also where masked
+        keep = _parabola(z0.take(i), v0.take(i) + d, a, after) >= 0.0
+        keep &= _parabola(z1.take(i), d - v1.take(i), a, before) >= 0.0
+        keep &= m[:, None] < n
+        k, at = np.divmod(np.flatnonzero(keep), len(i))
+        out.append((i.take(at), m.take(k)))
+    if not out:
+        return t, t
+    return tuple(np.concatenate(parts) for parts in zip(*out))
+
+
+def _parabola(z, rate, half_accel, h):
+    """z + rate h + half_accel h^2, by broadcasting."""
+    out = rate * h
+    out += z
+    h2 = half_accel * h
+    h2 *= h
+    out += h2
+    return out
 
 
 def pair_geometry_arrays(

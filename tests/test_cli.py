@@ -205,8 +205,10 @@ def _summary_doc(**user):
         (_summary_doc(inc_deg="50"), "users[0]: 'inc_deg' must be a number, not '50'"),
         (_summary_doc(summaries=None), "users[0]: 'summaries' must map constellation names"),
         ({"users": []}, "the summary's 'users' list is empty"),
+        (_summary_doc(summaries={"combined": {"covered_steps": 2, "visible_min": 3}}),
+         "users[0]: 'summaries' entry 'combined': visible-count statistics out of order"),
     ],
-    ids=["unknown-field", "no-alt", "text-inc", "no-summaries", "no-users"],
+    ids=["unknown-field", "no-alt", "text-inc", "no-summaries", "no-users", "out-of-order"],
 )
 def test_grid_and_report_reject_entries_that_are_not_user_summaries(tmp_path, capsys, doc, message):
     # each entry of 'users' is checked before either command reads it, and
@@ -298,6 +300,22 @@ def test_report_shows_a_summary_that_holds_only_combined(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0].split() == ["combined"]
     assert out[1].split()[-1] == "98.75"
+
+
+def test_report_reads_a_partial_summary_as_grid_does(tmp_path, capsys):
+    # a field missing from a summary takes CoverageSummary's default, in
+    # the report table as in the grid
+    path = tmp_path / "summary.json"
+    path.write_text(json.dumps(
+        {"users": [{"alt_km": 500, "inc_deg": 53, "summaries": {"combined": {"total_steps": 1}}}]}
+    ))
+    assert main(["report", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].split() == ["combined"]
+    assert out[1].split()[-1] == "0.00"
+    assert out[3].split()[-2:] == ["[0,", "0]"]
+    assert out[6].split()[-1] == "-"
+    assert main(["grid", str(path), "--out", str(tmp_path / "grid.csv")]) == 0
 
 
 def test_report_serving_mode_renders_dashes(tmp_path, capsys):

@@ -1126,3 +1126,50 @@ def test_fleet_set_up_checks_only_the_slots_that_may_fail(monkeypatch):
     with pytest.raises(PropagationError, match="SUB"):
         engine._Fleet(cfg)
     assert checked == [list(range(4, 40))]
+
+
+def test_run_profile_counts_repeat_and_add_up(tmp_path, monkeypatch):
+    # manifest.json's profile holds the screen's work counts: the same on a
+    # second run of the scenario, candidates the sum of the per-user
+    # candidate lengths, near triples fewer than the triples screened; and
+    # without the cull every pair is a candidate and nothing is screened
+    from leolink import engine
+
+    cfg = mini_cfg(users=random_users(3, 7), duration_s=1200.0, output_dir=tmp_path)
+    lengths = []
+    block_states = engine._block_states
+
+    def states(*args):
+        out = block_states(*args)
+        lengths.extend(len(row) for row, _, _ in out[2])
+        return out
+
+    monkeypatch.setattr(engine, "_block_states", states)
+    first = run(cfg).profile
+    assert first == json.loads((tmp_path / "manifest.json").read_text())["profile"]
+    assert first["candidates"] == sum(lengths) > 0
+    # users x the rows the knot plan leaves to the screen x 10 intervals
+    assert 0 < first["near_triples"] < first["triples"] <= 3 * 38 * 10
+    assert first["triples"] % (3 * 10) == 0
+    assert first["gathered_pairs"] > 0
+    assert first["screen_s"] > 0.0 and first["gathered_pairs_s"] > 0.0
+    second = run(cfg).profile
+    counts = ("triples", "near_triples", "candidates", "gathered_pairs")
+    assert [first[k] for k in counts] == [second[k] for k in counts]
+    dense = run(replace(cfg, cull=False, output_dir=None)).profile
+    assert [dense[k] for k in counts] == [0, 0, 3 * 38 * cfg.n_steps, 0]
+
+
+def test_user_summaries_are_built_when_read(monkeypatch):
+    # the run builds no CoverageSummary; a user's summaries are built from
+    # the run's columns when first read, once
+    from leolink import metrics
+
+    built = []
+    summaries = metrics.Results.summaries
+    monkeypatch.setattr(metrics.Results, "summaries", lambda r, u: built.append(u) or summaries(r, u))
+    m = run(mini_cfg(users=random_users(2, 3), duration_s=600.0))
+    assert built == []
+    assert m.users[1].summaries == summaries(m.results, 1)
+    assert m.users[1].summaries is m.users[1].summaries
+    assert built == [1]

@@ -486,10 +486,9 @@ def test_screen_keeps_every_pair_above_the_elevation_mask(
 def test_screen_keeps_what_both_parabola_bounds_keep(
     sats, users, n_steps, step_s, knot_every, start_days
 ):
-    # the speed pre-test drops nothing: the screen keeps exactly the steps
-    # where both parabola bounds, evaluated at every step with ż from the
-    # velocities, reach the horizon (and at the knots the exact cull); and
-    # V bounds |ż| + D at every knot
+    # the screen keeps exactly the steps where both parabola bounds,
+    # evaluated at every step with ż from the velocities, reach the horizon
+    # (and at the knots the exact cull), of the triples within the cap
     from hypothesis import assume
 
     from leolink.propagation import PropagationError
@@ -510,12 +509,28 @@ def test_screen_keeps_what_both_parabola_bounds_keep(
         fleet.orbit_bounds(), crew.orbit_bounds(),
     )
     kept = geometry.horizon_screen(*args)
-    # and the same screen taking one satellite and two knot intervals at a time
+    # and the same screen taking one user and so few candidates at a time
     with mock.patch.object(geometry, "_CULL_CHUNK", 32 * 2 * len(users)):
         chunked = geometry.horizon_screen(*args)
+    want, tie = _dense_screen(*args, 0.0, np.linalg.norm(up[:, knots], axis=-1).max(axis=1))
+    for w, *screens, t in zip(want, kept, chunked, tie):
+        for keys in screens:
+            keys = np.setdiff1d(keys, np.flatnonzero(t))
+            assert np.array_equal(keys, np.flatnonzero(w & ~t))
+
+
+def _dense_screen(s_pos, s_vel, u_pos, u_vel, knots, step_s, sat_bounds, user_bounds, min_el,
+                  user_r_max):
+    """The dense reference of the horizon screen with knots apart: (want,
+    tie), each (U, S, B). want holds the exact test z - c >= 0 at the
+    knots, and between knots k and k+1 the steps where
+    z_k + (ż_k + D) h + A h^2 / 2 >= 0 and z_k+1 + (D - ż_k+1) h' + A h'^2 / 2 >= 0,
+    both only where the cap keeps the pair (_near_steps). tie marks the
+    knot steps where z is c to rounding (a satellite that is the user, or
+    one on the mask), which may fall on either side."""
     # z = sat . û - |user| and ż = v_sat . û + sat . dû/dt - d|user|/dt,
     # (U, S, K) at the knots
-    s_pos, s_vel, u_pos, u_vel = sp[:, knots], svel[:, knots], up[:, knots], uvel[:, knots]
+    n_steps = knots[-1] + 1
     ru = np.linalg.norm(u_pos, axis=-1)
     uhat = u_pos / ru[..., None]
     climb = np.einsum("ukc,ukc->uk", uhat, u_vel)
@@ -527,35 +542,132 @@ def test_screen_keeps_what_both_parabola_bounds_keep(
         + np.einsum("skc,ukc->usk", s_pos, turn)
         - climb[:, None]
     )
-    sat_r = np.linalg.norm(s_pos, axis=-1).max(axis=1)
-    accel, slack = geometry._screen_rates(
-        fleet.orbit_bounds(), crew.orbit_bounds(), sat_r, np.diff(knots).max() * step_s
-    )
-    reach = geometry._speed_bound(
-        np.linalg.norm(s_vel, axis=-1).max(axis=1), sat_r,
-        np.linalg.norm(turn, axis=-1).max(axis=1), np.abs(climb).max(axis=1), slack,
-    )
-    assert (reach[..., None] >= np.abs(zdot) + slack[..., None]).all()
-
-    # the dense reference: the exact test at the knots, and between knots
-    # z_k + (ż_k + D) h + A h^2 / 2 >= 0 and z_k+1 + (D - ż_k+1) h' + A h'^2 / 2 >= 0
+    span = np.diff(knots).max() * step_s
+    with np.errstate(invalid="ignore"):  # the absent knots
+        rs = np.linalg.norm(s_pos, axis=-1)
+        sat_low = np.maximum(sat_bounds[0], np.nanmin(rs, axis=1) - geometry._radius_sag(sat_bounds, span))
+    floor = geometry._elevation_floor(user_r_max[:, None], sat_low, min_el)[..., None]
+    accel, slack = geometry._screen_rates(sat_bounds, user_bounds, np.nanmax(rs, axis=1), span)
     a, d = accel[..., None], slack[..., None]
-    want = np.zeros((len(users), len(sats), n_steps), dtype=bool)
-    want[..., knots] = dot >= ru[:, None] ** 2
+    want = np.zeros((len(u_pos), len(s_pos), n_steps), dtype=bool)
+    want[..., knots] = z - floor >= 0.0
     for k, (k0, k1) in enumerate(zip(knots[:-1], knots[1:])):
         after = np.arange(1, k1 - k0) * step_s
         before = (k1 - k0) * step_s - after
-        fwd = z[..., k, None] + (zdot[..., k, None] + d) * after + 0.5 * a * after * after
-        bwd = z[..., k + 1, None] + (d - zdot[..., k + 1, None]) * before + 0.5 * a * before * before
+        fwd = z[..., k, None] - floor + (zdot[..., k, None] + d) * after + 0.5 * a * after * after
+        bwd = z[..., k + 1, None] - floor + (d - zdot[..., k + 1, None]) * before + 0.5 * a * before * before
         want[..., k0 + 1 : k1] = (fwd >= 0.0) & (bwd >= 0.0)
-    # a pair on the plane to rounding at a knot (a satellite that is the
-    # user) may fall on either side there, so it is left out
-    on_plane = np.zeros_like(want)
-    on_plane[..., knots] = np.abs(dot - ru[:, None] ** 2) <= 1e-12 * ru[:, None] ** 2
-    for w, *screens, tie in zip(want, kept, chunked, on_plane):
-        for keys in screens:
-            keys = np.setdiff1d(keys, np.flatnonzero(tie))
-            assert np.array_equal(keys, np.flatnonzero(w & ~tie))
+    want &= _near_steps(s_pos, u_pos, knots, step_s, sat_bounds, user_bounds, min_el)
+    tie = np.zeros_like(want)
+    tie[..., knots] = np.abs(z - floor) <= 1e-12 * ru[:, None]
+    return want, tie
+
+
+def _near_steps(s_pos, u_pos, knots, step_s, sat_bounds, user_bounds, min_el):
+    """(U, S, B) bool, the steps of each pair that the screen's cap keeps:
+    the steps of each (interval, user, satellite) triple whose central angle
+    at either knot is at most Θ + Ω H / 2 + margin, Θ from the user's least
+    radius over the block (from its knots and radius sag), and the knots
+    next to such a triple. An absent (NaN) knot is never near."""
+    n_steps = knots[-1] + 1
+    span = np.diff(knots).max() * step_s
+    ru = np.linalg.norm(u_pos, axis=-1)
+    rs = np.linalg.norm(s_pos, axis=-1)
+    cos = np.einsum("skc,ukc->usk", s_pos / rs[..., None], u_pos / ru[..., None])
+    angle = np.arccos(np.clip(cos, -1.0, 1.0))
+    (s_lo, s_hi, s_v), (u_lo, _, u_v) = sat_bounds, user_bounds
+    u_min = np.maximum(u_lo, ru.min(axis=1) - geometry._radius_sag(user_bounds, span))
+    cap = geometry._mask_angle(u_min[:, None], s_hi, math.radians(min_el)) + geometry._CAP_MARGIN
+    cap += (1.0 + geometry._VELOCITY_SLACK) * 0.5 * span * (s_v / s_lo + (u_v / u_lo)[:, None])
+    with np.errstate(invalid="ignore"):
+        at_knot = angle <= cap[..., None]
+    interval = at_knot[..., :-1] | at_knot[..., 1:]
+    near = np.zeros(cap.shape + (n_steps,), dtype=bool)
+    for j, (k0, k1) in enumerate(zip(knots[:-1], knots[1:])):
+        near[..., k0 : k1 + 1] |= interval[..., j, None]
+    return near
+
+
+@st.composite
+def _sky_states(draw, n, n_knot, radius, absent, crowd=0):
+    """n objects, and ``crowd`` more, at n_knot knots: (pos, vel, bounds).
+    The n have directions at the poles, at right ascension +-pi or
+    anywhere; the crowd is spread over the sphere and bunched near the
+    poles and near right ascension +-pi, enough per shell for the cells to
+    bin right ascension. Each object lies on one of up to three shells of
+    radius in ``radius`` [km], within 1e-4 of it, moves at up to 10 km/s,
+    and has bounds that hold at the knots (v_hi infinite on some shells, as
+    for deep-space rows); if ``absent``, objects are NaN at some knots but
+    the first."""
+    count = n + crowd
+    edge = st.one_of(
+        st.sampled_from([(math.pi / 2, 0.0), (-math.pi / 2, 0.0)]),
+        st.tuples(st.floats(-math.pi / 2, math.pi / 2), st.sampled_from([math.pi, -math.pi])),
+        st.tuples(st.floats(-math.pi / 2, math.pi / 2), st.floats(-math.pi, math.pi)),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dec = rng.uniform(-1.0, 1.0, (count, n_knot))
+    dec = np.arcsin(dec)
+    ra = rng.uniform(-math.pi, math.pi, (count, n_knot))
+    side = rng.integers(0, 4, (count, n_knot))
+    near = np.abs(rng.normal(0.0, 0.05, (count, n_knot)))
+    dec = np.where(side == 0, math.pi / 2 - near, np.where(side == 1, near - math.pi / 2, dec))
+    ra = np.where(side == 2, math.pi - near, np.where(side == 3, near - math.pi, ra))
+    if n:
+        dec[:n], ra[:n] = np.moveaxis(np.array(draw(st.lists(edge, min_size=n * n_knot,
+                                                             max_size=n * n_knot))), 1, 0).reshape(2, n, n_knot)
+    shells = np.array(draw(st.lists(st.floats(*radius), min_size=1, max_size=3)))
+    deep = np.array(draw(st.lists(st.booleans(), min_size=len(shells), max_size=len(shells))))
+    shell = rng.integers(0, len(shells), count)
+    r = shells[shell, None] * (1.0 + rng.uniform(-1e-4, 1e-4, (count, n_knot)))
+    pos = np.stack([np.cos(dec) * np.cos(ra), np.cos(dec) * np.sin(ra), np.sin(dec)], axis=-1)
+    pos *= r[..., None]
+    vel = rng.normal(size=(count, n_knot, 3)) * draw(st.floats(0.0, 10.0 / math.sqrt(3)))
+    speed = np.linalg.norm(vel, axis=-1).max(axis=1, initial=0.0) + 1.0
+    bounds = (r.min(axis=1, initial=np.inf) * 0.999, r.max(axis=1, initial=0.0) * 1.001,
+              np.where(deep[shell], np.inf, speed))
+    if absent and n_knot > 1:
+        gone = rng.random((count, n_knot - 1)) < draw(st.sampled_from([0.0, 0.3]))
+        pos[:, 1:][gone] = vel[:, 1:][gone] = np.nan
+    return pos, vel, bounds
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    n_sat=st.integers(0, 6),
+    crowd=st.sampled_from([0, 400]),
+    n_user=st.integers(1, 3),
+    gaps=st.lists(st.integers(1, 8), min_size=1, max_size=4).filter(lambda g: max(g) > 1),
+    step_s=st.sampled_from([1.0, 10.0, 60.0, 600.0]),
+    min_el=st.one_of(st.just(0.0), st.floats(0.0, 90.0, exclude_max=True), st.just(89.99)),
+    small_chunk=st.booleans(),
+)
+def test_screen_keys_equal_the_dense_reference_on_cell_edge_cases(
+    data, n_sat, crowd, n_user, gaps, step_s, min_el, small_chunk
+):
+    # the cells drop no near triple: at directions on the poles and at right
+    # ascension +-pi, for caps from below 0 (a mask near 90) to above 90
+    # degrees and infinite (no speed bound), with absent knots, no
+    # satellites and one user, the screen's keys are the dense reference's
+    knots = np.cumsum([0] + gaps)
+    sat_pos, sat_vel, sat_bounds = data.draw(
+        _sky_states(n_sat, len(knots), (EARTH_RADIUS_KM + 200.0, 50000.0), True, crowd)
+    )
+    user_pos, user_vel, user_bounds = data.draw(
+        _sky_states(n_user, len(knots), (EARTH_RADIUS_KM + 100.0, 45000.0), False)
+    )
+    user_r_max = np.linalg.norm(user_pos, axis=-1).max(axis=1)
+    args = (sat_pos, sat_vel, user_pos, user_vel, knots, step_s, sat_bounds, user_bounds, min_el,
+            user_r_max)
+    with mock.patch.object(geometry, "_CULL_CHUNK", 32 if small_chunk else geometry._CULL_CHUNK):
+        kept = geometry.horizon_screen(*args)
+    assert len(kept) == n_user
+    want, tie = _dense_screen(*args)
+    for w, keys, t in zip(want, kept, tie):
+        assert np.all(np.diff(keys) > 0)
+        keys = np.setdiff1d(keys, np.flatnonzero(t))
+        assert np.array_equal(keys, np.flatnonzero(w & ~t))
 
 
 def _dense_states(sats, users, n_steps, step_s, start_days):
