@@ -11,9 +11,9 @@ is taken at a knot only if some user may see it in an interval next to
 it, and a row taken at no later knot is left out of the screen. Where the
 first interval clears too few rows to pay, every later knot is taken in
 one :meth:`SatBatch.propagate_jd` call instead. One elevation screen for
-all users (:func:`geometry.horizon_screen`) keeps, per user, the
-(satellite row, step) pairs that may be at or above the mask, in (row,
-step) order. It first finds the near (interval, user, satellite) triples:
+all users (:func:`geometry.horizon_screen`) keeps the (user, satellite
+row, step) pairs that may be at or above the mask, as one ascending array
+of keys. It first finds the near (interval, user, satellite) triples:
 at a knot of the interval, the central angle between the two is within a
 cap, the largest angle at which the satellite can clear the mask plus the
 angle both can turn in half an interval. Direction cells, each knot's
@@ -33,14 +33,14 @@ screen raises it. A fleet whose rows all can fail (a GEO fleet) has a
 knot at every step, all taken in the first call. All the states a block
 takes go into one (P, 3) store, indexed by one (satellite, step) table.
 ``cull=False`` makes every step a knot and every pair a candidate
-instead. Per user, the two-sided visibility predicate, whose elevation
-test is the one exact test of the mask, and the selection policy run on
-the kept pairs only; then one streaming accumulator takes every user's
-pairs of the block at once, and finalizes them into per-user columns,
-from which the output files are formatted. Users are independent units of
-parallelism inside each block, so results are identical for any thread
-count, and satellite states are bit-identical whether taken at knots or
-as gathered pairs.
+instead. The candidates go on in chunks of whole users, of about
+``_PAIR_BUDGET`` pairs, through the two-sided visibility predicate, whose
+elevation test is the one exact test of the mask, the selection policy
+and one streaming accumulator, which finalizes every user into the
+columns the output files are formatted from. Threads take a chunk each;
+the accumulator takes the chunks in user order on the calling thread, so
+results are identical for any thread count, and satellite states are
+bit-identical whether taken at knots or as gathered pairs.
 """
 
 from __future__ import annotations
@@ -98,6 +98,13 @@ _KNOT_S = 120.0
 # the states it skips: planned, its block work took 390-430 ms against
 # 335-355 ms dense (median of 9 runs, 2-vCPU host, October 2026).
 _CLEAR_SHARE = 0.5
+# Candidate pairs per chunk of whole users: a chunk starts at each user whose
+# first pair of the block passes a multiple of this. At seed 0 the 1,100-user
+# 20 min population (1.69 M candidates) took a median of 1,387, 1,090, 1,041,
+# 1,065 and 1,149 ms at 2^13-2^16 and 2^18 (7 runs); population_mc took
+# 189-206 ms at each (11 runs) and peaked at 72-74 MB RSS up to 2^15, 76 MB
+# at 2^16 and 95 MB at 2^18 (2-vCPU host, October 2026).
+_PAIR_BUDGET = 1 << 15
 
 
 @dataclass
@@ -136,17 +143,9 @@ class RunManifest:
     profile: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "constellation_counts": self.constellation_counts,
-            "n_steps": self.n_steps,
-            "wallclock_s": self.wallclock_s,
-            "threads": self.threads,
-            "version": self.version,
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-            "profile": self.profile,
-        }
+        """The fields ``manifest.json`` holds, in its order."""
+        return {k: getattr(self, k) for k in ("config", "constellation_counts", "n_steps",
+                "wallclock_s", "threads", "version", "seed", "output_dir", "profile")}
 
 
 def _new_profile() -> dict:
@@ -353,29 +352,35 @@ def run(cfg: ScenarioConfig) -> RunManifest:
     planned = cfg.cull and not fleet.may_fail.all()
     knot_every = max(1, round(_KNOT_S / cfg.step_s)) if planned else 1
 
-    def process_user(ui: int, t0: int, idx: np.ndarray, sat_pos, sat_vel, u_pos, u_vel, cand):
-        """User ui's candidate pairs in the block: visibility, row, step,
-        range, range-rate, and each step's serving pair."""
-        row, step, at = cand[ui]
+    def chunk_pairs(users):
+        """The block's candidate pairs of ``users`` (a range): visibility,
+        user, row, step, range, range-rate, each user's serving pair at
+        each step, and the users."""
+        lo, hi = first[users[0]], first[users[-1] + 1]
+        rest, step = np.divmod(np.arange(lo, hi) if keys is None else keys[lo:hi], len(idx))
+        user, row = np.divmod(rest, fleet.n)
+        at, u_at = np.take(slot, step * fleet.n + row), user * len(idx) + step
         rng, rr, sin_el, cos_off, sat_r = pair_geometry_arrays(  # np.take: see _block_states
-            np.take(sat_pos, at, axis=0), np.take(sat_vel, at, axis=0),
-            np.take(u_pos[ui], step, axis=0), np.take(u_vel[ui], step, axis=0),
+            np.take(pos, at, axis=0), np.take(vel, at, axis=0),
+            np.take(u_pos, u_at, axis=0), np.take(u_vel, u_at, axis=0),
         )
         cos_half = beam_cos_half_arrays(fleet.beam_nadir[row], fleet.beam_param[row], sat_r)
         vis = visible_mask_arrays(sin_el, cos_off, cfg.min_elevation_deg, cos_half)
-        srv = serving_rows(vis, step, rng, cfg.policy, ui, idx)
+        srv = serving_rows(vis, user, step, rng, cfg.policy, users, idx)
         if records_cap is not None:
             elev = np.degrees(np.arcsin(np.clip(sin_el, -1.0, 1.0)))
-            visible = [[] for _ in idx]
-            for s, k, *link in zip(*(a[vis].tolist() for a in (row, step, rng, rr, elev))):
-                visible[k].append((s, *link))  # rows ascend within each step
-            records_cap[ui].extend(
-                StepRecord(int(t0 + k), visible[k], int(row[srv[k]]) if srv[k] >= 0 else None)
-                for k in range(len(idx))
-            )
-        return vis, row, step, rng, rr, srv
+            visible = [[] for _ in range(srv.size)]  # per (user, step), rows ascending
+            seg = (user - users[0]) * len(idx) + step
+            for i, *link in zip(*(a[vis].tolist() for a in (seg, row, rng, rr, elev))):
+                visible[i].append(tuple(link))
+            served = [int(row[j]) if j >= 0 else None for j in srv.ravel().tolist()]
+            for i, u in enumerate(users):
+                b = slice(i * len(idx), (i + 1) * len(idx))
+                records_cap[u].extend(map(StepRecord, idx.tolist(), visible[b], served[b]))
+        return vis, user, row, step, rng, rr, srv, users
 
     pool = ThreadPoolExecutor(max_workers=cfg.threads) if cfg.threads > 1 else None
+    mapped = map if pool is None else pool.map
     try:
         for t0 in range(0, n_steps, block):
             idx = np.arange(t0, min(t0 + block, n_steps))
@@ -384,20 +389,24 @@ def run(cfg: ScenarioConfig) -> RunManifest:
             try:
                 k_pos, k_vel = fleet.propagate_block(jd0, fr[knots[:1] if planned else knots])
                 u_pos, u_vel = user_batch.propagate_jd(jd0, fr)
-                states = _block_states(
+                pos, vel, keys, slot = _block_states(
                     cfg, fleet, user_bounds, jd0, fr, knots, k_pos, k_vel, u_pos, u_vel, profile
                 )
             except PropagationError as exc:
                 raise _block_failure(fleet, jd0, fr, t0, exc) from None
-            args = (t0, idx, *states[:2], u_pos, u_vel, states[2])
-            if pool is None:
-                pairs = [process_user(ui, *args) for ui in range(n_users)]
-            else:
-                pairs = list(pool.map(lambda ui: process_user(ui, *args), range(n_users)))
-            *pairs, srv = zip(*pairs)
-            sizes = [len(row) for row in pairs[1]]
-            profile["candidates"] += sum(sizes)
-            acc.update_block(t0, *(np.concatenate(a) for a in pairs), np.stack(srv), sizes)
+            u_pos, u_vel = u_pos.reshape(-1, 3), u_vel.reshape(-1, 3)  # user u, step k at u * B + k
+            # each user's first candidate, then the block's candidate count
+            first = np.arange(n_users + 1) * (fleet.n * len(idx))
+            if keys is not None:
+                first = np.searchsorted(keys, first)
+            profile["candidates"] += int(first[-1])
+            cut = np.r_[np.flatnonzero(np.diff(first[:-1] // _PAIR_BUDGET, prepend=-1)), n_users]
+            chunks = [range(u, v) for u, v in zip(cut[:-1], cut[1:])]
+            # a chunk per thread at a time, so few chunks' pairs are alive at once
+            for c in range(0, len(chunks), cfg.threads):
+                for pairs in mapped(chunk_pairs, chunks[c : c + cfg.threads]):
+                    acc.update_block(t0, *pairs)
+            pos = vel = keys = slot = None  # freed before the next block's states are made
     finally:
         if pool is not None:
             pool.shutdown()
@@ -407,17 +416,9 @@ def run(cfg: ScenarioConfig) -> RunManifest:
     accesses = list(zip(*results.accesses[1:].tolist()))
     p_at, a_at = (np.searchsorted(a[0], np.arange(n_users + 1)).tolist()
                   for a in (results.passes, results.accesses))
-    users = [
-        UserResult(
-            spec=u,
-            passes=passes[p_at[ui] : p_at[ui + 1]],
-            accesses=accesses[a_at[ui] : a_at[ui + 1]],
-            records=records_cap[ui] if records_cap is not None else None,
-            results=results,
-            index=ui,
-        )
-        for ui, u in enumerate(cfg.users)
-    ]
+    users = [UserResult(u, passes[p_at[ui] : p_at[ui + 1]], accesses[a_at[ui] : a_at[ui + 1]],
+                        records_cap[ui] if records_cap else None, results, ui)
+             for ui, u in enumerate(cfg.users)]
 
     aggregate = _aggregate(cfg, results)
     manifest = RunManifest(
@@ -440,22 +441,21 @@ def run(cfg: ScenarioConfig) -> RunManifest:
 
 
 def _block_states(cfg, fleet, user_bounds, jd, fr, knots, k_pos, k_vel, u_pos, u_vel, profile):
-    """(pos, vel, cand) of one block. pos and vel hold every (P, 3)
+    """(pos, vel, keys, slot) of one block. pos and vel hold every (P, 3)
     satellite state the block takes: the knots', then those between knots.
-    Per user, cand holds the candidate (row, step) pairs in (row, step)
-    order and each one's index into pos and vel: with the cull on, the pairs
-    the screen keeps, else every pair. k_pos and k_vel: (S, K', 3), the
-    fleet at the block's first K' knots; if that is not every knot, the
-    later ones are taken here, each row only at the knots :func:`_knot_plan`
-    picks. The screen bounds the rows that cannot fail between knots. Rows
-    that may fail are taken at every step, between knots with the pairs the
-    screen keeps in one gathered call, and get the screen's knot test at
-    every step."""
+    keys: every user's candidate pairs, those the screen keeps, as ascending
+    keys (u * S + row) * B + step; None without the cull (every pair).
+    slot: (B * S,), at b * S + s the index into pos and vel of row s's
+    state at step b, where taken. k_pos and k_vel: (S, K', 3), the fleet at
+    the block's first K' knots; if that is not every knot, the later ones
+    are taken here, each row only at the knots :func:`_knot_plan` picks.
+    The screen bounds the rows that cannot fail between knots. Rows that
+    may fail are taken at every step, between knots with the pairs the
+    screen keeps in one gathered call, and get its knot test at every step."""
     n_sat, n_knot, n_steps = fleet.n, len(knots), len(fr)
     if not cfg.cull:  # every step is a knot, and every pair a candidate
-        every = np.arange(n_sat * n_steps)
-        cand = [(*np.divmod(every, n_steps), every)] * len(u_pos)
-        return k_pos.reshape(-1, 3), k_vel.reshape(-1, 3), cand
+        slot = np.arange(n_sat * n_steps).reshape(n_sat, n_steps).T.ravel()
+        return k_pos.reshape(-1, 3), k_vel.reshape(-1, 3), None, slot
     may_fail, screened = np.flatnonzero(fleet.may_fail), np.flatnonzero(~fleet.may_fail)
     pos, vel = k_pos.reshape(-1, 3), k_vel.reshape(-1, 3)
     # at[s, j]: the index of row s's state at knot j into pos, -1 where the
@@ -490,12 +490,12 @@ def _block_states(cfg, fleet, user_bounds, jd, fr, knots, k_pos, k_vel, u_pos, u
         [b[screened] for b in fleet.bounds], user_bounds, cfg.min_elevation_deg, u_top, profile,
     )
     profile["screen_s"] += time.perf_counter() - t
-    keys = _fleet_keys(keys, screened, n_steps)
+    keys = _fleet_keys(keys, screened, n_sat, n_steps)
     s_pos = s_vel = None
     # between the knots: the pairs any user keeps, and every step of the rows
     # that may fail
     need = np.zeros((n_sat, n_steps), dtype=bool)
-    need.ravel()[np.concatenate(keys)] = True
+    need.ravel()[keys % (n_sat * n_steps)] = True
     need[may_fail] = True
     row, step = np.divmod(np.flatnonzero(need), n_steps)
     need = None  # freed before the pairs' tiles are made
@@ -516,6 +516,7 @@ def _block_states(cfg, fleet, user_bounds, jd, fr, knots, k_pos, k_vel, u_pos, u
     slot[knots] = at.T
     slot.ravel()[step * n_sat + row] = np.arange(len(pos), len(pos) + len(row), dtype=np.int32)
     pos, vel = (np.concatenate([k, m]) for k, m in zip((pos, vel), between))
+    row = step = kept = between = None  # freed before the every-step screen
     # the knot test on every step of the rows that may fail
     t = time.perf_counter()
     exact = horizon_screen(
@@ -523,13 +524,10 @@ def _block_states(cfg, fleet, user_bounds, jd, fr, knots, k_pos, k_vel, u_pos, u
         cfg.step_s, [b[may_fail] for b in fleet.bounds], user_bounds, cfg.min_elevation_deg, u_top,
     )
     profile["screen_s"] += time.perf_counter() - t
-    exact = _fleet_keys(exact, may_fail, n_steps)
-    keys = [np.sort(np.concatenate([k, e]), kind="stable") for k, e in zip(keys, exact)]
-    slot, cand = slot.ravel(), []
-    for k in keys:
-        row, step = np.divmod(k, n_steps)
-        cand.append((row, step, slot[step * n_sat + row]))
-    return pos, vel, cand
+    if len(exact):  # two ascending runs, which a stable sort merges
+        keys = np.concatenate([keys, _fleet_keys(exact, may_fail, n_sat, n_steps)])
+        keys.sort(kind="stable")
+    return pos, vel, keys, slot.ravel()
 
 
 def _knot_plan(batch, may_fail, jd, fr, knots, span, u_knots, reach, rate):
@@ -570,13 +568,14 @@ def _knot_plan(batch, may_fail, jd, fr, knots, span, u_knots, reach, rate):
     return take
 
 
-def _fleet_keys(keys, rows, n_steps):
-    """Each user's keys row * n_steps + step from a screen of the fleet rows
-    ``rows`` (ascending), as keys of the whole fleet; ``keys`` itself where
-    ``rows`` is 0, 1, ... (as is the whole fleet)."""
-    if not len(rows) or rows[-1] == len(rows) - 1:
-        return keys
-    return [rows[k // n_steps] * n_steps + k % n_steps for k in keys]
+def _fleet_keys(keys, rows, n_sat, n_steps):
+    """Keys (u * R + r) * B + step of a screen of the R ascending fleet rows
+    ``rows``, as keys (u * n_sat + rows[r]) * B + step, in place."""
+    if 0 < len(rows) < n_sat:
+        lift = (rows - np.arange(len(rows))) * n_steps
+        keys += keys // (len(rows) * n_steps) * ((n_sat - len(rows)) * n_steps)
+        keys += lift[keys // n_steps % n_sat]
+    return keys
 
 
 def _block_failure(fleet, jd, fr, t0, exc):
@@ -600,12 +599,10 @@ def _aggregate(cfg: ScenarioConfig, results: Results) -> dict:
     mc = [ui for ui, u in enumerate(cfg.users) if u.tag == "montecarlo"]
     out: dict = {"montecarlo_users": len(mc)}
     if mc:
-        names = results.sets[1:] + ["combined"]
-        overall = {}
-        for name in names:
-            coverage = results.column("coverage_probability", results.sets.index(name))
-            overall[name] = float(np.mean([coverage[ui] for ui in mc]))
-        out["overall_coverage"] = overall
+        coverage = {name: results.column("coverage_probability", results.sets.index(name))
+                    for name in results.sets[1:] + ["combined"]}
+        out["overall_coverage"] = {name: float(np.mean([c[ui] for ui in mc]))
+                                   for name, c in coverage.items()}
     return out
 
 

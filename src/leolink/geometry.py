@@ -200,7 +200,7 @@ def horizon_screen(
     min_elevation_deg: float = 0.0,
     user_r_max: np.ndarray | None = None,
     tally: dict | None = None,
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Conservative elevation cull of one time block for every user, from
     exact states at knot steps only.
 
@@ -266,15 +266,13 @@ def horizon_screen(
     above 0 if some knots are more than one step apart, else the largest at
     the knots. tally: if given, a dict whose ``"triples"`` (users x
     satellites x intervals) and ``"near_triples"`` counts the screen adds
-    to where knots are apart. Returns, per user, the kept pairs as keys
-    row * B + step, ascending (in (row, step) order).
+    to where knots are apart. Returns the kept pairs of every user as one
+    ascending array of keys (u * S + s) * B + step: user by user, each
+    user's in (row, step) order.
     """
-    n_sat, n_knot, _ = sat_pos.shape
-    n_user = user_pos.shape[0]
-    if n_sat == 0:
-        return [np.zeros(0, dtype=np.int64) for _ in range(n_user)]
+    if len(sat_pos) == 0:
+        return np.zeros(0, dtype=np.int64)
     knots = np.asarray(knots, dtype=np.int64)
-    n_steps = int(knots[-1]) + 1
     if not (np.diff(knots) > 1).any():
         keys = _knot_test(sat_pos, user_pos, knots, sat_bounds, min_elevation_deg, user_r_max)
     else:
@@ -284,12 +282,9 @@ def horizon_screen(
             sat_pos, sat_vel, user_pos, user_vel, knots, step_s, sat_bounds, user_bounds,
             min_elevation_deg, user_r_max, tally,
         )
-    # sorted keys (u * S + s) * B + b run user by user, each in (row, step) order
     keys = np.concatenate(keys)
     keys.sort()
-    per_user = n_sat * n_steps
-    bounds = np.searchsorted(keys, np.arange(n_user + 1) * per_user)
-    return [keys[bounds[u] : bounds[u + 1]] - u * per_user for u in range(n_user)]
+    return keys
 
 
 def _knot_test(sat_pos, user_pos, knots, sat_bounds, min_elevation_deg, user_r_max):
@@ -713,12 +708,6 @@ def _pair_rates(sat_bounds, user_bounds, sat_r_knots, span_max):
     accel = s_acc + 2.0 * u_ang * s_v + u_ang2 * s_r + u_rdd
     slack = _VELOCITY_SLACK * (s_v + u_v * (1.0 + s_r / u_lo))
     return accel, slack
-
-
-def _screen_rates(sat_bounds, user_bounds, sat_r_knots, span_max):
-    """(A, D) of :func:`_pair_rates`, each (U, n), for every pair of U users
-    and n satellites."""
-    return _pair_rates(sat_bounds, [b[:, None] for b in user_bounds], sat_r_knots, span_max)
 
 
 def _between_knots(z0, z1, v0, v1, accel, slack, gap, span, step_s):

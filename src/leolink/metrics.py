@@ -7,12 +7,12 @@ Two layers:
   that operate on explicit :class:`StepRecord` sequences. These are the
   readable reference implementations.
 * One streaming accumulator for all users (:class:`UserAccumulator`),
-  fed by the scenario engine one time block of every user's candidate
-  (satellite row, step) pairs at a time. Its state is arrays over users x
-  sets: set 0 is the whole fleet, set 1 + c constellation c. Counts, runs
-  and each (user, set)'s slice come from the visible pairs in (user, row,
-  step) order, so no pair-level timeline is ever materialized, and one
-  finalize gives every summary field as a column (:class:`Results`).
+  fed by the scenario engine one time block of a few whole users'
+  candidate (satellite row, step) pairs at a time. Its state is arrays
+  over users x sets: set 0 is the whole fleet, set 1 + c constellation c.
+  Counts, runs and each (user, set)'s slice come from the visible pairs in
+  (user, row, step) order, so no pair-level timeline is ever materialized,
+  and one finalize gives every summary field as a column (:class:`Results`).
   Tests pin the two layers to identical results, for every user and set.
 
 Durations follow the sample-count convention: a run of k consecutive
@@ -166,40 +166,45 @@ class _IntervalTracker:
     """Runs of consecutive active steps per key across sequential time blocks."""
 
     def __init__(self):
-        # keys whose run reaches the end of the last block, ascending, and the
-        # absolute step each of those runs started at
-        self.open_keys = self.open_starts = np.empty(0, dtype=np.int64)
+        # (2, n): the keys whose run reaches the end of the last block,
+        # ascending, over the absolute step each of those runs started at
+        self.open = np.empty((2, 0), dtype=np.int64)
         self.runs: list[np.ndarray] = []  # (3, n) (key, start, end), in the order closed
 
-    def update(self, t0: int, n_steps: int, key: np.ndarray, step: np.ndarray) -> None:
+    def update(self, t0: int, n_steps: int, key: np.ndarray, step: np.ndarray,
+               span: tuple[int, int]) -> None:
         """Active (key, step) entries of the n_steps block starting at absolute
-        step t0, in (key, step) order, steps counted from the block start.
-        The runs this block closes are appended by (key, end step)."""
+        step t0, in (key, step) order, steps counted from the block start:
+        every entry of the block whose key is in ``span``, [lo, hi). Only
+        the open runs of those keys continue or end here. The runs this call
+        closes are appended by (key, end step)."""
+        a, b = np.searchsorted(self.open[0], span)
+        open_keys, open_starts = self.open[:, a:b]
         new_run = np.ones(len(key) + 1, dtype=bool)
         new_run[1:-1] = (key[1:] != key[:-1]) | (step[1:] != step[:-1] + 1)
         bounds = np.flatnonzero(new_run)
         keys, starts, ends = key[bounds[:-1]], t0 + step[bounds[:-1]], t0 + step[bounds[1:] - 1]
         # a run from the block's first step continues its key's open run, if any
         first = np.flatnonzero(starts == t0)
-        at = np.searchsorted(self.open_keys, keys[first])
-        go_on = at < len(self.open_keys)
-        go_on[go_on] = self.open_keys[at[go_on]] == keys[first[go_on]]
-        starts[first[go_on]] = self.open_starts[at[go_on]]
-        ended = np.ones(len(self.open_keys), dtype=bool)
+        at = np.searchsorted(open_keys, keys[first])
+        go_on = at < len(open_keys)
+        go_on[go_on] = open_keys[at[go_on]] == keys[first[go_on]]
+        starts[first[go_on]] = open_starts[at[go_on]]
+        ended = np.ones(len(open_keys), dtype=bool)
         ended[at[go_on]] = False  # the other open runs end before the block
         done = ends < t0 + n_steps - 1
         last = np.full(ended.sum(), t0 - 1)
-        closed = np.hstack((np.stack((self.open_keys[ended], self.open_starts[ended], last)),
+        closed = np.hstack((np.stack((open_keys[ended], open_starts[ended], last)),
                             np.stack((keys[done], starts[done], ends[done]))))
         self.runs.append(closed[:, np.argsort(closed[0], kind="stable")])
-        self.open_keys, self.open_starts = keys[~done], starts[~done]
+        new = np.stack((keys[~done], starts[~done]))
+        self.open = np.concatenate((self.open[:, :a], new, self.open[:, b:]), axis=1)
 
     def close(self, last_step: int) -> np.ndarray:
         """Every run, the open ones ended at last_step: (3, n) (key, start,
         end), in the order closed."""
-        last = np.full(len(self.open_keys), last_step)
-        self.runs.append(np.stack((self.open_keys, self.open_starts, last)))
-        self.open_keys = self.open_starts = np.empty(0, dtype=np.int64)
+        self.runs.append(np.vstack((self.open, np.full((1, self.open.shape[1]), last_step))))
+        self.open = np.empty((2, 0), dtype=np.int64)
         return np.concatenate(self.runs, axis=1)
 
 
@@ -309,28 +314,30 @@ class UserAccumulator:
         self.passes = _IntervalTracker()  # keyed u * S + satellite row
         self.accesses = _IntervalTracker()  # keyed u * K + k
 
-    def update_block(self, t0: int, vis, row, step, rng, rr, serving, sizes) -> None:
-        """One block of candidate pairs starting at absolute step t0: aligned
-        arrays of visibility, satellite row, step within the block, range
-        and range-rate, each user's pairs in (row, step) order, the users'
-        one after another, ``sizes[u]`` of them user u's. serving: (U, B),
-        each user's serving pair at each step as an index into its own
-        pairs (-1 for none)."""
-        n_users, n_sets = self.n_users, self.n_sets
-        n_steps = serving.shape[1]
-        sizes = np.asarray(sizes)
-        user = np.repeat(np.arange(n_users), sizes)
+    def update_block(self, t0: int, vis, user, row, step, rng, rr, serving, users: range) -> None:
+        """The candidate pairs of one block starting at absolute step t0 and
+        of the consecutive ``users``, each user's pairs of the block in one
+        call, the calls of a block in user order: aligned arrays of
+        visibility, user, satellite row, step within the block, range and
+        range-rate, in (user, row, step) order. serving: (len(users), B),
+        each user's serving pair at each step as an index into the pairs
+        (-1 for none)."""
+        n_sets, n_sat = self.n_sets, len(self.const_of_sat)
+        n_users, n_steps = serving.shape
+        k0 = users[0] * n_sets  # the first (user, set) key of the call
         srv_user, srv_step = np.nonzero(serving >= 0)  # in (user, step) order
-        at = serving[srv_user, srv_step] + (np.cumsum(sizes) - sizes)[srv_user]
+        at = serving[srv_user, srv_step]
         srv_rng, srv_rr = rng[at], rr[at]
-        srv_key = n_sets * srv_user + 1 + self.const_of_sat[row[at]]
+        srv_base = k0 + n_sets * srv_user
+        srv_key = srv_base + 1 + self.const_of_sat[row[at]]
         pick = np.flatnonzero(vis)
         user, row, step, rng, rr = (np.take(a, pick) for a in (user, row, step, rng, rr))
-        self.passes.update(t0, n_steps, user * len(self.const_of_sat) + row, step)
+        self.passes.update(t0, n_steps, user * n_sat + row, step,
+                           (users[0] * n_sat, (users[-1] + 1) * n_sat))
 
         base = n_sets * user
         key = base + 1 + self.const_of_sat[row]  # ascending
-        counts = np.bincount(key * n_steps + step, minlength=n_users * n_sets * n_steps)
+        counts = np.bincount((key - k0) * n_steps + step, minlength=n_users * n_sets * n_steps)
         counts = counts.reshape(n_users, n_sets, n_steps)  # visible, by user, set and step
         counts[:, 0] = counts[:, 1:].sum(axis=1)
         counts = counts.reshape(n_users * n_sets, n_steps)
@@ -338,16 +345,18 @@ class UserAccumulator:
         self.vis_stats.update(rng, rr, base)
         order = np.argsort(srv_key, kind="stable")  # each key's served steps in step order
         self.srv_stats.update(srv_rng[order], srv_rr[order], srv_key[order])
-        self.srv_stats.update(srv_rng, srv_rr, n_sets * srv_user)
+        self.srv_stats.update(srv_rng, srv_rr, srv_base)
 
-        n_keys, width = self.visible_hist.shape
+        n_keys, width = len(counts), self.visible_hist.shape[1]
         grow = int(counts.max(initial=0)) + 1 - width
         if grow > 0:
             self.visible_hist = np.pad(self.visible_hist, ((0, 0), (0, grow)))
             width += grow
         keys = counts + width * np.arange(n_keys)[:, None]
-        self.visible_hist += np.bincount(keys.ravel(), minlength=n_keys * width).reshape(n_keys, -1)
-        self.accesses.update(t0, n_steps, *np.nonzero(counts))
+        hist = np.bincount(keys.ravel(), minlength=n_keys * width).reshape(n_keys, -1)
+        self.visible_hist[k0 : k0 + n_keys] += hist
+        key, step = np.nonzero(counts)
+        self.accesses.update(t0, n_steps, k0 + key, step, (k0, k0 + n_keys))
 
     def finalize(self, total_steps: int, frequency_hz: float) -> Results:
         """Every user's summaries, passes and accesses, as columns."""

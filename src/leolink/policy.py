@@ -49,14 +49,15 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def keyed_uniform(seed: int, user_index: int, step_index) -> np.ndarray | float:
-    """Uniform [0, 1) draw(s) fully determined by (seed, user, step)."""
-    key = _mix_int(_mix_int(seed & _M64) + (user_index & _M64))
-    if np.isscalar(step_index):
-        h = _mix_int((key + int(step_index)) & _M64)
-        return (h >> 11) * (2.0**-53)
-    steps = np.asarray(step_index, dtype=np.uint64)
-    h = _mix(np.uint64(key) + steps)
+def keyed_uniform(seed: int, user_index, step_index) -> np.ndarray | float:
+    """Uniform [0, 1) draw(s) fully determined by (seed, user, step): a
+    number for one user and step, else an array over the users and steps
+    broadcast against each other."""
+    if np.isscalar(user_index) and np.isscalar(step_index):
+        key = _mix_int(_mix_int(seed & _M64) + (user_index & _M64))
+        return (_mix_int((key + int(step_index)) & _M64) >> 11) * (2.0**-53)
+    key = _mix(np.uint64(_mix_int(seed & _M64)) + np.atleast_1d(user_index).astype(np.uint64))
+    h = _mix(key + np.asarray(step_index, dtype=np.uint64))
     return (h >> np.uint64(11)).astype(np.float64) * (2.0**-53)
 
 
@@ -83,36 +84,40 @@ def select_serving(
 
 def serving_rows(
     vis: np.ndarray,
+    user: np.ndarray,
     step: np.ndarray,
     rng_km: np.ndarray,
     policy: SelectionPolicy,
-    user_index: int,
+    users: range,
     step_indices: np.ndarray,
 ) -> np.ndarray:
-    """Vector form over one block's candidate pairs.
+    """Vector form over the candidate pairs of one block and of whole users.
 
-    vis, step, rng_km: aligned arrays over the candidate pairs in (row,
-    step) order, with rows ordered by satellite id and ``step`` the position
-    in ``step_indices``. Returns, per step, the index of the serving pair
-    among the candidate pairs, -1 when the step has no visible pair. The
-    serving pair's satellite matches :func:`select_serving` per step.
+    vis, user, step, rng_km: aligned arrays over the candidate pairs in
+    (user, row, step) order, with rows ordered by satellite id, ``user``
+    one of the consecutive ``users`` and ``step`` the position in
+    ``step_indices``. Returns (len(users), len(step_indices)): per user and
+    step, the index of the serving pair among the candidate pairs, -1 when
+    the step has no visible pair. Each serving pair's satellite matches
+    :func:`select_serving` for its user and step.
     """
+    n_steps = len(step_indices)
     pair = np.flatnonzero(vis)
-    step = step[pair]
-    out = np.full(len(step_indices), -1, dtype=np.int64)
+    seg = (user[pair] - users[0]) * n_steps + step[pair]
+    out = np.full(len(users) * n_steps, -1, dtype=np.int64)
     if policy.kind == "closest":
-        # by step, then range; the sort is stable, so ties keep row order and
-        # each step's first entry is the minimum range with the lowest id
-        order = np.lexsort((rng_km[pair], step))
-        first = order[np.diff(step[order], prepend=-1) != 0]
-        out[step[first]] = pair[first]
+        # by segment, then range; the sort is stable, so ties keep row order
+        # and each segment's first entry is the minimum range with the lowest id
+        order = np.lexsort((rng_km[pair], seg))
+        first = order[np.diff(seg[order], prepend=-1) != 0]
+        out[seg[first]] = pair[first]
     else:
-        counts = np.bincount(step, minlength=len(step_indices))
-        u = keyed_uniform(policy.seed, user_index, step_indices)
-        j = np.minimum((u * counts).astype(np.int64), np.maximum(counts - 1, 0))
+        counts = np.bincount(seg, minlength=len(out))
         served = np.flatnonzero(counts)
-        # (step, row) order: segment k holds step k's visible pairs by id
-        by_step = pair[np.argsort(step, kind="stable")]
-        seg_start = np.cumsum(counts) - counts
-        out[served] = by_step[seg_start[served] + j[served]]
-    return out
+        u, k = np.divmod(served, n_steps)
+        draw = keyed_uniform(policy.seed, users[0] + u, step_indices[k])
+        j = np.minimum((draw * counts[served]).astype(np.int64), counts[served] - 1)
+        # (user, step, row) order: segment k holds its visible pairs by id
+        by_seg = pair[np.argsort(seg, kind="stable")]
+        out[served] = by_seg[(np.cumsum(counts) - counts)[served] + j]
+    return out.reshape(len(users), n_steps)

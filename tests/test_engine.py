@@ -636,8 +636,12 @@ def test_screened_blocks_give_the_cull_off_bytes(tmp_path, monkeypatch):
     block_states, geometry = engine._block_states, engine.pair_geometry_arrays
 
     def states(*args):
+        # each user's candidates of the block, as keys row * B + step
         out = block_states(*args)
-        cands.extend(out[2])
+        per_user = fleet.n * len(args[4])
+        keys = np.arange(3 * per_user) if out[2] is None else out[2]  # None: every pair
+        user, rest = np.divmod(keys, per_user)
+        cands.extend(rest[user == u] for u in range(3))
         return out
 
     def counted(sat_pos, *args):
@@ -646,6 +650,7 @@ def test_screened_blocks_give_the_cull_off_bytes(tmp_path, monkeypatch):
 
     monkeypatch.setattr(engine, "_block_states", states)
     monkeypatch.setattr(engine, "pair_geometry_arrays", counted)
+    monkeypatch.setattr(engine, "_PAIR_BUDGET", 1 << 40)  # each block's users in one chunk
     outputs = []
     for cull in (True, False):
         masks = _pairs_spy(monkeypatch)
@@ -654,7 +659,7 @@ def test_screened_blocks_give_the_cull_off_bytes(tmp_path, monkeypatch):
         m = run(replace(cfg, cull=cull, output_dir=out))
         summary = (out / "summary.json").read_bytes()
         # every candidate goes to pair geometry, no other pair
-        assert sizes == [len(row) for row, _, _ in cands]
+        assert sizes == [sum(map(len, cands[i : i + 3])) for i in range(0, len(cands), 3)]
         if cull:
             # per block, one gathered-pair call for the knots after the first
             # (the GEO rows are taken at each) and one for the steps between
@@ -664,16 +669,16 @@ def test_screened_blocks_give_the_cull_off_bytes(tmp_path, monkeypatch):
             fail = np.flatnonzero(fleet.may_fail)
             assert len(fail) == 23
             blocks = [512] * 3 + [cfg.n_steps - 512] * 3
-            for (row, step, _), want, top, b in zip(cands, exact, floor, blocks):
-                assert np.isin(want, row * b + step).all()
-                assert len(row) < fleet.n * b // 2  # and not every pair
-                on_fail = np.isin(row, fail)
-                assert np.isin((row * b + step)[on_fail], top).all()
+            for keys, want, top, b in zip(cands, exact, floor, blocks):
+                assert np.isin(want, keys).all()
+                assert len(keys) < fleet.n * b // 2  # and not every pair
+                on_fail = np.isin(keys // b, fail)
+                assert np.isin(keys[on_fail], top).all()
             # the echoed option is the only difference in the outputs
             summary = summary.replace(b'"culling": true', b'"culling": false')
         else:
             blocks = (512, cfg.n_steps - 512)
-            assert masks == [] and sizes == [fleet.n * b for b in blocks for _ in range(3)]
+            assert masks == [] and sizes == [3 * fleet.n * b for b in blocks]
         outputs.append([summary, (out / "pass_access.csv").read_bytes(), [u.records for u in m.users]])
     assert outputs[0] == outputs[1]
     assert any(r.visible for u in outputs[0][2] for r in u)
@@ -782,6 +787,45 @@ def test_elevation_screen_gives_the_cull_off_bytes_with_a_deep_space_user(tmp_pa
     assert outputs[0] == outputs[1]
     # the Molniya user sees a satellite at every mask
     assert b"\n9,pass," in outputs[0][1]
+
+
+def test_chunks_of_users_do_not_change_results(tmp_path):
+    # a pair budget of 1 (each user a chunk of its own) and one above every
+    # block's candidate count (all users in one chunk), on 1 and 3 threads,
+    # write the same bytes and capture the same records: 2 blocks, the
+    # random policy and a Molniya user (deep space) among LEO users
+    from unittest import mock
+
+    from leolink import engine
+    from leolink.fleets import BUILTIN_FLEETS
+
+    molniya = UserSpec(9, KeplerianElements(26560.0, 0.7, 63.4, 40.0, 270.0, 0.0, EPOCH), "explicit")
+    cfg = mini_cfg(
+        constellations=[*mini_cfg().constellations, BUILTIN_FLEETS["eutelsat_geo"]],
+        users=[preset("iss", epoch=EPOCH), *random_users(3, 11), molniya],
+        duration_s=700 * 10.0,
+        policy=SelectionPolicy("random", seed=4),
+        capture_records=True,
+    )
+    update_block = engine.UserAccumulator.update_block
+
+    def counted(acc, t0, *args):
+        chunks.append(len(args[-1]))  # the call's users
+        return update_block(acc, t0, *args)
+
+    outputs = []
+    for budget, sizes in ((1, [1] * 10), (1 << 40, [5, 5])):
+        for threads in (1, 3):
+            chunks, out = [], tmp_path / f"{budget}_{threads}"
+            with mock.patch.object(engine, "_PAIR_BUDGET", budget), \
+                    mock.patch.object(engine.UserAccumulator, "update_block", counted):
+                m = run(replace(cfg, threads=threads, output_dir=out))
+            assert chunks == sizes
+            outputs.append([(out / name).read_bytes() for name in ("summary.json", "pass_access.csv")]
+                           + [[u.records for u in m.users]])
+    assert all(o == outputs[0] for o in outputs[1:])
+    assert b"\n9,pass," in outputs[0][1]  # the Molniya user sees a satellite
+    assert any(r.serving is not None for u in outputs[0][2] for r in u)
 
 
 def test_decay_in_a_sparse_block_raises_the_dense_error(monkeypatch):
@@ -1130,8 +1174,8 @@ def test_fleet_set_up_checks_only_the_slots_that_may_fail(monkeypatch):
 
 def test_run_profile_counts_repeat_and_add_up(tmp_path, monkeypatch):
     # manifest.json's profile holds the screen's work counts: the same on a
-    # second run of the scenario, candidates the sum of the per-user
-    # candidate lengths, near triples fewer than the triples screened; and
+    # second run of the scenario, candidates the sum of the blocks'
+    # candidate counts, near triples fewer than the triples screened; and
     # without the cull every pair is a candidate and nothing is screened
     from leolink import engine
 
@@ -1141,7 +1185,8 @@ def test_run_profile_counts_repeat_and_add_up(tmp_path, monkeypatch):
 
     def states(*args):
         out = block_states(*args)
-        lengths.extend(len(row) for row, _, _ in out[2])
+        if out[2] is not None:  # else every pair
+            lengths.append(len(out[2]))
         return out
 
     monkeypatch.setattr(engine, "_block_states", states)

@@ -248,7 +248,7 @@ def test_horizon_cull_is_conservative(monkeypatch):
         monkeypatch.setattr(geometry, "_CULL_CHUNK", chunk)
         monkeypatch.setattr(geometry, "_GEMM_SIZE", gemm)
         # the screen with a knot at every step is the exact cull
-        keys = geometry.horizon_screen(sp, None, np.stack([pos for pos, _ in users]), None, np.arange(4))
+        keys = _screen(sp, None, np.stack([pos for pos, _ in users]), None, np.arange(4))
         assert len(keys) == 3
         for (user_pos, user_vel), k in zip(users, keys):
             row, step = np.divmod(k, 4)
@@ -282,6 +282,15 @@ def test_above_shell_invariant(alt_user, alt_sat, theta):
     if g.user_elevation_deg >= 0.0:
         assert g.sat_off_nadir_deg > earth_limb_half_cone(alt_sat)
 
+
+def _screen(*args):
+    """The keys of geometry.horizon_screen(*args), all users' in one
+    ascending array, split per user as keys row * B + step."""
+    keys = geometry.horizon_screen(*args)
+    assert np.all(np.diff(keys) > 0)
+    per_user = len(args[0]) * (int(args[4][-1]) + 1)  # satellites x steps
+    user, rest = np.divmod(keys, per_user)
+    return [rest[user == u] for u in range(len(args[2]))]
 
 
 @st.composite
@@ -374,7 +383,7 @@ def test_screen_keeps_every_pair_above_the_horizon(
     except PropagationError:
         assume(False)  # a drag orbit that decays in the window
     knots = np.unique(np.r_[np.arange(0, n_steps, knot_every), n_steps - 1])
-    kept = geometry.horizon_screen(
+    kept = _screen(
         sp[:, knots], svel[:, knots], up[:, knots], uvel[:, knots], knots, step_s,
         fleet.orbit_bounds(), crew.orbit_bounds(),
     )
@@ -397,8 +406,9 @@ def test_screen_keeps_every_pair_above_the_horizon(
     z = np.einsum("sbk,ubk->usb", sp, up / ru[..., None]) - ru[:, None, :]
     zdd = np.abs(z[..., 2:] - 2.0 * z[..., 1:-1] + z[..., :-2]).max(axis=-1) / step_s**2
     span = np.diff(knots).max() * step_s
-    accel, _ = geometry._screen_rates(
-        fleet.orbit_bounds(), crew.orbit_bounds(), np.linalg.norm(sp[:, knots], axis=-1).max(axis=1), span
+    accel, _ = geometry._pair_rates(
+        fleet.orbit_bounds(), [b[:, None] for b in crew.orbit_bounds()],
+        np.linalg.norm(sp[:, knots], axis=-1).max(axis=1), span,
     )
     ratio = float((zdd / accel).max())
     target(ratio, label="largest |z''| / A")
@@ -445,7 +455,7 @@ def test_screen_keeps_every_pair_above_the_elevation_mask(
         sp[:, knots], svel[:, knots], up[:, knots], uvel[:, knots], knots, step_s,
         fleet.orbit_bounds(), crew.orbit_bounds(), min_el,
     )
-    kept = geometry.horizon_screen(*args, np.linalg.norm(up, axis=-1).max(axis=1))
+    kept = _screen(*args, np.linalg.norm(up, axis=-1).max(axis=1))
     if min_el > 0.0:  # the users' radii at the knots alone do not bound c
         with pytest.raises(ValueError):
             geometry.horizon_screen(*args)
@@ -508,10 +518,10 @@ def test_screen_keeps_what_both_parabola_bounds_keep(
         sp[:, knots], svel[:, knots], up[:, knots], uvel[:, knots], knots, step_s,
         fleet.orbit_bounds(), crew.orbit_bounds(),
     )
-    kept = geometry.horizon_screen(*args)
+    kept = _screen(*args)
     # and the same screen taking one user and so few candidates at a time
     with mock.patch.object(geometry, "_CULL_CHUNK", 32 * 2 * len(users)):
-        chunked = geometry.horizon_screen(*args)
+        chunked = _screen(*args)
     want, tie = _dense_screen(*args, 0.0, np.linalg.norm(up[:, knots], axis=-1).max(axis=1))
     for w, *screens, t in zip(want, kept, chunked, tie):
         for keys in screens:
@@ -547,7 +557,9 @@ def _dense_screen(s_pos, s_vel, u_pos, u_vel, knots, step_s, sat_bounds, user_bo
         rs = np.linalg.norm(s_pos, axis=-1)
         sat_low = np.maximum(sat_bounds[0], np.nanmin(rs, axis=1) - geometry._radius_sag(sat_bounds, span))
     floor = geometry._elevation_floor(user_r_max[:, None], sat_low, min_el)[..., None]
-    accel, slack = geometry._screen_rates(sat_bounds, user_bounds, np.nanmax(rs, axis=1), span)
+    accel, slack = geometry._pair_rates(
+        sat_bounds, [b[:, None] for b in user_bounds], np.nanmax(rs, axis=1), span
+    )
     a, d = accel[..., None], slack[..., None]
     want = np.zeros((len(u_pos), len(s_pos), n_steps), dtype=bool)
     want[..., knots] = z - floor >= 0.0
@@ -661,7 +673,7 @@ def test_screen_keys_equal_the_dense_reference_on_cell_edge_cases(
     args = (sat_pos, sat_vel, user_pos, user_vel, knots, step_s, sat_bounds, user_bounds, min_el,
             user_r_max)
     with mock.patch.object(geometry, "_CULL_CHUNK", 32 if small_chunk else geometry._CULL_CHUNK):
-        kept = geometry.horizon_screen(*args)
+        kept = _screen(*args)
     assert len(kept) == n_user
     want, tie = _dense_screen(*args)
     for w, keys, t in zip(want, kept, tie):
@@ -810,7 +822,7 @@ def test_screen_with_skipped_knots_keeps_every_pair_above_the_mask(
     # the first skipped knot of each satellite, or none
     first_skip = np.where(taken.all(axis=1), n_steps, knots[np.argmin(taken, axis=1)])
     live = np.flatnonzero(taken[:, 1:].any(axis=1))
-    kept = geometry.horizon_screen(
+    kept = _screen(
         pos[live], vel[live], up[:, knots], uvel[:, knots], knots, step_s,
         [b[live] for b in fleet.orbit_bounds()], crew.orbit_bounds(), min_el, r_u.max(axis=1),
     )

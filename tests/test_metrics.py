@@ -152,25 +152,30 @@ def test_interval_extraction_matches_brute_force(data):
 
 
 def _feed_accumulator(users, ranges, rates, servings, names, const_of_sat, step_s, freq, block,
-                      candidates):
+                      candidates, chunk=None):
     """Every user's (vis, ranges, rates, serving, candidates) through one
-    accumulator, a block of all users' pairs at a time."""
+    accumulator, a block of ``chunk`` users' pairs at a time (of all users'
+    if None)."""
     n_sats, n_steps = users[0].shape
+    chunk = chunk or len(users)
     acc = UserAccumulator(names, const_of_sat, step_s, len(users))
     for t0 in range(0, n_steps, block):
         sl = slice(t0, min(t0 + block, n_steps))
-        parts, srvs = [], []
-        for vis, r, rr, serving, cand in zip(users, ranges, rates, servings, candidates):
-            row, step = np.nonzero(cand[:, sl])  # (row, step) order
-            v, r, rr = vis[:, sl], r[:, sl], rr[:, sl]
-            # each step's serving pair as an index into the candidates, -1 for none
-            srv = np.full(sl.stop - t0, -1)
-            hit = row == serving[t0 + step]
-            srv[step[hit]] = np.flatnonzero(hit)
-            parts.append((v[row, step], row, step, r[row, step], rr[row, step]))
-            srvs.append(srv)
-        arrays = [np.concatenate(a) for a in zip(*parts)]
-        acc.update_block(t0, *arrays, np.stack(srvs), [len(p[1]) for p in parts])
+        for u0 in range(0, len(users), chunk):
+            parts, srvs, n_pairs = [], [], 0
+            for u in range(u0, min(u0 + chunk, len(users))):
+                row, step = np.nonzero(candidates[u][:, sl])  # (row, step) order
+                v, r, rr = users[u][:, sl], ranges[u][:, sl], rates[u][:, sl]
+                # each step's serving pair as an index into the chunk's candidates, -1 for none
+                srv = np.full(sl.stop - t0, -1)
+                hit = row == servings[u][t0 + step]
+                srv[step[hit]] = n_pairs + np.flatnonzero(hit)
+                parts.append((v[row, step], np.full(len(row), u), row, step, r[row, step],
+                              rr[row, step]))
+                srvs.append(srv)
+                n_pairs += len(row)
+            arrays = [np.concatenate(a) for a in zip(*parts)]
+            acc.update_block(t0, *arrays, np.stack(srvs), range(u0, u0 + len(parts)))
     return acc.finalize(n_steps, freq)
 
 
@@ -179,15 +184,17 @@ _CONSTELLATIONS = {1: [0, 0, 0, 0, 0, 0], 3: [0, 0, 1, 1, 1, 2]}
 
 
 @pytest.mark.parametrize(
-    "block, n_const, n_users",
-    [pytest.param(b, 1, 1, id=str(b)) for b in (1, 7, 32, 100)]
-    + [pytest.param(b, 3, 1, id=f"{b}-3const") for b in (1, 7, 32, 100)]
-    + [pytest.param(b, 3, 3, id=f"{b}-3const-3users") for b in (1, 7, 32, 100)],
+    "block, n_const, n_users, chunk",
+    [pytest.param(b, 1, 1, None, id=str(b)) for b in (1, 7, 32, 100)]
+    + [pytest.param(b, 3, 1, None, id=f"{b}-3const") for b in (1, 7, 32, 100)]
+    + [pytest.param(b, 3, 3, None, id=f"{b}-3const-3users") for b in (1, 7, 32, 100)]
+    + [pytest.param(b, 3, 3, 1, id=f"{b}-3const-3users-chunk1") for b in (1, 7, 32, 100)],
 )
-def test_streaming_accumulator_matches_reference(block, n_const, n_users):
+def test_streaming_accumulator_matches_reference(block, n_const, n_users, chunk):
     """Every user's and every set's streamed summary, the whole fleet's and
     each constellation's, equals the record reference on that user's and
-    set's records. With several users, user 1 has no candidates in the
+    set's records, whether a block's users come in one call or one call
+    each (chunk 1). With several users, user 1 has no candidates in the
     second block (in the whole run if there is one block), and user 2's
     satellite 0 stays visible across the first block boundary."""
     rng = np.random.default_rng(42)
@@ -234,7 +241,8 @@ def test_streaming_accumulator_matches_reference(block, n_const, n_users):
         all_candidates.append(vis | extra)
         all_views.append(views)
     results = _feed_accumulator(
-        users, all_ranges, all_rates, servings, names, const_of_sat, STEP, F, block, all_candidates
+        users, all_ranges, all_rates, servings, names, const_of_sat, STEP, F, block, all_candidates,
+        chunk,
     )
     assert results.sets == list(all_views[0])
     for u, views in enumerate(all_views):

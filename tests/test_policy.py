@@ -74,16 +74,30 @@ def test_keyed_uniform_vector_matches_scalar():
     for s in (0, 1, 50, 99):
         assert vec[s] == keyed_uniform(123, 45, int(s))
     assert np.all((vec >= 0.0) & (vec < 1.0))
+    # several users in one call, each against every step or one step each
+    users = np.array([0, 45, 7, 2**40])
+    grid = keyed_uniform(123, users[:, None], steps)
+    assert grid.shape == (len(users), len(steps))
+    assert np.array_equal(grid[1], vec)
+    for i, u in enumerate(users.tolist()):
+        for s in (0, 1, 50, 99):
+            assert grid[i, s] == keyed_uniform(123, u, s)
+    assert np.array_equal(keyed_uniform(123, users, steps[: len(users)]), np.diagonal(grid))
 
 
 def test_serving_rows_matches_scalar_selection():
+    # one call over the candidate pairs of three users, the middle one with
+    # no visible pair: each user's serving pair at each step is the one
+    # select_serving picks for that user and step
     rng = np.random.default_rng(0)
-    n_sats, n_steps = 12, 200
-    vis = rng.random((n_sats, n_steps)) < 0.3
-    ranges = rng.uniform(100.0, 2000.0, (n_sats, n_steps))
+    n_users, n_sats, n_steps = 3, 12, 200
+    users = range(3, 3 + n_users)
+    vis = rng.random((n_users, n_sats, n_steps)) < 0.3
+    vis[1] = False
+    ranges = rng.uniform(100.0, 2000.0, (n_users, n_sats, n_steps))
     steps = np.arange(1000, 1000 + n_steps)
-    # candidate pairs in (row, step) order: every visible pair plus some that are not
-    row, step = np.nonzero(vis | (rng.random((n_sats, n_steps)) < 0.3))
+    # candidate pairs in (user, row, step) order: every visible pair plus some that are not
+    user, row, step = np.nonzero(vis | (rng.random(vis.shape) < 0.3))
     # coarse ranges tie often: the closest policy must break ties to the lowest id
     for rng_km, policy in (
         (ranges, SelectionPolicy("closest")),
@@ -91,12 +105,16 @@ def test_serving_rows_matches_scalar_selection():
         (ranges, SelectionPolicy("random", seed=17)),
     ):
         pairs = serving_rows(
-            vis[row, step], step, rng_km[row, step], policy, user_index=4, step_indices=steps
+            vis[user, row, step], users[0] + user, step, rng_km[user, row, step], policy, users,
+            steps,
         )
-        for k in range(n_steps):
-            visible = [(s, geom(rng_km[s, k])) for s in range(n_sats) if vis[s, k]]
-            expected = select_serving(visible, policy, int(steps[k]), 4)
-            got = int(row[pairs[k]]) if pairs[k] >= 0 else None
-            assert got == expected
-            if got is not None:
-                assert step[pairs[k]] == k
+        assert pairs.shape == (n_users, n_steps)
+        assert (pairs[1] == -1).all()
+        for u in range(n_users):
+            for k in range(n_steps):
+                visible = [(s, geom(rng_km[u, s, k])) for s in range(n_sats) if vis[u, s, k]]
+                expected = select_serving(visible, policy, int(steps[k]), users[u])
+                got = int(row[pairs[u, k]]) if pairs[u, k] >= 0 else None
+                assert got == expected
+                if got is not None:
+                    assert step[pairs[u, k]] == k and user[pairs[u, k]] == u
