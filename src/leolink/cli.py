@@ -30,7 +30,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     # no defaults here: a flag that is not given leaves the scenario's value
     p.add_argument("--out", help="output directory")
     p.add_argument("--seed", type=int, help="scenario seed (echoed to outputs; default 0)")
-    p.add_argument("--threads", type=int, help="worker threads over users (default 1)")
+    p.add_argument("--threads", type=int, help="worker threads, each on whole users (default 1)")
     p.add_argument("--policy", choices=["random", "closest"], help="serving-satellite policy")
     p.add_argument("--min-elev", type=float, help="minimum elevation angle [deg]")
     p.add_argument("--freq", type=float, help="carrier frequency [Hz]")

@@ -28,6 +28,5 @@ DEFAULT_CARRIER_HZ = 11.5e9  # Ku-band FSS downlink, upper segment
 GEO_HALF_CONE_DEG = 10.5
 
 SECONDS_PER_DAY = 86400.0
-MINUTES_PER_DAY = 1440.0
 
 VERSION = "0.1.0"

@@ -74,7 +74,7 @@ from .metrics import BinGrid, CoverageSummary, Results, StepRecord, UserAccumula
 from .policy import serving_rows
 from .population import UserSpec
 from .propagation import PropagationError, satrec_from_tle
-from .sgp4batch import SatBatch, Slots
+from .sgp4batch import SatBatch, Slots, record_may_fail
 from .timebase import format_utc, julian_date
 from .tle import elements_to_tle
 from .walker import build_walker, shell_angles
@@ -109,12 +109,10 @@ _PAIR_BUDGET = 1 << 15
 
 @dataclass
 class UserResult:
-    """One user's results. Its summaries are built from the run's
-    :class:`Results` columns when first read."""
+    """One user's results. Its summaries, passes and accesses are built
+    from the run's :class:`Results` columns when first read."""
 
     spec: UserSpec
-    passes: list[tuple[int, int, int]]  # (sat_id, start_step, end_step)
-    accesses: list[tuple[int, int]]
     records: list[StepRecord] | None = None
     results: Results | None = field(default=None, repr=False, compare=False)
     index: int = 0  # the user's index into ``results``
@@ -122,6 +120,18 @@ class UserResult:
     @cached_property
     def summaries(self) -> dict[str, CoverageSummary]:
         return self.results.summaries(self.index)
+
+    @cached_property
+    def passes(self) -> list[tuple[int, int, int]]:  # (sat_id, start_step, end_step)
+        return self._rows(self.results.passes)
+
+    @cached_property
+    def accesses(self) -> list[tuple[int, int]]:  # whole-fleet (start_step, end_step)
+        return self._rows(self.results.accesses)
+
+    def _rows(self, table: np.ndarray) -> list[tuple]:
+        a, b = np.searchsorted(table[0], (self.index, self.index + 1))  # row 0: the user
+        return list(zip(*table[1:, a:b].tolist()))
 
 
 @dataclass
@@ -161,52 +171,40 @@ class _Fleet:
     """Flattened satellite set across all configured constellations, with
     each row's constellation index and beam cone parameters.
 
-    A near-earth Walker shell gets one SGP4 record, its first slot's, and
-    the batch fills every slot's row from it (:class:`Slots`): the slots
-    differ only in node and mean anomaly. A deep-space shell (period >= 225
-    min) and every TLE catalog row get a record each. Scalar init checks
-    each record at its epoch; the filled slots that :attr:`SatBatch.may_fail`
-    get the same check as one batch call (:func:`_check_slots`), so set-up
-    fails at the row a record per slot would fail at, with that record's
-    error. The other slots cannot fail there or anywhere else. Apart from
-    each slot's libm cos and sin, set-up works per shell; a slot's name is
-    formatted only when read.
+    A Walker shell whose slots cannot fail (:func:`record_may_fail` of its
+    first slot's record) gets one SGP4 record, and the batch fills every
+    slot's row from it (:class:`Slots`): slots differ only in node and mean
+    anomaly, which do not decide whether a slot may fail. Any other shell
+    and every TLE catalog row get a record per slot, in fleet order, each
+    checked at its epoch by scalar init, so set-up raises the error a
+    record per slot raises. Apart from each filled slot's libm cos and sin,
+    such set-up works per shell; a slot's name is formatted only when read.
     """
 
     def __init__(self, cfg: ScenarioConfig):
         rows = []  # SatRecords and Slots, in fleet order
-        filled = []  # per Slots entry, (first row, slot count, its slots' TLEs)
         groups = []  # per shell or catalog, (rows, constellation, beam cone params)
         self.names = [c.name for c in cfg.constellations]
         self.counts: dict[str, int] = {}
         n = 0
-        try:
-            for ci, cc in enumerate(cfg.constellations):
-                n0 = n
-                if cc.shells is not None:
-                    for si, shell in enumerate(cc.shells):
-                        angles = shell_angles(shell)
-                        tles = partial(_shell_tles, cc, shell, angles, cfg.epoch, n, n0)
-                        first = satrec_from_tle(tles(1)[0])
-                        if first.method == "n":
-                            rows.append(_slots(cc, shell, angles, first, n - n0))
-                            filled.append((n, shell.total, tles))
-                        else:
-                            rows += [first] + [satrec_from_tle(t) for t in tles()[1:]]
-                        n += shell.total
-                        groups.append((shell.total, ci, cc.beam_for_shell(si).cone_params))
-                else:
-                    rows += [satrec_from_tle(_offset(cc, tle)) for tle in cc.tles]
-                    n += len(cc.tles)
-                    groups.append((len(cc.tles), ci, cc.beam.cone_params))
-                self.counts[cc.name] = n - n0
-        except PropagationError:
-            # a filled slot before the failing record may fail first. A
-            # shell's slots share with its record every column that may_fail
-            # reads, so a batch of the records tells whether any slot may
-            if filled and SatBatch([r.record for r in rows if isinstance(r, Slots)]).may_fail.any():
-                _check_slots(SatBatch(rows), filled)
-            raise
+        for ci, cc in enumerate(cfg.constellations):
+            n0 = n
+            if cc.shells is not None:
+                for si, shell in enumerate(cc.shells):
+                    angles = shell_angles(shell)
+                    tles = partial(_shell_tles, cc, shell, angles, cfg.epoch, n, n0)
+                    first = satrec_from_tle(tles(1)[0])
+                    if record_may_fail(first):
+                        rows += [first] + [satrec_from_tle(t) for t in tles()[1:]]
+                    else:
+                        rows.append(_slots(cc, shell, angles, first, n - n0))
+                    n += shell.total
+                    groups.append((shell.total, ci, cc.beam_for_shell(si).cone_params))
+            else:
+                rows += [satrec_from_tle(_offset(cc, tle)) for tle in cc.tles]
+                n += len(cc.tles)
+                groups.append((len(cc.tles), ci, cc.beam.cone_params))
+            self.counts[cc.name] = n - n0
 
         self.n = n
         sizes = [m for m, _, _ in groups]
@@ -216,8 +214,6 @@ class _Fleet:
         self.batch = SatBatch(rows)
         self.bounds = self.batch.orbit_bounds()
         self.may_fail = self.batch.may_fail
-        if filled:
-            _check_slots(self.batch, filled)
 
     def propagate_block(self, jd: float, fr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Positions and velocities (S, B, 3) at the instants (jd, fr[b])."""
@@ -249,8 +245,8 @@ class _SlotNames(Sequence):
 
 
 def _slots(cc, shell, angles, first, i0: int) -> Slots:
-    """The rows of a near-earth Walker shell of constellation ``cc``, at its
-    ``angles`` (:func:`shell_angles`), whose first slot, the
+    """The rows of a Walker shell of constellation ``cc`` that cannot fail,
+    at its ``angles`` (:func:`shell_angles`), whose first slot, the
     constellation's ``i0``-th satellite, has the record ``first``. Each
     slot's angles go through the operations of :func:`_offset`,
     :func:`elements_to_tle` and :func:`satrec_from_tle`, so its node and
@@ -263,29 +259,6 @@ def _slots(cc, shell, angles, first, i0: int) -> Slots:
         (raan % 360.0) * deg,
         (mean_anomaly % 360.0) * deg,
     )
-
-
-def _check_slots(batch: SatBatch, filled) -> None:
-    """Scalar init's check at epoch (tsince 0) on the batch rows filled
-    from slots that :attr:`SatBatch.may_fail`, as one batch call, or none
-    if no such row.
-
-    A filled row is drag-free, circular and near-earth. If it may not fail,
-    its r_lo is above the Earth, so no SGP4 error code can fire at any
-    instant, epoch included: the engine skips such rows between knots on
-    the same argument. If a checked row fails, every filled slot is
-    initialised by scalar init instead, in row order, so the error raised
-    is the one a record per slot raises, or none if no record fails."""
-    rows = np.concatenate([np.arange(a, a + m) for a, m, _ in filled])
-    rows = rows[batch.may_fail[rows]]
-    if not rows.size:
-        return
-    try:
-        batch.check_epoch(rows)
-    except PropagationError:
-        for _, _, tles in filled:
-            for tle in tles():
-                satrec_from_tle(tle)
 
 
 def _offset_angles(cc, raan, mean_anomaly):
@@ -412,12 +385,7 @@ def run(cfg: ScenarioConfig) -> RunManifest:
             pool.shutdown()
 
     results = acc.finalize(n_steps, cfg.carrier_frequency_hz)
-    passes = list(zip(*results.passes[1:].tolist()))
-    accesses = list(zip(*results.accesses[1:].tolist()))
-    p_at, a_at = (np.searchsorted(a[0], np.arange(n_users + 1)).tolist()
-                  for a in (results.passes, results.accesses))
-    users = [UserResult(u, passes[p_at[ui] : p_at[ui + 1]], accesses[a_at[ui] : a_at[ui + 1]],
-                        records_cap[ui] if records_cap else None, results, ui)
+    users = [UserResult(u, records_cap[ui] if records_cap else None, results, ui)
              for ui, u in enumerate(cfg.users)]
 
     aggregate = _aggregate(cfg, results)

@@ -38,9 +38,9 @@ records' constants into (P, 1) columns, and its outputs are bit-identical
 to the grid's.
 
 A batch is built from initialised scalar records, and a :class:`Slots`
-entry stands for many rows, the slots of one near-earth Walker shell:
-their columns are its record's, with each slot's node and mean anomaly
-and the two constants that depend on them.
+entry stands for many rows, the slots of one Walker shell that cannot fail
+(:func:`record_may_fail`): their columns are its record's, with each slot's
+node and mean anomaly and the two constants that depend on them.
 """
 
 from __future__ import annotations
@@ -123,7 +123,8 @@ class Slots:
     near-earth :func:`sgp4core.sgp4init` reads those two angles only into
     ``nodeo`` and ``mo`` and, through :func:`sgp4core.mean_anomaly_terms`,
     ``delmo`` and ``sinmao``. ``record`` gives the other constants; it is
-    not checked against the angles."""
+    not checked against the angles, and no filled row is checked at its
+    epoch: slots are for records that cannot fail (:func:`record_may_fail`)."""
 
     record: sgp4core.SatRecord
     names: Sequence[str]
@@ -133,6 +134,28 @@ class Slots:
     def __post_init__(self):
         if self.record.method != "n":
             raise ValueError(f"{self.record.name}: only near-earth records fill slots")
+
+
+def record_may_fail(record: sgp4core.SatRecord) -> bool:
+    """Whether propagating ``record`` can fail at some instant: its row's
+    :attr:`SatBatch.may_fail`, on one-element columns, for numpy's power
+    to round as over a batch's columns (libm's need not)."""
+    wc = record.whichconst
+    r_lo, _ = _radii(np.array([record.no_unkozai]), record.ecco, record.bstar != 0.0, wc[2], wc[3])
+    return bool(_may_fail(record.method == "d", r_lo, wc[2])[0])
+
+
+def _may_fail(deep, r_lo, radiusearthkm):
+    """:attr:`SatBatch.may_fail` from each record's deep-space flag and r_lo."""
+    return deep | (r_lo <= radiusearthkm)
+
+
+def _radii(no_unkozai, ecco, drag, radiusearthkm, xke):
+    """Per record, (r_lo, r_hi) of :meth:`SatBatch.orbit_bounds` [km]."""
+    a = radiusearthkm * (xke / no_unkozai) ** (2.0 / 3.0)
+    r_lo = np.where(drag, radiusearthkm, a * (1.0 - ecco) * (1.0 - RADIUS_MARGIN))
+    r_hi = np.where(drag, np.inf, a * (1.0 + ecco) * (1.0 + RADIUS_MARGIN))
+    return r_lo, r_hi
 
 
 class SatBatch:
@@ -215,11 +238,8 @@ class SatBatch:
 
     @cached_property
     def _bounds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        a = self.radiusearthkm * (self.xke / self._cols["no_unkozai"][:, 0]) ** (2.0 / 3.0)
-        e = self._cols["ecco"][:, 0]
-        drag = self._drag
-        r_lo = np.where(drag, self.radiusearthkm, a * (1.0 - e) * (1.0 - RADIUS_MARGIN))
-        r_hi = np.where(drag, np.inf, a * (1.0 + e) * (1.0 + RADIUS_MARGIN))
+        r_lo, r_hi = _radii(self._cols["no_unkozai"][:, 0], self._cols["ecco"][:, 0], self._drag,
+                            self.radiusearthkm, self.xke)
         v_hi = np.sqrt(2.0 * self.mu / r_lo / (1.0 + r_lo / r_hi))
         bounds = r_lo, r_hi, np.where(self.deep, np.inf, v_hi)
         for b in bounds:
@@ -238,7 +258,7 @@ class SatBatch:
         with drag can fail.
         """
         r_lo, _, _ = self.orbit_bounds()
-        return self.deep | (r_lo <= self.radiusearthkm)
+        return _may_fail(self.deep, r_lo, self.radiusearthkm)
 
     def mean_directions(
         self, jd: float, fr: np.ndarray, rows: np.ndarray
@@ -353,22 +373,6 @@ class SatBatch:
         instants would if these were the only failing pairs.
         """
         fr = np.atleast_1d(np.asarray(fr, dtype=float))
-
-        def tsince(r, k):
-            return ((jd - self.epoch_jd[r]) + (fr[k] - self.epoch_fr[r])) * 1440.0
-
-        return self._pairs(rows, steps, tsince)
-
-    def check_epoch(self, rows: np.ndarray) -> None:
-        """Propagate record ``rows[p]`` (ascending) to its epoch, tsince 0,
-        as scalar init does, and raise the first failure as
-        :meth:`propagate_pairs` does, at step 0."""
-        rows = np.asarray(rows, dtype=np.intp)
-        self._pairs(rows, np.zeros_like(rows), lambda r, k: np.zeros(len(r)))
-
-    def _pairs(self, rows, steps, tsince) -> tuple[np.ndarray, np.ndarray]:
-        """The tiles of :meth:`propagate_pairs`; ``tsince(r, k)`` gives the
-        minutes past epoch of a tile's pairs."""
         rows = np.asarray(rows, dtype=np.intp)
         steps = np.asarray(steps, dtype=np.intp)
         pos = np.empty((len(rows), 3))
@@ -385,7 +389,7 @@ class SatBatch:
                 else:
                     fields = _NEAR_COLUMNS if self._drag[r].any() else _DRAG_FREE_COLUMNS
                 c = SimpleNamespace(**{f: self._cols[f][r] for f in fields})
-                t = tsince(r, k)[:, None]
+                t = (((jd - self.epoch_jd[r]) + (fr[k] - self.epoch_fr[r])) * 1440.0)[:, None]
                 try:
                     self._propagate_tile(c, t, pos[tile, None], vel[tile, None], (r, k), deep)
                 except PropagationError as exc:

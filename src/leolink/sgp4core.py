@@ -17,7 +17,6 @@ from math import atan2, cos, fabs, pi, sin, sqrt
 
 from .timebase import gstime as _gstime
 
-deg2rad = pi / 180.0
 _nan = float("NaN")
 false = (_nan, _nan, _nan)
 true = True

@@ -1099,15 +1099,12 @@ def test_shell_failing_init_raises_the_per_slot_error(fleets):
     offsets=st.tuples(st.floats(-400.0, 400.0), st.floats(-400.0, 400.0)),
 )
 def test_slots_that_fail_scalar_init_are_rows_that_may_fail(shells, offsets):
-    # set-up checks at epoch only the filled slots that may_fail: that is
-    # sound if every slot whose own record fails scalar init is flagged.
-    # The fleet is built with the check switched off, so that failing slots
-    # keep their rows; a shell whose first slot fails has no row to compare
-    from hypothesis import assume
-
+    # a shell whose slots may fail gets a record per slot, so set-up raises
+    # what a record per row raises, with its message, object, step and
+    # instant. Else the fleet's batch is that of a record per row, and no
+    # row filled from Slots may fail: no such row is checked at its epoch
     from leolink import engine
-    from leolink.propagation import satrec_from_tle
-    from leolink.sgp4batch import SatBatch
+    from leolink.sgp4batch import SatBatch, Slots
 
     cfg = mini_cfg(
         constellations=[
@@ -1117,40 +1114,59 @@ def test_slots_that_fail_scalar_init_are_rows_that_may_fail(shells, offsets):
             )
         ]
     )
-    failing = []
-    for k, tle in enumerate(_tles_per_row(cfg)):
-        try:
-            satrec_from_tle(tle)
-        except PropagationError:
-            failing.append(k)
+    try:
+        want = SatBatch(_records_per_row(cfg))
+    except PropagationError as exc:
+        with pytest.raises(PropagationError) as got:
+            engine._Fleet(cfg)
+        assert (str(got.value), got.value.object_name, got.value.step, got.value.utc) == (
+            str(exc), exc.object_name, exc.step, exc.utc
+        )
+        return
+    filled = []  # the batch rows filled from Slots
+    init = SatBatch.__init__
+
+    def spy(self, records):
+        at = 0
+        for r in records:
+            if isinstance(r, Slots):
+                filled.extend(range(at, at + len(r.names)))
+            at += len(r.names) if isinstance(r, Slots) else 1
+        init(self, records)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(SatBatch, "check_epoch", lambda self, rows: None)
-        try:
-            fleet = engine._Fleet(cfg)
-        except PropagationError:
-            assume(False)
-    assert fleet.batch.may_fail[failing].all()
+        mp.setattr(SatBatch, "__init__", spy)
+        got = engine._Fleet(cfg).batch
+    assert got.names == want.names
+    assert got._cols.keys() == want._cols.keys()
+    for key, column in want._cols.items():
+        assert np.array_equal(got._cols[key], column), key
+    for key in ("epoch_jd", "epoch_fr", "deep"):
+        assert np.array_equal(getattr(got, key), getattr(want, key)), key
+    assert got._runs == want._runs
+    assert not got.may_fail[filled].any()
 
 
 def test_fleet_set_up_checks_only_the_slots_that_may_fail(monkeypatch):
-    # the bundled OneWeb and Starlink slots cannot fail, so setting them up
-    # propagates no row at epoch; a shell low enough to fail is checked,
-    # and only its rows are
+    # the bundled OneWeb and Starlink shells cannot fail, so set-up inits
+    # one record per shell, its first slot's; a shell low enough to fail
+    # gets scalar init, with its epoch check, of every slot in fleet order,
+    # up to the first that fails
     from leolink import engine
     from leolink.fleets import BUILTIN_FLEETS
-    from leolink.sgp4batch import SatBatch
 
-    checked = []
-    check = SatBatch.check_epoch
-
-    def spy(self, rows):
-        checked.append(np.asarray(rows).tolist())
-        return check(self, rows)
-
-    monkeypatch.setattr(SatBatch, "check_epoch", spy)
-    fleet = engine._Fleet(mini_cfg(constellations=[BUILTIN_FLEETS["oneweb"], BUILTIN_FLEETS["starlink"]]))
+    inits = []
+    init = engine.satrec_from_tle
+    monkeypatch.setattr(engine, "satrec_from_tle", lambda tle: inits.append(tle.name) or init(tle))
+    fleets = [BUILTIN_FLEETS["oneweb"], BUILTIN_FLEETS["starlink"]]
+    fleet = engine._Fleet(mini_cfg(constellations=fleets))
     assert fleet.n == 5124 and not fleet.may_fail.any()
-    assert checked == []
+    firsts = []
+    for f in fleets:
+        starts = np.cumsum([0] + [shell.total for shell in f.shells[:-1]])
+        firsts += [f"{f.name}-{k}" for k in starts.tolist()]
+    assert inits == firsts and len(firsts) == sum(len(f.shells) for f in fleets)
+    inits.clear()
     cfg = mini_cfg(
         constellations=[
             ConstellationConfig("low", BeamModel("earth_limb"), shells=[ShellSpec(550.0, 53.0, 2, 2), _FAILING])
@@ -1158,9 +1174,10 @@ def test_fleet_set_up_checks_only_the_slots_that_may_fail(monkeypatch):
     )
     with pytest.raises(PropagationError, match="low-6"):
         engine._Fleet(cfg)
-    assert checked == [list(range(4, 40))]
+    assert inits == ["low-0", "low-4", "low-5", "low-6"]
     # a catalog row that fails after a shell that cannot fail is raised
-    # with no check of the shell
+    # after one init of the shell
+    inits.clear()
     cfg = mini_cfg(
         constellations=[
             ConstellationConfig("ok", BeamModel("earth_limb"), shells=[ShellSpec(550.0, 53.0, 2, 2)]),
@@ -1169,7 +1186,7 @@ def test_fleet_set_up_checks_only_the_slots_that_may_fail(monkeypatch):
     )
     with pytest.raises(PropagationError, match="SUB"):
         engine._Fleet(cfg)
-    assert checked == [list(range(4, 40))]
+    assert inits == ["ok-0", "SUB"]
 
 
 def test_run_profile_counts_repeat_and_add_up(tmp_path, monkeypatch):
@@ -1218,3 +1235,9 @@ def test_user_summaries_are_built_when_read(monkeypatch):
     assert m.users[1].summaries == summaries(m.results, 1)
     assert m.users[1].summaries is m.users[1].summaries
     assert built == [1]
+    # so are its passes and accesses, from the run's columns
+    assert not any({"passes", "accesses"} & vars(u).keys() for u in m.users)
+    for u, user in enumerate(m.users):
+        for table, got in ((m.results.passes, user.passes), (m.results.accesses, user.accesses)):
+            assert got == list(zip(*table[1:, table[0] == u].tolist()))
+    assert any(u.passes for u in m.users) and any(u.accesses for u in m.users)
