@@ -2,21 +2,20 @@
 
 Propagates every constellation satellite and user over the configured
 window in time blocks. Per block, users are propagated at every step and
-the fleet exactly only at knots, about every ``_KNOT_S`` seconds: every
-row at the first knot, in one :meth:`_Fleet.propagate_block` call, then,
-after the users' call, every later knot's rows in one
-:meth:`SatBatch.propagate_pairs` call. :func:`_knot_plan` decides them all
-first, from each row's direction predicted from its mean elements: a row
-is taken at a knot only if some user may see it in an interval next to
-it, and a row taken at no later knot is left out of the screen. Where the
-first interval clears too few rows to pay, every later knot is taken in
-one :meth:`SatBatch.propagate_jd` call instead. One elevation screen for
-all users (:func:`geometry.horizon_screen`) keeps the (user, satellite
-row, step) pairs that may be at or above the mask, as one ascending array
-of keys. It first finds the near (interval, user, satellite) triples:
-at a knot of the interval, the central angle between the two is within a
-cap, the largest angle at which the satellite can clear the mask plus the
-angle both can turn in half an interval. Direction cells, each knot's
+the fleet exactly only at knots, about every ``_KNOT_S`` seconds, all in
+one :meth:`_Fleet.propagate_block` call after the users'.
+:func:`_knot_plan` decides its rows at every knot alike, from each row's
+direction predicted from its mean elements: a row is taken at a knot
+only if some user may see it in an interval next to it, and a row taken
+at no knot is left out of the screen. Where the first interval clears
+too few rows to pay, and in a block of one knot, every row is taken at
+every knot instead. One elevation screen for all users
+(:func:`geometry.horizon_screen`) keeps the (user, satellite row, step)
+pairs that may be at or above the mask, as one ascending array of keys.
+It first finds the near (interval, user, satellite) triples: at a knot
+of the interval, the central angle between the two is within a cap, the
+largest angle at which the satellite can clear the mask plus the angle
+both can turn in half an interval. Direction cells, each knot's
 satellite directions binned by declination and right ascension, give the
 candidates, so the work grows with the near triples, not with users x
 satellites. On those triples only, it tests each knot exactly and bounds
@@ -26,21 +25,21 @@ knot, and an interval it ends, keeps none. Rows whose propagation can
 fail (deep-space or drag rows) are taken at every knot and every step,
 and get the screen's knot test at every step instead of its bound. Every
 state between knots, the pairs any user keeps and those steps of the
-rows that may fail, comes from one more
-:meth:`SatBatch.propagate_pairs` call, so a block makes at most
-three fleet calls, and a failure is raised as a block without the
-screen raises it. A fleet whose rows all can fail (a GEO fleet) has a
-knot at every step, all taken in the first call. All the states a block
-takes go into one (P, 3) store, indexed by one (satellite, step) table.
-``cull=False`` makes every step a knot and every pair a candidate
-instead. The candidates go on in chunks of whole users, of about
-``_PAIR_BUDGET`` pairs, through the two-sided visibility predicate, whose
-elevation test is the one exact test of the mask, the selection policy
-and one streaming accumulator, which finalizes every user into the
-columns the output files are formatted from. Threads take a chunk each;
-the accumulator takes the chunks in user order on the calling thread, so
-results are identical for any thread count, and satellite states are
-bit-identical whether taken at knots or as gathered pairs.
+rows that may fail, comes from one more :meth:`SatBatch.propagate_pairs`
+call, so a block makes at most two fleet calls, and a failure is raised
+as a block without the screen raises it. A fleet whose rows all can fail
+(a GEO fleet) has a knot at every step, all taken in the knot call. All
+the states a block takes go into one (P, 3) store, indexed by one
+(satellite, step) table. ``cull=False`` makes every step a knot and
+every pair a candidate instead. The candidates go on in chunks of whole
+users, of about ``_PAIR_BUDGET`` pairs, through the two-sided visibility
+predicate, whose elevation test is the one exact test of the mask, the
+selection policy and one streaming accumulator, which finalizes every
+user into the columns the output files are formatted from. Threads take
+a chunk each; the accumulator takes the chunks in user order on the
+calling thread, so results are identical for any thread count, and
+satellite states are bit-identical whether taken at knots or as gathered
+pairs.
 """
 
 from __future__ import annotations
@@ -91,12 +90,13 @@ from .writer import grid_text, pass_access_text, summary_text
 # 2026.
 _KNOT_S = 120.0
 # Least share of the rows that cannot fail whose first interval between
-# knots must be cleared for a block to plan its later knots and take them
-# as gathered pairs, rather than take them all in one dense call. At seeds
-# 0 and 5 the first interval cleared 98% of the rows on iss_leo and 17% on
-# population_mc, whose 110 users make the plan's products cost more than
-# the states it skips: planned, its block work took 390-430 ms against
-# 335-355 ms dense (median of 9 runs, 2-vCPU host, October 2026).
+# knots must be cleared for a block to plan its knots and take them as
+# gathered pairs, rather than take every row at every knot in one dense
+# call. At seeds 0 and 5 the first interval cleared 98% of the rows on
+# iss_leo and 17% on population_mc, whose 110 users make the plan's
+# products cost more than the states it skips: planned, its block work took
+# 390-430 ms against 335-355 ms dense (median of 9 runs, 2-vCPU host,
+# October 2026).
 _CLEAR_SHARE = 0.5
 # Candidate pairs per chunk of whole users: a chunk starts at each user whose
 # first pair of the block passes a multiple of this. At seed 0 the 1,100-user
@@ -215,9 +215,13 @@ class _Fleet:
         self.bounds = self.batch.orbit_bounds()
         self.may_fail = self.batch.may_fail
 
-    def propagate_block(self, jd: float, fr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Positions and velocities (S, B, 3) at the instants (jd, fr[b])."""
-        return self.batch.propagate_jd(jd, fr)
+    def propagate_block(self, jd: float, fr: np.ndarray, take: np.ndarray | None = None):
+        """Positions and velocities at the instants (jd, fr[b]): (S, B, 3),
+        every row at every instant, or, given the (S, B) bool ``take``,
+        (P, 3) of the rows at the instants it marks, row by row."""
+        if take is None:
+            return self.batch.propagate_jd(jd, fr)
+        return self.batch.propagate_pairs(jd, fr, *np.nonzero(take))
 
 
 def _shell_tles(cc, shell, angles, epoch, k0: int, n0: int, slots: int | None = None):
@@ -320,8 +324,8 @@ def run(cfg: ScenarioConfig) -> RunManifest:
     block = max(8, min(512, int(4e6 / max(fleet.n, 1))))
     # Every step is a knot without the cull, which makes every pair a
     # candidate, and when every row may fail and so is propagated at every
-    # step anyway. Else a block's first fleet call takes its first knot
-    # only, and _block_states the later knots _knot_plan picks.
+    # step anyway. Else _block_states takes each row at the knots that
+    # _knot_plan picks.
     planned = cfg.cull and not fleet.may_fail.all()
     knot_every = max(1, round(_KNOT_S / cfg.step_s)) if planned else 1
 
@@ -360,10 +364,9 @@ def run(cfg: ScenarioConfig) -> RunManifest:
             fr = fr0 + idx * (cfg.step_s / 86400.0)
             knots = np.unique(np.r_[np.arange(0, len(idx), knot_every), len(idx) - 1])
             try:
-                k_pos, k_vel = fleet.propagate_block(jd0, fr[knots[:1] if planned else knots])
                 u_pos, u_vel = user_batch.propagate_jd(jd0, fr)
                 pos, vel, keys, slot = _block_states(
-                    cfg, fleet, user_bounds, jd0, fr, knots, k_pos, k_vel, u_pos, u_vel, profile
+                    cfg, fleet, user_bounds, jd0, fr, knots, u_pos, u_vel, profile
                 )
             except PropagationError as exc:
                 raise _block_failure(fleet, jd0, fr, t0, exc) from None
@@ -408,45 +411,40 @@ def run(cfg: ScenarioConfig) -> RunManifest:
     return manifest
 
 
-def _block_states(cfg, fleet, user_bounds, jd, fr, knots, k_pos, k_vel, u_pos, u_vel, profile):
+def _block_states(cfg, fleet, user_bounds, jd, fr, knots, u_pos, u_vel, profile):
     """(pos, vel, keys, slot) of one block. pos and vel hold every (P, 3)
-    satellite state the block takes: the knots', then those between knots.
+    satellite state the block takes: the knots', from one
+    :meth:`_Fleet.propagate_block` call, then those between knots.
     keys: every user's candidate pairs, those the screen keeps, as ascending
     keys (u * S + row) * B + step; None without the cull (every pair).
     slot: (B * S,), at b * S + s the index into pos and vel of row s's
-    state at step b, where taken. k_pos and k_vel: (S, K', 3), the fleet at
-    the block's first K' knots; if that is not every knot, the later ones
-    are taken here, each row only at the knots :func:`_knot_plan` picks.
+    state at step b, where taken. Each row is taken at the knots
+    :func:`_knot_plan` picks; every row at every knot without the cull, when
+    every row may fail, in a block of one knot or where the plan does not pay.
     The screen bounds the rows that cannot fail between knots. Rows that
     may fail are taken at every step, between knots with the pairs the
     screen keeps in one gathered call, and get its knot test at every step."""
     n_sat, n_knot, n_steps = fleet.n, len(knots), len(fr)
-    if not cfg.cull:  # every step is a knot, and every pair a candidate
-        slot = np.arange(n_sat * n_steps).reshape(n_sat, n_steps).T.ravel()
-        return k_pos.reshape(-1, 3), k_vel.reshape(-1, 3), None, slot
     may_fail, screened = np.flatnonzero(fleet.may_fail), np.flatnonzero(~fleet.may_fail)
-    pos, vel = k_pos.reshape(-1, 3), k_vel.reshape(-1, 3)
-    # at[s, j]: the index of row s's state at knot j into pos, -1 where the
-    # row is not taken there
-    at = np.arange(len(pos), dtype=np.int32).reshape(n_sat, -1)
     u_r = np.sqrt(np.einsum("ubk,ubk->ub", u_pos, u_pos))
     u_knots = u_pos[:, knots]
-    if at.shape[1] < n_knot:
+    take = None
+    if cfg.cull and len(screened) and n_knot > 1:
         reach, rate = mask_reach(fleet.bounds, user_bounds, u_r.min(), cfg.min_elevation_deg)
         span = float(np.diff(knots).max()) * cfg.step_s
         take = _knot_plan(fleet.batch, fleet.may_fail, jd, fr, knots, span, u_knots, reach, rate)
-        if take is None:  # every row at every later knot, in one dense call
-            take = np.ones((n_sat, n_knot), dtype=bool)
-            later = (m.reshape(-1, 3) for m in fleet.batch.propagate_jd(jd, fr[knots[1:]]))
-        else:
-            row, knot = np.nonzero(take[:, 1:])
-            later = fleet.batch.propagate_pairs(jd, fr, row, knots[knot + 1])
-            # the rows not taken after the first knot cannot be seen in the block
-            screened = screened[take[screened, 1:].any(axis=1)]
-        pos, vel = (np.concatenate([k, m]) for k, m in zip((pos, vel), later))
-        at = np.concatenate([at, np.full((n_sat, n_knot - 1), -1, dtype=np.int32)], axis=1)
-        at[:, 1:][take[:, 1:]] = np.arange(n_sat, len(pos), dtype=np.int32)
-        later = None
+    pos, vel = (m.reshape(-1, 3) for m in fleet.propagate_block(jd, fr[knots], take))
+    # at[s, j]: the index of row s's state at knot j into pos, -1 where the
+    # row is not taken there
+    if take is None:
+        at = np.arange(len(pos), dtype=np.int32).reshape(n_sat, n_knot)
+    else:
+        at = np.full((n_sat, n_knot), -1, dtype=np.int32)
+        at[take] = np.arange(len(pos), dtype=np.int32)
+        # the rows taken at no knot cannot be seen in the block
+        screened = screened[take[screened].any(axis=1)]
+    if not cfg.cull:  # every step is a knot, and every pair a candidate
+        return pos, vel, None, at.T.ravel()
     # np.take gathers (P, 3) rows about 4x faster than indexing
     idx = at[screened]
     s_pos, s_vel = np.take(pos, idx, axis=0), np.take(vel, idx, axis=0)
@@ -501,20 +499,20 @@ def _block_states(cfg, fleet, user_bounds, jd, fr, knots, k_pos, k_vel, u_pos, u
 def _knot_plan(batch, may_fail, jd, fr, knots, span, u_knots, reach, rate):
     """(S, K) bool, the knots at which each row of ``batch`` is taken, or
     None to take every row at every knot. may_fail: (S,) the rows whose
-    propagation can fail; span: the longest interval between knots [s];
-    u_knots: (U, K, 3) the users at the knots; reach, rate: each row's Θ
-    and Ω (:func:`mask_reach`).
+    propagation can fail; knots: (K,) at least two; span: the longest
+    interval between knots [s]; u_knots: (U, K, 3) the users at the knots;
+    reach, rate: each row's Θ and Ω (:func:`mask_reach`).
 
     A row that cannot fail is predicted at every knot from its mean
     elements, to within a margin μ (:meth:`SatBatch.mean_directions`). The
     interval between two knots is cleared for the row if, at both, its
     predicted central angle from every user exceeds Θ + μ + Ω span / 2
     (:func:`mask_clear`): every step of the interval is within span / 2 of
-    one of them, so no user sees the row there. A row is taken at the
-    first knot and wherever an interval next to a knot is not cleared;
-    rows that may fail, at every knot. Where the first interval clears
-    fewer than ``_CLEAR_SHARE`` of the rows that cannot fail, every row is
-    taken at every knot (None), decided from two products per user only.
+    one of them, so no user sees the row there. Such a row is taken at a
+    knot exactly where an interval next to it is not cleared; rows that may
+    fail, at every knot. Where the first interval clears fewer than
+    ``_CLEAR_SHARE`` of the rows that cannot fail, every row is taken at
+    every knot (None), decided from two products per user only.
     """
     rows = np.flatnonzero(~may_fail)
     limit = reach[rows] + 0.5 * span * rate[rows]
@@ -529,10 +527,12 @@ def _knot_plan(batch, may_fail, jd, fr, knots, span, u_knots, reach, rate):
     if len(knots) > 2:
         ends = np.concatenate([ends, far(slice(2, None))])
     clear = ends[:-1] & ends[1:]  # (K - 1, R), interval j ends at knots j and j + 1
-    # a later knot is skipped where both intervals next to it are cleared
-    right = np.concatenate([clear[1:], np.ones((1, len(rows)), dtype=bool)])
+    # a knot is skipped where both intervals next to it are cleared; the
+    # first and the last knot have one
+    edge = np.ones((1, len(rows)), dtype=bool)
+    left, right = np.concatenate([edge, clear]), np.concatenate([clear, edge])
     take = np.ones((batch.n, len(knots)), dtype=bool)
-    take[rows, 1:] = ~(clear & right).T
+    take[rows] = ~(left & right).T
     return take
 
 

@@ -255,11 +255,10 @@ def horizon_screen(
     user_bounds: each object's (r_lo, r_hi, v_hi) from
     :meth:`SatBatch.orbit_bounds`; an infinite v_hi (no bound) makes the
     cap and A infinite, which keeps every pair with that object at every
-    step. A satellite's state may be NaN at any knot but the first, where
-    the engine's knot plan has cleared both intervals next to it (no user
-    can see the satellite there): that knot is then absent, never near, and
-    neither it nor an interval it ends is tested, nor enters the
-    satellite's radii. With no satellites (S = 0) it keeps no pair.
+    step. A satellite's state may be NaN at any knot, where the engine's
+    knot plan has cleared every interval next to it (no user can see the
+    satellite there): that knot is then absent, never near, and neither it
+    nor an interval it ends is tested, nor enters the satellite's radii. With no satellites (S = 0) it keeps no pair.
     Velocities and both bounds are read only if some knots are more than
     one step apart; sat_bounds, if given, narrow c. user_r_max: (U,) each
     user's largest radius over the block's steps [km], needed for a mask

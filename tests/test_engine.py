@@ -571,6 +571,34 @@ def test_non_finite_user_orbit_names_the_user():
     assert abs((err.value.utc - EPOCH).total_seconds()) < 1e-3
 
 
+def test_a_fleet_failure_outranks_a_user_failure_in_the_same_block():
+    # the users are propagated before the fleet's knots, and both fail in
+    # the first block: the user (a subnormal inclination) at step 0 and a
+    # drag-heavy fleet row later. The run raises the fleet's error, at the
+    # step a run without the cull names
+    user = UserSpec(
+        0, KeplerianElements(RE + 20200.0, 0.0, 2.2e-311, 0.0, 0.0, 0.0, EPOCH), "explicit"
+    )
+    sinker = TwoLineElementSet(
+        name="SINKER", epoch=EPOCH, inclination=53.0, raan=0.0, eccentricity=0.0,
+        arg_perigee=0.0, mean_anomaly=0.0, mean_motion=16.4, bstar=0.09, catalog_id=11111,
+    )
+    cfg = mini_cfg(
+        constellations=[
+            *mini_cfg().constellations,
+            ConstellationConfig("sink", BeamModel("earth_limb"), tles=[sinker]),
+        ],
+        users=[user],
+        duration_s=3000.0,
+    )
+    for cull in (True, False):
+        with pytest.raises(PropagationError, match="SINKER") as err:
+            run(replace(cfg, cull=cull))
+        assert (err.value.object_name, err.value.step) == ("SINKER", 217)
+        expected = EPOCH + timedelta(seconds=217 * cfg.step_s)
+        assert abs((err.value.utc - expected).total_seconds()) < 1e-3
+
+
 def _pairs_spy(monkeypatch):
     """The (S, B) masks of the satellite-steps each call of
     ``SatBatch.propagate_pairs`` propagates."""
@@ -661,7 +689,7 @@ def test_screened_blocks_give_the_cull_off_bytes(tmp_path, monkeypatch):
         # every candidate goes to pair geometry, no other pair
         assert sizes == [sum(map(len, cands[i : i + 3])) for i in range(0, len(cands), 3)]
         if cull:
-            # per block, one gathered-pair call for the knots after the first
+            # per block, one gathered-pair call for the knots the plan picks
             # (the GEO rows are taken at each) and one for the steps between
             # knots: the pairs the screen keeps and every such step of the
             # rows that may fail
@@ -686,14 +714,17 @@ def test_screened_blocks_give_the_cull_off_bytes(tmp_path, monkeypatch):
 
 def _counted_plans(monkeypatch):
     """Per block that plans its knots, the knot states taken (rows x knots
-    if every row is taken at every knot) and the number of knots."""
+    if every row is taken at every knot), the number of knots and the rows
+    taken at the first knot."""
     from leolink import engine
 
     knot_plan, plans = engine._knot_plan, []
 
     def counted(batch, may_fail, jd, fr, knots, *args):
         take = knot_plan(batch, may_fail, jd, fr, knots, *args)
-        plans.append((batch.n * len(knots) if take is None else int(take.sum()), len(knots)))
+        if take is None:
+            take = np.ones((batch.n, len(knots)), dtype=bool)
+        plans.append((int(take.sum()), len(knots), int(take[:, 0].sum())))
         return take
 
     monkeypatch.setattr(engine, "_knot_plan", counted)
@@ -702,10 +733,11 @@ def _counted_plans(monkeypatch):
 
 def test_lazy_knots_give_the_cull_off_bytes(tmp_path, monkeypatch):
     # one ISS user against a Walker fleet over 2 blocks: rows are taken
-    # only at the knots next to an interval where the user may see them, so
-    # fewer than a quarter of rows x knots knot states are propagated, and
-    # the run writes the bytes and captures the records of a run without
-    # the cull
+    # only at the knots next to an interval where the user may see them,
+    # the first knot of a block included, so fewer than a quarter of the
+    # rows are taken at each block's first knot and fewer than a sixteenth
+    # of rows x knots knot states are propagated, and the run writes the
+    # bytes and captures the records of a run without the cull
     cfg = mini_cfg(duration_s=700 * 10.0, capture_records=True)
     plans = _counted_plans(monkeypatch)
     outputs = []
@@ -715,10 +747,41 @@ def test_lazy_knots_give_the_cull_off_bytes(tmp_path, monkeypatch):
         summary = (out / "summary.json").read_bytes().replace(b'"culling": true', b'"culling": false')
         outputs.append([summary, (out / "pass_access.csv").read_bytes(), [u.records for u in m.users]])
     n_sat = sum(m.constellation_counts.values())
-    taken, knots = np.sum(plans, axis=0)
+    taken, knots, _ = np.sum(plans, axis=0)
     assert len(plans) == 2  # both blocks, with the cull on only
-    assert taken < n_sat * knots // 4
+    assert all(first < n_sat / 4 for _, _, first in plans)
+    assert taken < n_sat * knots // 16
     assert outputs[0] == outputs[1]
+    assert any(r.visible for u in outputs[0][2] for r in u)
+
+
+def test_a_block_of_one_knot_gives_the_cull_off_bytes(tmp_path, monkeypatch):
+    # 513 steps make blocks of 512 steps and of 1. The first block plans its
+    # knots; the second has one knot, where every row is taken in one dense
+    # call. The run writes the bytes and captures the records of a run
+    # without the cull
+    from leolink import engine
+
+    cfg = mini_cfg(duration_s=5120.0, capture_records=True)
+    assert cfg.n_steps == 513
+    propagate_block, calls = engine._Fleet.propagate_block, []
+
+    def spy(fleet, jd, fr, take=None):
+        calls.append((len(fr), take is None))
+        return propagate_block(fleet, jd, fr, take)
+
+    monkeypatch.setattr(engine._Fleet, "propagate_block", spy)
+    outputs = []
+    for cull in (True, False):
+        calls.clear()
+        out = tmp_path / str(cull)
+        m = run(replace(cfg, cull=cull, output_dir=out))
+        summary = (out / "summary.json").read_bytes().replace(b'"culling": true', b'"culling": false')
+        outputs.append([summary, (out / "pass_access.csv").read_bytes(), [u.records for u in m.users]])
+        knots = len(range(0, 512, 12)) + 1 if cull else 512  # with the cull, a knot every 120 s
+        assert calls == [(knots, not cull), (1, True)]
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0][2][0]) == 513
     assert any(r.visible for u in outputs[0][2] for r in u)
 
 
@@ -758,7 +821,7 @@ def test_planned_knots_give_the_cull_off_bytes_on_a_mixed_fleet(tmp_path, monkey
         outputs.append([summary, (out / "pass_access.csv").read_bytes(), [u.records for u in m.users]])
     n_sat = sum(m.constellation_counts.values())
     assert len(plans) == 2
-    assert all(taken < n_sat * knots for taken, knots in plans)
+    assert all(taken < n_sat * knots for taken, knots, _ in plans)
     assert outputs[0] == outputs[1]
     assert any(r.visible for u in outputs[0][2] for r in u)
 
@@ -854,7 +917,7 @@ def test_decay_in_a_sparse_block_raises_the_dense_error(monkeypatch):
     with pytest.raises(PropagationError, match="SINKER") as sparse:
         run(cfg)
     # the first block's steps between knots went through one gathered call,
-    # after its later knots', with every such step of the row that may fail
+    # after its knots', with every such step of the row that may fail
     # and few of the others
     need = masks[1]
     assert need[-1].sum() == 512 - len(range(0, 512, 60)) - 1

@@ -788,13 +788,14 @@ def test_screen_with_skipped_knots_keeps_every_pair_above_the_mask(
     sats, users, n_steps, step_s, knot_every, start_days, min_el
 ):
     # the engine's knot plan takes each satellite only at the knots next to
-    # an interval where some user may see it, gathered at the states a
-    # dense call gives; the screen on those knots (NaN elsewhere), of the
-    # satellites taken after the first knot, still keeps every pair that
-    # pair geometry puts at or above the elevation mask (hypothesis reports
-    # the most such pairs it saw after a skipped knot of their satellite; a
-    # deep-space user, with no speed bound, would skip none). The plan is
-    # kept for any share of cleared rows, not only where it pays.
+    # an interval where some user may see it, the first knot included,
+    # gathered at the states a dense call gives; the screen on those knots
+    # (NaN elsewhere), of the satellites taken at some knot, still keeps
+    # every pair that pair geometry puts at or above the elevation mask
+    # (hypothesis reports the most such pairs it saw after a skipped knot
+    # of their satellite; a deep-space user, with no speed bound, would skip
+    # none). The plan is kept for any share of cleared rows, not only where
+    # it pays.
     from hypothesis import assume, target
 
     from leolink import engine
@@ -808,11 +809,24 @@ def test_screen_with_skipped_knots_keeps_every_pair_above_the_mask(
     r_u = np.linalg.norm(up, axis=-1)
     reach, rate = geometry.mask_reach(fleet.orbit_bounds(), crew.orbit_bounds(), r_u.min(), min_el)
     span = float(np.diff(knots).max()) * step_s
-    with mock.patch.object(engine, "_CLEAR_SHARE", 0.0):
+    ends = []  # each knot, whether the plan predicts each row far from every user
+
+    def far(*args):
+        ends.append(geometry.mask_clear(*args))
+        return ends[-1]
+
+    with mock.patch.object(engine, "_CLEAR_SHARE", 0.0), mock.patch.object(engine, "mask_clear", far):
         taken = engine._knot_plan(
             fleet, fleet.may_fail, jd, frs, knots, span, up[:, knots], reach, rate
         )
-    assert taken[:, 0].all() and taken[fleet.may_fail].all()
+    # rows that may fail are taken at every knot; a row that cannot fail, at
+    # a knot exactly where an interval next to it (one at the first and the
+    # last knot) is not cleared, far at both its knots
+    assert taken[fleet.may_fail].all()
+    ends = np.concatenate(ends)
+    clear = ends[:-1] & ends[1:]
+    for j in range(len(knots)):
+        assert np.array_equal(taken[~fleet.may_fail, j], ~clear[max(j - 1, 0) : j + 1].all(axis=0))
     row, knot = np.nonzero(taken)
     p, v = fleet.propagate_pairs(jd, frs, row, knots[knot])
     assert np.array_equal(p, sp[:, knots][taken])
@@ -821,7 +835,7 @@ def test_screen_with_skipped_knots_keeps_every_pair_above_the_mask(
     pos[taken], vel[taken] = p, v
     # the first skipped knot of each satellite, or none
     first_skip = np.where(taken.all(axis=1), n_steps, knots[np.argmin(taken, axis=1)])
-    live = np.flatnonzero(taken[:, 1:].any(axis=1))
+    live = np.flatnonzero(taken.any(axis=1))
     kept = _screen(
         pos[live], vel[live], up[:, knots], uvel[:, knots], knots, step_s,
         [b[live] for b in fleet.orbit_bounds()], crew.orbit_bounds(), min_el, r_u.max(axis=1),
