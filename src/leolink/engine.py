@@ -9,21 +9,27 @@ direction predicted from its mean elements: a row is taken at a knot
 only if some user may see it in an interval next to it, and a row taken
 at no knot is left out of the screen. Where the first interval clears
 too few rows to pay, and in a block of one knot, every row is taken at
-every knot instead. One elevation screen for all users
+every knot instead. One screen for all users
 (:func:`geometry.horizon_screen`) keeps the (user, satellite row, step)
-pairs that may be at or above the mask, as one ascending array of keys.
-It first finds the near (interval, user, satellite) triples: at a knot
-of the interval, the central angle between the two is within a cap, the
-largest angle at which the satellite can clear the mask plus the angle
-both can turn in half an interval. Direction cells, each knot's
+pairs that may pass both sides of the visibility predicate, the mask
+and the row's beam, as one ascending array of keys. It first finds the
+near (interval, user, satellite) triples: at a knot of the interval, the
+central angle between the two is within a cap, the largest angle at
+which the satellite can clear the mask or, if less, at which the user
+can be inside its beam, plus the angle both can turn in half an
+interval. Both the plan and the screen take that tighter angle, each
+row's beam given by its shell or catalog. Direction cells, each knot's
 satellite directions binned by declination and right ascension, give the
 candidates, so the work grows with the near triples, not with users x
-satellites. On those triples only, it tests each knot exactly and bounds
-each pair's height above the user's horizon plane between knots against
-the least height at which the satellite can clear the mask; a skipped
-knot, and an interval it ends, keeps none. Rows whose propagation can
-fail (deep-space or drag rows) are taken at every knot and every step,
-and get the screen's knot test at every step instead of its bound. Every
+satellites. On those triples only, it tests each knot exactly against
+the least height above the user's horizon plane at which the satellite
+can clear the mask or, if higher, be seen inside a nadir-law beam, and
+bounds that height between knots by parabolas whose curvature bounds
+z'' from above only, tighter near the zenith, where the height is
+concave; a skipped knot, and an interval it ends, keeps none. Rows whose
+propagation can fail (deep-space or drag rows) are taken at every knot
+and every step, and get the screen's knot test of the mask at every step
+instead of its bounds. Every
 state between knots, the pairs any user keeps and those steps of the
 rows that may fail, comes from one more :meth:`SatBatch.propagate_pairs`
 call, so a block makes at most two fleet calls, and a failure is raised
@@ -160,16 +166,17 @@ class RunManifest:
 
 def _new_profile() -> dict:
     """A run's profile before its first block: seconds in the screen and in
-    the gathered pairs; triples screened (users x rows x intervals, where
-    knots are apart), near triples (:func:`geometry.horizon_screen`),
-    candidate pairs (summed over users) and gathered pairs."""
-    return {"screen_s": 0.0, "gathered_pairs_s": 0.0, "triples": 0, "near_triples": 0,
-            "candidates": 0, "gathered_pairs": 0}
+    the gathered pairs; fleet states taken at knots, triples screened (users
+    x rows x intervals, where knots are apart), near triples
+    (:func:`geometry.horizon_screen`), candidate pairs (summed over users),
+    gathered pairs and visible pairs."""
+    return {"screen_s": 0.0, "gathered_pairs_s": 0.0, "knot_states": 0, "triples": 0,
+            "near_triples": 0, "candidates": 0, "gathered_pairs": 0, "visible_pairs": 0}
 
 
 class _Fleet:
     """Flattened satellite set across all configured constellations, with
-    each row's constellation index and beam cone parameters.
+    each row's constellation index, beam cone parameters and beam group.
 
     A Walker shell whose slots cannot fail (:func:`record_may_fail` of its
     first slot's record) gets one SGP4 record, and the batch fills every
@@ -211,6 +218,8 @@ class _Fleet:
         self.const_of_sat = np.repeat(np.array([ci for _, ci, _ in groups], dtype=np.int64), sizes)
         self.beam_nadir = np.repeat(np.array([c[0] for _, _, c in groups], dtype=bool), sizes)
         self.beam_param = np.repeat(np.array([c[1] for _, _, c in groups], dtype=float), sizes)
+        # each row's cone parameters and beam group (its shell or catalog)
+        self.beams = (self.beam_nadir, self.beam_param, np.repeat(np.arange(len(groups)), sizes))
         self.batch = SatBatch(rows)
         self.bounds = self.batch.orbit_bounds()
         self.may_fail = self.batch.may_fail
@@ -381,6 +390,7 @@ def run(cfg: ScenarioConfig) -> RunManifest:
             # a chunk per thread at a time, so few chunks' pairs are alive at once
             for c in range(0, len(chunks), cfg.threads):
                 for pairs in mapped(chunk_pairs, chunks[c : c + cfg.threads]):
+                    profile["visible_pairs"] += int(np.count_nonzero(pairs[0]))
                     acc.update_block(t0, *pairs)
             pos = vel = keys = slot = None  # freed before the next block's states are made
     finally:
@@ -430,10 +440,13 @@ def _block_states(cfg, fleet, user_bounds, jd, fr, knots, u_pos, u_vel, profile)
     u_knots = u_pos[:, knots]
     take = None
     if cfg.cull and len(screened) and n_knot > 1:
-        reach, rate = mask_reach(fleet.bounds, user_bounds, u_r.min(), cfg.min_elevation_deg)
+        reach, rate = mask_reach(
+            fleet.bounds, user_bounds, u_r.min(), cfg.min_elevation_deg, fleet.beams
+        )
         span = float(np.diff(knots).max()) * cfg.step_s
         take = _knot_plan(fleet.batch, fleet.may_fail, jd, fr, knots, span, u_knots, reach, rate)
     pos, vel = (m.reshape(-1, 3) for m in fleet.propagate_block(jd, fr[knots], take))
+    profile["knot_states"] += len(pos)
     # at[s, j]: the index of row s's state at knot j into pos, -1 where the
     # row is not taken there
     if take is None:
@@ -453,7 +466,8 @@ def _block_states(cfg, fleet, user_bounds, jd, fr, knots, u_pos, u_vel, profile)
     t = time.perf_counter()
     keys = horizon_screen(
         s_pos, s_vel, u_knots, u_vel[:, knots], knots, cfg.step_s,
-        [b[screened] for b in fleet.bounds], user_bounds, cfg.min_elevation_deg, u_top, profile,
+        [b[screened] for b in fleet.bounds], user_bounds, cfg.min_elevation_deg, u_top,
+        [b[screened] for b in fleet.beams], profile,
     )
     profile["screen_s"] += time.perf_counter() - t
     keys = _fleet_keys(keys, screened, n_sat, n_steps)

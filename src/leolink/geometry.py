@@ -165,10 +165,13 @@ _CULL_CHUNK = 1 << 21
 # calling thread; parallelism belongs to the engine's ``threads`` option, and
 # a BLAS thread pool competing with other processes stalls every product.
 _GEMM_SIZE = 1 << 18
-# Relative margin on the accelerations in the screen's bound on |z''|: the
+# Relative margin on the accelerations in the screen's bounds on z'': the
 # non-Keplerian forces of SGP4 (J2 is below 0.4% of gravity). On the orbits
 # that RADIUS_MARGIN was measured on, the batch positions' acceleration came
-# to at most 0.6% above mu / r_p^2, which r_lo alone already covers.
+# to at most 0.6% above mu / r_p^2, which r_lo alone already covers, and on
+# 1,800 such orbits (about 1,000 near-earth, +-3 days of epoch, second
+# differences over 2 s) the vector a + mu r / |r|^3 was at most 0.29% of
+# mu / r_lo^2 (near-earth; 0.18% deep-space).
 _ACCEL_MARGIN = 0.01
 # SGP4's velocity is not exactly the rate of its position: on the orbits of
 # RADIUS_MARGIN, |velocity - d(position)/dt| was at most 2.7e-4 of the
@@ -180,6 +183,10 @@ _VELOCITY_SLACK = 1e-3
 # the rounding of a central angle taken from unit vectors (1e-15 rad) and of
 # the knot test, whose floor is lowered by 1e-9 of the radius plus 1 mm.
 _CAP_MARGIN = 1e-6
+# How far the screen lowers the cosine of each beam's half-cone h before it
+# bounds the beam: the predicate compares cos(off-nadir) with cos(h), each
+# rounded to a few 1e-16, so a pair it accepts is within this cone.
+_BEAM_MARGIN = 1e-12
 # Declination width [rad] of the screen's direction cells, and the least
 # width of their right ascension bins. On population_mc's first block (110
 # users, 5,124 rows, 11 knots, 26K near knots; 2-vCPU host, October 2026),
@@ -199,10 +206,13 @@ def horizon_screen(
     user_bounds: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     min_elevation_deg: float = 0.0,
     user_r_max: np.ndarray | None = None,
+    beams: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     tally: dict | None = None,
 ) -> np.ndarray:
-    """Conservative elevation cull of one time block for every user, from
-    exact states at knot steps only.
+    """Conservative cull of one time block for every user, from exact
+    states at knot steps only, against both sides of the visibility
+    predicate: the user's elevation mask and, where knots are apart, the
+    satellite's beam.
 
     A pair (user u, satellite s) is kept at a step if the satellite may be
     at or above the user's elevation mask e = ``min_elevation_deg``. With
@@ -219,33 +229,43 @@ def horizon_screen(
     step this is the exact cull for c, taken as (U, 3) x (3, satellites)
     products, a few knots and satellites at a time, so that they cover at
     most ``_GEMM_SIZE`` / 3 (user, satellite) pairs and ``_CULL_CHUNK``
-    floats at once.
+    floats at once; beams are not read there.
 
     Where knots are apart, the screen first finds the near (interval, user,
     satellite) triples (:func:`_near_screen`): those where the central angle
     between the two at either knot is at most the cap
 
-        Θ(u, s) + Ω(u, s) H / 2 + ``_CAP_MARGIN``,
+        min(Θ(u, s), Θ_b(u, s)) + Ω(u, s) H / 2 + ``_CAP_MARGIN``,
 
-    with Θ and Ω of :func:`mask_reach` for the pair (Θ from the user's
-    least radius over the block) and H the longest interval. A pair at or
-    above the mask at a step has its central angle within Θ there, and
+    with Θ and Ω of :func:`mask_reach` for the pair, Θ_b the largest central
+    angle at which the user can be inside the satellite's beam and above
+    its horizon (:func:`_beam_reach`; infinite without ``beams``), both
+    from the user's least radius over the block, and H the longest
+    interval. A visible pair has its central angle within both there, and
     every step is within H / 2 of a knot, so the cap drops no such pair.
     Direction cells (:class:`_DirectionCells`) bin each knot's satellite
     directions by class of r_hi, declination band and right ascension; each
-    user's cap for a class is mapped to the cells it touches, and their
-    satellites pass an exact test of the central angle. The knot test then
-    runs only on the knots of the near triples, and between knots k and
-    k+1, h after knot k and h' = H_k - h before knot k+1, z - c is at most
+    user's cap for a class (at the class's widest) is mapped to the cells it
+    touches, and their satellites pass an exact test of the central angle.
+    The knot test then runs only on the knots of the near triples, against
+    the floor max(c, c_b): c_b is the least z of a user inside a nadir-law
+    beam (:func:`_beam_floor_terms`), taken at the same radii as c where it
+    falls with |user| over the block, and no bound elsewhere or for fixed
+    cones. Between knots k and k+1, h after knot k and h' = H_k - h before
+    knot k+1, z - c is at most
 
         z_k - c + (ż_k + D) h + A h^2 / 2   and   z_k+1 - c + (D - ż_k+1) h' + A h'^2 / 2,
 
-    where A bounds |z''| and D the gap between SGP4's velocity and the rate
-    of its position (:func:`_pair_rates`), each formed for the pair only.
-    Both bounds are convex parabolas, so their ends decide each near
-    interval (:func:`_between_knots`); only those kept are tested step by
-    step. A step between knots is kept where both bounds and the cap keep
-    it. The triples are taken a batch of users at a time, about
+    where D bounds the gap between SGP4's velocity and the rate of its
+    position and A bounds z'' from above: the lesser of the two-sided bound
+    on |z''| (:func:`_pair_rates`) and the one-sided A+ (:func:`_upward_accel`),
+    which holds while the central angle stays within the smaller of its
+    values at the two knots plus Ω H_k, and is about 15x smaller near the
+    zenith, where z is concave. Both are formed for the pair only, A+ for
+    the interval. Both bounds are convex parabolas, so their ends decide
+    each near interval (:func:`_between_knots`); only those kept are tested
+    step by step. A step between knots is kept where both bounds and the
+    cap keep it. The triples are taken a batch of users at a time, about
     ``_CULL_CHUNK`` / 32 cell candidates per batch (more where one user has
     more).
 
@@ -258,16 +278,18 @@ def horizon_screen(
     step. A satellite's state may be NaN at any knot, where the engine's
     knot plan has cleared every interval next to it (no user can see the
     satellite there): that knot is then absent, never near, and neither it
-    nor an interval it ends is tested, nor enters the satellite's radii. With no satellites (S = 0) it keeps no pair.
-    Velocities and both bounds are read only if some knots are more than
-    one step apart; sat_bounds, if given, narrow c. user_r_max: (U,) each
-    user's largest radius over the block's steps [km], needed for a mask
-    above 0 if some knots are more than one step apart, else the largest at
-    the knots. tally: if given, a dict whose ``"triples"`` (users x
-    satellites x intervals) and ``"near_triples"`` counts the screen adds
-    to where knots are apart. Returns the kept pairs of every user as one
-    ascending array of keys (u * S + s) * B + step: user by user, each
-    user's in (row, step) order.
+    nor an interval it ends is tested, nor enters the satellite's radii.
+    With no satellites (S = 0) it keeps no pair. Velocities and both bounds
+    are read only if some knots are more than one step apart; sat_bounds,
+    if given, narrow c. user_r_max: (U,) each user's largest radius over
+    the block's steps [km], needed for a mask above 0 or beams if some
+    knots are more than one step apart, else the largest at the knots.
+    beams: each satellite's (nadir, param, group) of :func:`_beam_reach`,
+    or None to bound the elevation only. tally: if given, a dict whose
+    ``"triples"`` (users x satellites x intervals) and ``"near_triples"``
+    counts the screen adds to where knots are apart. Returns the kept pairs
+    of every user as one ascending array of keys (u * S + s) * B + step:
+    user by user, each user's in (row, step) order.
     """
     if len(sat_pos) == 0:
         return np.zeros(0, dtype=np.int64)
@@ -275,11 +297,11 @@ def horizon_screen(
     if not (np.diff(knots) > 1).any():
         keys = _knot_test(sat_pos, user_pos, knots, sat_bounds, min_elevation_deg, user_r_max)
     else:
-        if user_r_max is None and min_elevation_deg > 0.0:
-            raise ValueError("a mask above 0 between knots needs each user's largest radius")
+        if user_r_max is None and (min_elevation_deg > 0.0 or beams is not None):
+            raise ValueError("a mask above 0 or beams between knots need the users' largest radii")
         keys = _near_screen(
             sat_pos, sat_vel, user_pos, user_vel, knots, step_s, sat_bounds, user_bounds,
-            min_elevation_deg, user_r_max, tally,
+            min_elevation_deg, user_r_max, beams, tally,
         )
     keys = np.concatenate(keys)
     keys.sort()
@@ -323,7 +345,7 @@ def _knot_test(sat_pos, user_pos, knots, sat_bounds, min_elevation_deg, user_r_m
 
 
 def _near_screen(sat_pos, sat_vel, user_pos, user_vel, knots, step_s, sat_bounds,
-                 user_bounds, min_elevation_deg, user_r_max, tally):
+                 user_bounds, min_elevation_deg, user_r_max, beams, tally):
     """The keys (u * S + s) * B + step of a screen whose knots are apart
     (:func:`horizon_screen`), as a list of arrays: the knot test on the
     knots of the near intervals and both parabola bounds on those
@@ -355,16 +377,29 @@ def _near_screen(sat_pos, sat_vel, user_pos, user_vel, knots, step_s, sat_bounds
     sat_r = np.fmax.reduce(rs.reshape(n_sat, n_knot), axis=1)
     sat_low = np.fmin.reduce(rs.reshape(n_sat, n_knot), axis=1)
     sat_low = np.maximum(s_lo, sat_low - _radius_sag(sat_bounds, h))
-    # the cap Θ + Ω H / 2 + margin, with Ω = (1 + slack) (v_hi / r_lo of
-    # both); the cells query it per class of satellites whose r_hi are
-    # within 1% (a bundled shell is one class), at the class's largest
+    # the beam bound: Θ_b of user u and satellite s is reach[u, g] - drop[s]
+    # with g = beam[s], and the beam floor lift[s] cos_phi[u, g] + base[u, g]
+    beam, reach, drop, groups = _beam_reach(beams, s_hi, u_min)
+    n_beam = reach.shape[1]
+    cos_phi, base = _beam_floor_terms(*groups, u_min, user_r_max)
+    lift = np.sqrt(np.maximum(sat_low * sat_low - np.square(groups[0].take(beam)), 0.0))
+    lift_margin = 1e-9 * sat_low + 1e-6  # as _elevation_floor lowers c
+    # the cap min(Θ_mask, Θ_b) + Ω H / 2 + margin, with Ω = (1 + slack)
+    # (v_hi / r_lo of both); the cells query it per class of satellites
+    # whose r_hi are within 1% (a bundled shell is one class), at the
+    # class's largest r_hi and Ω, largest reach of its beams and least drop
     s_turn, u_turn = s_v / s_lo, u_v / u_lo
     grow = (1.0 + _VELOCITY_SLACK) * 0.5 * h
     _, group = np.unique(np.floor(100.0 * np.log(s_hi / EARTH_RADIUS_KM)), return_inverse=True)
-    top = np.full((2, group.max() + 1), -np.inf)
+    n_group = group.max() + 1
+    top = np.full((3, n_group), -np.inf)
     np.maximum.at(top, (0, group), s_hi)
     np.maximum.at(top, (1, group), s_turn)
-    widest = _mask_angle(u_min[:, None], top[0], e)
+    np.maximum.at(top, (2, group), -drop)
+    member = np.zeros((n_group, n_beam), dtype=bool)
+    member[group, beam] = True
+    widest = np.where(member, reach[:, None], -np.inf).max(axis=2) + top[2]
+    np.minimum(widest, _mask_angle(u_min[:, None], top[0], e), out=widest)
     widest += grow * (top[1] + u_turn[:, None]) + _CAP_MARGIN
     cells = _DirectionCells(sats[0], rs, group, n_knot)
     ranges, owner = cells.query(uhat, np.repeat(widest, n_knot, axis=0))
@@ -380,6 +415,7 @@ def _near_screen(sat_pos, sat_vel, user_pos, user_vel, knots, step_s, sat_bounds
         u = q // n_knot
         angle = np.arccos(np.clip(_dot(unit, users[3:6].take(q, axis=1)), -1.0, 1.0))
         cap = _mask_angle(u_min.take(u), s_hi.take(s), e)
+        np.minimum(cap, reach.take(u * n_beam + beam.take(s)) - drop.take(s), out=cap)
         cap += grow * (s_turn.take(s) + u_turn.take(u)) + _CAP_MARGIN
         near = np.flatnonzero(angle <= cap)
         # the near knots as sorted keys (s * U + u) * K + k, satellite by
@@ -402,18 +438,30 @@ def _near_screen(sat_pos, sat_vel, user_pos, user_vel, knots, step_s, sat_bounds
         su, k = np.divmod(ends, n_knot)
         s, u = np.divmod(su, n_user)
         row = u * n_sat + s  # the output's (user, satellite) key
-        # the knot test there
-        z, zdot = _heights(sats, users, s * n_knot + k, u * n_knot + k)
-        z -= _elevation_floor(user_r_max.take(u), sat_low.take(s), min_elevation_deg)
+        # the knot test there, against the tighter of the mask's and the
+        # beam's floor
+        sk, uk = s * n_knot + k, u * n_knot + k
+        z, zdot = _heights(sats, users, sk, uk)
+        cos_angle = (z + users[10].take(uk)) / rs.take(sk)  # of the central angle
+        ub = u * n_beam + beam.take(s)
+        floor = lift.take(s) * cos_phi.take(ub)
+        floor += base.take(ub)
+        floor -= lift_margin.take(s)
+        np.maximum(floor, _elevation_floor(user_r_max.take(u), sat_low.take(s), min_elevation_deg),
+                   out=floor)
+        z -= floor
         at = np.flatnonzero(z >= 0.0)
         keys.append(row.take(at) * n_steps + knots.take(k.take(at)))
-        # both parabola bounds on the near intervals more than a step long
+        # both parabola bounds on the near intervals more than a step long,
+        # with the lesser of A and the upward bound A+
         left = left.take(np.flatnonzero(gap.take(k.take(left)) > 1))
         u, s, j = u.take(left), s.take(left), k.take(left)
-        accel, slack = _pair_rates(
-            (s_lo.take(s), s_hi.take(s), s_v.take(s)), (u_lo.take(u), u_hi.take(u), u_v.take(u)),
-            sat_r.take(s), h,
-        )
+        bounds = ((s_lo.take(s), s_hi.take(s), s_v.take(s)),
+                  (u_lo.take(u), u_hi.take(u), u_v.take(u)))
+        accel, slack = _pair_rates(*bounds, sat_r.take(s), h)
+        sweep = (1.0 + _VELOCITY_SLACK) * (s_turn.take(s) + u_turn.take(u)) * span.take(j)
+        far = _far_cos(cos_angle.take(left), cos_angle.take(left + 1), sweep)
+        np.minimum(accel, _upward_accel(*bounds, sat_r.take(s), h, far), out=accel)
         t, m = _between_knots(
             z.take(left), z.take(left + 1), zdot.take(left), zdot.take(left + 1), accel, slack,
             gap.take(j), span.take(j), step_s,
@@ -573,17 +621,94 @@ def _mask_angle(r_user, r_sat, e):
     return np.arccos(np.minimum(1.0, math.cos(e) * r_user / r_sat)) - e
 
 
-def mask_reach(sat_bounds, user_bounds, user_r_min, min_elevation_deg):
+def _beam_reach(beams, s_hi, r_user):
+    """(beam, reach, drop, groups): the beam's bound on the central angle
+    between S satellites, at radius at most ``s_hi`` [km], and users at
+    radius at least ``r_user`` (U,) [km] that are inside the satellite's
+    beam and above their horizon. Θ_b of user u and satellite s is
+    reach[u, beam[s]] - drop[s]; beam: (S,) each satellite's beam group;
+    groups: (rho, nadir, top), each (G,): each group's r_s sin h [km] (a
+    nadir-law group's), whether its cone is a nadir law, and its largest
+    s_hi [km]. ``beams`` is (nadir, param, group),
+    each (S,): the cone parameters of :func:`beam_cos_half_arrays` and the
+    beam group (a fleet's shell or catalog, one beam each); None bounds
+    nothing (Θ_b infinite).
+
+    A user at r_u < r_s at the off-nadir angle α and central angle γ has
+    r_s sin α = r_u sin(α + γ), and above its horizon α + γ <= pi / 2, so
+    γ = asin(r_s sin α / r_u) - α, which rises with α. Inside a beam of
+    half-cone h, then, γ <= asin(min(1, r_s sin h / r_u)) - min(h, asin(r_u
+    / r_s)), which rises with r_s and falls with r_u. For a nadir-law beam
+    (sin h = f Re / r_s) r_s sin h = f Re, so reach = asin(f Re / r_u) and
+    drop = h at s_hi (reach pi where f Re >= r_u, which bounds nothing);
+    a fixed cone takes both terms at its group's largest s_hi, with drop 0.
+    Each cone is widened to cos h - ``_BEAM_MARGIN``: a fixed one directly,
+    a nadir-law one to r_s sin h = sqrt((f Re)^2 + 2 margin r^2), at the
+    group's largest s_hi r, which keeps the law's form."""
+    n_sat, n_user = len(s_hi), len(r_user)
+    if beams is None:
+        return (np.zeros(n_sat, dtype=np.int64), np.full((n_user, 1), np.inf), np.zeros(n_sat),
+                (np.zeros(1), np.zeros(1, dtype=bool), np.zeros(1)))
+    is_nadir, param, beam = beams
+    n_beam = int(beam.max(initial=-1)) + 1
+    nadir = np.zeros(n_beam, dtype=bool)
+    nadir[beam] = is_nadir
+    cone = np.ones(n_beam)
+    cone[beam] = param
+    top = np.zeros(n_beam)
+    np.maximum.at(top, beam, s_hi)
+    half = np.where(nadir, 0.0, np.arccos(np.maximum(cone - _BEAM_MARGIN, 0.0)))
+    r_user = r_user[:, None]
+    # absent groups (top 0) and groups of rows without r_hi (top inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        wide = np.hypot(cone * EARTH_RADIUS_KM, math.sqrt(2.0 * _BEAM_MARGIN) * top)
+        rho = np.where(nadir, wide, top * np.sin(half))
+        reach = np.arcsin(np.minimum(1.0, rho / r_user))
+        reach -= np.minimum(half, np.arcsin(np.minimum(1.0, r_user / top)))
+        drop = np.arcsin(np.fmin(1.0, rho.take(beam) / s_hi))
+    reach[nadir & (rho >= r_user)] = np.pi
+    return beam, reach, np.where(is_nadir, drop, 0.0), (rho, nadir, top)
+
+
+def _beam_floor_terms(rho, nadir, top, u_min, u_max):
+    """(cos_phi, base), each (U, G): the beam's floor on z = sat . û - r_u
+    for a user of radius in [u_min, u_max] (U,) [km] and a satellite of
+    nadir-law group g at radius at least r_low, inside its beam and above
+    the user's horizon, is lift cos_phi[u, g] + base[u, g], with lift =
+    sqrt(r_low^2 - rho_g^2); where this is no bound (fixed cones), cos_phi
+    is 0 and base -inf. rho, nadir, top: the groups of :func:`_beam_reach`.
+
+    With φ = asin(rho / r_u) and h = asin(rho / r_s), the central angle is
+    at most φ - h, so z >= c_b = r_s cos(φ - h) - r_u = r_s cos h cos φ +
+    rho^2 / r_u - r_u. dc_b / dr_s = cos φ / cos h >= 0, and dc_b / dr_u =
+    r_s sin(φ - h) tan φ / r_u - 1, below 0 wherever r_s sin(φ - h) tan φ <
+    r_u. That product is largest at (u_min, the group's largest s_hi), so
+    where it is below u_min there, c_b is least at (u_max, r_low)."""
+    sin_phi = rho / u_min[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):  # groups absent from the rows
+        sin_h = np.minimum(1.0, rho / top)
+        cos_phi = np.sqrt(np.maximum(1.0 - sin_phi * sin_phi, 0.0))
+        slope = top * (sin_phi * np.sqrt(1.0 - sin_h * sin_h) - cos_phi * sin_h) * sin_phi / cos_phi
+        bound = nadir & (sin_phi < 1.0) & (slope < u_min[:, None])
+    u_max = u_max[:, None]
+    cos_phi = np.where(bound, np.sqrt(np.maximum(1.0 - np.square(rho / u_max), 0.0)), 0.0)
+    return cos_phi, np.where(bound, rho * rho / u_max - u_max, -np.inf)
+
+
+def mask_reach(sat_bounds, user_bounds, user_r_min, min_elevation_deg, beams=None):
     """(Θ, Ω), each (n,), for n satellites and a set of users: Θ [rad] is
     the largest central angle between a satellite and a user at which the
-    user can see it at or above the elevation mask e, and Ω [rad/s] bounds
-    how fast that angle can change.
+    user can see it, at or above the elevation mask e and, given the
+    satellites' ``beams``, inside the satellite's beam, and Ω [rad/s]
+    bounds how fast that angle can change.
 
     A satellite at radius r_s is at elevation >= e from a user at radius
     r_u only within the central angle arccos(cos e r_u / r_s) - e, which
     rises with r_s and falls with r_u; so Θ takes it at the orbit's r_hi
     and ``user_r_min``, the users' least radius [km] over the instants to
-    be bounded (a satellite that cannot rise to the mask gets Θ = -e). The
+    be bounded (a satellite that cannot rise to the mask gets Θ = -e).
+    With beams, (nadir, param, group) of :func:`_beam_reach`, Θ is the
+    lesser of that and the beam's bound Θ_b, taken at the same radii. The
     direction of an object at radius at least r_lo moving at most at v_hi
     turns at most at v_hi / r_lo, and SGP4's positions move at most
     ``_VELOCITY_SLACK`` of the speed faster than its velocities say, so
@@ -595,6 +720,8 @@ def mask_reach(sat_bounds, user_bounds, user_r_min, min_elevation_deg):
     s_lo, s_hi, s_v = sat_bounds
     u_lo, _, u_v = user_bounds
     reach = _mask_angle(user_r_min, s_hi, math.radians(min_elevation_deg))
+    beam, beam_reach, drop, _ = _beam_reach(beams, s_hi, np.array([float(user_r_min)]))
+    np.minimum(reach, beam_reach[0].take(beam) - drop, out=reach)
     rate = (1.0 + _VELOCITY_SLACK) * (s_v / s_lo + np.max(u_v / u_lo))
     return reach, rate
 
@@ -692,7 +819,9 @@ def _pair_rates(sat_bounds, user_bounds, sat_r_knots, span_max):
     |r''| <= mu e / r_p^2 and |r'| <= e sqrt(mu / p) <= e sqrt(mu / r_p),
     with e <= (r_hi - r_lo) / (r_hi + r_lo). |sat| is at most r_hi, and at
     most the largest knot radius plus v_hi times half the longest knot
-    interval (for drag orbits, whose r_hi is infinite).
+    interval (for drag orbits, whose r_hi is infinite). A is two-sided and
+    holds at any central angle; the screen also forms the one-sided
+    :func:`_upward_accel` per interval and takes the lesser.
     """
     s_lo, s_hi, s_v = sat_bounds
     u_lo, u_hi, u_v = user_bounds
@@ -709,12 +838,62 @@ def _pair_rates(sat_bounds, user_bounds, sat_r_knots, span_max):
     return accel, slack
 
 
+def _far_cos(cos0, cos1, turn):
+    """A lower bound on cos γ_max, γ_max = min(γ0, γ1) + ``turn`` [rad], from
+    the cosines of the central angles γ0 and γ1 at an interval's knots: with
+    c = cos min(γ0, γ1) and s = sin of it, c (1 - turn^2 / 2) - s turn. It
+    is above 0 only where γ_max < pi / 2."""
+    c = np.maximum(np.maximum(cos0, cos1), 0.0)
+    turn = np.minimum(turn, np.pi)  # any turn from pi / 2 on bounds nothing
+    out = np.sqrt(1.0 - np.minimum(c * c, 1.0))
+    out *= -turn
+    out += c * (1.0 - 0.5 * turn * turn)
+    return out
+
+
+def _upward_accel(sat_bounds, user_bounds, sat_r_knots, span_max, cos_far):
+    """A+ [km/s^2], a one-sided bound z'' <= A+ for pairs whose central
+    angle stays within γ_max, given cos_far <= cos γ_max (:func:`_far_cos`);
+    the arguments broadcast to the pairs' shape, as in :func:`_pair_rates`.
+    A+ is infinite (no bound) where cos_far <= 0 or an orbit bound is not
+    finite (deep-space or drag orbits), and at least 0, so that a parabola
+    with it stays convex.
+
+    With q = sat . û = z + r, a_s and a_u the non-Keplerian accelerations
+    of the satellite and the user (each within ``_ACCEL_MARGIN`` of mu /
+    r_lo^2),
+
+        z'' = -q (mu / |sat|^3 + mu / r^3 + r'' / r) + 2 sat' . û'
+              - 2 r' (sat . û') / r - r'' + a_s . û + sat . a_u / r.
+
+    Where γ <= γ_max < pi / 2, q >= s_lo cos γ_max > 0, so the first term
+    is at most -s_lo cos γ_max (mu / s_r^3 + mu / u_hi^3 - r''_max / u_lo)
+    (0 where that factor is not positive), with |sat| <= s_r of
+    :func:`_pair_rates`; the others are bounded as there. Near the zenith
+    the first two terms nearly cancel, and A+ is about 15x smaller than A.
+    """
+    s_lo, s_hi, s_v = sat_bounds
+    u_lo, u_hi, u_v = user_bounds
+    mu = MU_EARTH
+    s_r = np.minimum(s_hi, sat_r_knots + 0.5 * span_max * s_v)
+    u_e, u_rdd = _radial_accel(u_lo, u_hi)
+    u_ang = u_v / u_lo
+    u_rd = u_e * np.sqrt(mu / u_lo)
+    pull = np.maximum(mu / s_r**3 + mu / u_hi**3 - u_rdd / u_lo, 0.0)
+    up = (2.0 * u_ang * (s_v + u_rd * s_r / u_lo) + u_rdd
+          + _ACCEL_MARGIN * mu * (1.0 / s_lo**2 + s_r / u_lo**3)
+          - s_lo * np.maximum(cos_far, 0.0) * pull)
+    bounded = (cos_far > 0.0) & np.isfinite(up) & np.isfinite(s_hi) & np.isfinite(u_hi)
+    return np.where(bounded, np.maximum(up, 0.0), np.inf)
+
+
 def _between_knots(z0, z1, v0, v1, accel, slack, gap, span, step_s):
     """(t, m): the steps strictly between knots that both parabola bounds of
     :func:`horizon_screen` keep, as the index t of their interval and the
     steps m after its first knot. Per interval: z0, z1, z - c at its two
-    knots; v0, v1, ż there; accel, slack, the pair's A and D
-    (:func:`_pair_rates`); gap, span, its length in steps and seconds."""
+    knots; v0, v1, ż there; accel, slack, the interval's bound on z'' (at
+    least 0: the lesser of A and A+) and the pair's D (:func:`_pair_rates`,
+    :func:`_upward_accel`); gap, span, its length in steps and seconds."""
     half = 0.5 * accel * span * span
     # each bound's larger end value, over the whole interval
     fwd = np.maximum(z0 + (v0 + slack) * span + half, z0)

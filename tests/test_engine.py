@@ -1255,8 +1255,10 @@ def test_fleet_set_up_checks_only_the_slots_that_may_fail(monkeypatch):
 def test_run_profile_counts_repeat_and_add_up(tmp_path, monkeypatch):
     # manifest.json's profile holds the screen's work counts: the same on a
     # second run of the scenario, candidates the sum of the blocks'
-    # candidate counts, near triples fewer than the triples screened; and
-    # without the cull every pair is a candidate and nothing is screened
+    # candidate counts, near triples fewer than the triples screened, knot
+    # states at most rows x knots; without the cull every pair is a
+    # candidate and nothing is screened; and the visible pairs are the same
+    # with the cull on and off and on 1 and 3 threads
     from leolink import engine
 
     cfg = mini_cfg(users=random_users(3, 7), duration_s=1200.0, output_dir=tmp_path)
@@ -1278,11 +1280,19 @@ def test_run_profile_counts_repeat_and_add_up(tmp_path, monkeypatch):
     assert first["triples"] % (3 * 10) == 0
     assert first["gathered_pairs"] > 0
     assert first["screen_s"] > 0.0 and first["gathered_pairs_s"] > 0.0
+    # one block of 38 rows and 11 knots, 120 s apart
+    assert 0 < first["knot_states"] <= 38 * 11
+    assert first["visible_pairs"] > 0
     second = run(cfg).profile
-    counts = ("triples", "near_triples", "candidates", "gathered_pairs")
+    counts = ("knot_states", "triples", "near_triples", "candidates", "gathered_pairs",
+              "visible_pairs")
     assert [first[k] for k in counts] == [second[k] for k in counts]
+    threads = run(replace(cfg, threads=3, output_dir=None)).profile
+    assert [first[k] for k in counts] == [threads[k] for k in counts]
     dense = run(replace(cfg, cull=False, output_dir=None)).profile
-    assert [dense[k] for k in counts] == [0, 0, 3 * 38 * cfg.n_steps, 0]
+    assert [dense[k] for k in counts] == [
+        38 * cfg.n_steps, 0, 0, 3 * 38 * cfg.n_steps, 0, first["visible_pairs"]
+    ]
 
 
 def test_user_summaries_are_built_when_read(monkeypatch):

@@ -330,6 +330,25 @@ def _orbit_records(draw, n):
     return recs
 
 
+@st.composite
+def _beams(draw, n):
+    """Beams of n satellites as the screen takes them, (nadir, param,
+    group), each (n,): up to three beam groups, each of one kind, the limb,
+    a ground-service cone (0 degrees included) or a fixed cone up to 90
+    degrees (whose edge misses a user's sphere where r_s sin h >= r_u)."""
+    kinds = draw(st.lists(st.one_of(
+        st.just(BeamModel("earth_limb")),
+        st.builds(lambda e: BeamModel("ground_service", service_elevation=e),
+                  st.one_of(st.just(0.0), st.floats(0.0, 90.0, exclude_max=True))),
+        st.builds(lambda h: BeamModel("fixed_half_cone", half_cone=h),
+                  st.one_of(st.just(90.0), st.floats(0.0, 90.0, exclude_min=True))),
+    ), min_size=1, max_size=3))
+    group = np.array(draw(st.lists(st.integers(0, len(kinds) - 1), min_size=n, max_size=n)),
+                     dtype=np.int64)
+    nadir, param = (np.array(col)[group] for col in zip(*(b.cone_params for b in kinds)))
+    return nadir, param, group
+
+
 def _jumping_records():
     """A 12 h orbit (e = 0.5) and a GEO one (e = 0), both with every angle
     0 and inclination 0 or 1 degree, and four LEO orbits. At their epoch the
@@ -481,9 +500,102 @@ def test_screen_keeps_every_pair_above_the_elevation_mask(
 
 
 @settings(max_examples=100, deadline=None)
+@given(
+    sats=_orbit_records(6),
+    users=_orbit_records(3),
+    n_steps=st.integers(3, 150),
+    step_s=st.sampled_from([1.0, 5.0, 10.0, 30.0, 60.0, 120.0]),
+    knot_every=st.integers(2, 30),
+    start_days=st.floats(-1.0, 1.0),
+    min_el=st.one_of(st.just(0.0), st.floats(0.0, 90.0, exclude_max=True)),
+    beams=_beams(6),
+)
+def test_screen_with_beams_keeps_every_visible_pair(
+    sats, users, n_steps, step_s, knot_every, start_days, min_el, beams
+):
+    # given the satellites' beams, of every kind, the screen still keeps
+    # every pair that the two-sided predicate accepts: at or above the
+    # elevation mask and inside the satellite's beam (hypothesis reports the
+    # most such pairs it saw)
+    from hypothesis import target
+
+    fleet, crew, _, _, (sp, svel), (up, uvel) = _dense_states(sats, users, n_steps, step_s, start_days)
+    knots = np.unique(np.r_[np.arange(0, n_steps, knot_every), n_steps - 1])
+    kept = _screen(
+        sp[:, knots], svel[:, knots], up[:, knots], uvel[:, knots], knots, step_s,
+        fleet.orbit_bounds(), crew.orbit_bounds(), min_el, np.linalg.norm(up, axis=-1).max(axis=1),
+        beams,
+    )
+    visible = 0
+    for p, v, keys in zip(up, uvel, kept):
+        _, _, sin_el, cos_off, sat_r = pair_geometry_arrays(sp, svel, p, v)
+        cos_half = beam_cos_half_arrays(beams[0][:, None], beams[1][:, None], sat_r)
+        seen = visible_mask_arrays(sin_el, cos_off, min_el, cos_half)
+        # at the mask 0 a pair on the horizon plane to rounding may fall on
+        # either side (above 0 the screen lowers its floor by a margin)
+        ru2 = np.sum(p * p, axis=-1)
+        seen &= np.abs(np.einsum("sbk,bk->sb", sp, p) - ru2) > 1e-12 * ru2
+        assert np.isin(np.flatnonzero(seen), keys).all()
+        visible += int(seen.sum())
+    target(float(visible), label="visible pairs")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sats=_orbit_records(6),
+    users=_orbit_records(3),
+    n_steps=st.integers(3, 150),
+    step_s=st.sampled_from([1.0, 5.0, 10.0, 30.0, 60.0]),
+    start_days=st.floats(-1.0, 1.0),
+)
+def test_upward_bound_holds_within_its_central_angle(sats, users, n_steps, step_s, start_days):
+    # on near-earth records: over two steps, the second difference of z is
+    # at most the A+ of the largest central angle at the three steps plus
+    # Ω times a step, which bounds the angle between them (hypothesis
+    # reports the largest (z'' - A+) / A it saw)
+    from hypothesis import assume, target
+
+    sats = [r for r in sats if r.method == "n"]
+    users = [r for r in users if r.method == "n"]
+    assume(sats and users)
+    fleet, crew, _, _, (sp, _), (up, _) = _dense_states(sats, users, n_steps, step_s, start_days)
+    ru, rs = np.linalg.norm(up, axis=-1), np.linalg.norm(sp, axis=-1)
+    uhat = up / ru[..., None]
+    z = np.einsum("sbk,ubk->usb", sp, uhat) - ru[:, None, :]
+    zdd = (z[..., 2:] - 2.0 * z[..., 1:-1] + z[..., :-2]) / step_s**2
+    angle = np.arccos(np.clip(np.einsum("sbk,ubk->usb", sp / rs[..., None], uhat), -1.0, 1.0))
+    _, rate = geometry.mask_reach(fleet.orbit_bounds(), crew.orbit_bounds(), ru.min(), 0.0)
+    widest = np.maximum(np.maximum(angle[..., 2:], angle[..., 1:-1]), angle[..., :-2])
+    widest += rate[:, None] * step_s
+    sat_bounds = [b[:, None] for b in fleet.orbit_bounds()]
+    user_bounds = [b[:, None, None] for b in crew.orbit_bounds()]
+    sat_r = rs.max(axis=1)[:, None]
+    upward = geometry._upward_accel(sat_bounds, user_bounds, sat_r, step_s, np.cos(widest))
+    accel, _ = geometry._pair_rates(sat_bounds, user_bounds, sat_r, step_s)
+    bounded = np.isfinite(upward)
+    worst = float(((zdd - upward) / accel)[bounded].max(initial=-1.0))
+    target(worst, label="largest (z'' - A+) / A")
+    assert worst <= 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    g0=st.floats(0.0, math.pi),
+    g1=st.floats(0.0, math.pi),
+    turn=st.one_of(st.floats(0.0, 10.0), st.just(math.inf)),
+)
+def test_far_cos_is_a_lower_bound_that_stops_at_a_right_angle(g0, g1, turn):
+    # the screen's cos γ_max, γ_max = min(γ0, γ1) + turn, from the knots'
+    # cosines: at most cos γ_max, and at most 0 (no bound) from pi / 2 on
+    far = float(geometry._far_cos(np.cos(g0), np.cos(g1), np.float64(turn)))
+    widest = min(g0, g1) + turn
+    assert far <= max(math.cos(min(widest, math.pi)), 0.0) + 1e-12
+
+
+@settings(max_examples=100, deadline=None)
 @example(
     sats=_jumping_records(), users=_jumping_records()[:3], n_steps=27, step_s=1.0,
-    knot_every=3, start_days=0.0,
+    knot_every=3, start_days=0.0, beams=None,
 )
 @given(
     sats=_orbit_records(6),
@@ -492,13 +604,15 @@ def test_screen_keeps_every_pair_above_the_elevation_mask(
     step_s=st.sampled_from([1.0, 5.0, 10.0, 30.0, 60.0, 120.0]),
     knot_every=st.integers(2, 30),
     start_days=st.floats(-1.0, 1.0),
+    beams=st.none() | _beams(6),
 )
 def test_screen_keeps_what_both_parabola_bounds_keep(
-    sats, users, n_steps, step_s, knot_every, start_days
+    sats, users, n_steps, step_s, knot_every, start_days, beams
 ):
     # the screen keeps exactly the steps where both parabola bounds,
     # evaluated at every step with ż from the velocities, reach the horizon
-    # (and at the knots the exact cull), of the triples within the cap
+    # (and at the knots the exact cull), of the triples within the cap,
+    # with or without the satellites' beams
     from hypothesis import assume
 
     from leolink.propagation import PropagationError
@@ -516,13 +630,14 @@ def test_screen_keeps_what_both_parabola_bounds_keep(
     knots = np.unique(np.r_[np.arange(0, n_steps, knot_every), n_steps - 1])
     args = (
         sp[:, knots], svel[:, knots], up[:, knots], uvel[:, knots], knots, step_s,
-        fleet.orbit_bounds(), crew.orbit_bounds(),
+        fleet.orbit_bounds(), crew.orbit_bounds(), 0.0,
+        np.linalg.norm(up[:, knots], axis=-1).max(axis=1),
     )
-    kept = _screen(*args)
+    kept = _screen(*args, beams)
     # and the same screen taking one user and so few candidates at a time
     with mock.patch.object(geometry, "_CULL_CHUNK", 32 * 2 * len(users)):
-        chunked = _screen(*args)
-    want, tie = _dense_screen(*args, 0.0, np.linalg.norm(up[:, knots], axis=-1).max(axis=1))
+        chunked = _screen(*args, beams)
+    want, tie = _dense_screen(*args, beams)
     for w, *screens, t in zip(want, kept, chunked, tie):
         for keys in screens:
             keys = np.setdiff1d(keys, np.flatnonzero(t))
@@ -530,14 +645,16 @@ def test_screen_keeps_what_both_parabola_bounds_keep(
 
 
 def _dense_screen(s_pos, s_vel, u_pos, u_vel, knots, step_s, sat_bounds, user_bounds, min_el,
-                  user_r_max):
+                  user_r_max, beams=None):
     """The dense reference of the horizon screen with knots apart: (want,
     tie), each (U, S, B). want holds the exact test z - c >= 0 at the
-    knots, and between knots k and k+1 the steps where
+    knots, with c the tighter of the mask's and the beam's floor, and
+    between knots k and k+1 the steps where
     z_k + (ż_k + D) h + A h^2 / 2 >= 0 and z_k+1 + (D - ż_k+1) h' + A h'^2 / 2 >= 0,
-    both only where the cap keeps the pair (_near_steps). tie marks the
-    knot steps where z is c to rounding (a satellite that is the user, or
-    one on the mask), which may fall on either side."""
+    with A the lesser of the two-sided bound and the interval's upward
+    bound A+, both only where the cap keeps the pair (_near_steps). tie
+    marks the knot steps where z is c to rounding (a satellite that is the
+    user, or one on the mask), which may fall on either side."""
     # z = sat . û - |user| and ż = v_sat . û + sat . dû/dt - d|user|/dt,
     # (U, S, K) at the knots
     n_steps = knots[-1] + 1
@@ -556,30 +673,57 @@ def _dense_screen(s_pos, s_vel, u_pos, u_vel, knots, step_s, sat_bounds, user_bo
     with np.errstate(invalid="ignore"):  # the absent knots
         rs = np.linalg.norm(s_pos, axis=-1)
         sat_low = np.maximum(sat_bounds[0], np.nanmin(rs, axis=1) - geometry._radius_sag(sat_bounds, span))
-    floor = geometry._elevation_floor(user_r_max[:, None], sat_low, min_el)[..., None]
+        sat_r = np.nanmax(rs, axis=1)
+    # the beam's floor lift cos_phi[u, g] + base[u, g] (geometry._beam_floor_terms)
+    u_min = _least_radius(u_pos, user_bounds, span)
+    beam, _, _, groups = geometry._beam_reach(beams, sat_bounds[1], u_min)
+    cos_phi, base = geometry._beam_floor_terms(*groups, u_min, user_r_max)
+    lift = np.sqrt(np.maximum(sat_low * sat_low - groups[0][beam] ** 2, 0.0))
+    floor = np.maximum(
+        lift * cos_phi[:, beam] + base[:, beam] - (1e-9 * sat_low + 1e-6),
+        geometry._elevation_floor(user_r_max[:, None], sat_low, min_el),
+    )[..., None]
     accel, slack = geometry._pair_rates(
-        sat_bounds, [b[:, None] for b in user_bounds], np.nanmax(rs, axis=1), span
+        sat_bounds, [b[:, None] for b in user_bounds], sat_r, span
     )
-    a, d = accel[..., None], slack[..., None]
+    # each interval's upward bound A+, within the central angle of its
+    # knots plus the angle both can turn over it
+    (s_lo, _, s_v), (u_lo, _, u_v) = sat_bounds, user_bounds
+    turn = (1.0 + geometry._VELOCITY_SLACK) * (s_v / s_lo + (u_v / u_lo)[:, None])
+    cos = (z + ru[:, None]) / rs
+    far = geometry._far_cos(cos[..., :-1], cos[..., 1:], turn[..., None] * (np.diff(knots) * step_s))
+    upward = geometry._upward_accel(
+        [b[:, None] for b in sat_bounds], [b[:, None, None] for b in user_bounds], sat_r[:, None],
+        span, far,
+    )
+    accel = np.minimum(accel[..., None], upward)
+    d = slack[..., None]
     want = np.zeros((len(u_pos), len(s_pos), n_steps), dtype=bool)
     want[..., knots] = z - floor >= 0.0
     for k, (k0, k1) in enumerate(zip(knots[:-1], knots[1:])):
+        a = accel[..., k, None]
         after = np.arange(1, k1 - k0) * step_s
         before = (k1 - k0) * step_s - after
         fwd = z[..., k, None] - floor + (zdot[..., k, None] + d) * after + 0.5 * a * after * after
         bwd = z[..., k + 1, None] - floor + (d - zdot[..., k + 1, None]) * before + 0.5 * a * before * before
         want[..., k0 + 1 : k1] = (fwd >= 0.0) & (bwd >= 0.0)
-    want &= _near_steps(s_pos, u_pos, knots, step_s, sat_bounds, user_bounds, min_el)
+    want &= _near_steps(s_pos, u_pos, knots, step_s, sat_bounds, user_bounds, min_el, beams)
     tie = np.zeros_like(want)
     tie[..., knots] = np.abs(z - floor) <= 1e-12 * ru[:, None]
     return want, tie
 
 
-def _near_steps(s_pos, u_pos, knots, step_s, sat_bounds, user_bounds, min_el):
+def _least_radius(u_pos, user_bounds, span):
+    """Each user's least radius over the block, from its knots and radius sag."""
+    ru = np.linalg.norm(u_pos, axis=-1)
+    return np.maximum(user_bounds[0], ru.min(axis=1) - geometry._radius_sag(user_bounds, span))
+
+
+def _near_steps(s_pos, u_pos, knots, step_s, sat_bounds, user_bounds, min_el, beams=None):
     """(U, S, B) bool, the steps of each pair that the screen's cap keeps:
     the steps of each (interval, user, satellite) triple whose central angle
-    at either knot is at most Θ + Ω H / 2 + margin, Θ from the user's least
-    radius over the block (from its knots and radius sag), and the knots
+    at either knot is at most min(Θ, Θ_b) + Ω H / 2 + margin, Θ and the
+    beam's Θ_b from the user's least radius over the block, and the knots
     next to such a triple. An absent (NaN) knot is never near."""
     n_steps = knots[-1] + 1
     span = np.diff(knots).max() * step_s
@@ -588,8 +732,10 @@ def _near_steps(s_pos, u_pos, knots, step_s, sat_bounds, user_bounds, min_el):
     cos = np.einsum("skc,ukc->usk", s_pos / rs[..., None], u_pos / ru[..., None])
     angle = np.arccos(np.clip(cos, -1.0, 1.0))
     (s_lo, s_hi, s_v), (u_lo, _, u_v) = sat_bounds, user_bounds
-    u_min = np.maximum(u_lo, ru.min(axis=1) - geometry._radius_sag(user_bounds, span))
-    cap = geometry._mask_angle(u_min[:, None], s_hi, math.radians(min_el)) + geometry._CAP_MARGIN
+    u_min = _least_radius(u_pos, user_bounds, span)
+    beam, reach, drop, _ = geometry._beam_reach(beams, s_hi, u_min)
+    cap = geometry._mask_angle(u_min[:, None], s_hi, math.radians(min_el))
+    cap = np.minimum(cap, reach[:, beam] - drop) + geometry._CAP_MARGIN
     cap += (1.0 + geometry._VELOCITY_SLACK) * 0.5 * span * (s_v / s_lo + (u_v / u_lo)[:, None])
     with np.errstate(invalid="ignore"):
         at_knot = angle <= cap[..., None]
@@ -654,14 +800,16 @@ def _sky_states(draw, n, n_knot, radius, absent, crowd=0):
     step_s=st.sampled_from([1.0, 10.0, 60.0, 600.0]),
     min_el=st.one_of(st.just(0.0), st.floats(0.0, 90.0, exclude_max=True), st.just(89.99)),
     small_chunk=st.booleans(),
+    with_beams=st.booleans(),
 )
 def test_screen_keys_equal_the_dense_reference_on_cell_edge_cases(
-    data, n_sat, crowd, n_user, gaps, step_s, min_el, small_chunk
+    data, n_sat, crowd, n_user, gaps, step_s, min_el, small_chunk, with_beams
 ):
     # the cells drop no near triple: at directions on the poles and at right
     # ascension +-pi, for caps from below 0 (a mask near 90) to above 90
     # degrees and infinite (no speed bound), with absent knots, no
-    # satellites and one user, the screen's keys are the dense reference's
+    # satellites, one user and the satellites' beams or none, the screen's
+    # keys are the dense reference's
     knots = np.cumsum([0] + gaps)
     sat_pos, sat_vel, sat_bounds = data.draw(
         _sky_states(n_sat, len(knots), (EARTH_RADIUS_KM + 200.0, 50000.0), True, crowd)
@@ -670,8 +818,9 @@ def test_screen_keys_equal_the_dense_reference_on_cell_edge_cases(
         _sky_states(n_user, len(knots), (EARTH_RADIUS_KM + 100.0, 45000.0), False)
     )
     user_r_max = np.linalg.norm(user_pos, axis=-1).max(axis=1)
+    beams = data.draw(_beams(len(sat_pos))) if with_beams else None
     args = (sat_pos, sat_vel, user_pos, user_vel, knots, step_s, sat_bounds, user_bounds, min_el,
-            user_r_max)
+            user_r_max, beams)
     with mock.patch.object(geometry, "_CULL_CHUNK", 32 if small_chunk else geometry._CULL_CHUNK):
         kept = _screen(*args)
     assert len(kept) == n_user
@@ -709,12 +858,17 @@ def _dense_states(sats, users, n_steps, step_s, start_days):
     step_s=st.sampled_from([1.0, 5.0, 10.0, 30.0, 60.0, 120.0]),
     start_days=st.floats(-1.0, 1.0),
     min_el=st.one_of(st.just(0.0), st.floats(0.0, 90.0, exclude_max=True)),
+    beams=_beams(6),
 )
-def test_mask_reach_bounds_the_central_angle(sats, users, n_steps, step_s, start_days, min_el):
+def test_mask_reach_bounds_the_central_angle(
+    sats, users, n_steps, step_s, start_days, min_el, beams
+):
     # for near-earth users: between any two steps the central angle θ from
     # a satellite to a user moves by at most Ω times the time between
-    # them (hypothesis reports the largest move / Ω Δt it saw), and every
-    # pair at or above the elevation mask has θ <= Θ
+    # them (hypothesis reports the largest move / Ω Δt it saw), every
+    # pair at or above the elevation mask has θ <= Θ, and, given the
+    # satellites' beams, every pair that is also inside the beam has θ <=
+    # that Θ (hypothesis reports the most visible pairs it saw)
     from hypothesis import assume, target
 
     users = [r for r in users if r.method == "n"]
@@ -731,11 +885,21 @@ def test_mask_reach_bounds_the_central_angle(sats, users, n_steps, step_s, start
     )
     target(moved, label="largest move of θ / Ω Δt")
     assert moved <= 1.0
+    beam_reach, _ = geometry.mask_reach(
+        fleet.orbit_bounds(), crew.orbit_bounds(), r_u.min(), min_el, beams
+    )
+    assert (beam_reach <= reach).all()
     sin_min = math.sin(math.radians(min_el))
+    visible = 0
     for u, (p, v) in enumerate(zip(up, uvel)):
-        _, _, sin_el, _, _ = pair_geometry_arrays(sp, svel, p, v)
+        _, _, sin_el, cos_off, sat_r = pair_geometry_arrays(sp, svel, p, v)
         s, b = np.nonzero(sin_el >= sin_min)
         assert (theta[u, s, b] <= reach[s]).all()
+        cos_half = beam_cos_half_arrays(beams[0][:, None], beams[1][:, None], sat_r)
+        s, b = np.nonzero(visible_mask_arrays(sin_el, cos_off, min_el, cos_half))
+        assert (theta[u, s, b] <= beam_reach[s]).all()
+        visible += len(s)
+    target(float(visible), label="visible pairs")
 
 
 @settings(max_examples=100, deadline=None)
