@@ -20,10 +20,15 @@ changes in row order.
 * Deep-space tiles (period >= 225 min) add the secular lunar-solar
   rates, the resonance integrator of ``_dspace`` and the lunar-solar
   periodics of ``_dpper``, with the inclination-dependent constants
-  recomputed per element. That nearly doubles the temporaries, which set
-  a small fleet's peak memory, so these tiles hold only about
-  ``DEEP_TILE`` elements: at twice that, a 24 h run of the 23 bundled GEO
-  satellites peaked 6% higher, no faster.
+  recomputed per element. The integrator's states at its 720-minute knots
+  belong to the batch, not the tile: a call first grows one table of them
+  (:class:`_Resonance`) to every knot its instants reach, and each element
+  gathers its knot's state from it, so a tile costs the same however far
+  its instants are from the TLE epoch. The periodics nearly double the
+  temporaries, which set a small fleet's peak memory, so these tiles hold
+  only about ``DEEP_TILE`` elements: at twice that, a 24 h run of the 23
+  bundled GEO satellites peaked 3% higher in RSS (46.8 against 45.3 MB)
+  and ran no faster (2-vCPU Xeon).
 
 Both kinds then share one Kepler / short-period / orientation tail, fed
 (rows, 1) per-satellite columns for near-earth rows and (rows, T) arrays
@@ -31,6 +36,10 @@ for deep-space rows. Agreement with the scalar reference is enforced by
 tests to sub-millimeter. A failure raises :class:`PropagationError` naming
 the object, column and instant: each of the reference's error codes, and a
 non-finite position or velocity, which the reference returns with no code.
+
+Angles wrap through C's fmod, in forms with the bits of the reference's
+floor-mod expressions (:func:`_mod2pi`); numpy's remainder also computes
+the quotient.
 
 :meth:`SatBatch.propagate_pairs` runs the same tiles on scattered
 (record, instant) pairs instead of a grid: each pair tile gathers its
@@ -46,6 +55,7 @@ node and mean anomaly and the two constants that depend on them.
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -104,6 +114,11 @@ _DEEP_FIELDS = tuple(
     "sl2 sl3 sl4 xgh2 xgh3 xgh4 xh2 xh3 xi2 xi3 xl2 xl3 xl4 zmol zmos "
     "d2201 d2211 d3210 d3222 d4410 d4422 d5220 d5232 d5421 d5433 "
     "dedt didt dmdt dnodt domdt del1 del2 del3 xfact xlamo gsto".split()
+)
+# the constants the resonance integrator's knots read (_Resonance)
+_KNOT_FIELDS = tuple(
+    "xlamo no_unkozai xfact del1 del2 del3 argpo argpdot irez "
+    "d2201 d2211 d3210 d3222 d4410 d4422 d5220 d5232 d5421 d5433".split()
 )
 
 # lunar-solar periodics (_dpper)
@@ -201,6 +216,8 @@ class SatBatch:
             if other:
                 raise ValueError(f"{other[0]}: deep-space records need operation mode 'a'")
             self._cols.update(_columns(deep_recs, _DEEP_FIELDS + ("irez",), rows=rows, n=self.n))
+        resonant = [starts[i] for i in deep if recs[i].irez != 0]
+        self._resonance = _Resonance(self._cols, resonant, self.n) if resonant else None
         # maximal runs of rows of one kind, as (start, stop, deep)
         edges = [0, *(np.flatnonzero(np.diff(self.deep)) + 1).tolist(), self.n]
         self._runs = [(a, b, bool(self.deep[a])) for a, b in zip(edges, edges[1:]) if a < b]
@@ -343,6 +360,8 @@ class SatBatch:
         t = np.broadcast_to(np.asarray(t, dtype=float), (self.n, np.atleast_2d(t).shape[-1]))
         pos = np.empty(t.shape + (3,))
         vel = np.empty(t.shape + (3,))
+        if self._resonance is not None:
+            self._resonance.grow(t[self._resonance.resonant])
         failures = []  # (step, row, error) of each failing tile
         for start, stop, deep in self._runs:
             rows = max(1, (DEEP_TILE if deep else TILE) // max(t.shape[1], 1))
@@ -377,6 +396,9 @@ class SatBatch:
         steps = np.asarray(steps, dtype=np.intp)
         pos = np.empty((len(rows), 3))
         vel = np.empty((len(rows), 3))
+        tsince = ((jd - self.epoch_jd[rows]) + (fr[steps] - self.epoch_fr[rows])) * 1440.0
+        if self._resonance is not None:
+            self._resonance.grow(tsince[self._resonance.resonant[rows]])
         failures = []
         edges = np.searchsorted(rows, [start for start, _, _ in self._runs] + [self.n])
         for (_, _, deep), p0, p1 in zip(self._runs, edges, edges[1:]):
@@ -389,7 +411,7 @@ class SatBatch:
                 else:
                     fields = _NEAR_COLUMNS if self._drag[r].any() else _DRAG_FREE_COLUMNS
                 c = SimpleNamespace(**{f: self._cols[f][r] for f in fields})
-                t = (((jd - self.epoch_jd[r]) + (fr[k] - self.epoch_fr[r])) * 1440.0)[:, None]
+                t = tsince[tile, None]
                 try:
                     self._propagate_tile(c, t, pos[tile, None], vel[tile, None], (r, k), deep)
                 except PropagationError as exc:
@@ -446,7 +468,7 @@ class SatBatch:
             nodem, mm, argpm = nodedf, xmdf, argpdf
 
         if deep:
-            em, inclm, argpm, mm, nodem, nm = self._dspace(c, t, argpm, mm, nodem)
+            em, inclm, argpm, mm, nodem, nm = self._dspace(c, t, at[0], argpm, mm, nodem)
             if (nm <= 0.0).any():
                 self._raise(nm <= 0.0, t, at, 2)
         else:
@@ -465,29 +487,30 @@ class SatBatch:
 
         xlm = mm + argpm + nodem
 
-        nodem = np.where(nodem >= 0.0, nodem % _TWOPI, -((-nodem) % _TWOPI))
-        argpm = argpm % _TWOPI
-        xlm = xlm % _TWOPI
-        mm = (xlm - argpm - nodem) % _TWOPI
+        # the remainder with the sign of nodem (C's fmod), and +0.0 for -0.0
+        nodem = np.fmod(nodem + 0.0, _TWOPI)
+        argpm = _mod2pi(argpm)
+        xlm = _mod2pi(xlm)
+        mm = _mod2pi(xlm - argpm - nodem)
 
         if not deep:
             self._tail(c, t, pos, vel, at, am, nm, em, c.inclo, nodem, argpm, mm)
             return
 
-        ep, xincp, nodep, argpp, mp = self._dpper(c, t, em, inclm, nodem, argpm, mm)
+        ep, xincp, nodep, argpp, mp, sinip, cosip = self._dpper(c, t, em, inclm, nodem, argpm, mm)
         flip = xincp < 0.0
         if flip.any():
             xincp = np.where(flip, -xincp, xincp)
             nodep = np.where(flip, nodep + np.pi, nodep)
             argpp = np.where(flip, argpp - np.pi, argpp)
+            sinip = np.sin(xincp)
+            cosip = np.cos(xincp)
         bad = (ep < 0.0) | (ep > 1.0)
         if bad.any():
             self._raise(bad, t, at, 3)
 
         # long period periodics: the inclination-dependent constants follow
         # the perturbed inclination
-        sinip = np.sin(xincp)
-        cosip = np.cos(xincp)
         cosisq = cosip * cosip
         # the reference's guard against dividing by zero at 180 degrees
         den = np.where(np.fabs(cosip + 1.0) > 1.5e-12, 1.0 + cosip, 1.5e-12)
@@ -513,7 +536,7 @@ class SatBatch:
         xl = mp + argpp + nodep + temp * ic.xlcof * axnl
 
         # Kepler's equation, Newton iteration with the reference clamping
-        u = (xl - nodep) % _TWOPI
+        u = _mod2pi(xl - nodep)
         eo1 = u.copy()
         pending = np.ones_like(u, dtype=bool)
         for _ in range(10):
@@ -590,16 +613,17 @@ class SatBatch:
             bad = ~(np.isfinite(pos).all(axis=-1) & np.isfinite(vel).all(axis=-1))
             self._raise(bad, t, at, "position or velocity is not finite")
 
-    @staticmethod
-    def _dspace(c, t, argpm, mm, nodem):
+    def _dspace(self, c, t, rows, argpm, mm, nodem):
         """Secular lunar-solar rates and the resonance integrator of the
-        reference ``_dspace`` -> (em, inclm, argpm, mm, nodem, nm).
+        reference ``_dspace`` -> (em, inclm, argpm, mm, nodem, nm);
+        ``rows`` holds the batch row of each of the tile's rows.
 
         The reference never stores the integrator state back, so every call
         restarts at epoch and takes 720-minute steps towards ``t`` until
         fewer than 720 minutes remain. The state after k steps therefore
-        depends only on the row and on k: it is built once per tile for
-        every k the tile needs, in each direction, and gathered per element.
+        depends only on the row and on k: each element reads it from the
+        batch's table (:class:`_Resonance`), which the call has grown to
+        every k it needs.
         """
         em = c.ecco + c.dedt * t
         inclm = c.inclo + c.didt * t
@@ -617,24 +641,13 @@ class SatBatch:
         # short of, since 720 m - ulp(720 m) divided by 720 stays more than
         # half a spacing below m, so the floor is exact.
         fwd = t > 0.0
-        delt = np.where(fwd, _STEPP, -_STEPP)
         k = np.floor(np.fabs(t) / _STEPP)
-        k_fwd = int(k[fwd].max()) if fwd.any() else 0
-        k_bwd = int(k[~fwd].max()) if not fwd.all() else 0
-        # knot table, columns for k = k_bwd .. 1 backwards, then 0 .. k_fwd
-        # forwards; the state at k = 0 is the epoch state in both directions
-        bwd = _knots(c, k_bwd, -_STEPP)
-        ahead = _knots(c, k_fwd, _STEPP)
-        col = np.where(fwd, k_bwd + k, k_bwd - k).astype(np.intp)
-        xli, xni, xldot, xndt, xnddt = (
-            np.take_along_axis(np.concatenate([b[:, :0:-1], a], axis=1), col, axis=1)
-            for b, a in zip(bwd, ahead)
-        )
+        xli, xni, xldot, xndt, xnddt = self._resonance.gather(rows, fwd, k)
 
-        ft = t - delt * k
+        ft = t - np.where(fwd, _STEPP, -_STEPP) * k
         nm_r = xni + xndt * ft + xnddt * ft * ft * 0.5
         xl = xli + xldot * ft + xndt * ft * ft * 0.5
-        theta = (c.gsto + t * _RPTIM) % _TWOPI
+        theta = _mod2pi(c.gsto + t * _RPTIM)
         mm_r = np.where(
             c.irez == 1, xl - nodem - argpm + theta, xl - 2.0 * nodem + 2.0 * theta
         )
@@ -645,7 +658,8 @@ class SatBatch:
     @staticmethod
     def _dpper(c, t, ep, inclp, nodep, argpp, mp):
         """Lunar-solar periodics of the reference ``_dpper`` (after
-        initialization), including the Lyddane form below 0.2 rad."""
+        initialization), including the Lyddane form below 0.2 rad ->
+        (ep, inclp, nodep, argpp, mp, sin(inclp), cos(inclp))."""
         zm = c.zmos + _ZNS * t
         zf = zm + 2.0 * _ZES * np.sin(zm)
         sinzf = np.sin(zf)
@@ -678,11 +692,12 @@ class SatBatch:
 
         # the standard form at or above 0.2 rad, dividing by sin(i) only there
         high = inclp >= 0.2
-        phs = np.divide(ph, sinip, out=np.zeros_like(ph), where=high)
-        nodeh = nodep + phs
-        argph = argpp + (pgh - cosip * phs)
-        if high.all():
-            return ep, inclp, nodeh, argph, mp + pl
+        if high.any():
+            phs = np.divide(ph, sinip, out=np.zeros_like(ph), where=high)
+            nodeh = nodep + phs
+            argph = argpp + (pgh - cosip * phs)
+            if high.all():
+                return ep, inclp, nodeh, argph, mp + pl, sinip, cosip
 
         # below it, the Lyddane modification
         sinop = np.sin(nodep)
@@ -693,7 +708,8 @@ class SatBatch:
         dbet = -ph * sinop + pinc * cosip * cosop
         alfdp = alfdp + dalf
         betdp = betdp + dbet
-        nodel = np.where(nodep >= 0.0, nodep % _TWOPI, -((-nodep) % _TWOPI))
+        # the remainder with the sign of nodep (C's fmod), and +0.0 for -0.0
+        nodel = np.fmod(nodep + 0.0, _TWOPI)
         # the AFSPC wrap of angles used without a trigonometric function
         nodel = np.where(nodel < 0.0, nodel + _TWOPI, nodel)
         xls = mp + argpp + pl + pgh + (cosip - pinc * sinip) * nodel
@@ -705,8 +721,9 @@ class SatBatch:
         mp = mp + pl
         argpl = xls - mp - cosip * nodel
         if not high.any():
-            return ep, inclp, nodel, argpl, mp
-        return ep, inclp, np.where(high, nodeh, nodel), np.where(high, argph, argpl), mp
+            return ep, inclp, nodel, argpl, mp, sinip, cosip
+        nodep, argpp = np.where(high, nodeh, nodel), np.where(high, argph, argpl)
+        return ep, inclp, nodep, argpp, mp, sinip, cosip
 
     def _raise(self, bad: np.ndarray, t: np.ndarray, at, code: int | str):
         """Raise the reference's error ``code`` (or the reason ``code``) for
@@ -773,51 +790,137 @@ def _columns(records, fields, repeats=None, rows=None, n=None) -> dict[str, np.n
     return dict(zip(fields, np.ascontiguousarray(m)[:, :, None]))
 
 
-def _knots(c, kmax: int, delt: float):
-    """The resonance integrator's state (xli, xni) and rates (xldot, xndt,
-    xnddt) after k = 0 .. kmax steps of ``delt`` minutes from epoch, as
-    (rows, kmax + 1) arrays, one column per k."""
-    xli = c.xlamo
-    xni = c.no_unkozai
-    knots = []
-    for k in range(kmax + 1):
-        atime = k * delt
-        xldot = xni + c.xfact
-        # near-synchronous resonance (irez 1)
-        s1 = np.sin(xli - _FASX2)
-        s2 = np.sin(2.0 * (xli - _FASX4))
-        s3 = np.sin(3.0 * (xli - _FASX6))
-        xndt1 = c.del1 * s1 + c.del2 * s2 + c.del3 * s3
-        xnddt1 = (
-            c.del1 * np.cos(xli - _FASX2)
-            + 2.0 * c.del2 * np.cos(2.0 * (xli - _FASX4))
-            + 3.0 * c.del3 * np.cos(3.0 * (xli - _FASX6))
-        )
-        # near-half-day resonance (irez 2)
-        xomi = c.argpo + c.argpdot * atime
-        x2omi = xomi + xomi
-        x2li = xli + xli
-        xndt2 = (
-            c.d2201 * np.sin(x2omi + xli - _G22) + c.d2211 * np.sin(xli - _G22)
-            + c.d3210 * np.sin(xomi + xli - _G32) + c.d3222 * np.sin(-xomi + xli - _G32)
-            + c.d4410 * np.sin(x2omi + x2li - _G44) + c.d4422 * np.sin(x2li - _G44)
-            + c.d5220 * np.sin(xomi + xli - _G52) + c.d5232 * np.sin(-xomi + xli - _G52)
-            + c.d5421 * np.sin(xomi + x2li - _G54) + c.d5433 * np.sin(-xomi + x2li - _G54)
-        )
-        xnddt2 = (
-            c.d2201 * np.cos(x2omi + xli - _G22) + c.d2211 * np.cos(xli - _G22)
-            + c.d3210 * np.cos(xomi + xli - _G32) + c.d3222 * np.cos(-xomi + xli - _G32)
-            + c.d5220 * np.cos(xomi + xli - _G52) + c.d5232 * np.cos(-xomi + xli - _G52)
-            + 2.0 * (
-                c.d4410 * np.cos(x2omi + x2li - _G44)
-                + c.d4422 * np.cos(x2li - _G44) + c.d5421 * np.cos(xomi + x2li - _G54)
-                + c.d5433 * np.cos(-xomi + x2li - _G54)
-            )
-        )
-        half_day = c.irez == 2
-        xndt = np.where(half_day, xndt2, xndt1)
-        xnddt = np.where(half_day, xnddt2, xnddt1) * xldot
-        knots.append((xli, xni, xldot, xndt, xnddt))
+
+
+def _mod2pi(x: np.ndarray) -> np.ndarray:
+    """``x % 2π`` with its bits, +0.0 for -0.0 and for multiples of 2π
+    included: numpy's remainder computes the quotient too, C's fmod does
+    not."""
+    r = np.fmod(x, _TWOPI)
+    r += np.where(r < 0.0, _TWOPI, 0.0)
+    return r
+
+
+class _Resonance:
+    """The resonance integrator's states at its knots, for the resonant rows
+    of a batch.
+
+    The state after k 720-minute steps from epoch depends only on the row,
+    on k and on the direction, so the table holds (xli, xni, xldot, xndt,
+    xnddt) for k = 0 .. K in each direction as one (5, R, kb + 1 + kf)
+    array, k forwards at column kb + k and backwards at kb - k. The state at
+    k = 0 is the epoch state in both directions: its rates read the time
+    only through xomi + xli - g terms, which lose the sign of a zero time.
+    :meth:`grow` extends the table, continuing the recurrence from the
+    outermost column on each side, so each value has the bits of a restart
+    at epoch. :meth:`gather` only reads it: a call grows the table before
+    its tiles run. The table lives as long as the batch and holds
+    5 R (kb + 1 + kf) floats, 8 bytes each, for the furthest k any call
+    reached: 0.7 MB for the 23 bundled GEO satellites a year from their
+    epoch, and twice that while :meth:`grow` copies it.
+    """
+
+    def __init__(self, cols: dict[str, np.ndarray], rows: list[int], n: int):
+        self.resonant = np.zeros(n, dtype=bool)
+        self.resonant[rows] = True
+        # each batch row's row in the table; 0 for the rows not in it, which
+        # read that row's epoch column and discard it
+        self._index = np.zeros(n, dtype=np.intp)
+        self._index[rows] = np.arange(len(rows))
+        self._c = SimpleNamespace(**{f: cols[f][rows, 0] for f in _KNOT_FIELDS})
+        # (kb, states), replaced whole, so that a tile reads a matching pair;
+        # the epoch column is made by the first call. Calls on other threads
+        # grow it in turn, so that it only grows.
+        self._table = None
+        self._lock = threading.Lock()
+
+    def grow(self, t: np.ndarray) -> None:
+        """Extend the table to every k that the tsince values ``t`` [min]
+        of resonant rows reach."""
+        fwd = t > 0.0
+        k = np.floor(np.fabs(t) / _STEPP)
+        kf = int(k[fwd].max()) if fwd.any() else 0
+        kb = int(k[~fwd].max()) if not fwd.all() else 0
+        with self._lock:
+            if self._table is None:
+                c = self._c
+                epoch = (c.xlamo, c.no_unkozai, *_rates(c, c.xlamo, c.no_unkozai, 0.0))
+                self._table = (0, np.stack(epoch)[:, :, None])
+            have_b, states = self._table
+            have_f = states.shape[2] - 1 - have_b
+            if kb <= have_b and kf <= have_f:
+                return
+            # a row's states beyond the k its own instants reach may
+            # overflow; no tile reads them
+            with np.errstate(over="ignore", invalid="ignore"):
+                back = _knots(self._c, states[:, :, 0], have_b, kb, -_STEPP)
+                ahead = _knots(self._c, states[:, :, -1], have_f, kf, _STEPP)
+            states = np.concatenate([back[:, :, ::-1], states, ahead], axis=2)
+            self._table = (max(kb, have_b), states)
+
+    def gather(self, rows: np.ndarray, fwd: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """(xli, xni, xldot, xndt, xnddt), each shaped as ``k``: the state
+        after ``k`` steps, forwards where ``fwd``, of batch row ``rows[i]``
+        at row i of ``k``; a row not in the table reads the epoch column,
+        since its own k may lie beyond every column the table holds."""
+        kb, states = self._table
+        k = np.where(self.resonant[rows][:, None], k, 0.0)
+        col = np.where(fwd, kb + k, kb - k).astype(np.intp)
+        flat = self._index[rows][:, None] * states.shape[2] + col
+        return states.reshape(len(states), -1)[:, flat]
+
+
+def _knots(c, state: np.ndarray, k0: int, k1: int, delt: float) -> np.ndarray:
+    """The integrator's states after k = k0 + 1 .. k1 steps of ``delt``
+    minutes from epoch, (5, rows, k1 - k0), from ``state`` (5, rows), the
+    state after k0 steps; (5, rows, 0) if k1 <= k0."""
+    out = np.empty(state.shape + (max(0, k1 - k0),))
+    # contiguous copies, as a tile's columns are
+    xli, xni, xldot, xndt, xnddt = (np.array(s) for s in state)
+    for j, k in enumerate(range(k0 + 1, k1 + 1)):
         xli = xli + xldot * delt + xndt * _STEP2
         xni = xni + xndt * delt + xnddt * _STEP2
-    return [np.concatenate(q, axis=1) for q in zip(*knots)]
+        xldot, xndt, xnddt = _rates(c, xli, xni, k * delt)
+        out[:, :, j] = xli, xni, xldot, xndt, xnddt
+    return out
+
+
+def _rates(c, xli, xni, atime: float):
+    """The integrator's rates (xldot, xndt, xnddt) at state (xli, xni),
+    ``atime`` minutes from epoch."""
+    xldot = xni + c.xfact
+    # near-synchronous resonance (irez 1)
+    s1 = np.sin(xli - _FASX2)
+    s2 = np.sin(2.0 * (xli - _FASX4))
+    s3 = np.sin(3.0 * (xli - _FASX6))
+    xndt1 = c.del1 * s1 + c.del2 * s2 + c.del3 * s3
+    xnddt1 = (
+        c.del1 * np.cos(xli - _FASX2)
+        + 2.0 * c.del2 * np.cos(2.0 * (xli - _FASX4))
+        + 3.0 * c.del3 * np.cos(3.0 * (xli - _FASX6))
+    )
+    # near-half-day resonance (irez 2)
+    xomi = c.argpo + c.argpdot * atime
+    x2omi = xomi + xomi
+    x2li = xli + xli
+    xndt2 = (
+        c.d2201 * np.sin(x2omi + xli - _G22) + c.d2211 * np.sin(xli - _G22)
+        + c.d3210 * np.sin(xomi + xli - _G32) + c.d3222 * np.sin(-xomi + xli - _G32)
+        + c.d4410 * np.sin(x2omi + x2li - _G44) + c.d4422 * np.sin(x2li - _G44)
+        + c.d5220 * np.sin(xomi + xli - _G52) + c.d5232 * np.sin(-xomi + xli - _G52)
+        + c.d5421 * np.sin(xomi + x2li - _G54) + c.d5433 * np.sin(-xomi + x2li - _G54)
+    )
+    xnddt2 = (
+        c.d2201 * np.cos(x2omi + xli - _G22) + c.d2211 * np.cos(xli - _G22)
+        + c.d3210 * np.cos(xomi + xli - _G32) + c.d3222 * np.cos(-xomi + xli - _G32)
+        + c.d5220 * np.cos(xomi + xli - _G52) + c.d5232 * np.cos(-xomi + xli - _G52)
+        + 2.0 * (
+            c.d4410 * np.cos(x2omi + x2li - _G44)
+            + c.d4422 * np.cos(x2li - _G44) + c.d5421 * np.cos(xomi + x2li - _G54)
+            + c.d5433 * np.cos(-xomi + x2li - _G54)
+        )
+    )
+    half_day = c.irez == 2
+    xndt = np.where(half_day, xndt2, xndt1)
+    xnddt = np.where(half_day, xnddt2, xnddt1) * xldot
+    return xldot, xndt, xnddt

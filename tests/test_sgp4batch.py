@@ -61,12 +61,13 @@ def test_batch_matches_scalar_property(alt, ecc, inc, raan, ma, t_min):
         assert np.max(np.abs(vel[0, 0] - v)) < 1e-9
 
 
-def _deep_record(name, rev_per_day, ecc, inc, bstar=0.0, argp=270.0, raan=40.0, ma=10.0):
+def _deep_record(name, rev_per_day, ecc, inc, bstar=0.0, argp=270.0, raan=40.0, ma=10.0,
+                 epoch=EPOCH):
     from leolink.tle import TwoLineElementSet
 
     tle = TwoLineElementSet(
         name=name,
-        epoch=EPOCH,
+        epoch=epoch,
         inclination=inc,
         raan=raan,
         eccentricity=ecc,
@@ -96,11 +97,13 @@ def _assert_matches_scalar(recs, t):
 
 # five days either side of epoch: the resonance integrator restarts at epoch
 # and takes up to ten 720-minute steps in either direction, with columns on
-# and next to the step boundaries
+# and next to the step boundaries; and one instant about 28 days out on
+# each side (56 steps)
 _DEEP_T = np.concatenate(
     [
         np.linspace(-7200.0, 7200.0, 97),
         [0.0, 720.0, -720.0, 1440.0, np.nextafter(1440.0, 0.0), np.nextafter(-720.0, -1e4)],
+        [40325.0, -40330.5],
     ]
 )
 
@@ -206,10 +209,11 @@ def test_masked_division_is_silent_at_zero_inclination():
 
     c = SimpleNamespace(**{f: np.zeros((1, 1)) for f in _DEEP_FIELDS})
     ones = np.ones((1, 2))
-    ep, inclp, nodep, argpp, mp = SatBatch._dpper(
+    ep, inclp, nodep, argpp, mp, sinip, cosip = SatBatch._dpper(
         c, 0.0 * ones, 0.1 * ones, np.array([[0.0, 0.5]]), ones, ones, ones
     )
     assert np.array_equal(inclp, [[0.0, 0.5]])
+    assert np.array_equal(sinip, np.sin(inclp)) and np.array_equal(cosip, np.cos(inclp))
     assert np.array_equal(nodep[:, 1], [1.0]) and np.array_equal(argpp[:, 1], [1.0])
     assert np.isfinite(nodep).all() and np.isfinite(argpp).all()
 
@@ -340,24 +344,57 @@ def _drag_record(name="DRAG", bstar=2.0e-4, catalog_id=22222, mean_motion=15.5):
     return satrec_from_tle(tle)
 
 
-def test_tiled_batch_matches_single_row_batches():
-    # T chosen so that a tile holds 3 rows: 10 rows make tiles of 3, 3, 3, 1
-    from leolink.sgp4batch import TILE
+@pytest.mark.parametrize("kind", ["near", "deep", "deep-epochs"])
+def test_tiled_batch_matches_single_row_batches(kind):
+    # T chosen so that a tile holds 3 rows. Near-earth: 10 rows make tiles
+    # of 3, 3, 3, 1. Deep-space: one tile whose adjacent rows take the three
+    # branches of the lunar-solar periodics, a GEO at 3 deg (the Lyddane
+    # form), the equatorial GEO (its perturbed inclination is negative, and
+    # flipped, up to about 14.8 days past epoch) and a Molniya (at or above
+    # 0.2 rad), 13 to 16 days past epoch. Deep-space epochs: one tile of
+    # resonant rows at the scenario epoch and a non-resonant 8 h orbit whose
+    # TLE is 30 days older, so that its instants are further from its
+    # epoch than any resonant row's
+    from datetime import timedelta
 
-    n_steps = TILE // 3
-    assert TILE // n_steps == 3
-    els = build_walker(ShellSpec(550.0, 53.0, 2, 3), EPOCH) + build_walker(
-        ShellSpec(1200.0, 87.9, 2, 2, raan_span=180.0), EPOCH
-    )
-    recs = _records(els)
-    assert len(recs) == 10
+    from leolink import sgp4batch
+
+    tile = sgp4batch.TILE if kind == "near" else sgp4batch.DEEP_TILE
+    n_steps = tile // 3
+    assert tile // n_steps == 3
+    if kind == "near":
+        els = build_walker(ShellSpec(550.0, 53.0, 2, 3), EPOCH) + build_walker(
+            ShellSpec(1200.0, 87.9, 2, 2, raan_span=180.0), EPOCH
+        )
+        recs = _records(els)
+        start, step_s = 0.0, 10.0
+    elif kind == "deep":
+        recs = [
+            _deep_record("geo_lyddane", *_GEO),
+            _deep_record("geo_equatorial", 1.00273791, 2e-4, 0.0),
+            _deep_record("molniya", 2.00611, 0.72, 63.4),
+        ]
+        start, step_s = 13.0, 3.0 * 86400.0 / n_steps
+    else:
+        recs = [
+            _deep_record("geo", *_GEO),
+            _deep_record("eight", 3.0, 0.1, 30.0, epoch=EPOCH - timedelta(days=30.0)),
+            _deep_record("molniya", 2.00611, 0.72, 63.4),
+        ]
+        assert [rec.irez for rec in recs] == [1, 0, 2]
+        start, step_s = 0.0, 86400.0 / n_steps
     jd, fr = julian_date(EPOCH)
-    frs = fr + np.arange(n_steps) * (10.0 / 86400.0)
-    pos, vel = SatBatch(recs).propagate_jd(jd, frs)
-    assert pos.shape == vel.shape == (10, n_steps, 3)
+    frs = fr + start + np.arange(n_steps) * (step_s / 86400.0)
+    batch = SatBatch(recs)
+    pos, vel = batch.propagate_jd(jd, frs)
+    assert pos.shape == vel.shape == (len(recs), n_steps, 3)
     for i, rec in enumerate(recs):
         p, v = SatBatch([rec]).propagate_jd(jd, frs)
         assert np.array_equal(pos[i], p[0]) and np.array_equal(vel[i], v[0])
+    # and the pair tiles of every third (row, step) of a fresh batch
+    rows, steps = np.divmod(np.arange(0, len(recs) * n_steps, 3), n_steps)
+    p, v = SatBatch(recs).propagate_pairs(jd, frs, rows, steps)
+    assert np.array_equal(p, pos[rows, steps]) and np.array_equal(v, vel[rows, steps])
 
 
 def test_drag_free_tiles_match_the_drag_path():
@@ -434,7 +471,7 @@ _MIXED = SatBatch(_mixed_records())
     n_steps=st.integers(1, 300),
     share=st.floats(0.0, 1.0),
     step_s=st.sampled_from([1.0, 10.0, 60.0, 600.0]),
-    start_days=st.floats(-3.0, 3.0),
+    start_days=st.floats(-40.0, 40.0),
     small_tiles=st.booleans(),
 )
 def test_pairs_match_dense_tiles_bit_for_bit(seed, n_steps, share, step_s, start_days, small_tiles):
@@ -454,6 +491,72 @@ def test_pairs_match_dense_tiles_bit_for_bit(seed, n_steps, share, step_s, start
         p, v = _MIXED.propagate_pairs(jd, frs, rows, steps)
     assert p.shape == v.shape == (len(keys), 3)
     assert np.array_equal(p, pos[rows, steps]) and np.array_equal(v, vel[rows, steps])
+
+
+def test_deep_states_do_not_depend_on_earlier_calls():
+    # the resonance table a batch grows over calls, twice in each direction,
+    # gives the bits of a fresh batch, which grows it in one go
+    jd, fr = julian_date(EPOCH)
+    frs = fr + np.linspace(-40.0, 40.0, 241)
+    fresh = SatBatch(_mixed_records())
+    warm = SatBatch(_mixed_records())
+    for days in (20.0, 40.0, -20.0, -40.0):
+        warm.propagate_jd(jd, fr + days + np.arange(3) / 24.0)
+    for got, want in zip(warm.propagate_jd(jd, frs), fresh.propagate_jd(jd, frs)):
+        assert np.array_equal(got, want)
+    rows, steps = np.nonzero(np.random.default_rng(1).random((warm.n, len(frs))) < 0.3)
+    for got, want in zip(warm.propagate_pairs(jd, frs, rows, steps),
+                         SatBatch(_mixed_records()).propagate_pairs(jd, frs, rows, steps)):
+        assert np.array_equal(got, want)
+
+
+def test_calls_on_threads_grow_one_table_in_turn():
+    # calls on more threads than cores, each reaching other knots, grow one
+    # batch's table: each call gets the bits of its own fresh batch
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    jd, fr = julian_date(EPOCH)
+    days = [-40.0, 35.0, -12.0, 20.0, 40.0, -30.0, 5.0, -3.0]
+    want = [SatBatch(_mixed_records()).propagate_jd(jd, fr + d + np.arange(3) / 24.0) for d in days]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(4):
+            shared = SatBatch(_mixed_records())
+            with ThreadPoolExecutor(max_workers=len(days)) as pool:
+                calls = pool.map(lambda d: shared.propagate_jd(jd, fr + d + np.arange(3) / 24.0),
+                                 days, timeout=120)
+                for (pos, vel), (p, v) in zip(calls, want):
+                    assert np.array_equal(pos, p) and np.array_equal(vel, v)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _bits(x: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(x, dtype=float).view(np.int64)
+
+
+_SPECIAL = [0.0, -0.0, 2.0 * np.pi, -2.0 * np.pi, 6.0 * np.pi, -8.0 * np.pi, 5e-324, -5e-324,
+            2.2e-308, -2.2e-308, 1e300, -1e300, np.nan, -np.nan, np.inf, -np.inf, -1e-20]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(), max_size=64).map(lambda xs: np.array(xs + _SPECIAL)))
+def test_floor_mods_keep_every_bit(x):
+    # the tiles' fmod forms give the bits of the reference's expressions:
+    # x % 2pi, and the mean node's wrap that keeps its sign
+    from leolink.sgp4batch import _TWOPI, _mod2pi
+
+    with np.errstate(invalid="ignore"):  # fmod and % of an infinity
+        assert np.array_equal(_bits(_mod2pi(x)), _bits(x % _TWOPI))
+        node = np.fmod(x + 0.0, _TWOPI)
+        where = np.where(x >= 0.0, x % _TWOPI, -((-x) % _TWOPI))
+    # every bit but a NaN's sign, which the where form flips for -inf; a NaN
+    # anywhere in a tile raises, whatever its sign
+    nan = np.isnan(where)
+    assert np.array_equal(np.isnan(node), nan)
+    assert np.array_equal(_bits(node)[~nan], _bits(where)[~nan])
 
 
 def test_pair_failure_is_the_dense_failure():
