@@ -25,27 +25,27 @@ satellites. On those triples only, it tests each knot exactly against
 the least height above the user's horizon plane at which the satellite
 can clear the mask or, if higher, be seen inside a nadir-law beam, and
 bounds that height between knots by parabolas whose curvature bounds
-z'' from above only, tighter near the zenith, where the height is
-concave; a skipped knot, and an interval it ends, keeps none. Rows whose
-propagation can fail (deep-space or drag rows) are taken at every knot
-and every step, and get the screen's knot test of the mask at every step
-instead of its bounds. Every
-state between knots, the pairs any user keeps and those steps of the
-rows that may fail, comes from one more :meth:`SatBatch.propagate_pairs`
-call, so a block makes at most two fleet calls, and a failure is raised
-as a block without the screen raises it. A fleet whose rows all can fail
-(a GEO fleet) has a knot at every step, all taken in the knot call. All
-the states a block takes go into one (P, 3) store, indexed by one
-(satellite, step) table. ``cull=False`` makes every step a knot and
-every pair a candidate instead. The candidates go on in chunks of whole
-users, of about ``_PAIR_BUDGET`` pairs, through the two-sided visibility
-predicate, whose elevation test is the one exact test of the mask, the
-selection policy and one streaming accumulator, which finalizes every
-user into the columns the output files are formatted from. Threads take
-a chunk each; the accumulator takes the chunks in user order on the
-calling thread, so results are identical for any thread count, and
-satellite states are bit-identical whether taken at knots or as gathered
-pairs.
+z'' from above within the central angle the pair can reach there (an
+interval where it may reach 90 degrees is kept whole); a skipped knot,
+and an interval it ends, keeps none. Rows whose propagation can fail
+(deep-space or drag rows) are taken at every knot and every step, and
+get the screen's knot test of the mask at every step instead of its
+bounds. Every state between knots, the pairs any user keeps and those
+steps of the rows that may fail, comes from one more
+:meth:`SatBatch.propagate_pairs` call, so a block makes at most two
+fleet calls, and a failure is raised as a block without the screen
+raises it. A fleet whose rows all can fail (a GEO fleet) has a knot at
+every step, all taken in the knot call. All the states a block takes go
+into one (P, 3) store, indexed by one (satellite, step) table.
+``cull=False`` makes every step a knot and every pair a candidate
+instead. The candidates go on in chunks of whole users, of about
+``_PAIR_BUDGET`` pairs, through the two-sided visibility predicate,
+whose elevation test is the one exact test of the mask, the selection
+policy and one streaming accumulator, which finalizes every user into
+the columns the output files are formatted from. Threads take a chunk
+each; the accumulator takes the chunks in user order on the calling
+thread, so results are identical for any thread count, and satellite
+states are bit-identical whether taken at knots or as gathered pairs.
 """
 
 from __future__ import annotations

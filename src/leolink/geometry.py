@@ -165,7 +165,7 @@ _CULL_CHUNK = 1 << 21
 # calling thread; parallelism belongs to the engine's ``threads`` option, and
 # a BLAS thread pool competing with other processes stalls every product.
 _GEMM_SIZE = 1 << 18
-# Relative margin on the accelerations in the screen's bounds on z'': the
+# Relative margin on the accelerations in the screen's bound on z'': the
 # non-Keplerian forces of SGP4 (J2 is below 0.4% of gravity). On the orbits
 # that RADIUS_MARGIN was measured on, the batch positions' acceleration came
 # to at most 0.6% above mu / r_p^2, which r_lo alone already covers, and on
@@ -201,11 +201,11 @@ def horizon_screen(
     user_pos: np.ndarray,
     user_vel: np.ndarray | None,
     knots: np.ndarray,
-    step_s: float = 0.0,
-    sat_bounds: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-    user_bounds: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-    min_elevation_deg: float = 0.0,
-    user_r_max: np.ndarray | None = None,
+    step_s: float,
+    sat_bounds: tuple[np.ndarray, np.ndarray, np.ndarray],
+    user_bounds: tuple[np.ndarray, np.ndarray, np.ndarray],
+    min_elevation_deg: float,
+    user_r_max: np.ndarray,
     beams: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     tally: dict | None = None,
 ) -> np.ndarray:
@@ -257,12 +257,11 @@ def horizon_screen(
         z_k - c + (ż_k + D) h + A h^2 / 2   and   z_k+1 - c + (D - ż_k+1) h' + A h'^2 / 2,
 
     where D bounds the gap between SGP4's velocity and the rate of its
-    position and A bounds z'' from above: the lesser of the two-sided bound
-    on |z''| (:func:`_pair_rates`) and the one-sided A+ (:func:`_upward_accel`),
-    which holds while the central angle stays within the smaller of its
-    values at the two knots plus Ω H_k, and is about 15x smaller near the
-    zenith, where z is concave. Both are formed for the pair only, A+ for
-    the interval. Both bounds are convex parabolas, so their ends decide
+    position and A bounds z'' from above (:func:`_curvature`), for the
+    interval: it holds while the central angle stays within the smaller of
+    its values at the two knots plus Ω H_k, and it is infinite, which keeps
+    the interval whole, where that angle may reach pi / 2 or an orbit bound
+    is not finite. Both bounds are convex parabolas, so their ends decide
     each near interval (:func:`_between_knots`); only those kept are tested
     step by step. A step between knots is kept where both bounds and the
     cap keep it. The triples are taken a batch of users at a time, about
@@ -279,17 +278,15 @@ def horizon_screen(
     knot plan has cleared every interval next to it (no user can see the
     satellite there): that knot is then absent, never near, and neither it
     nor an interval it ends is tested, nor enters the satellite's radii.
-    With no satellites (S = 0) it keeps no pair. Velocities and both bounds
-    are read only if some knots are more than one step apart; sat_bounds,
-    if given, narrow c. user_r_max: (U,) each user's largest radius over
-    the block's steps [km], needed for a mask above 0 or beams if some
-    knots are more than one step apart, else the largest at the knots.
-    beams: each satellite's (nadir, param, group) of :func:`_beam_reach`,
-    or None to bound the elevation only. tally: if given, a dict whose
-    ``"triples"`` (users x satellites x intervals) and ``"near_triples"``
-    counts the screen adds to where knots are apart. Returns the kept pairs
-    of every user as one ascending array of keys (u * S + s) * B + step:
-    user by user, each user's in (row, step) order.
+    With no satellites (S = 0) it keeps no pair. Velocities and user_bounds
+    are read only if some knots are more than one step apart; sat_bounds
+    narrow c. user_r_max: (U,) each user's largest radius over the block's
+    steps [km]. beams: each satellite's (nadir, param, group) of
+    :func:`_beam_reach`, or None to bound the elevation only. tally: if
+    given, a dict whose ``"triples"`` (users x satellites x intervals) and
+    ``"near_triples"`` counts the screen adds to where knots are apart.
+    Returns the kept pairs of every user as one ascending array of keys
+    (u * S + s) * B + step: user by user, each user's in (row, step) order.
     """
     if len(sat_pos) == 0:
         return np.zeros(0, dtype=np.int64)
@@ -297,8 +294,6 @@ def horizon_screen(
     if not (np.diff(knots) > 1).any():
         keys = _knot_test(sat_pos, user_pos, knots, sat_bounds, min_elevation_deg, user_r_max)
     else:
-        if user_r_max is None and (min_elevation_deg > 0.0 or beams is not None):
-            raise ValueError("a mask above 0 or beams between knots need the users' largest radii")
         keys = _near_screen(
             sat_pos, sat_vel, user_pos, user_vel, knots, step_s, sat_bounds, user_bounds,
             min_elevation_deg, user_r_max, beams, tally,
@@ -317,17 +312,13 @@ def _knot_test(sat_pos, user_pos, knots, sat_bounds, min_elevation_deg, user_r_m
     n_steps = int(knots[-1]) + 1
     ru2 = np.einsum("ubk,ubk->bu", user_pos, user_pos)
     ru = np.sqrt(ru2)
-    if user_r_max is None:
-        user_r_max = ru.max(axis=0)
     width = max(1, _GEMM_SIZE // (3 * n_user))
     keys = []
     for s0 in range(0, n_sat, width):
         sats = sat_pos[s0 : s0 + width]
         n = len(sats)
         chunk = max(1, _CULL_CHUNK // (n * n_user))
-        sat_low, _ = _radius_range(sats, chunk)
-        if sat_bounds is not None:
-            sat_low = np.maximum(sat_bounds[0][s0 : s0 + n], sat_low)
+        sat_low = np.maximum(sat_bounds[0][s0 : s0 + n], _least_radius(sats, chunk))
         floor = _elevation_floor(user_r_max[:, None], sat_low, min_elevation_deg)
         for b0 in range(0, n_knot, chunk):
             kn = slice(b0, b0 + chunk)
@@ -368,8 +359,6 @@ def _near_screen(sat_pos, sat_vel, user_pos, user_vel, knots, step_s, sat_bounds
     users = np.concatenate([up, uhat, turn, np.stack([ru2, ru, rdot], axis=1)], axis=1).T.copy()
     u_lo, u_hi, u_v = user_bounds
     u_min = np.maximum(u_lo, ru.reshape(n_user, n_knot).min(axis=1) - _radius_sag(user_bounds, h))
-    if user_r_max is None:
-        user_r_max = ru.reshape(n_user, n_knot).max(axis=1)
     # the satellites at the knots, flat s * K + k; NaN at the absent knots
     sats = sat_pos.reshape(-1, 3), sat_vel.reshape(-1, 3)
     rs = np.sqrt(np.einsum("ik,ik->i", sats[0], sats[0]))
@@ -452,16 +441,15 @@ def _near_screen(sat_pos, sat_vel, user_pos, user_vel, knots, step_s, sat_bounds
         z -= floor
         at = np.flatnonzero(z >= 0.0)
         keys.append(row.take(at) * n_steps + knots.take(k.take(at)))
-        # both parabola bounds on the near intervals more than a step long,
-        # with the lesser of A and the upward bound A+
+        # both parabola bounds on the near intervals more than a step long
         left = left.take(np.flatnonzero(gap.take(k.take(left)) > 1))
         u, s, j = u.take(left), s.take(left), k.take(left)
-        bounds = ((s_lo.take(s), s_hi.take(s), s_v.take(s)),
-                  (u_lo.take(u), u_hi.take(u), u_v.take(u)))
-        accel, slack = _pair_rates(*bounds, sat_r.take(s), h)
         sweep = (1.0 + _VELOCITY_SLACK) * (s_turn.take(s) + u_turn.take(u)) * span.take(j)
         far = _far_cos(cos_angle.take(left), cos_angle.take(left + 1), sweep)
-        np.minimum(accel, _upward_accel(*bounds, sat_r.take(s), h, far), out=accel)
+        accel, slack = _curvature(
+            (s_lo.take(s), s_hi.take(s), s_v.take(s)), (u_lo.take(u), u_hi.take(u), u_v.take(u)),
+            sat_r.take(s), h, far,
+        )
         t, m = _between_knots(
             z.take(left), z.take(left + 1), zdot.take(left), zdot.take(left + 1), accel, slack,
             gap.take(j), span.take(j), step_s,
@@ -600,17 +588,15 @@ def _dec_ra(unit):
     return np.arcsin(np.clip(unit[:, 2], -1.0, 1.0)), np.arctan2(unit[:, 1], unit[:, 0])
 
 
-def _radius_range(pos, chunk):
-    """Each object's least and largest radius [km] over the knots of pos
-    (N, K, 3), taken ``chunk`` knots at a time; NaN states (absent knots)
-    are left out."""
-    lo, hi = np.full(len(pos), np.inf), np.zeros(len(pos))
+def _least_radius(pos, chunk):
+    """Each object's least radius [km] over the knots of pos (N, K, 3),
+    taken ``chunk`` knots at a time; NaN states (absent knots) are left
+    out."""
+    lo = np.full(len(pos), np.inf)
     for b0 in range(0, pos.shape[1], chunk):
         part = pos[:, b0 : b0 + chunk]
-        r2 = np.einsum("sbk,sbk->sb", part, part)
-        np.fmin(lo, np.fmin.reduce(r2, axis=1), out=lo)
-        np.fmax(hi, np.fmax.reduce(r2, axis=1), out=hi)
-    return np.sqrt(lo), np.sqrt(hi)
+        np.fmin(lo, np.fmin.reduce(np.einsum("sbk,sbk->sb", part, part), axis=1), out=lo)
+    return np.sqrt(lo)
 
 
 def _mask_angle(r_user, r_sat, e):
@@ -802,42 +788,6 @@ def _elevation_floor(r_user, r_sat, min_elevation_deg):
     return np.maximum(c, 0.0, out=c)
 
 
-def _pair_rates(sat_bounds, user_bounds, sat_r_knots, span_max):
-    """(A, D): A bounds |z''| [km/s^2] and D the error [km/s] of ż taken
-    from SGP4's velocities, for pairs of a user and a satellite, whose
-    bounds and the satellite's largest knot radius ``sat_r_knots`` are
-    arrays that broadcast to the pairs' shape.
-
-    With z = sat . û - r (r = |user|),
-
-        z'' = sat'' . û + 2 sat' . û' + sat . û'' - r'',
-
-    so |z''| <= |sat''| + 2 |sat'| |û'| + |sat| |û''| + |r''|, where
-    |sat''| <= mu / r_lo^2 (widened by ``_ACCEL_MARGIN``), |sat'| <= v_hi,
-    |û'| <= v / r, and from user'' = r'' û + 2 r' û' + r û'',
-    |û''| <= (|user''| + |r''| + 2 |r'| |û'|) / r. On a Kepler orbit
-    |r''| <= mu e / r_p^2 and |r'| <= e sqrt(mu / p) <= e sqrt(mu / r_p),
-    with e <= (r_hi - r_lo) / (r_hi + r_lo). |sat| is at most r_hi, and at
-    most the largest knot radius plus v_hi times half the longest knot
-    interval (for drag orbits, whose r_hi is infinite). A is two-sided and
-    holds at any central angle; the screen also forms the one-sided
-    :func:`_upward_accel` per interval and takes the lesser.
-    """
-    s_lo, s_hi, s_v = sat_bounds
-    u_lo, u_hi, u_v = user_bounds
-    mu = MU_EARTH
-    s_acc = (1.0 + _ACCEL_MARGIN) * mu / s_lo**2
-    s_r = np.minimum(s_hi, sat_r_knots + 0.5 * span_max * s_v)
-    u_acc = (1.0 + _ACCEL_MARGIN) * mu / u_lo**2
-    u_e, u_rdd = _radial_accel(u_lo, u_hi)
-    u_ang = u_v / u_lo
-    u_rd = u_e * np.sqrt(mu / u_lo)
-    u_ang2 = (u_acc + u_rdd + 2.0 * u_rd * u_ang) / u_lo
-    accel = s_acc + 2.0 * u_ang * s_v + u_ang2 * s_r + u_rdd
-    slack = _VELOCITY_SLACK * (s_v + u_v * (1.0 + s_r / u_lo))
-    return accel, slack
-
-
 def _far_cos(cos0, cos1, turn):
     """A lower bound on cos γ_max, γ_max = min(γ0, γ1) + ``turn`` [rad], from
     the cosines of the central angles γ0 and γ1 at an interval's knots: with
@@ -851,26 +801,31 @@ def _far_cos(cos0, cos1, turn):
     return out
 
 
-def _upward_accel(sat_bounds, user_bounds, sat_r_knots, span_max, cos_far):
-    """A+ [km/s^2], a one-sided bound z'' <= A+ for pairs whose central
-    angle stays within γ_max, given cos_far <= cos γ_max (:func:`_far_cos`);
-    the arguments broadcast to the pairs' shape, as in :func:`_pair_rates`.
-    A+ is infinite (no bound) where cos_far <= 0 or an orbit bound is not
-    finite (deep-space or drag orbits), and at least 0, so that a parabola
-    with it stays convex.
+def _curvature(sat_bounds, user_bounds, sat_r_knots, span_max, cos_far):
+    """(A, D): A [km/s^2] bounds z'' from above for pairs of a user and a
+    satellite whose central angle stays within γ_max, given cos_far <= cos
+    γ_max (:func:`_far_cos`), and D bounds the error [km/s] of ż taken from
+    SGP4's velocities. The orbits' bounds, the satellite's largest knot
+    radius ``sat_r_knots`` and cos_far are arrays that broadcast to the
+    pairs' shape. A is infinite (no bound) where cos_far <= 0 or an orbit
+    bound is not finite (deep-space or drag orbits), and at least 0, so
+    that a parabola with it stays convex.
 
-    With q = sat . û = z + r, a_s and a_u the non-Keplerian accelerations
-    of the satellite and the user (each within ``_ACCEL_MARGIN`` of mu /
-    r_lo^2),
+    With z = sat . û - r (r = |user|), q = sat . û = z + r, a_s and a_u the
+    non-Keplerian accelerations of the satellite and the user (each within
+    ``_ACCEL_MARGIN`` of mu / r_lo^2),
 
         z'' = -q (mu / |sat|^3 + mu / r^3 + r'' / r) + 2 sat' . û'
               - 2 r' (sat . û') / r - r'' + a_s . û + sat . a_u / r.
 
     Where γ <= γ_max < pi / 2, q >= s_lo cos γ_max > 0, so the first term
     is at most -s_lo cos γ_max (mu / s_r^3 + mu / u_hi^3 - r''_max / u_lo)
-    (0 where that factor is not positive), with |sat| <= s_r of
-    :func:`_pair_rates`; the others are bounded as there. Near the zenith
-    the first two terms nearly cancel, and A+ is about 15x smaller than A.
+    (0 where that factor is not positive). |sat'| <= v_hi and |û'| <= v /
+    r; on a Kepler orbit |r''| <= mu e / r_p^2 and |r'| <= e sqrt(mu / p)
+    <= e sqrt(mu / r_p), with e <= (r_hi - r_lo) / (r_hi + r_lo); |sat| is
+    at most s_r, the lesser of r_hi and the largest knot radius plus v_hi
+    times half the longest knot interval. Near the zenith the first two
+    terms nearly cancel, and A is about 15x smaller than a bound on |z''|.
     """
     s_lo, s_hi, s_v = sat_bounds
     u_lo, u_hi, u_v = user_bounds
@@ -884,16 +839,17 @@ def _upward_accel(sat_bounds, user_bounds, sat_r_knots, span_max, cos_far):
           + _ACCEL_MARGIN * mu * (1.0 / s_lo**2 + s_r / u_lo**3)
           - s_lo * np.maximum(cos_far, 0.0) * pull)
     bounded = (cos_far > 0.0) & np.isfinite(up) & np.isfinite(s_hi) & np.isfinite(u_hi)
-    return np.where(bounded, np.maximum(up, 0.0), np.inf)
+    slack = _VELOCITY_SLACK * (s_v + u_v * (1.0 + s_r / u_lo))
+    return np.where(bounded, np.maximum(up, 0.0), np.inf), slack
 
 
 def _between_knots(z0, z1, v0, v1, accel, slack, gap, span, step_s):
     """(t, m): the steps strictly between knots that both parabola bounds of
     :func:`horizon_screen` keep, as the index t of their interval and the
     steps m after its first knot. Per interval: z0, z1, z - c at its two
-    knots; v0, v1, ż there; accel, slack, the interval's bound on z'' (at
-    least 0: the lesser of A and A+) and the pair's D (:func:`_pair_rates`,
-    :func:`_upward_accel`); gap, span, its length in steps and seconds."""
+    knots; v0, v1, ż there; accel, slack, the interval's A (at least 0)
+    and D (:func:`_curvature`); gap, span, its length in steps and
+    seconds."""
     half = 0.5 * accel * span * span
     # each bound's larger end value, over the whole interval
     fwd = np.maximum(z0 + (v0 + slack) * span + half, z0)

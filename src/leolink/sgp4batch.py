@@ -101,7 +101,7 @@ _DRAG_FIELDS = tuple(
     "cc1 cc4 cc5 nodecf omgcof xmcof eta delmo sinmao d2 d3 d4 t2cof t3cof t4cof t5cof "
     "isimp".split()
 )
-# the columns a near-earth pair tile gathers, with and without drag
+# the columns a near-earth tile reads, with and without drag
 _NEAR_COLUMNS = _FIELDS + ("isimp", "sinip", "cosip")
 _DRAG_FREE_COLUMNS = tuple(f for f in _NEAR_COLUMNS if f not in _DRAG_FIELDS)
 # the columns mean_directions reads
@@ -115,11 +115,15 @@ _DEEP_FIELDS = tuple(
     "d2201 d2211 d3210 d3222 d4410 d4422 d5220 d5232 d5421 d5433 "
     "dedt didt dmdt dnodt domdt del1 del2 del3 xfact xlamo gsto".split()
 )
-# the constants the resonance integrator's knots read (_Resonance)
-_KNOT_FIELDS = tuple(
-    "xlamo no_unkozai xfact del1 del2 del3 argpo argpdot irez "
-    "d2201 d2211 d3210 d3222 d4410 d4422 d5220 d5232 d5421 d5433".split()
+# the constants that only the resonance integrator's knots read, and all
+# those they read (_Resonance)
+_RESONANCE_FIELDS = tuple(
+    "xlamo xfact del1 del2 del3 d2201 d2211 d3210 d3222 d4410 d4422 d5220 d5232 d5421 "
+    "d5433".split()
 )
+_KNOT_FIELDS = _RESONANCE_FIELDS + ("no_unkozai", "argpo", "argpdot", "irez")
+# the columns a deep-space tile reads besides a near-earth tile's
+_DEEP_COLUMNS = tuple(f for f in _DEEP_FIELDS + ("irez",) if f not in _RESONANCE_FIELDS)
 
 # lunar-solar periodics (_dpper)
 _ZNS, _ZES, _ZNL, _ZEL = 1.19459e-5, 0.01675, 1.5835218e-4, 0.05490
@@ -367,7 +371,8 @@ class SatBatch:
             rows = max(1, (DEEP_TILE if deep else TILE) // max(t.shape[1], 1))
             for r0 in range(start, stop, rows):
                 tile = slice(r0, min(r0 + rows, stop))
-                c = SimpleNamespace(**{f: a[tile] for f, a in self._cols.items()})
+                fields = _tile_columns(deep, self._drag[tile].any())
+                c = SimpleNamespace(**{f: self._cols[f][tile] for f in fields})
                 at = (np.arange(tile.start, tile.stop), None)
                 try:
                     self._propagate_tile(c, t[tile], pos[tile], vel[tile], at, deep)
@@ -406,10 +411,7 @@ class SatBatch:
             for a in range(p0, p1, size):
                 tile = slice(a, min(a + size, p1))
                 r, k = rows[tile], steps[tile]
-                if deep:
-                    fields = self._cols
-                else:
-                    fields = _NEAR_COLUMNS if self._drag[r].any() else _DRAG_FREE_COLUMNS
+                fields = _tile_columns(deep, self._drag[r].any())
                 c = SimpleNamespace(**{f: self._cols[f][r] for f in fields})
                 t = tsince[tile, None]
                 try:
@@ -770,6 +772,12 @@ class SatBatch:
             if (first := attempt(np.array([i]))) is not None:
                 return k, int(rows[i]), first
         return k, int(rows[0]), exc
+
+
+def _tile_columns(deep: bool, drag: bool) -> tuple[str, ...]:
+    """The columns a tile of rows reads: a near-earth tile's, with the drag
+    constants only if some row has drag, and a deep-space tile's besides."""
+    return (_NEAR_COLUMNS if drag else _DRAG_FREE_COLUMNS) + (_DEEP_COLUMNS if deep else ())
 
 
 def _columns(records, fields, repeats=None, rows=None, n=None) -> dict[str, np.ndarray]:

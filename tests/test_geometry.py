@@ -190,6 +190,12 @@ def _random_states(n, rng):
     return pos, vel
 
 
+def _state_bounds(pos, vel):
+    """(r_lo, r_hi, v_hi) of n objects whose states are pos, vel (n, K, 3)."""
+    r = np.linalg.norm(pos, axis=-1)
+    return r.min(axis=1), r.max(axis=1), np.linalg.norm(vel, axis=-1).max(axis=1)
+
+
 def test_array_kernels_match_scalar():
     rng = np.random.default_rng(3)
     sat_pos, sat_vel = _random_states(40, rng)
@@ -244,11 +250,13 @@ def test_horizon_cull_is_conservative(monkeypatch):
     users = [_random_states(4, rng) for _ in range(3)]
     sp = np.broadcast_to(sat_pos[:, None, :], (60, 4, 3))
     svl = np.broadcast_to(sat_vel[:, None, :], (60, 4, 3))
+    u_pos, u_vel = (np.stack(part) for part in zip(*users))
+    bounds = _state_bounds(sp, svl), _state_bounds(u_pos, u_vel)
     for chunk, gemm in ((geometry._CULL_CHUNK, geometry._GEMM_SIZE), (1, 3 * 3 * 7)):
         monkeypatch.setattr(geometry, "_CULL_CHUNK", chunk)
         monkeypatch.setattr(geometry, "_GEMM_SIZE", gemm)
         # the screen with a knot at every step is the exact cull
-        keys = _screen(sp, None, np.stack([pos for pos, _ in users]), None, np.arange(4))
+        keys = _screen(sp, None, u_pos, None, np.arange(4), 1.0, *bounds, 0.0, bounds[1][1])
         assert len(keys) == 3
         for (user_pos, user_vel), k in zip(users, keys):
             row, step = np.divmod(k, 4)
@@ -383,9 +391,8 @@ def _jumping_records():
 def test_screen_keeps_every_pair_above_the_horizon(
     sats, users, n_steps, step_s, knot_every, start_days
 ):
-    # no pair that passes the exact horizon test is dropped by the screen,
-    # and A bounds |z''| (hypothesis reports the largest |z''| / A it saw)
-    from hypothesis import assume, note, target
+    # no pair that passes the exact horizon test is dropped by the screen
+    from hypothesis import assume, note
 
     from leolink.propagation import PropagationError
     from leolink.sgp4batch import SatBatch
@@ -404,7 +411,7 @@ def test_screen_keeps_every_pair_above_the_horizon(
     knots = np.unique(np.r_[np.arange(0, n_steps, knot_every), n_steps - 1])
     kept = _screen(
         sp[:, knots], svel[:, knots], up[:, knots], uvel[:, knots], knots, step_s,
-        fleet.orbit_bounds(), crew.orbit_bounds(),
+        fleet.orbit_bounds(), crew.orbit_bounds(), 0.0, np.linalg.norm(up, axis=-1).max(axis=1),
     )
     is_knot = np.zeros(n_steps, dtype=bool)
     is_knot[knots] = True
@@ -420,18 +427,6 @@ def test_screen_keeps_every_pair_above_the_horizon(
         assert np.isin(exact, keys).all()
         # at the knots the screen is the exact test
         assert np.array_equal(exact[is_knot[exact % n_steps]], keys[is_knot[keys % n_steps]])
-
-    ru = np.linalg.norm(up, axis=-1)
-    z = np.einsum("sbk,ubk->usb", sp, up / ru[..., None]) - ru[:, None, :]
-    zdd = np.abs(z[..., 2:] - 2.0 * z[..., 1:-1] + z[..., :-2]).max(axis=-1) / step_s**2
-    span = np.diff(knots).max() * step_s
-    accel, _ = geometry._pair_rates(
-        fleet.orbit_bounds(), [b[:, None] for b in crew.orbit_bounds()],
-        np.linalg.norm(sp[:, knots], axis=-1).max(axis=1), span,
-    )
-    ratio = float((zdd / accel).max())
-    target(ratio, label="largest |z''| / A")
-    assert ratio <= 1.0
 
 
 @settings(max_examples=100, deadline=None)
@@ -470,14 +465,10 @@ def test_screen_keeps_every_pair_above_the_elevation_mask(
     except PropagationError:
         assume(False)  # a drag orbit that decays in the window
     knots = np.unique(np.r_[np.arange(0, n_steps, knot_every), n_steps - 1])
-    args = (
+    kept = _screen(
         sp[:, knots], svel[:, knots], up[:, knots], uvel[:, knots], knots, step_s,
-        fleet.orbit_bounds(), crew.orbit_bounds(), min_el,
+        fleet.orbit_bounds(), crew.orbit_bounds(), min_el, np.linalg.norm(up, axis=-1).max(axis=1),
     )
-    kept = _screen(*args, np.linalg.norm(up, axis=-1).max(axis=1))
-    if min_el > 0.0:  # the users' radii at the knots alone do not bound c
-        with pytest.raises(ValueError):
-            geometry.horizon_screen(*args)
     sin_min = math.sin(math.radians(min_el))
     for p, v, keys in zip(up, uvel, kept):
         _, _, sin_el, _, _ = pair_geometry_arrays(sp, svel, p, v)
@@ -550,9 +541,9 @@ def test_screen_with_beams_keeps_every_visible_pair(
 )
 def test_upward_bound_holds_within_its_central_angle(sats, users, n_steps, step_s, start_days):
     # on near-earth records: over two steps, the second difference of z is
-    # at most the A+ of the largest central angle at the three steps plus
-    # Ω times a step, which bounds the angle between them (hypothesis
-    # reports the largest (z'' - A+) / A it saw)
+    # at most the A (geometry._curvature) of the largest central angle at
+    # the three steps plus Ω times a step, which bounds the angle between
+    # them (hypothesis reports the largest z'' - A [km/s^2] it saw)
     from hypothesis import assume, target
 
     sats = [r for r in sats if r.method == "n"]
@@ -570,12 +561,38 @@ def test_upward_bound_holds_within_its_central_angle(sats, users, n_steps, step_
     sat_bounds = [b[:, None] for b in fleet.orbit_bounds()]
     user_bounds = [b[:, None, None] for b in crew.orbit_bounds()]
     sat_r = rs.max(axis=1)[:, None]
-    upward = geometry._upward_accel(sat_bounds, user_bounds, sat_r, step_s, np.cos(widest))
-    accel, _ = geometry._pair_rates(sat_bounds, user_bounds, sat_r, step_s)
+    upward, _ = geometry._curvature(sat_bounds, user_bounds, sat_r, step_s, np.cos(widest))
     bounded = np.isfinite(upward)
-    worst = float(((zdd - upward) / accel)[bounded].max(initial=-1.0))
-    target(worst, label="largest (z'' - A+) / A")
+    worst = float((zdd - upward)[bounded].max(initial=-1.0))
+    target(worst, label="largest z'' - A")
     assert worst <= 0.0
+
+
+def test_an_interval_without_a_curvature_bound_is_kept_whole():
+    # A (geometry._curvature) has no bound where the central angle may reach
+    # 90 degrees over the interval (row 0, 40 degrees from the user at both
+    # knots, below the horizon there) or where the satellite has no r_hi
+    # (row 1, 3 degrees away and falling fast at the first knot, rising at
+    # the last): the screen keeps every step strictly between the knots.
+    # Row 2 is row 1 with an r_hi, whose A is 0 there, and keeps none.
+    knots, step_s = np.array([0, 20]), 60.0
+    angle = np.radians([40.0, 3.0, 3.0])
+    pos = 7000.0 * np.stack([np.cos(angle), np.sin(angle), np.zeros(3)], axis=1)
+    sat_vel = np.zeros((3, 2, 3))
+    sat_vel[:, :, 0] = [-5.0, 5.0]  # ż at the two knots, the user being still
+    sat_bounds = (np.full(3, 6990.0), np.array([7010.0, np.inf, 7010.0]), np.full(3, 7.5))
+    user_pos = np.zeros((1, 2, 3))
+    user_pos[..., 0] = 6800.0
+    user_bounds = (np.array([6790.0]), np.array([6810.0]), np.array([1e-3]))
+    (kept,) = _screen(
+        np.repeat(pos[:, None], 2, axis=1), sat_vel, user_pos, np.zeros((1, 2, 3)), knots, step_s,
+        sat_bounds, user_bounds, 0.0, np.array([6800.0]),
+    )
+    row, step = np.divmod(kept, 21)
+    between = np.arange(1, 20)
+    assert np.array_equal(step[row == 0], between)
+    assert np.array_equal(step[row == 1], np.r_[0, between, 20])
+    assert np.array_equal(step[row == 2], [0, 20])
 
 
 @settings(max_examples=200, deadline=None)
@@ -651,8 +668,8 @@ def _dense_screen(s_pos, s_vel, u_pos, u_vel, knots, step_s, sat_bounds, user_bo
     knots, with c the tighter of the mask's and the beam's floor, and
     between knots k and k+1 the steps where
     z_k + (ż_k + D) h + A h^2 / 2 >= 0 and z_k+1 + (D - ż_k+1) h' + A h'^2 / 2 >= 0,
-    with A the lesser of the two-sided bound and the interval's upward
-    bound A+, both only where the cap keeps the pair (_near_steps). tie
+    with A and D the interval's (geometry._curvature), both only where the
+    cap keeps the pair (_near_steps). tie
     marks the knot steps where z is c to rounding (a satellite that is the
     user, or one on the mask), which may fall on either side."""
     # z = sat . û - |user| and ż = v_sat . û + sat . dû/dt - d|user|/dt,
@@ -683,21 +700,16 @@ def _dense_screen(s_pos, s_vel, u_pos, u_vel, knots, step_s, sat_bounds, user_bo
         lift * cos_phi[:, beam] + base[:, beam] - (1e-9 * sat_low + 1e-6),
         geometry._elevation_floor(user_r_max[:, None], sat_low, min_el),
     )[..., None]
-    accel, slack = geometry._pair_rates(
-        sat_bounds, [b[:, None] for b in user_bounds], sat_r, span
-    )
-    # each interval's upward bound A+, within the central angle of its
-    # knots plus the angle both can turn over it
+    # each interval's A, within the central angle of its knots plus the
+    # angle both can turn over it
     (s_lo, _, s_v), (u_lo, _, u_v) = sat_bounds, user_bounds
     turn = (1.0 + geometry._VELOCITY_SLACK) * (s_v / s_lo + (u_v / u_lo)[:, None])
     cos = (z + ru[:, None]) / rs
     far = geometry._far_cos(cos[..., :-1], cos[..., 1:], turn[..., None] * (np.diff(knots) * step_s))
-    upward = geometry._upward_accel(
+    accel, d = geometry._curvature(
         [b[:, None] for b in sat_bounds], [b[:, None, None] for b in user_bounds], sat_r[:, None],
         span, far,
     )
-    accel = np.minimum(accel[..., None], upward)
-    d = slack[..., None]
     want = np.zeros((len(u_pos), len(s_pos), n_steps), dtype=bool)
     want[..., knots] = z - floor >= 0.0
     for k, (k0, k1) in enumerate(zip(knots[:-1], knots[1:])):
@@ -1054,15 +1066,19 @@ def test_screen_peak_memory_is_bounded_by_its_output():
     sat_pos, sat_vel, sat_bounds = circular(4000, 7000.0, 2, 10.0)
     user_pos, user_vel, user_bounds = circular(1000, 6800.0, 2, 0.1)
     out, peak = traced(
-        sat_pos, sat_vel, user_pos, user_vel, np.array([0, 2]), 10.0, sat_bounds, user_bounds
+        sat_pos, sat_vel, user_pos, user_vel, np.array([0, 2]), 10.0, sat_bounds, user_bounds, 0.0,
+        np.linalg.norm(user_pos, axis=-1).max(axis=1),
     )
     assert 0 < out < 1000 * 4000 * 3 * 8 // 100
     assert peak <= 2 * out + 16 * 2 * (geometry._GEMM_SIZE // 3) * 8
     # with a knot at every step (the exact cull), one product of about
     # _CULL_CHUNK floats is alive at a time: 100 users, 1,000 satellites
     # and 60 steps take three of them per satellite chunk
-    sat_pos, _, _ = circular(1000, 7000.0, 60, 10.0)
-    user_pos, _, _ = circular(100, 6800.0, 60, 0.1)
-    out, peak = traced(sat_pos, None, user_pos, None, np.arange(60))
+    sat_pos, _, sat_bounds = circular(1000, 7000.0, 60, 10.0)
+    user_pos, _, user_bounds = circular(100, 6800.0, 60, 0.1)
+    out, peak = traced(
+        sat_pos, None, user_pos, None, np.arange(60), 10.0, sat_bounds, user_bounds, 0.0,
+        np.linalg.norm(user_pos, axis=-1).max(axis=1),
+    )
     assert 0 < out < 1000 * 100 * 60 * 8 // 100
     assert peak <= 2 * out + 1.5 * geometry._CULL_CHUNK * 8
