@@ -79,7 +79,7 @@ from .metrics import BinGrid, CoverageSummary, Results, StepRecord, UserAccumula
 from .policy import serving_rows
 from .population import UserSpec
 from .propagation import PropagationError, satrec_from_tle
-from .sgp4batch import SatBatch, Slots, record_may_fail
+from .sgp4batch import SatBatch, Slots, tle_entries, tle_kinds
 from .timebase import format_utc, julian_date
 from .tle import elements_to_tle
 from .walker import build_walker, shell_angles
@@ -178,18 +178,20 @@ class _Fleet:
     """Flattened satellite set across all configured constellations, with
     each row's constellation index, beam cone parameters and beam group.
 
-    A Walker shell whose slots cannot fail (:func:`record_may_fail` of its
-    first slot's record) gets one SGP4 record, and the batch fills every
-    slot's row from it (:class:`Slots`): slots differ only in node and mean
-    anomaly, which do not decide whether a slot may fail. Any other shell
-    and every TLE catalog row get a record per slot, in fleet order, each
-    checked at its epoch by scalar init, so set-up raises the error a
-    record per slot raises. Apart from each filled slot's libm cos and sin,
-    such set-up works per shell; a slot's name is formatted only when read.
+    The batch initialises every near-earth row in one call, checks at its
+    epoch each one that may fail and runs the deep-space rows' scalar init,
+    so set-up raises the error of the first row in fleet order that a
+    record per row fails. A Walker shell whose slots cannot fail
+    (:func:`tle_kinds` of its first slot's TLE) is one row of that call,
+    and the batch fills every slot's row from it (:class:`Slots`): slots
+    differ only in node and mean anomaly, which do not decide whether a
+    slot may fail. Any other shell and every TLE catalog get a row per
+    satellite. A slot's name is formatted only when read.
     """
 
     def __init__(self, cfg: ScenarioConfig):
-        rows = []  # SatRecords and Slots, in fleet order
+        rows = []  # batch entries in fleet order, as lists; a shell's, a function of may_fail
+        firsts = []  # each shell's first TLE
         groups = []  # per shell or catalog, (rows, constellation, beam cone params)
         self.names = [c.name for c in cfg.constellations]
         self.counts: dict[str, int] = {}
@@ -200,19 +202,17 @@ class _Fleet:
                 for si, shell in enumerate(cc.shells):
                     angles = shell_angles(shell)
                     tles = partial(_shell_tles, cc, shell, angles, cfg.epoch, n, n0)
-                    first = satrec_from_tle(tles(1)[0])
-                    if record_may_fail(first):
-                        rows += [first] + [satrec_from_tle(t) for t in tles()[1:]]
-                    else:
-                        rows.append(_slots(cc, shell, angles, first, n - n0))
+                    firsts.append(tles(1)[0])
+                    rows.append(partial(_shell_rows, cc, shell, angles, tles, n - n0, firsts[-1]))
                     n += shell.total
                     groups.append((shell.total, ci, cc.beam_for_shell(si).cone_params))
             else:
-                rows += [satrec_from_tle(_offset(cc, tle)) for tle in cc.tles]
+                rows.append(tle_entries([_offset(cc, tle) for tle in cc.tles], satrec_from_tle))
                 n += len(cc.tles)
                 groups.append((len(cc.tles), ci, cc.beam.cone_params))
             self.counts[cc.name] = n - n0
-
+        may_fail = iter(tle_kinds(firsts)[1]) if firsts else None
+        rows = [r for rs in rows for r in (rs if isinstance(rs, list) else rs(next(may_fail)))]
         self.n = n
         sizes = [m for m, _, _ in groups]
         self.const_of_sat = np.repeat(np.array([ci for _, ci, _ in groups], dtype=np.int64), sizes)
@@ -257,21 +257,22 @@ class _SlotNames(Sequence):
         return f"{self.constellation}-{self.ids[k]}"
 
 
-def _slots(cc, shell, angles, first, i0: int) -> Slots:
-    """The rows of a Walker shell of constellation ``cc`` that cannot fail,
-    at its ``angles`` (:func:`shell_angles`), whose first slot, the
-    constellation's ``i0``-th satellite, has the record ``first``. Each
-    slot's angles go through the operations of :func:`_offset`,
-    :func:`elements_to_tle` and :func:`satrec_from_tle`, so its node and
-    mean anomaly [rad] are bit for bit its record's."""
+def _shell_rows(cc, shell, angles, tles, i0: int, first, may_fail: bool) -> list:
+    """The batch entries of a Walker shell of constellation ``cc`` from its
+    ``i0``-th satellite on: a row per slot's TLE (``tles()``, the first
+    ``first``) if they may fail, else :class:`Slots` at its ``angles``
+    (:func:`shell_angles`) through the operations of :func:`_offset`,
+    :func:`elements_to_tle` and :func:`satrec_from_tle`, for their bits."""
+    if may_fail:
+        return tle_entries([first, *tles()[1:]], satrec_from_tle)
     raan, mean_anomaly = _offset_angles(cc, *angles)
     deg = math.pi / 180.0
-    return Slots(
+    return [Slots(
         first,
         _SlotNames(cc.name, range(i0, i0 + shell.total)),
         (raan % 360.0) * deg,
         (mean_anomaly % 360.0) * deg,
-    )
+    )]
 
 
 def _offset_angles(cc, raan, mean_anomaly):
@@ -292,12 +293,11 @@ def _offset(cc, el):
 
 
 def _user_records(cfg: ScenarioConfig):
-    recs = []
+    tles = []
     for u in cfg.users:
         el = u.elements if u.elements.epoch is not None else replace(u.elements, epoch=cfg.epoch)
-        tle = elements_to_tle(el, catalog_id=90000 + u.user_id, name=f"user-{u.user_id}")
-        recs.append(satrec_from_tle(tle))
-    return recs
+        tles.append(elements_to_tle(el, catalog_id=90000 + u.user_id, name=f"user-{u.user_id}"))
+    return tle_entries(tles, satrec_from_tle)
 
 
 def run(cfg: ScenarioConfig) -> RunManifest:

@@ -46,30 +46,45 @@ the quotient.
 records' constants into (P, 1) columns, and its outputs are bit-identical
 to the grid's.
 
-A batch is built from initialised scalar records, and a :class:`Slots`
-entry stands for many rows, the slots of one Walker shell that cannot fail
-(:func:`record_may_fail`): their columns are its record's, with each slot's
-node and mean anomaly and the two constants that depend on them.
+A batch is built from TLEs, from initialised scalar records and from
+:class:`Slots`. The near-earth branch of :func:`sgp4core.sgp4init` runs over
+the element columns of every TLE row in one call (:func:`_near_init`),
+calling libm per row wherever numpy need not round as libm does, so each
+column has the bits of the row's scalar record. Deep-space rows keep scalar
+init: a caller passes their records, or functions that return them
+(:func:`tle_kinds` says which TLEs those are). The TLE rows that
+:attr:`SatBatch.may_fail` are propagated once at their epoch, as scalar init
+does, and the first in row order that fails with one of SGP4's error codes
+raises scalar init's error, as does the first scalar init that fails. A
+:class:`Slots` entry stands for many rows, the slots of one Walker shell that
+cannot fail: their columns are its first slot's, with each slot's node and
+mean anomaly and the two constants that depend on them.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import accumulate, chain
-from operator import itemgetter
+from functools import cached_property, partial
+from itertools import accumulate, chain, compress, repeat
+from operator import attrgetter, itemgetter
 from types import SimpleNamespace
 
 import numpy as np
 
 from . import sgp4core
 from .propagation import PropagationError
-from .timebase import datetime_from_jd
+from .timebase import datetime_from_jd, julian_date
+from .tle import TwoLineElementSet
 
 _TWOPI = 2.0 * np.pi
+# (tumin, mu, radiusearthkm, xke, j2, j3, j4, j3oj2) of every record
+_WGS72 = sgp4core.WGS72
+# the reason a batch gives for a state that is not finite, which has no SGP4
+# error code
+_NOT_FINITE = "position or velocity is not finite"
 
 # (satellite, step) elements per tile; a tile holds max(1, TILE // T) rows
 TILE = 32768
@@ -137,31 +152,40 @@ _STEP2 = 259200.0
 
 @dataclass(frozen=True)
 class Slots:
-    """Rows that share a near-earth record's constants but for their node
-    and mean anomaly at epoch [rad], as the slots of one Walker shell do:
+    """Rows that share a near-earth TLE's constants but for their node and
+    mean anomaly at epoch [rad], as the slots of one Walker shell do:
     near-earth :func:`sgp4core.sgp4init` reads those two angles only into
     ``nodeo`` and ``mo`` and, through :func:`sgp4core.mean_anomaly_terms`,
-    ``delmo`` and ``sinmao``. ``record`` gives the other constants; it is
-    not checked against the angles, and no filled row is checked at its
-    epoch: slots are for records that cannot fail (:func:`record_may_fail`)."""
+    ``delmo`` and ``sinmao``. ``tle`` gives the other constants; it is not
+    checked against the angles, and no filled row is checked at its epoch:
+    slots are for rows that cannot fail (:func:`tle_kinds`)."""
 
-    record: sgp4core.SatRecord
+    tle: TwoLineElementSet
     names: Sequence[str]
     nodeo: np.ndarray
     mo: np.ndarray
 
-    def __post_init__(self):
-        if self.record.method != "n":
-            raise ValueError(f"{self.record.name}: only near-earth records fill slots")
+
+def tle_kinds(tles: Sequence[TwoLineElementSet]) -> tuple[np.ndarray, np.ndarray]:
+    """Per TLE, (scalar, may_fail): whether :class:`SatBatch` leaves its row
+    to scalar init, and whether propagating it may fail
+    (:attr:`SatBatch.may_fail`), both from the mean motion that
+    :func:`sgp4core.sgp4init` un-Kozais. Scalar init takes the deep-space
+    rows (a period of 225 min or more) and those whose period is not a
+    number, which it handles as it will."""
+    bstar, ecco, no_kozai, _, inclo, _, _ = _elements(tles)
+    no_unkozai = _unkozai(no_kozai, ecco, inclo)[0]
+    scalar = _scalar(no_unkozai)
+    r_lo, _ = _radii(no_unkozai, ecco, bstar != 0.0, _WGS72[2], _WGS72[3])
+    return scalar, _may_fail(scalar, r_lo, _WGS72[2])
 
 
-def record_may_fail(record: sgp4core.SatRecord) -> bool:
-    """Whether propagating ``record`` can fail at some instant: its row's
-    :attr:`SatBatch.may_fail`, on one-element columns, for numpy's power
-    to round as over a batch's columns (libm's need not)."""
-    wc = record.whichconst
-    r_lo, _ = _radii(np.array([record.no_unkozai]), record.ecco, record.bstar != 0.0, wc[2], wc[3])
-    return bool(_may_fail(record.method == "d", r_lo, wc[2])[0])
+def tle_entries(tles: Sequence[TwoLineElementSet], scalar_init) -> list:
+    """:class:`SatBatch` entries of TLE rows: each TLE, or where scalar init
+    takes the row (:func:`tle_kinds`), a function that runs
+    ``scalar_init`` on it."""
+    scalar, _ = tle_kinds(tles)
+    return [partial(scalar_init, t) if s else t for t, s in zip(tles, scalar.tolist())]
 
 
 def _may_fail(deep, r_lo, radiusearthkm):
@@ -178,29 +202,62 @@ def _radii(no_unkozai, ecco, drag, radiusearthkm, xke):
 
 
 class SatBatch:
-    """Fleet-sized batch of initialized SGP4 records, in the given order;
-    a :class:`Slots` entry stands for one row per slot. The records'
-    constants are copied into columns; the records are not kept."""
+    """Fleet-sized batch of initialized SGP4 records, in the given order.
 
-    def __init__(self, records: list[sgp4core.SatRecord | Slots]):
-        recs = [r.record if isinstance(r, Slots) else r for r in records]
-        sizes = [len(r.names) if isinstance(r, Slots) else 1 for r in records]
+    An entry is a TLE, which the batch initialises, a scalar record, a
+    function that returns one (the scalar init of a deep-space row, run
+    when the batch is built), or a :class:`Slots` entry, which stands for
+    one row per slot. Every row's constants are copied into columns; no
+    record is kept. Set-up raises scalar init's error for the first row
+    that scalar init rejects: a function's error, or a TLE row that fails
+    at its epoch with one of SGP4's error codes."""
+
+    def __init__(
+        self,
+        records: list[TwoLineElementSet | sgp4core.SatRecord | Slots
+                      | Callable[[], sgp4core.SatRecord]],
+    ):
+        entries = []
+        for r in records:
+            if callable(r):
+                try:
+                    r = r()
+                except PropagationError:
+                    SatBatch(entries)  # raises the error of an earlier row that fails
+                    raise
+            entries.append(r)
+        is_rec = [isinstance(r, sgp4core.SatRecord) for r in entries]
+        is_slots = [isinstance(r, Slots) for r in entries]
+        sizes = [len(r.names) if s else 1 for r, s in zip(entries, is_slots)]
         starts = list(accumulate(sizes, initial=0))
         self.n = starts.pop()
         # each row's name, formatted when first read (an error message reads one)
-        self._names = [r.names if isinstance(r, Slots) else (r.name,) for r in records]
-        self._cols = _columns(recs, _FIELDS + ("epoch_jd", "epoch_fr", "isimp"), sizes)
-        for r, a in zip(records, starts):
-            if isinstance(r, Slots):
-                rows = slice(a, a + len(r.names))
-                self._cols["nodeo"][rows, 0] = r.nodeo
-                self._cols["mo"][rows, 0] = r.mo
-                # sgp4core.mean_anomaly_terms for the whole shell, with libm's
-                # cos and sin (numpy's need not round as libm does)
-                mo = r.mo.tolist()
-                d = 1.0 + r.record.eta * np.fromiter(map(math.cos, mo), float, len(mo))
-                self._cols["delmo"][rows, 0] = d * d * d
-                self._cols["sinmao"][rows, 0] = np.fromiter(map(math.sin, mo), float, len(mo))
+        self._names = [
+            r.names if s else (r.name if c else r.name or str(r.catalog_id),)
+            for r, s, c in zip(entries, is_slots, is_rec)
+        ]
+        recs = list(compress(entries, is_rec))
+        tles = [r.tle if s else r for r, s, c in zip(entries, is_slots, is_rec) if not c]
+        fields = _FIELDS + ("epoch_jd", "epoch_fr", "isimp")
+        source = _matrix(recs, fields)
+        if tles:
+            near = _near_init(tles)
+            scalar = _scalar(near["no_unkozai"])
+            if scalar.any():
+                t = tles[scalar.argmax()]
+                raise ValueError(f"{t.name or t.catalog_id}: deep-space rows need scalar init")
+            # every entry's constants, from those of the records, then of the TLEs
+            source = np.concatenate([source, [near[f] for f in fields]], axis=1)
+            rec = np.array(is_rec, dtype=bool)
+            source = source[:, np.where(rec, np.cumsum(rec), len(recs) + np.cumsum(~rec)) - 1]
+        self._cols = dict(zip(fields, np.repeat(source, sizes, axis=1)[:, :, None]))
+        for r, a in zip(compress(entries, is_slots), compress(starts, is_slots)):
+            rows = slice(a, a + len(r.names))
+            self._cols["nodeo"][rows, 0] = r.nodeo
+            self._cols["mo"][rows, 0] = r.mo
+            self._cols["delmo"][rows, 0], self._cols["sinmao"][rows, 0] = _mean_anomaly_terms(
+                self._cols["eta"][a, 0], r.mo
+            )
         self._cols["isimp"] = self._cols["isimp"] != 0.0
         # near-earth SGP4 keeps inclination at its epoch value apart from
         # the short-period terms
@@ -208,31 +265,38 @@ class SatBatch:
         self._cols["cosip"] = np.cos(self._cols["inclo"])
         self.epoch_jd = self._cols.pop("epoch_jd")[:, 0]
         self.epoch_fr = self._cols.pop("epoch_fr")[:, 0]
+        rec_rows = list(compress(starts, is_rec))
         deep = [i for i, r in enumerate(recs) if r.method == "d"]
         self.deep = np.zeros(self.n, dtype=bool)
         if deep:
             # only deep-space tiles read these; near-earth rows stay zero
-            rows = [starts[i] for i in deep]
+            rows = [rec_rows[i] for i in deep]
             self.deep[rows] = True
             deep_recs = [recs[i] for i in deep]
             # the AFSPC mode of the lunar-solar periodics, init_record's default
             other = [r.name for r in deep_recs if r.operationmode != "a"]
             if other:
                 raise ValueError(f"{other[0]}: deep-space records need operation mode 'a'")
-            self._cols.update(_columns(deep_recs, _DEEP_FIELDS + ("irez",), rows=rows, n=self.n))
-        resonant = [starts[i] for i in deep if recs[i].irez != 0]
+            fields = _DEEP_FIELDS + ("irez",)
+            full = np.zeros((len(fields), self.n))
+            full[:, rows] = _matrix(deep_recs, fields)
+            self._cols.update(zip(fields, full[:, :, None]))
+        resonant = [rec_rows[i] for i in deep if recs[i].irez != 0]
         self._resonance = _Resonance(self._cols, resonant, self.n) if resonant else None
         # maximal runs of rows of one kind, as (start, stop, deep)
         edges = [0, *(np.flatnonzero(np.diff(self.deep)) + 1).tolist(), self.n]
         self._runs = [(a, b, bool(self.deep[a])) for a, b in zip(edges, edges[1:]) if a < b]
-        wc = recs[0].whichconst if recs else sgp4core.WGS72
-        self.mu = wc[1]
-        self.xke = wc[3]
-        self.j2 = wc[4]
-        self.j3oj2 = wc[7]
-        self.radiusearthkm = wc[2]
+        self.mu = _WGS72[1]
+        self.xke = _WGS72[3]
+        self.j2 = _WGS72[4]
+        self.j3oj2 = _WGS72[7]
+        self.radiusearthkm = _WGS72[2]
         self.vkmpersec = self.radiusearthkm * self.xke / 60.0
         self._drag = self._cols["bstar"][:, 0] != 0.0
+        # scalar init's epoch check, on the TLE rows that may fail
+        rows = np.array([a for a, s, c in zip(starts, is_slots, is_rec) if not (s or c)],
+                        dtype=np.intp)
+        self._check_epochs(rows[self.may_fail[rows]])
 
     @cached_property
     def names(self) -> list[str]:
@@ -399,9 +463,18 @@ class SatBatch:
         fr = np.atleast_1d(np.asarray(fr, dtype=float))
         rows = np.asarray(rows, dtype=np.intp)
         steps = np.asarray(steps, dtype=np.intp)
+        tsince = ((jd - self.epoch_jd[rows]) + (fr[steps] - self.epoch_fr[rows])) * 1440.0
+        pos, vel, failures = self._pairs(tsince, rows, steps)
+        if failures:
+            raise min(failures)[2]
+        return pos, vel
+
+    def _pairs(self, tsince, rows, steps):
+        """The tiles of :meth:`propagate_pairs` at the pairs' offsets
+        ``tsince`` [min]: (pos, vel, failures), the (step, row, error) of
+        each failing tile's first failure."""
         pos = np.empty((len(rows), 3))
         vel = np.empty((len(rows), 3))
-        tsince = ((jd - self.epoch_jd[rows]) + (fr[steps] - self.epoch_fr[rows])) * 1440.0
         if self._resonance is not None:
             self._resonance.grow(tsince[self._resonance.resonant[rows]])
         failures = []
@@ -418,9 +491,23 @@ class SatBatch:
                     self._propagate_tile(c, t, pos[tile, None], vel[tile, None], (r, k), deep)
                 except PropagationError as exc:
                     failures.append(self._first_failure(c, t, (r, k), deep, exc))
-        if failures:
-            raise min(failures)[2]
-        return pos, vel
+        return pos, vel, failures
+
+    def _check_epochs(self, rows: np.ndarray) -> None:
+        """Raise scalar init's error for the first of ``rows`` (ascending)
+        that scalar init rejects: propagated to its epoch, it fails with one
+        of SGP4's error codes. A state that is not finite has no code, and
+        scalar init keeps its record."""
+        while len(rows):
+            zeros = np.zeros(len(rows))
+            _, _, failures = self._pairs(zeros, rows, zeros.astype(np.intp))
+            if not failures:
+                return
+            _, row, exc = min(failures)
+            if not exc.args[0].endswith(_NOT_FINITE):
+                message = exc.args[0].replace("SGP4 failed", "SGP4 init failed", 1)
+                raise PropagationError(message, exc.object_name)
+            rows = rows[rows > row]
 
     def propagate_jd(self, jd: float, fr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Propagate every record to the instants (jd, fr[t])."""
@@ -613,7 +700,7 @@ class SatBatch:
         # with no error code from the reference
         if not np.isfinite(pos.sum() + vel.sum()):
             bad = ~(np.isfinite(pos).all(axis=-1) & np.isfinite(vel).all(axis=-1))
-            self._raise(bad, t, at, "position or velocity is not finite")
+            self._raise(bad, t, at, _NOT_FINITE)
 
     def _dspace(self, c, t, rows, argpm, mm, nodem):
         """Secular lunar-solar rates and the resonance integrator of the
@@ -780,24 +867,157 @@ def _tile_columns(deep: bool, drag: bool) -> tuple[str, ...]:
     return (_NEAR_COLUMNS if drag else _DRAG_FREE_COLUMNS) + (_DEEP_COLUMNS if deep else ())
 
 
-def _columns(records, fields, repeats=None, rows=None, n=None) -> dict[str, np.ndarray]:
-    """Each attribute in ``fields`` of every record as a float column, read
-    in one pass over the records: (len(records), 1); with ``repeats``, each
-    record's value that many times in a row; or (n, 1) with the records at
-    ``rows`` and zeros elsewhere."""
+def _matrix(records, fields) -> np.ndarray:
+    """Each attribute in ``fields`` of every record as a float array
+    (len(fields), len(records)), read in one pass over the records."""
     get = itemgetter(*fields)
-    m = np.fromiter(
+    return np.fromiter(
         chain.from_iterable(get(vars(r)) for r in records), float, len(records) * len(fields)
     ).reshape(len(records), len(fields)).T
-    if repeats is not None:
-        m = np.repeat(m, repeats, axis=1)
-    if rows is not None:
-        full = np.zeros((len(fields), n))
-        full[:, rows] = m
-        m = full
-    return dict(zip(fields, np.ascontiguousarray(m)[:, :, None]))
 
 
+# the elements satrec_from_tle reads from a TLE, the angles last
+_TLE_ELEMENTS = attrgetter(
+    "bstar", "eccentricity", "mean_motion", "arg_perigee", "inclination", "mean_anomaly", "raan"
+)
+
+
+def _elements(tles) -> np.ndarray:
+    """(bstar, ecco, no_kozai, argpo, inclo, mo, nodeo) of the TLEs, each
+    (n,), with the bits :func:`propagation.satrec_from_tle` gives them."""
+    m = np.fromiter(chain.from_iterable(map(_TLE_ELEMENTS, tles)), float, 7 * len(tles))
+    m = m.reshape(-1, 7).T
+    return m[0], m[1], m[2] * 2.0 * math.pi / 1440.0, *(m[3:] * (math.pi / 180.0))
+
+
+def _libm(f, x: np.ndarray, *exponent: float) -> np.ndarray:
+    """``f`` of :mod:`math` (libm) on each element of ``x``, raised to
+    ``exponent`` for ``pow``: numpy's cos, sin and power need not round as
+    libm does."""
+    return np.fromiter(map(f, x.tolist(), *(repeat(e) for e in exponent)), float, len(x))
+
+
+def _unkozai(no_kozai, ecco, inclo):
+    """(no_unkozai, cosio, cosio2, omeosq, rteosq) of ``sgp4core._initl``
+    over columns."""
+    xke, j2 = _WGS72[3], _WGS72[4]
+    omeosq = 1.0 - ecco * ecco
+    rteosq = np.sqrt(omeosq)
+    cosio = _libm(math.cos, inclo)
+    cosio2 = cosio * cosio
+    ak = _libm(math.pow, xke / no_kozai, 2.0 / 3.0)
+    d1 = 0.75 * j2 * (3.0 * cosio2 - 1.0) / (rteosq * omeosq)
+    del_ = d1 / (ak * ak)
+    adel = ak * (1.0 - del_ * del_ - del_ * (1.0 / 3.0 + 134.0 * del_ * del_ / 81.0))
+    del_ = d1 / (adel * adel)
+    return no_kozai / (1.0 + del_), cosio, cosio2, omeosq, rteosq
+
+
+def _scalar(no_unkozai: np.ndarray) -> np.ndarray:
+    """The rows that keep scalar init (:func:`tle_kinds`)."""
+    return ~(2.0 * math.pi / no_unkozai < 225.0)
+
+
+def _mean_anomaly_terms(eta, mo: np.ndarray):
+    """:func:`sgp4core.mean_anomaly_terms` over columns, with libm's cos and sin."""
+    d = 1.0 + eta * _libm(math.cos, mo)
+    return d * d * d, _libm(math.sin, mo)
+
+
+def _near_init(tles) -> dict[str, np.ndarray]:
+    """The constants a batch reads, each (n,) (``isimp`` as 0.0 or 1.0), of
+    the near-earth branch of :func:`sgp4core.sgp4init` (with ``_initl``) on
+    each TLE, with every bit of its scalar record: numpy runs each operation
+    of the reference in its order, and libm its cos, sin and pow. A row left
+    to scalar init (:func:`tle_kinds`) gets values that mean nothing."""
+    _, _, re, xke, j2, _, j4, j3oj2 = _WGS72
+    x2o3 = 2.0 / 3.0
+    bstar, ecco, no_kozai, argpo, inclo, mo, nodeo = _elements(tles)
+    # one julian_date per distinct epoch: a fleet's or the users' is often one
+    epochs = {t.epoch for t in tles}
+    jd = dict(zip(epochs, map(julian_date, epochs)))
+    epoch_jd, epoch_fr = np.array([jd[t.epoch] for t in tles], dtype=float).reshape(-1, 2).T
+
+    no_unkozai, cosio, cosio2, omeosq, rteosq = _unkozai(no_kozai, ecco, inclo)
+    ao = _libm(math.pow, xke / no_unkozai, x2o3)
+    sinio = _libm(math.sin, inclo)
+    po = ao * omeosq
+    con42 = 1.0 - 5.0 * cosio2
+    con41 = -con42 - cosio2 - cosio2
+    posq = po * po
+    rp = ao * (1.0 - ecco)
+
+    isimp = rp < 220.0 / re + 1.0
+    qzms2ttemp = (120.0 - 78.0) / re
+    perige = (rp - 1.0) * re
+    # for perigees below 156 km, s and qoms2t are altered
+    low = perige < 156.0
+    sfour = np.where(perige < 98.0, 20.0, perige - 78.0)
+    qzms24temp = (120.0 - sfour) / re
+    qzms24 = np.where(low, qzms24temp * qzms24temp * qzms24temp * qzms24temp,
+                      qzms2ttemp * qzms2ttemp * qzms2ttemp * qzms2ttemp)
+    sfour = np.where(low, sfour / re + 1.0, 78.0 / re + 1.0)
+
+    pinvsq = 1.0 / posq
+    tsi = 1.0 / (ao - sfour)
+    eta = ao * ecco * tsi
+    etasq = eta * eta
+    eeta = ecco * eta
+    psisq = np.fabs(1.0 - etasq)
+    coef = qzms24 * _libm(math.pow, tsi, 4.0)
+    coef1 = coef / _libm(math.pow, psisq, 3.5)
+    cc2 = coef1 * no_unkozai * (ao * (1.0 + 1.5 * etasq + eeta * (4.0 + etasq)) + 0.375 * j2
+                                * tsi / psisq * con41 * (8.0 + 3.0 * etasq * (8.0 + etasq)))
+    cc1 = bstar * cc2
+    # cc3 and xmcof only above e = 1e-4, and 0.0 below
+    eccentric = ecco > 1.0e-4
+    cc3 = np.divide(-2.0 * coef * tsi * j3oj2 * no_unkozai * sinio, ecco,
+                    out=np.zeros_like(ecco), where=eccentric)
+    x1mth2 = 1.0 - cosio2
+    cc4 = 2.0 * no_unkozai * coef1 * ao * omeosq * (
+        eta * (2.0 + 0.5 * etasq) + ecco * (0.5 + 2.0 * etasq) - j2 * tsi / (ao * psisq)
+        * (-3.0 * con41 * (1.0 - 2.0 * eeta + etasq * (1.5 - 0.5 * eeta)) + 0.75 * x1mth2
+           * (2.0 * etasq - eeta * (1.0 + etasq)) * _libm(math.cos, 2.0 * argpo))
+    )
+    cc5 = 2.0 * coef1 * ao * omeosq * (1.0 + 2.75 * (etasq + eeta) + eeta * etasq)
+    cosio4 = cosio2 * cosio2
+    temp1 = 1.5 * j2 * pinvsq * no_unkozai
+    temp2 = 0.5 * temp1 * j2 * pinvsq
+    temp3 = -0.46875 * j4 * pinvsq * pinvsq * no_unkozai
+    mdot = (no_unkozai + 0.5 * temp1 * rteosq * con41
+            + 0.0625 * temp2 * rteosq * (13.0 - 78.0 * cosio2 + 137.0 * cosio4))
+    argpdot = (-0.5 * temp1 * con42 + 0.0625 * temp2 * (7.0 - 114.0 * cosio2 + 395.0 * cosio4)
+               + temp3 * (3.0 - 36.0 * cosio2 + 49.0 * cosio4))
+    xhdot1 = -temp1 * cosio
+    nodedot = xhdot1 + (0.5 * temp2 * (4.0 - 19.0 * cosio2)
+                        + 2.0 * temp3 * (3.0 - 7.0 * cosio2)) * cosio
+    omgcof = bstar * cc3 * _libm(math.cos, argpo)
+    xmcof = np.divide(-x2o3 * coef * bstar, eeta, out=np.zeros_like(eeta), where=eccentric)
+    nodecf = 3.5 * omeosq * xhdot1 * cc1
+    # the reference's guard against dividing by zero at 180 degrees
+    den = np.where(np.fabs(cosio + 1.0) > 1.5e-12, 1.0 + cosio, 1.5e-12)
+    xlcof = -0.25 * j3oj2 * sinio * (3.0 + 5.0 * cosio) / den
+    delmo, sinmao = _mean_anomaly_terms(eta, mo)
+
+    # the drag terms of perigees below 220 km (isimp), 0.0 above
+    cc1sq = cc1 * cc1
+    d2 = 4.0 * ao * tsi * cc1sq
+    temp = d2 * tsi * cc1 / 3.0
+    d3 = (17.0 * ao + sfour) * temp
+    d4 = 0.5 * temp * ao * tsi * (221.0 * ao + 31.0 * sfour) * cc1
+    t3cof = d2 + 2.0 * cc1sq
+    t4cof = 0.25 * (3.0 * d3 + cc1 * (12.0 * d2 + 10.0 * cc1sq))
+    t5cof = 0.2 * (3.0 * d4 + 12.0 * cc1 * d3 + 6.0 * d2 * d2 + 15.0 * cc1sq * (2.0 * d2 + cc1sq))
+    d2, d3, d4, t3cof, t4cof, t5cof = np.where(isimp, 0.0, [d2, d3, d4, t3cof, t4cof, t5cof])
+    return dict(
+        mo=mo, argpo=argpo, nodeo=nodeo, mdot=mdot, argpdot=argpdot, nodedot=nodedot,
+        nodecf=nodecf, cc1=cc1, cc4=cc4, cc5=cc5, bstar=bstar, t2cof=1.5 * cc1, t3cof=t3cof,
+        t4cof=t4cof, t5cof=t5cof, omgcof=omgcof, xmcof=xmcof, eta=eta, delmo=delmo,
+        sinmao=sinmao, d2=d2, d3=d3, d4=d4, no_unkozai=no_unkozai, ecco=ecco,
+        aycof=-0.5 * j3oj2 * sinio, xlcof=xlcof, con41=con41, x1mth2=x1mth2,
+        x7thm1=7.0 * cosio2 - 1.0, inclo=inclo, epoch_jd=epoch_jd, epoch_fr=epoch_fr,
+        isimp=isimp.astype(float),
+    )
 
 
 def _mod2pi(x: np.ndarray) -> np.ndarray:

@@ -59,13 +59,15 @@ class TwoLineElementSet:
 
 
 def _checksum(line: str) -> int:
-    s = 0
-    for ch in line[:68]:
-        if ch.isdigit():
-            s += int(ch)
-        elif ch == "-":
-            s += 1
-    return s % 10
+    """The modulo-10 checksum of a line's first 68 columns: the sum of its
+    ASCII digits, with 1 for each minus sign. Other characters count 0,
+    among them digits of other scripts, such as '²', which ``str.isdigit``
+    accepts."""
+    count = line[:68].count
+    return (
+        count("-") + count("1") + 2 * count("2") + 3 * count("3") + 4 * count("4")
+        + 5 * count("5") + 6 * count("6") + 7 * count("7") + 8 * count("8") + 9 * count("9")
+    ) % 10
 
 
 def _field(line: str, lineno: int, lo: int, hi: int, name: str, conv, default=None):
@@ -139,7 +141,7 @@ def parse_tle(text: str | list[str], strict: bool = False) -> TwoLineElementSet:
             raise TleParseError(f"line {lineno} does not start with '{lead} '")
         expect = _checksum(ln)
         got = ln[68]
-        if got.isdigit() and int(got) != expect:
+        if got in "0123456789" and int(got) != expect:
             msg = f"line {lineno} checksum {got} != computed {expect}"
             if strict:
                 raise TleParseError(msg)

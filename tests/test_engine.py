@@ -1043,12 +1043,12 @@ _slot_shells = st.builds(
     offsets=st.lists(st.tuples(st.floats(-400.0, 400.0), st.floats(-400.0, 400.0)), min_size=3, max_size=3),
 )
 def test_fleet_fills_slots_as_records_per_slot_would(shells, offsets):
-    # the fleet gets one SGP4 record per near-earth shell and fills every
+    # the fleet initialises one row per near-earth shell and fills every
     # slot's row from it: each batch column equals the column of one
     # record per row, and so does every propagated bit. A deep-space
     # shell (8,000 km up) and a TLE catalog with drag ride along, one
-    # record per row
-    from leolink import engine
+    # row per satellite
+    from leolink import engine, sgp4batch
     from leolink.sgp4batch import SatBatch
     from leolink.timebase import julian_date
 
@@ -1067,8 +1067,8 @@ def test_fleet_fills_slots_as_records_per_slot_would(shells, offsets):
     cfg = mini_cfg(
         constellations=[*fleets, ConstellationConfig("cat", BeamModel("earth_limb"), tles=[draggy])]
     )
-    inits = []
-    counted = engine.satrec_from_tle
+    inits, batch_inits = [], []
+    counted, near_init = engine.satrec_from_tle, sgp4batch._near_init
 
     def counting(tle):
         inits.append(tle.name)
@@ -1076,6 +1076,8 @@ def test_fleet_fills_slots_as_records_per_slot_would(shells, offsets):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "satrec_from_tle", counting)
+        mp.setattr(sgp4batch, "_near_init",
+                   lambda tles: batch_inits.append([t.name for t in tles]) or near_init(tles))
         fleet = engine._Fleet(cfg)
     want = SatBatch(_records_per_row(cfg))
     got = fleet.batch
@@ -1086,15 +1088,19 @@ def test_fleet_fills_slots_as_records_per_slot_would(shells, offsets):
     for key in ("epoch_jd", "epoch_fr", "deep"):
         assert np.array_equal(getattr(got, key), getattr(want, key)), key
     assert got._runs == want._runs
-    # one record per near-earth shell, its first slot's; one per deep slot
-    expected = []
+    # one batch init of each near-earth shell's first slot and the catalog
+    # row; a scalar init per deep slot
+    near, deep = [], []
     for f in fleets:
         i = 0
         for shell in f.shells:
-            slots = range(i, i + (shell.total if shell.altitude == 8000.0 else 1))
-            expected += [f"{f.name}-{k}" for k in slots]
+            if shell.altitude == 8000.0:
+                deep += [f"{f.name}-{k}" for k in range(i, i + shell.total)]
+            else:
+                near.append(f"{f.name}-{i}")
             i += shell.total
-    assert inits == expected + ["DRAGGY"]
+    assert batch_inits == [near + ["DRAGGY"]]
+    assert inits == deep
     jd, fr = julian_date(EPOCH)
     fr = fr + np.array([0.0, 0.013, 0.5, 1.7])
     for a, b in zip(got.propagate_jd(jd, fr), want.propagate_jd(jd, fr)):
@@ -1141,6 +1147,34 @@ def test_shell_failing_init_raises_the_per_slot_error(fleets):
     )
     assert "init failed" in str(got.value)
     assert got.value.object_name in ("low-6", "low-2", "SUB")
+
+
+# a deep-space orbit (300 min) whose perigee is below the surface: scalar
+# init rejects it at its epoch
+_DEEP_SUB = TwoLineElementSet(
+    name="DEEPSUB", epoch=EPOCH, inclination=30.0, raan=0.0, eccentricity=0.6, arg_perigee=0.0,
+    mean_anomaly=0.0, mean_motion=4.8, bstar=0.0, catalog_id=44444,
+)
+
+
+@pytest.mark.parametrize(
+    "tles", [[_SUB_ORBITAL, _DEEP_SUB], [_DEEP_SUB, _SUB_ORBITAL]], ids=["near-first", "deep-first"]
+)
+def test_set_up_raises_the_first_row_that_fails_of_either_kind(tles):
+    # a near-earth row, which the batch checks at its epoch, and a
+    # deep-space row, which scalar init checks, both fail: set-up raises
+    # the error of the first in fleet order, as a record per row does
+    cfg = mini_cfg(
+        constellations=[ConstellationConfig("cat", BeamModel("earth_limb"), tles=tles)],
+        duration_s=60.0,
+    )
+    with pytest.raises(PropagationError) as want:
+        _records_per_row(cfg)
+    with pytest.raises(PropagationError) as got:
+        run(cfg)
+    assert (str(got.value), got.value.object_name, got.value.step, got.value.utc) == (
+        str(want.value), tles[0].name, None, None
+    )
 
 
 @settings(max_examples=40, deadline=None)
@@ -1211,16 +1245,18 @@ def test_slots_that_fail_scalar_init_are_rows_that_may_fail(shells, offsets):
 
 
 def test_fleet_set_up_checks_only_the_slots_that_may_fail(monkeypatch):
-    # the bundled OneWeb and Starlink shells cannot fail, so set-up inits
-    # one record per shell, its first slot's; a shell low enough to fail
-    # gets scalar init, with its epoch check, of every slot in fleet order,
-    # up to the first that fails
-    from leolink import engine
+    # the bundled OneWeb and Starlink shells cannot fail, so set-up
+    # initialises one row per shell, its first slot's, in one batch call; a
+    # shell low enough to fail gets a row per slot, each checked at its
+    # epoch, and set-up raises at the first that fails in fleet order
+    from leolink import engine, sgp4batch
     from leolink.fleets import BUILTIN_FLEETS
 
     inits = []
-    init = engine.satrec_from_tle
-    monkeypatch.setattr(engine, "satrec_from_tle", lambda tle: inits.append(tle.name) or init(tle))
+    init = sgp4batch._near_init
+    monkeypatch.setattr(
+        sgp4batch, "_near_init", lambda tles: inits.append([t.name for t in tles]) or init(tles)
+    )
     fleets = [BUILTIN_FLEETS["oneweb"], BUILTIN_FLEETS["starlink"]]
     fleet = engine._Fleet(mini_cfg(constellations=fleets))
     assert fleet.n == 5124 and not fleet.may_fail.any()
@@ -1228,7 +1264,7 @@ def test_fleet_set_up_checks_only_the_slots_that_may_fail(monkeypatch):
     for f in fleets:
         starts = np.cumsum([0] + [shell.total for shell in f.shells[:-1]])
         firsts += [f"{f.name}-{k}" for k in starts.tolist()]
-    assert inits == firsts and len(firsts) == sum(len(f.shells) for f in fleets)
+    assert inits == [firsts] and len(firsts) == sum(len(f.shells) for f in fleets)
     inits.clear()
     cfg = mini_cfg(
         constellations=[
@@ -1237,9 +1273,9 @@ def test_fleet_set_up_checks_only_the_slots_that_may_fail(monkeypatch):
     )
     with pytest.raises(PropagationError, match="low-6"):
         engine._Fleet(cfg)
-    assert inits == ["low-0", "low-4", "low-5", "low-6"]
+    assert inits == [["low-0", *(f"low-{k}" for k in range(4, 40))]]
     # a catalog row that fails after a shell that cannot fail is raised
-    # after one init of the shell
+    # after one init of the shell's first slot and the catalog row
     inits.clear()
     cfg = mini_cfg(
         constellations=[
@@ -1249,7 +1285,7 @@ def test_fleet_set_up_checks_only_the_slots_that_may_fail(monkeypatch):
     )
     with pytest.raises(PropagationError, match="SUB"):
         engine._Fleet(cfg)
-    assert inits == ["ok-0", "SUB"]
+    assert inits == [["ok-0", "SUB"]]
 
 
 def test_run_profile_counts_repeat_and_add_up(tmp_path, monkeypatch):

@@ -45,10 +45,10 @@ def test_compare_flags_a_byte_that_differs_and_a_summary_that_is_not_canonical(t
 
 
 def test_the_groups_are_those_of_the_determinism_check():
-    # the printed list: one line per (group, workload), 21 in all
+    # the printed list: one line per (group, workload), 22 in all
     lines = [
         f"{name} seed {seed} {variants[0][0]}"
         for seed, names, _, variants in identity.GROUPS
         for name in names
     ]
-    assert len(lines) == len(set(lines)) == 21
+    assert len(lines) == len(set(lines)) == 22

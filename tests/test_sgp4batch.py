@@ -1,5 +1,7 @@
 import math
+from dataclasses import replace
 from datetime import timedelta
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,10 +10,10 @@ from hypothesis import strategies as st
 
 from leolink import sgp4core
 from leolink.elements import KeplerianElements
-from leolink.propagation import satrec_from_tle
-from leolink.sgp4batch import SatBatch
+from leolink.propagation import PropagationError, satrec_from_tle
+from leolink.sgp4batch import SatBatch, tle_kinds
 from leolink.timebase import julian_date, parse_utc
-from leolink.tle import elements_to_tle
+from leolink.tle import TwoLineElementSet, elements_to_tle
 from leolink.walker import ShellSpec, build_walker
 
 EPOCH = parse_utc("2021-03-20T09:37:29Z")
@@ -613,3 +615,80 @@ def test_orbit_bounds_hold_for_batch_states():
     drag = np.array([rec.bstar != 0.0 for rec in recs])
     assert np.array_equal(batch.may_fail, drag | batch.deep)
     assert np.all(np.isinf(r_hi[drag])) and np.all(np.isfinite(r_hi[~drag]))
+
+
+def _tle(perigee, ecc, inc, bstar, angles, days):
+    """A TLE of the given perigee height above the WGS-72 radius [km],
+    eccentricity, inclination [deg], bstar, (raan, argp, ma) [deg] and
+    epoch offset [days]."""
+    mu, re = sgp4core.WGS72[1:3]
+    a = (re + perigee) / (1.0 - ecc)
+    n = 86400.0 / (2.0 * math.pi * math.sqrt(a**3 / mu))
+    raan, argp, ma = angles
+    return TwoLineElementSet(
+        name="", epoch=EPOCH + timedelta(days=days), inclination=inc, raan=raan,
+        eccentricity=ecc, arg_perigee=argp, mean_anomaly=ma, mean_motion=n, bstar=bstar,
+        catalog_id=1,
+    )
+
+
+_angle = st.floats(0.0, 360.0, exclude_max=True)
+_tles = st.builds(
+    _tle,
+    # isimp below 220 km, sfour's branches below 156 and 98 km, and orbits
+    # that scalar init rejects at epoch below the surface
+    perigee=st.one_of(st.floats(90.0, 2000.0), st.floats(-400.0, 90.0)),
+    # cc3 and xmcof only above e = 1e-4; periods of 225 min and more
+    # (scalar init) from e of about 0.3 up
+    ecc=st.one_of(st.just(1e-4), st.floats(0.0, 1e-4), st.floats(1e-4, 0.75)),
+    # xlcof's guard where |cos i + 1| <= 1.5e-12
+    inc=st.one_of(st.floats(0.0, 180.0), st.just(180.0), st.floats(179.9999999, 180.0)),
+    bstar=st.one_of(st.just(0.0), st.floats(-1e-3, 1e-3)),
+    angles=st.tuples(_angle, _angle, _angle),
+    days=st.floats(-30.0, 30.0),
+)
+
+
+def _scalar_init(tle):
+    """satrec_from_tle's record of ``tle``, or the error it raises."""
+    try:
+        return satrec_from_tle(tle)
+    except PropagationError as exc:
+        return exc
+
+
+@settings(max_examples=150, deadline=None)
+@given(tles=st.lists(_tles, min_size=1, max_size=5).map(
+    lambda ts: [replace(t, catalog_id=k + 1) for k, t in enumerate(ts)]
+))
+def test_batch_init_is_scalar_init(tles):
+    # the batch's near-earth init gives every column the bits of scalar
+    # init's record; a row that scalar init rejects raises its error, the
+    # first such row's in a batch, with no step or instant; and a batch
+    # whose rows scalar init accepts raises nothing
+    scalar, may_fail = tle_kinds(tles)
+    entries = [partial(satrec_from_tle, t) if s else t for t, s in zip(tles, scalar)]
+    refs = [_scalar_init(t) for t in tles]
+    for entry, ref in zip(entries, refs):
+        if isinstance(ref, PropagationError):
+            with pytest.raises(PropagationError) as got:
+                SatBatch([entry])
+            assert (str(got.value), got.value.object_name, got.value.step, got.value.utc) == (
+                str(ref), ref.object_name, None, None
+            )
+        else:
+            SatBatch([entry])
+    errors = [ref for ref in refs if isinstance(ref, PropagationError)]
+    if errors:
+        with pytest.raises(PropagationError) as got:
+            SatBatch(entries)
+        assert str(got.value) == str(errors[0])
+        return
+    assert list(scalar) == [rec.method == "d" for rec in refs]
+    got, want = SatBatch(entries), SatBatch(refs)
+    assert got._cols.keys() == want._cols.keys()
+    for key, column in want._cols.items():
+        assert got._cols[key].tobytes() == column.tobytes(), key
+    for key in ("epoch_jd", "epoch_fr", "deep"):
+        assert getattr(got, key).tobytes() == getattr(want, key).tobytes(), key
+    assert np.array_equal(may_fail, want.may_fail)

@@ -1,4 +1,5 @@
 import warnings
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from leolink.fleets import BUILTIN_FLEETS
 from leolink.timebase import parse_utc
 from leolink.tle import (
     TleParseError,
+    _checksum,
     _implied_decimal,
     elements_to_tle,
     format_tle,
@@ -99,6 +101,40 @@ def test_checksum_mismatch_strict_vs_lenient():
     assert any("checksum" in str(w.message) for w in caught)
 
 
+def _checksum_by_character(line):
+    """The checksum of a line that holds only ASCII, one character at a
+    time: the reference for tle._checksum."""
+    s = 0
+    for ch in line[:68]:
+        if ch.isdigit():
+            s += int(ch)
+        elif ch == "-":
+            s += 1
+    return s % 10
+
+
+def test_checksum_counts_only_ascii_digits():
+    # '²' is a digit to str.isdigit, but not to the checksum, which counts
+    # it as 0: the line warns (or, strict, raises) as any checksum mismatch
+    # does, naming its line and both checksums
+    l1, l2 = VER_TLE_5.splitlines()
+    sup = l1[:65] + "²" + l1[66:]  # the element number's 4
+    with pytest.raises(TleParseError, match="line 1 checksum"):
+        parse_tle([sup, l2], strict=True)
+    with pytest.warns(UserWarning, match="line 1 checksum 3 != computed 9"):
+        assert parse_tle([sup, l2]).catalog_id == 5
+    # nor is a '²' in column 69 a checksum digit to compare with
+    parse_tle([l1[:68] + "²", l2], strict=True)
+
+
+def test_checksum_matches_the_character_loop_on_the_bundled_catalog():
+    text = (resources.files("leolink") / "data" / "eutelsat_geo.tle").read_text()
+    lines = [ln for ln in text.splitlines() if ln.startswith(("1 ", "2 "))]
+    assert len(lines) == 46
+    for ln in lines:
+        assert _checksum(ln) == _checksum_by_character(ln) == int(ln[68])
+
+
 def test_malformed_line_names_field():
     l1, l2 = VER_TLE_5.splitlines()
     garbled = l2[:8] + "xx.yyyy " + l2[16:]
@@ -145,3 +181,5 @@ def test_round_trip_property(alt, ecc, inc, raan, argp, ma):
     assert t2.arg_perigee == pytest.approx(t.arg_perigee, abs=1e-4)
     assert t2.mean_anomaly == pytest.approx(t.mean_anomaly, abs=1e-4)
     assert t2.mean_motion == pytest.approx(t.mean_motion, abs=1e-8)
+    for ln in format_tle(t).splitlines():
+        assert _checksum(ln) == _checksum_by_character(ln)

@@ -16,7 +16,8 @@ and off. The population at paper scale (1,100 users, 20 min), whose block
 takes several chunks of users where the benchmark's fit in one, with 1
 and 3 threads. iss_leo and population_mc with one TLE catalog for their
 fleet: the 716 OneWeb slots written as TLEs with drag (bstar 1e-4), as
-every row of a real catalog has. At seeds 0 and 5 population_mc with
+every row of a real catalog has; iss_leo also with the 5,124 OneWeb and
+Starlink slots written as a drag-free catalog, whose rows cannot fail. At seeds 0 and 5 population_mc with
 every block's knots planned (``engine._CLEAR_SHARE`` 0, where its blocks
 otherwise take every knot dense) and with the cull off. iss_leo over
 5,120 s (513 steps: a last block of one knot) with the cull on and off.
@@ -50,10 +51,11 @@ ROOT = Path(__file__).resolve().parent.parent
 _ALL = ("iss_leo", "population_mc", "geo_deep")
 _MASK_0 = {"min_elevation": 0}
 _PAPER = {"users": {"population": {"n_main": 1000, "n_band": 50, "seed": 0}}}
-# the TLE catalog of the 716 OneWeb slots with drag, written for the runs
-# into their temporary directory
-_CATALOG = "oneweb_drag.tle"
+# TLE catalogs written for the runs into their temporary directory: the
+# 716 OneWeb slots with drag, and the 5,124 OneWeb and Starlink slots without
+_CATALOG, _FREE_CATALOG = "oneweb_drag.tle", "oneweb_starlink.tle"
 _DRAG = {"constellations": [{"name": "oneweb_drag", "source": {"tle_file": _CATALOG}}]}
+_FREE = {"constellations": [{"name": "catalog", "source": {"tle_file": _FREE_CATALOG}}]}
 _ONE_KNOT = {"duration": 5120.0}
 _AHEAD, _BEHIND = {"epoch": "2021-04-17T09:37:29Z"}, {"epoch": "2021-02-20T09:37:29Z"}
 # the beam of each named constellation of the workload
@@ -86,6 +88,7 @@ GROUPS = (
     (0, _ALL, None, _on_and_off("mask 0", _MASK_0)),
     (0, ("population_mc",), None, _threads("1,100 users", _PAPER)),
     (0, ("iss_leo", "population_mc"), None, _threads_and_off("drag catalog", _DRAG)),
+    (0, ("iss_leo",), None, _threads_and_off("drag-free catalog", _FREE)),
     (0, ("population_mc",), 0.0, _PLANNED),
     (5, ("population_mc",), 0.0, _PLANNED),
     (0, ("iss_leo",), None, _on_and_off("one-knot block", _ONE_KNOT)),
@@ -147,16 +150,18 @@ def _config(build, seed, out, change, tmp):
     return {**cfg, "constellations": fleet}
 
 
-def _write_catalog(path, epoch):
+def _write_catalog(path, epoch, fleets, bstar):
     from leolink.fleets import BUILTIN_FLEETS
     from leolink.timebase import parse_utc
     from leolink.tle import dump_tle_file, elements_to_tle
     from leolink.walker import build_walker
 
-    slots = [el for shell in BUILTIN_FLEETS["oneweb"].shells
+    slots = [el for fleet in fleets for shell in BUILTIN_FLEETS[fleet].shells
              for el in build_walker(shell, parse_utc(epoch))]
-    dump_tle_file([replace(elements_to_tle(el, catalog_id=k + 1, name=f"oneweb-{k}"), bstar=1e-4)
-                   for k, el in enumerate(slots)], path)
+    dump_tle_file([
+        replace(elements_to_tle(el, catalog_id=k + 1, name=f"{fleets[0]}-{k}"), bstar=bstar)
+        for k, el in enumerate(slots)
+    ], path)
 
 
 def main() -> int:
@@ -166,7 +171,8 @@ def main() -> int:
 
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
-        _write_catalog(Path(tmp, _CATALOG), EPOCH)
+        _write_catalog(Path(tmp, _CATALOG), EPOCH, ("oneweb",), 1e-4)
+        _write_catalog(Path(tmp, _FREE_CATALOG), EPOCH, ("oneweb", "starlink"), 0.0)
         for seed, names, share, variants in GROUPS:
             for name in names:
                 outs = {}
