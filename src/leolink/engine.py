@@ -79,7 +79,7 @@ from .metrics import BinGrid, CoverageSummary, Results, StepRecord, UserAccumula
 from .policy import serving_rows
 from .population import UserSpec
 from .propagation import PropagationError, satrec_from_tle
-from .sgp4batch import SatBatch, Slots, tle_entries, tle_kinds
+from .sgp4batch import SatBatch, Slots, tle_kinds
 from .timebase import format_utc, julian_date
 from .tle import elements_to_tle
 from .walker import build_walker, shell_angles
@@ -185,13 +185,12 @@ class _Fleet:
     (:func:`tle_kinds` of its first slot's TLE) is one row of that call,
     and the batch fills every slot's row from it (:class:`Slots`): slots
     differ only in node and mean anomaly, which do not decide whether a
-    slot may fail. Any other shell and every TLE catalog get a row per
-    satellite. A slot's name is formatted only when read.
+    slot may fail. Other shells and TLE catalogs get a row per satellite.
     """
 
     def __init__(self, cfg: ScenarioConfig):
-        rows = []  # batch entries in fleet order, as lists; a shell's, a function of may_fail
-        firsts = []  # each shell's first TLE
+        entries = []  # per shell or catalog, its batch entries; a shell's once its kind is known
+        shells = []  # per shell, (its index in entries, its first TLE)
         groups = []  # per shell or catalog, (rows, constellation, beam cone params)
         self.names = [c.name for c in cfg.constellations]
         self.counts: dict[str, int] = {}
@@ -202,17 +201,18 @@ class _Fleet:
                 for si, shell in enumerate(cc.shells):
                     angles = shell_angles(shell)
                     tles = partial(_shell_tles, cc, shell, angles, cfg.epoch, n, n0)
-                    firsts.append(tles(1)[0])
-                    rows.append(partial(_shell_rows, cc, shell, angles, tles, n - n0, firsts[-1]))
+                    shells.append((len(entries), tles(1)[0]))
+                    entries.append(partial(_shell_entries, cc, shell, angles, tles, n - n0))
                     n += shell.total
                     groups.append((shell.total, ci, cc.beam_for_shell(si).cone_params))
             else:
-                rows.append(tle_entries([_offset(cc, tle) for tle in cc.tles], satrec_from_tle))
+                entries.append([(_offset(cc, tle), satrec_from_tle) for tle in cc.tles])
                 n += len(cc.tles)
                 groups.append((len(cc.tles), ci, cc.beam.cone_params))
             self.counts[cc.name] = n - n0
-        may_fail = iter(tle_kinds(firsts)[1]) if firsts else None
-        rows = [r for rs in rows for r in (rs if isinstance(rs, list) else rs(next(may_fail)))]
+        if shells:
+            for (i, first), m in zip(shells, tle_kinds([f for _, f in shells])[1].tolist()):
+                entries[i] = entries[i](first, m)
         self.n = n
         sizes = [m for m, _, _ in groups]
         self.const_of_sat = np.repeat(np.array([ci for _, ci, _ in groups], dtype=np.int64), sizes)
@@ -220,7 +220,7 @@ class _Fleet:
         self.beam_param = np.repeat(np.array([c[1] for _, _, c in groups], dtype=float), sizes)
         # each row's cone parameters and beam group (its shell or catalog)
         self.beams = (self.beam_nadir, self.beam_param, np.repeat(np.arange(len(groups)), sizes))
-        self.batch = SatBatch(rows)
+        self.batch = SatBatch([e for es in entries for e in es])
         self.bounds = self.batch.orbit_bounds()
         self.may_fail = self.batch.may_fail
 
@@ -257,14 +257,14 @@ class _SlotNames(Sequence):
         return f"{self.constellation}-{self.ids[k]}"
 
 
-def _shell_rows(cc, shell, angles, tles, i0: int, first, may_fail: bool) -> list:
+def _shell_entries(cc, shell, angles, tles, i0: int, first, may_fail: bool) -> list:
     """The batch entries of a Walker shell of constellation ``cc`` from its
-    ``i0``-th satellite on: a row per slot's TLE (``tles()``, the first
-    ``first``) if they may fail, else :class:`Slots` at its ``angles``
+    ``i0``-th satellite on: a (TLE, scalar init) row per slot (``tles()``,
+    the first ``first``) if they may fail, else :class:`Slots` at ``angles``
     (:func:`shell_angles`) through the operations of :func:`_offset`,
     :func:`elements_to_tle` and :func:`satrec_from_tle`, for their bits."""
     if may_fail:
-        return tle_entries([first, *tles()[1:]], satrec_from_tle)
+        return [(t, satrec_from_tle) for t in [first, *tles()[1:]]]
     raan, mean_anomaly = _offset_angles(cc, *angles)
     deg = math.pi / 180.0
     return [Slots(
@@ -297,7 +297,7 @@ def _user_records(cfg: ScenarioConfig):
     for u in cfg.users:
         el = u.elements if u.elements.epoch is not None else replace(u.elements, epoch=cfg.epoch)
         tles.append(elements_to_tle(el, catalog_id=90000 + u.user_id, name=f"user-{u.user_id}"))
-    return tle_entries(tles, satrec_from_tle)
+    return [(t, satrec_from_tle) for t in tles]
 
 
 def run(cfg: ScenarioConfig) -> RunManifest:

@@ -51,14 +51,15 @@ A batch is built from TLEs, from initialised scalar records and from
 the element columns of every TLE row in one call (:func:`_near_init`),
 calling libm per row wherever numpy need not round as libm does, so each
 column has the bits of the row's scalar record. Deep-space rows keep scalar
-init: a caller passes their records, or functions that return them
-(:func:`tle_kinds` says which TLEs those are). The TLE rows that
-:attr:`SatBatch.may_fail` are propagated once at their epoch, as scalar init
-does, and the first in row order that fails with one of SGP4's error codes
-raises scalar init's error, as does the first scalar init that fails. A
-:class:`Slots` entry stands for many rows, the slots of one Walker shell that
-cannot fail: their columns are its first slot's, with each slot's node and
-mean anomaly and the two constants that depend on them.
+init: a caller passes their records, or each TLE with the scalar init that
+the batch runs if the row is one that scalar init takes (:func:`tle_kinds`
+says which those are). The TLE rows that :attr:`SatBatch.may_fail` are
+propagated once at their epoch, as scalar init does, and the first in row
+order that fails with one of SGP4's error codes raises scalar init's error,
+as does the first scalar init that fails. A :class:`Slots` entry stands for
+many rows, the slots of one Walker shell that cannot fail: their columns are
+its first slot's, with each slot's node and mean anomaly and the two
+constants that depend on them.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ import math
 import threading
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import accumulate, chain, compress, repeat
 from operator import attrgetter, itemgetter
 from types import SimpleNamespace
@@ -180,14 +181,6 @@ def tle_kinds(tles: Sequence[TwoLineElementSet]) -> tuple[np.ndarray, np.ndarray
     return scalar, _may_fail(scalar, r_lo, _WGS72[2])
 
 
-def tle_entries(tles: Sequence[TwoLineElementSet], scalar_init) -> list:
-    """:class:`SatBatch` entries of TLE rows: each TLE, or where scalar init
-    takes the row (:func:`tle_kinds`), a function that runs
-    ``scalar_init`` on it."""
-    scalar, _ = tle_kinds(tles)
-    return [partial(scalar_init, t) if s else t for t, s in zip(tles, scalar.tolist())]
-
-
 def _may_fail(deep, r_lo, radiusearthkm):
     """:attr:`SatBatch.may_fail` from each record's deep-space flag and r_lo."""
     return deep | (r_lo <= radiusearthkm)
@@ -204,28 +197,43 @@ def _radii(no_unkozai, ecco, drag, radiusearthkm, xke):
 class SatBatch:
     """Fleet-sized batch of initialized SGP4 records, in the given order.
 
-    An entry is a TLE, which the batch initialises, a scalar record, a
-    function that returns one (the scalar init of a deep-space row, run
-    when the batch is built), or a :class:`Slots` entry, which stands for
-    one row per slot. Every row's constants are copied into columns; no
-    record is kept. Set-up raises scalar init's error for the first row
-    that scalar init rejects: a function's error, or a TLE row that fails
-    at its epoch with one of SGP4's error codes."""
+    An entry is a TLE, which the batch initialises, a (TLE, scalar init)
+    pair, whose scalar init the batch runs if the row is one that scalar
+    init takes (:func:`tle_kinds`), a scalar record, or a :class:`Slots`
+    entry, which stands for one row per slot. Every row's constants are
+    copied into columns; no record is kept. Set-up raises scalar init's
+    error for the first row that scalar init rejects: a pair's scalar init
+    that fails, or a TLE row that fails at its epoch with one of SGP4's
+    error codes."""
 
     def __init__(
         self,
         records: list[TwoLineElementSet | sgp4core.SatRecord | Slots
-                      | Callable[[], sgp4core.SatRecord]],
+                      | tuple[TwoLineElementSet, Callable[[TwoLineElementSet], sgp4core.SatRecord]]],
     ):
-        entries = []
-        for r in records:
-            if callable(r):
+        entries = [r[0] if type(r) is tuple else r for r in records]
+        # each entry's TLE, a Slots entry's its template; None for a record
+        tles = [None if isinstance(r, sgp4core.SatRecord) else r.tle if isinstance(r, Slots)
+                else r for r in entries]
+        at = [i for i, t in enumerate(tles) if t is not None]
+        elements = _elements([tles[i] for i in at])
+        unkozai = _unkozai(elements[2], elements[1], elements[4])
+        scalar = _scalar(unkozai[0])
+        if scalar.any():
+            for i in compress(at, scalar.tolist()):
+                if type(records[i]) is not tuple:
+                    raise ValueError(
+                        f"{tles[i].name or tles[i].catalog_id}: deep-space rows need scalar init"
+                    )
                 try:
-                    r = r()
+                    entries[i] = records[i][1](tles[i])
                 except PropagationError:
-                    SatBatch(entries)  # raises the error of an earlier row that fails
+                    SatBatch(entries[:i])  # raises the error of an earlier row that fails
                     raise
-            entries.append(r)
+            near = ~scalar
+            at = list(compress(at, near.tolist()))
+            elements = [c[near] for c in elements]
+            unkozai = [c[near] for c in unkozai]
         is_rec = [isinstance(r, sgp4core.SatRecord) for r in entries]
         is_slots = [isinstance(r, Slots) for r in entries]
         sizes = [len(r.names) if s else 1 for r, s in zip(entries, is_slots)]
@@ -237,15 +245,10 @@ class SatBatch:
             for r, s, c in zip(entries, is_slots, is_rec)
         ]
         recs = list(compress(entries, is_rec))
-        tles = [r.tle if s else r for r, s, c in zip(entries, is_slots, is_rec) if not c]
         fields = _FIELDS + ("epoch_jd", "epoch_fr", "isimp")
         source = _matrix(recs, fields)
-        if tles:
-            near = _near_init(tles)
-            scalar = _scalar(near["no_unkozai"])
-            if scalar.any():
-                t = tles[scalar.argmax()]
-                raise ValueError(f"{t.name or t.catalog_id}: deep-space rows need scalar init")
+        if at:
+            near = _near_init([tles[i] for i in at], elements, unkozai)
             # every entry's constants, from those of the records, then of the TLEs
             source = np.concatenate([source, [near[f] for f in fields]], axis=1)
             rec = np.array(is_rec, dtype=bool)
@@ -924,21 +927,21 @@ def _mean_anomaly_terms(eta, mo: np.ndarray):
     return d * d * d, _libm(math.sin, mo)
 
 
-def _near_init(tles) -> dict[str, np.ndarray]:
+def _near_init(tles, elements, unkozai) -> dict[str, np.ndarray]:
     """The constants a batch reads, each (n,) (``isimp`` as 0.0 or 1.0), of
     the near-earth branch of :func:`sgp4core.sgp4init` (with ``_initl``) on
-    each TLE, with every bit of its scalar record: numpy runs each operation
-    of the reference in its order, and libm its cos, sin and pow. A row left
-    to scalar init (:func:`tle_kinds`) gets values that mean nothing."""
+    each TLE, from its :func:`_elements` and :func:`_unkozai`, with every
+    bit of its scalar record: numpy runs each operation of the reference in
+    its order, and libm its cos, sin and pow."""
     _, _, re, xke, j2, _, j4, j3oj2 = _WGS72
     x2o3 = 2.0 / 3.0
-    bstar, ecco, no_kozai, argpo, inclo, mo, nodeo = _elements(tles)
+    bstar, ecco, no_kozai, argpo, inclo, mo, nodeo = elements
+    no_unkozai, cosio, cosio2, omeosq, rteosq = unkozai
     # one julian_date per distinct epoch: a fleet's or the users' is often one
     epochs = {t.epoch for t in tles}
     jd = dict(zip(epochs, map(julian_date, epochs)))
     epoch_jd, epoch_fr = np.array([jd[t.epoch] for t in tles], dtype=float).reshape(-1, 2).T
 
-    no_unkozai, cosio, cosio2, omeosq, rteosq = _unkozai(no_kozai, ecco, inclo)
     ao = _libm(math.pow, xke / no_unkozai, x2o3)
     sinio = _libm(math.sin, inclo)
     po = ao * omeosq

@@ -1077,7 +1077,7 @@ def test_fleet_fills_slots_as_records_per_slot_would(shells, offsets):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "satrec_from_tle", counting)
         mp.setattr(sgp4batch, "_near_init",
-                   lambda tles: batch_inits.append([t.name for t in tles]) or near_init(tles))
+                   lambda tles, *a: batch_inits.append([t.name for t in tles]) or near_init(tles, *a))
         fleet = engine._Fleet(cfg)
     want = SatBatch(_records_per_row(cfg))
     got = fleet.batch
@@ -1255,7 +1255,8 @@ def test_fleet_set_up_checks_only_the_slots_that_may_fail(monkeypatch):
     inits = []
     init = sgp4batch._near_init
     monkeypatch.setattr(
-        sgp4batch, "_near_init", lambda tles: inits.append([t.name for t in tles]) or init(tles)
+        sgp4batch, "_near_init",
+        lambda tles, *a: inits.append([t.name for t in tles]) or init(tles, *a),
     )
     fleets = [BUILTIN_FLEETS["oneweb"], BUILTIN_FLEETS["starlink"]]
     fleet = engine._Fleet(mini_cfg(constellations=fleets))

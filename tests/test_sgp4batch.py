@@ -1,7 +1,6 @@
 import math
 from dataclasses import replace
 from datetime import timedelta
-from functools import partial
 
 import numpy as np
 import pytest
@@ -667,25 +666,24 @@ def test_batch_init_is_scalar_init(tles):
     # first such row's in a batch, with no step or instant; and a batch
     # whose rows scalar init accepts raises nothing
     scalar, may_fail = tle_kinds(tles)
-    entries = [partial(satrec_from_tle, t) if s else t for t, s in zip(tles, scalar)]
     refs = [_scalar_init(t) for t in tles]
-    for entry, ref in zip(entries, refs):
+    for t, ref in zip(tles, refs):
         if isinstance(ref, PropagationError):
             with pytest.raises(PropagationError) as got:
-                SatBatch([entry])
+                SatBatch([(t, satrec_from_tle)])
             assert (str(got.value), got.value.object_name, got.value.step, got.value.utc) == (
                 str(ref), ref.object_name, None, None
             )
         else:
-            SatBatch([entry])
+            SatBatch([(t, satrec_from_tle)])
     errors = [ref for ref in refs if isinstance(ref, PropagationError)]
     if errors:
         with pytest.raises(PropagationError) as got:
-            SatBatch(entries)
+            SatBatch([(t, satrec_from_tle) for t in tles])
         assert str(got.value) == str(errors[0])
         return
     assert list(scalar) == [rec.method == "d" for rec in refs]
-    got, want = SatBatch(entries), SatBatch(refs)
+    got, want = SatBatch([(t, satrec_from_tle) for t in tles]), SatBatch(refs)
     assert got._cols.keys() == want._cols.keys()
     for key, column in want._cols.items():
         assert got._cols[key].tobytes() == column.tobytes(), key
