@@ -34,6 +34,9 @@ class KeplerianElements:
             )
         if not 0.0 <= self.eccentricity < 1.0:
             raise ValueError(f"eccentricity {self.eccentricity} outside [0, 1)")
+        for name in ("semi_major_axis", "inclination", "raan", "arg_perigee", "mean_anomaly"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name.replace('_', ' ')} {getattr(self, name)} is not finite")
 
     @property
     def altitude_km(self) -> float:

@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 import time
 from collections.abc import Sequence
@@ -79,7 +78,7 @@ from .metrics import BinGrid, CoverageSummary, Results, StepRecord, UserAccumula
 from .policy import serving_rows
 from .population import UserSpec
 from .propagation import PropagationError, satrec_from_tle
-from .sgp4batch import SatBatch, Slots, tle_kinds
+from .sgp4batch import SatBatch, Slots
 from .timebase import format_utc, julian_date
 from .tle import elements_to_tle
 from .walker import build_walker, shell_angles
@@ -178,19 +177,15 @@ class _Fleet:
     """Flattened satellite set across all configured constellations, with
     each row's constellation index, beam cone parameters and beam group.
 
-    The batch initialises every near-earth row in one call, checks at its
-    epoch each one that may fail and runs the deep-space rows' scalar init,
-    so set-up raises the error of the first row in fleet order that a
-    record per row fails. A Walker shell whose slots cannot fail
-    (:func:`tle_kinds` of its first slot's TLE) is one row of that call,
-    and the batch fills every slot's row from it (:class:`Slots`): slots
-    differ only in node and mean anomaly, which do not decide whether a
-    slot may fail. Other shells and TLE catalogs get a row per satellite.
+    Each Walker shell is one batch entry (:class:`Slots`) from its first
+    slot's TLE, and each catalog TLE one more. The batch initialises the
+    near-earth rows in one call, checks at its epoch each one that may fail
+    and runs the deep-space rows' scalar init, so set-up raises the error
+    of the first row in fleet order that a record per row fails.
     """
 
     def __init__(self, cfg: ScenarioConfig):
-        entries = []  # per shell or catalog, its batch entries; a shell's once its kind is known
-        shells = []  # per shell, (its index in entries, its first TLE)
+        entries = []
         groups = []  # per shell or catalog, (rows, constellation, beam cone params)
         self.names = [c.name for c in cfg.constellations]
         self.counts: dict[str, int] = {}
@@ -200,19 +195,22 @@ class _Fleet:
             if cc.shells is not None:
                 for si, shell in enumerate(cc.shells):
                     angles = shell_angles(shell)
-                    tles = partial(_shell_tles, cc, shell, angles, cfg.epoch, n, n0)
-                    shells.append((len(entries), tles(1)[0]))
-                    entries.append(partial(_shell_entries, cc, shell, angles, tles, n - n0))
+                    first, = build_walker(shell, cfg.epoch, 1, angles)
+                    tle = elements_to_tle(_offset(cc, first), catalog_id=n + 1,
+                                          name=f"{cc.name}-{n - n0}")
+                    # each slot's angles through the operations of _offset and
+                    # elements_to_tle, for their bits
+                    raan, mean_anomaly = _offset_angles(cc, *angles)
+                    names = _SlotNames(cc.name, range(n - n0, n - n0 + shell.total))
+                    slots = Slots(tle, names, raan % 360.0, mean_anomaly % 360.0)
+                    entries.append((slots, satrec_from_tle))
                     n += shell.total
                     groups.append((shell.total, ci, cc.beam_for_shell(si).cone_params))
             else:
-                entries.append([(_offset(cc, tle), satrec_from_tle) for tle in cc.tles])
+                entries += [(_offset(cc, tle), satrec_from_tle) for tle in cc.tles]
                 n += len(cc.tles)
                 groups.append((len(cc.tles), ci, cc.beam.cone_params))
             self.counts[cc.name] = n - n0
-        if shells:
-            for (i, first), m in zip(shells, tle_kinds([f for _, f in shells])[1].tolist()):
-                entries[i] = entries[i](first, m)
         self.n = n
         sizes = [m for m, _, _ in groups]
         self.const_of_sat = np.repeat(np.array([ci for _, ci, _ in groups], dtype=np.int64), sizes)
@@ -220,7 +218,7 @@ class _Fleet:
         self.beam_param = np.repeat(np.array([c[1] for _, _, c in groups], dtype=float), sizes)
         # each row's cone parameters and beam group (its shell or catalog)
         self.beams = (self.beam_nadir, self.beam_param, np.repeat(np.arange(len(groups)), sizes))
-        self.batch = SatBatch([e for es in entries for e in es])
+        self.batch = SatBatch(entries)
         self.bounds = self.batch.orbit_bounds()
         self.may_fail = self.batch.may_fail
 
@@ -231,16 +229,6 @@ class _Fleet:
         if take is None:
             return self.batch.propagate_jd(jd, fr)
         return self.batch.propagate_pairs(jd, fr, *np.nonzero(take))
-
-
-def _shell_tles(cc, shell, angles, epoch, k0: int, n0: int, slots: int | None = None):
-    """The TLEs of a Walker shell's slots, or of its first ``slots`` slots,
-    whose first row is ``k0`` in the fleet and ``k0 - n0`` in constellation
-    ``cc``; ``angles``, the shell's :func:`shell_angles`."""
-    return [
-        elements_to_tle(_offset(cc, el), catalog_id=k + 1, name=f"{cc.name}-{k - n0}")
-        for k, el in enumerate(build_walker(shell, epoch, slots, angles), k0)
-    ]
 
 
 class _SlotNames(Sequence):
@@ -255,24 +243,6 @@ class _SlotNames(Sequence):
 
     def __getitem__(self, k: int) -> str:
         return f"{self.constellation}-{self.ids[k]}"
-
-
-def _shell_entries(cc, shell, angles, tles, i0: int, first, may_fail: bool) -> list:
-    """The batch entries of a Walker shell of constellation ``cc`` from its
-    ``i0``-th satellite on: a (TLE, scalar init) row per slot (``tles()``,
-    the first ``first``) if they may fail, else :class:`Slots` at ``angles``
-    (:func:`shell_angles`) through the operations of :func:`_offset`,
-    :func:`elements_to_tle` and :func:`satrec_from_tle`, for their bits."""
-    if may_fail:
-        return [(t, satrec_from_tle) for t in [first, *tles()[1:]]]
-    raan, mean_anomaly = _offset_angles(cc, *angles)
-    deg = math.pi / 180.0
-    return [Slots(
-        first,
-        _SlotNames(cc.name, range(i0, i0 + shell.total)),
-        (raan % 360.0) * deg,
-        (mean_anomaly % 360.0) * deg,
-    )]
 
 
 def _offset_angles(cc, raan, mean_anomaly):

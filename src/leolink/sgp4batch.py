@@ -46,20 +46,19 @@ the quotient.
 records' constants into (P, 1) columns, and its outputs are bit-identical
 to the grid's.
 
-A batch is built from TLEs, from initialised scalar records and from
-:class:`Slots`. The near-earth branch of :func:`sgp4core.sgp4init` runs over
-the element columns of every TLE row in one call (:func:`_near_init`),
-calling libm per row wherever numpy need not round as libm does, so each
-column has the bits of the row's scalar record. Deep-space rows keep scalar
-init: a caller passes their records, or each TLE with the scalar init that
-the batch runs if the row is one that scalar init takes (:func:`tle_kinds`
-says which those are). The TLE rows that :attr:`SatBatch.may_fail` are
-propagated once at their epoch, as scalar init does, and the first in row
-order that fails with one of SGP4's error codes raises scalar init's error,
-as does the first scalar init that fails. A :class:`Slots` entry stands for
-many rows, the slots of one Walker shell that cannot fail: their columns are
-its first slot's, with each slot's node and mean anomaly and the two
-constants that depend on them.
+A batch is built from initialised scalar records and from TLEs and
+:class:`Slots`, the rows of one Walker shell, each with the scalar init to
+run on its deep-space rows (a period of 225 min or more), which the batch
+runs in row order. The near-earth branch of :func:`sgp4core.sgp4init` runs
+over the element columns of every near-earth TLE, and of the first slot of
+every near-earth shell, in one call (:func:`_near_init`), calling libm per
+row wherever numpy need not round as libm does, so each column has the bits
+of the row's scalar record. A shell's other slots differ from its first
+only in node and mean anomaly, and the batch fills their rows from its
+first's. The near-earth rows that :attr:`SatBatch.may_fail` are propagated
+once at their epoch, as scalar init does, and the first in row order that
+fails with one of SGP4's error codes raises scalar init's error, as does
+the first scalar init that fails.
 """
 
 from __future__ import annotations
@@ -67,7 +66,7 @@ from __future__ import annotations
 import math
 import threading
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate, chain, compress, repeat
 from operator import attrgetter, itemgetter
@@ -153,87 +152,68 @@ _STEP2 = 259200.0
 
 @dataclass(frozen=True)
 class Slots:
-    """Rows that share a near-earth TLE's constants but for their node and
-    mean anomaly at epoch [rad], as the slots of one Walker shell do:
-    near-earth :func:`sgp4core.sgp4init` reads those two angles only into
-    ``nodeo`` and ``mo`` and, through :func:`sgp4core.mean_anomaly_terms`,
-    ``delmo`` and ``sinmao``. ``tle`` gives the other constants; it is not
-    checked against the angles, and no filled row is checked at its epoch:
-    slots are for rows that cannot fail (:func:`tle_kinds`)."""
+    """The rows of one Walker shell: the TLE ``tle`` of its first slot, and
+    for every slot its name, its node ``raan`` and its ``mean_anomaly``
+    [deg], as the slot's own TLE holds them. A slot's TLE is ``tle`` with
+    those and the catalog number of ``tle`` plus the slot's index
+    (:meth:`tles`); ``tle`` is not checked against the first slot's
+    angles."""
 
     tle: TwoLineElementSet
     names: Sequence[str]
-    nodeo: np.ndarray
-    mo: np.ndarray
+    raan: np.ndarray
+    mean_anomaly: np.ndarray
 
-
-def tle_kinds(tles: Sequence[TwoLineElementSet]) -> tuple[np.ndarray, np.ndarray]:
-    """Per TLE, (scalar, may_fail): whether :class:`SatBatch` leaves its row
-    to scalar init, and whether propagating it may fail
-    (:attr:`SatBatch.may_fail`), both from the mean motion that
-    :func:`sgp4core.sgp4init` un-Kozais. Scalar init takes the deep-space
-    rows (a period of 225 min or more) and those whose period is not a
-    number, which it handles as it will."""
-    bstar, ecco, no_kozai, _, inclo, _, _ = _elements(tles)
-    no_unkozai = _unkozai(no_kozai, ecco, inclo)[0]
-    scalar = _scalar(no_unkozai)
-    r_lo, _ = _radii(no_unkozai, ecco, bstar != 0.0, _WGS72[2], _WGS72[3])
-    return scalar, _may_fail(scalar, r_lo, _WGS72[2])
-
-
-def _may_fail(deep, r_lo, radiusearthkm):
-    """:attr:`SatBatch.may_fail` from each record's deep-space flag and r_lo."""
-    return deep | (r_lo <= radiusearthkm)
-
-
-def _radii(no_unkozai, ecco, drag, radiusearthkm, xke):
-    """Per record, (r_lo, r_hi) of :meth:`SatBatch.orbit_bounds` [km]."""
-    a = radiusearthkm * (xke / no_unkozai) ** (2.0 / 3.0)
-    r_lo = np.where(drag, radiusearthkm, a * (1.0 - ecco) * (1.0 - RADIUS_MARGIN))
-    r_hi = np.where(drag, np.inf, a * (1.0 + ecco) * (1.0 + RADIUS_MARGIN))
-    return r_lo, r_hi
+    def tles(self) -> list[TwoLineElementSet]:
+        """Every slot's TLE."""
+        return [
+            replace(self.tle, name=name, raan=raan, mean_anomaly=m, catalog_id=self.tle.catalog_id + k)
+            for k, (name, raan, m) in enumerate(
+                zip(self.names, self.raan.tolist(), self.mean_anomaly.tolist())
+            )
+        ]
 
 
 class SatBatch:
     """Fleet-sized batch of initialized SGP4 records, in the given order.
 
-    An entry is a TLE, which the batch initialises, a (TLE, scalar init)
-    pair, whose scalar init the batch runs if the row is one that scalar
-    init takes (:func:`tle_kinds`), a scalar record, or a :class:`Slots`
-    entry, which stands for one row per slot. Every row's constants are
+    An entry is a scalar record, or a TLE or :class:`Slots` paired with the
+    scalar init that the batch runs on each of its deep-space rows; the
+    batch initialises the near-earth rows itself. Every row's constants are
     copied into columns; no record is kept. Set-up raises scalar init's
-    error for the first row that scalar init rejects: a pair's scalar init
-    that fails, or a TLE row that fails at its epoch with one of SGP4's
-    error codes."""
+    error for the first row that scalar init rejects: a deep-space row
+    whose scalar init fails, or a near-earth row that fails at its epoch
+    with one of SGP4's error codes."""
 
     def __init__(
         self,
-        records: list[TwoLineElementSet | sgp4core.SatRecord | Slots
-                      | tuple[TwoLineElementSet, Callable[[TwoLineElementSet], sgp4core.SatRecord]]],
+        records: list[sgp4core.SatRecord
+                      | tuple[TwoLineElementSet | Slots, Callable[[TwoLineElementSet], sgp4core.SatRecord]]],
     ):
-        entries = [r[0] if type(r) is tuple else r for r in records]
-        # each entry's TLE, a Slots entry's its template; None for a record
-        tles = [None if isinstance(r, sgp4core.SatRecord) else r.tle if isinstance(r, Slots)
-                else r for r in entries]
-        at = [i for i, t in enumerate(tles) if t is not None]
-        elements = _elements([tles[i] for i in at])
+        at = [i for i, r in enumerate(records) if type(r) is tuple]
+        # each TLE entry's TLE, and each Slots entry's first slot's
+        tles = [records[i][0].tle if type(records[i][0]) is Slots else records[i][0] for i in at]
+        elements = _elements(tles)
         unkozai = _unkozai(elements[2], elements[1], elements[4])
-        scalar = _scalar(unkozai[0])
-        if scalar.any():
-            for i in compress(at, scalar.tolist()):
-                if type(records[i]) is not tuple:
-                    raise ValueError(
-                        f"{tles[i].name or tles[i].catalog_id}: deep-space rows need scalar init"
-                    )
-                try:
-                    entries[i] = records[i][1](tles[i])
-                except PropagationError:
-                    SatBatch(entries[:i])  # raises the error of an earlier row that fails
-                    raise
-            near = ~scalar
-            at = list(compress(at, near.tolist()))
-            elements = [c[near] for c in elements]
-            unkozai = [c[near] for c in unkozai]
+        # scalar init takes the deep-space rows, of a period of 225 min or more
+        deep = 2.0 * math.pi / unkozai[0] >= 225.0
+        if deep.any():
+            scalar, done = set(compress(at, deep.tolist())), []
+            for i, r in enumerate(records):
+                if i not in scalar:
+                    done.append(r)
+                    continue
+                for tle in r[0].tles() if type(r[0]) is Slots else (r[0],):
+                    try:
+                        done.append(r[1](tle))
+                    except PropagationError:
+                        SatBatch(done)  # raises the error of an earlier row that fails
+                        raise
+            records = done
+            tles = list(compress(tles, (~deep).tolist()))
+            elements = [c[~deep] for c in elements]
+            unkozai = [c[~deep] for c in unkozai]
+        entries = [r[0] if type(r) is tuple else r for r in records]
         is_rec = [isinstance(r, sgp4core.SatRecord) for r in entries]
         is_slots = [isinstance(r, Slots) for r in entries]
         sizes = [len(r.names) if s else 1 for r, s in zip(entries, is_slots)]
@@ -247,19 +227,23 @@ class SatBatch:
         recs = list(compress(entries, is_rec))
         fields = _FIELDS + ("epoch_jd", "epoch_fr", "isimp")
         source = _matrix(recs, fields)
-        if at:
-            near = _near_init([tles[i] for i in at], elements, unkozai)
+        if tles:
+            near = _near_init(tles, elements, unkozai)
             # every entry's constants, from those of the records, then of the TLEs
             source = np.concatenate([source, [near[f] for f in fields]], axis=1)
             rec = np.array(is_rec, dtype=bool)
             source = source[:, np.where(rec, np.cumsum(rec), len(recs) + np.cumsum(~rec)) - 1]
         self._cols = dict(zip(fields, np.repeat(source, sizes, axis=1)[:, :, None]))
+        # near-earth sgp4init reads a slot's node and mean anomaly only into
+        # nodeo and mo and, through mean_anomaly_terms, delmo and sinmao
+        deg = math.pi / 180.0
         for r, a in zip(compress(entries, is_slots), compress(starts, is_slots)):
             rows = slice(a, a + len(r.names))
-            self._cols["nodeo"][rows, 0] = r.nodeo
-            self._cols["mo"][rows, 0] = r.mo
+            mo = r.mean_anomaly * deg
+            self._cols["nodeo"][rows, 0] = r.raan * deg
+            self._cols["mo"][rows, 0] = mo
             self._cols["delmo"][rows, 0], self._cols["sinmao"][rows, 0] = _mean_anomaly_terms(
-                self._cols["eta"][a, 0], r.mo
+                self._cols["eta"][a, 0], mo
             )
         self._cols["isimp"] = self._cols["isimp"] != 0.0
         # near-earth SGP4 keeps inclination at its epoch value apart from
@@ -296,9 +280,8 @@ class SatBatch:
         self.radiusearthkm = _WGS72[2]
         self.vkmpersec = self.radiusearthkm * self.xke / 60.0
         self._drag = self._cols["bstar"][:, 0] != 0.0
-        # scalar init's epoch check, on the TLE rows that may fail
-        rows = np.array([a for a, s, c in zip(starts, is_slots, is_rec) if not (s or c)],
-                        dtype=np.intp)
+        # scalar init's epoch check, on the near-earth rows that may fail
+        rows = np.flatnonzero(np.repeat(np.logical_not(is_rec), sizes))
         self._check_epochs(rows[self.may_fail[rows]])
 
     @cached_property
@@ -326,8 +309,10 @@ class SatBatch:
 
     @cached_property
     def _bounds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        r_lo, r_hi = _radii(self._cols["no_unkozai"][:, 0], self._cols["ecco"][:, 0], self._drag,
-                            self.radiusearthkm, self.xke)
+        ecco = self._cols["ecco"][:, 0]
+        a = self.radiusearthkm * (self.xke / self._cols["no_unkozai"][:, 0]) ** (2.0 / 3.0)
+        r_lo = np.where(self._drag, self.radiusearthkm, a * (1.0 - ecco) * (1.0 - RADIUS_MARGIN))
+        r_hi = np.where(self._drag, np.inf, a * (1.0 + ecco) * (1.0 + RADIUS_MARGIN))
         v_hi = np.sqrt(2.0 * self.mu / r_lo / (1.0 + r_lo / r_hi))
         bounds = r_lo, r_hi, np.where(self.deep, np.inf, v_hi)
         for b in bounds:
@@ -346,7 +331,7 @@ class SatBatch:
         with drag can fail.
         """
         r_lo, _, _ = self.orbit_bounds()
-        return _may_fail(self.deep, r_lo, self.radiusearthkm)
+        return self.deep | (r_lo <= self.radiusearthkm)
 
     def mean_directions(
         self, jd: float, fr: np.ndarray, rows: np.ndarray
@@ -914,11 +899,6 @@ def _unkozai(no_kozai, ecco, inclo):
     adel = ak * (1.0 - del_ * del_ - del_ * (1.0 / 3.0 + 134.0 * del_ * del_ / 81.0))
     del_ = d1 / (adel * adel)
     return no_kozai / (1.0 + del_), cosio, cosio2, omeosq, rteosq
-
-
-def _scalar(no_unkozai: np.ndarray) -> np.ndarray:
-    """The rows that keep scalar init (:func:`tle_kinds`)."""
-    return ~(2.0 * math.pi / no_unkozai < 225.0)
 
 
 def _mean_anomaly_terms(eta, mo: np.ndarray):

@@ -47,6 +47,9 @@ class TwoLineElementSet:
             raise TleParseError(f"inclination {self.inclination} outside [0, 180]")
         if self.mean_motion <= 0.0:
             raise TleParseError(f"mean motion {self.mean_motion} not positive")
+        for name in ("raan", "arg_perigee", "mean_anomaly", "mean_motion", "bstar", "ndot", "nddot"):
+            if not math.isfinite(getattr(self, name)):
+                raise TleParseError(f"{name.replace('_', ' ')} {getattr(self, name)} is not finite")
 
     @property
     def semi_major_axis_km(self) -> float:

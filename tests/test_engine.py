@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leolink.config import ConfigError, ConstellationConfig, ScenarioConfig
@@ -1028,7 +1028,10 @@ def _records_per_row(cfg):
 
 _slot_shells = st.builds(
     ShellSpec,
-    altitude=st.floats(300.0, 2000.0),
+    # from just above the Earth, which ShellSpec and the elements need: near-
+    # earth shells whose slots may fail (below about 64 km) and that cannot,
+    # and deep-space shells (a period of 225 min from about 5,900 km up)
+    altitude=st.one_of(st.floats(1e-3, 30.0), st.floats(1e-3, 2000.0), st.floats(1e-3, 20000.0)),
     inclination=st.floats(0.0, 180.0),
     plane_count=st.integers(1, 6),
     sats_per_plane=st.integers(1, 8),
@@ -1037,17 +1040,26 @@ _slot_shells = st.builds(
 )
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     shells=st.lists(st.lists(_slot_shells, min_size=1, max_size=3), min_size=1, max_size=3),
     offsets=st.lists(st.tuples(st.floats(-400.0, 400.0), st.floats(-400.0, 400.0)), min_size=3, max_size=3),
 )
+# a shell that may fail and does not at its epoch, and a deep-space shell
+# whose subnormal inclination makes its constants NaN
+@example(
+    shells=[[ShellSpec(4.0, 0.0, 1, 1), ShellSpec(5873.0, 2.2250738585e-313, 1, 1)]],
+    offsets=[(0.0, 0.0)] * 3,
+)
 def test_fleet_fills_slots_as_records_per_slot_would(shells, offsets):
-    # the fleet initialises one row per near-earth shell and fills every
-    # slot's row from it: each batch column equals the column of one
-    # record per row, and so does every propagated bit. A deep-space
-    # shell (8,000 km up) and a TLE catalog with drag ride along, one
-    # row per satellite
+    # every Walker shell is one batch entry. If a record per row fails
+    # scalar init, set-up raises its error, with its message, object, step
+    # and instant. Else the fleet initialises the first slot of each
+    # near-earth shell in one batch call and fills every slot's row from it,
+    # and runs a scalar init per slot of a deep-space shell: each batch
+    # column has the bits of the column of one record per row, and
+    # propagation gives the same bits or raises the same error. A TLE catalog
+    # with drag rides along, one row per satellite
     from leolink import engine, sgp4batch
     from leolink.sgp4batch import SatBatch
     from leolink.timebase import julian_date
@@ -1063,10 +1075,18 @@ def test_fleet_fills_slots_as_records_per_slot_would(shells, offsets):
         )
         for i, (s, (ro, mo)) in enumerate(zip(shells, offsets))
     ]
-    fleets[0] = replace(fleets[0], shells=[*fleets[0].shells, ShellSpec(8000.0, 55.0, 2, 3)])
     cfg = mini_cfg(
         constellations=[*fleets, ConstellationConfig("cat", BeamModel("earth_limb"), tles=[draggy])]
     )
+    try:
+        want = SatBatch(_records_per_row(cfg))
+    except PropagationError as exc:
+        with pytest.raises(PropagationError) as got:
+            engine._Fleet(cfg)
+        assert (str(got.value), got.value.object_name, got.value.step, got.value.utc) == (
+            str(exc), exc.object_name, exc.step, exc.utc
+        )
+        return
     inits, batch_inits = [], []
     counted, near_init = engine.satrec_from_tle, sgp4batch._near_init
 
@@ -1079,32 +1099,36 @@ def test_fleet_fills_slots_as_records_per_slot_would(shells, offsets):
         mp.setattr(sgp4batch, "_near_init",
                    lambda tles, *a: batch_inits.append([t.name for t in tles]) or near_init(tles, *a))
         fleet = engine._Fleet(cfg)
-    want = SatBatch(_records_per_row(cfg))
     got = fleet.batch
     assert got.names == want.names
     assert got._cols.keys() == want._cols.keys()
     for key, column in want._cols.items():
-        assert np.array_equal(got._cols[key], column), key
+        assert got._cols[key].tobytes() == column.tobytes(), key
     for key in ("epoch_jd", "epoch_fr", "deep"):
-        assert np.array_equal(getattr(got, key), getattr(want, key)), key
+        assert getattr(got, key).tobytes() == getattr(want, key).tobytes(), key
     assert got._runs == want._runs
     # one batch init of each near-earth shell's first slot and the catalog
     # row; a scalar init per deep slot
-    near, deep = [], []
-    for f in fleets:
-        i = 0
-        for shell in f.shells:
-            if shell.altitude == 8000.0:
-                deep += [f"{f.name}-{k}" for k in range(i, i + shell.total)]
-            else:
-                near.append(f"{f.name}-{i}")
-            i += shell.total
+    near, deep, row = [], [], 0
+    for shell in (shell for f in fleets for shell in f.shells):
+        if want.deep[row]:
+            deep += want.names[row:row + shell.total]
+        else:
+            near.append(want.names[row])
+        row += shell.total
     assert batch_inits == [near + ["DRAGGY"]]
     assert inits == deep
     jd, fr = julian_date(EPOCH)
     fr = fr + np.array([0.0, 0.013, 0.5, 1.7])
-    for a, b in zip(got.propagate_jd(jd, fr), want.propagate_jd(jd, fr)):
-        assert np.array_equal(a, b)
+    try:
+        states = want.propagate_jd(jd, fr)
+    except PropagationError as exc:
+        with pytest.raises(PropagationError) as err:
+            got.propagate_jd(jd, fr)
+        assert (str(err.value), err.value.step, err.value.utc) == (str(exc), exc.step, exc.utc)
+        return
+    for a, b in zip(got.propagate_jd(jd, fr), states):
+        assert a.tobytes() == b.tobytes()
 
 
 _FAILING = ShellSpec(5.0, 53.0, 4, 9)  # 7 of its 36 slots fail scalar init
@@ -1196,10 +1220,11 @@ def test_set_up_raises_the_first_row_that_fails_of_either_kind(tles):
     offsets=st.tuples(st.floats(-400.0, 400.0), st.floats(-400.0, 400.0)),
 )
 def test_slots_that_fail_scalar_init_are_rows_that_may_fail(shells, offsets):
-    # a shell whose slots may fail gets a record per slot, so set-up raises
-    # what a record per row raises, with its message, object, step and
-    # instant. Else the fleet's batch is that of a record per row, and no
-    # row filled from Slots may fail: no such row is checked at its epoch
+    # if a record per row fails scalar init, set-up raises what it raises,
+    # with its message, object, step and instant. Else the fleet's batch is
+    # that of a record per row, and set-up checks at its epoch exactly the
+    # rows filled from Slots that may fail: a slot that fails scalar init
+    # is such a row
     from leolink import engine
     from leolink.sgp4batch import SatBatch, Slots
 
@@ -1220,19 +1245,25 @@ def test_slots_that_fail_scalar_init_are_rows_that_may_fail(shells, offsets):
             str(exc), exc.object_name, exc.step, exc.utc
         )
         return
-    filled = []  # the batch rows filled from Slots
-    init = SatBatch.__init__
+    filled, checked = [], []  # the batch rows filled from Slots; those checked at their epoch
+    init, check = SatBatch.__init__, SatBatch._check_epochs
 
     def spy(self, records):
         at = 0
         for r in records:
-            if isinstance(r, Slots):
-                filled.extend(range(at, at + len(r.names)))
-            at += len(r.names) if isinstance(r, Slots) else 1
+            entry = r[0] if type(r) is tuple else r
+            if isinstance(entry, Slots):
+                filled.extend(range(at, at + len(entry.names)))
+            at += len(entry.names) if isinstance(entry, Slots) else 1
         init(self, records)
+
+    def check_spy(self, rows):
+        checked.extend(rows.tolist())
+        check(self, rows)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(SatBatch, "__init__", spy)
+        mp.setattr(SatBatch, "_check_epochs", check_spy)
         got = engine._Fleet(cfg).batch
     assert got.names == want.names
     assert got._cols.keys() == want._cols.keys()
@@ -1241,14 +1272,15 @@ def test_slots_that_fail_scalar_init_are_rows_that_may_fail(shells, offsets):
     for key in ("epoch_jd", "epoch_fr", "deep"):
         assert np.array_equal(getattr(got, key), getattr(want, key)), key
     assert got._runs == want._runs
-    assert not got.may_fail[filled].any()
+    assert filled == list(range(got.n))
+    assert checked == [i for i in filled if got.may_fail[i]]
 
 
 def test_fleet_set_up_checks_only_the_slots_that_may_fail(monkeypatch):
-    # the bundled OneWeb and Starlink shells cannot fail, so set-up
-    # initialises one row per shell, its first slot's, in one batch call; a
-    # shell low enough to fail gets a row per slot, each checked at its
-    # epoch, and set-up raises at the first that fails in fleet order
+    # set-up initialises one row per shell, its first slot's, in one batch
+    # call. The bundled OneWeb and Starlink shells cannot fail; the slots of
+    # a shell low enough to fail are each checked at their epoch, and
+    # set-up raises at the first that fails in fleet order
     from leolink import engine, sgp4batch
     from leolink.fleets import BUILTIN_FLEETS
 
@@ -1274,7 +1306,7 @@ def test_fleet_set_up_checks_only_the_slots_that_may_fail(monkeypatch):
     )
     with pytest.raises(PropagationError, match="low-6"):
         engine._Fleet(cfg)
-    assert inits == [["low-0", *(f"low-{k}" for k in range(4, 40))]]
+    assert inits == [["low-0", "low-4"]]
     # a catalog row that fails after a shell that cannot fail is raised
     # after one init of the shell's first slot and the catalog row
     inits.clear()

@@ -1,4 +1,6 @@
+import math
 import warnings
+from dataclasses import replace
 from importlib import resources
 
 import pytest
@@ -155,6 +157,33 @@ def test_implied_decimal_cases():
     assert _implied_decimal(" 00000-0") == 0.0
     assert _implied_decimal(" 00000+0") == 0.0
     assert _implied_decimal("        ") == 0.0
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_non_finite_mean_motion_rejected(strict):
+    # float() reads 'nan' and 'inf' in the mean-motion columns, which scalar
+    # init would keep as a NaN record or divide by: the record is rejected,
+    # with or without checksums enforced (the line's checksum is right)
+    l1, l2 = VER_TLE_5.splitlines()
+    for value in ("nan", "inf", "-inf"):
+        line = l2[:52] + f"{value:>11}" + l2[63:68]
+        with pytest.raises(TleParseError, match="mean motion"):
+            parse_tle([l1, line + str(_checksum(line))], strict=strict)
+
+
+def test_non_finite_elements_rejected():
+    # a NaN or infinite element, which no range check catches, is rejected
+    # when the TLE or the elements are built, naming the field
+    tle = parse_tle(VER_TLE_5, strict=True)
+    for name in ("raan", "arg_perigee", "mean_anomaly", "bstar", "ndot", "nddot"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(TleParseError, match=name.replace("_", " ")):
+                replace(tle, **{name: value})
+    el = KeplerianElements(7000.0, 0.0, 53.0, 0.0, 0.0, 0.0, EPOCH)
+    for name in ("semi_major_axis", "inclination", "raan", "arg_perigee", "mean_anomaly"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=name.replace("_", " ")):
+                replace(el, **{name: value})
 
 
 def test_below_earth_semi_major_axis_rejected():

@@ -17,7 +17,10 @@ takes several chunks of users where the benchmark's fit in one, with 1
 and 3 threads. iss_leo and population_mc with one TLE catalog for their
 fleet: the 716 OneWeb slots written as TLEs with drag (bstar 1e-4), as
 every row of a real catalog has; iss_leo also with the 5,124 OneWeb and
-Starlink slots written as a drag-free catalog, whose rows cannot fail. At seeds 0 and 5 population_mc with
+Starlink slots written as a drag-free catalog, whose rows cannot fail, and
+with one Walker fleet of a deep-space shell (8,000 km, 6 x 8 slots) and a
+near-earth one (1,200 km, 2 x 5), with RAAN and mean-anomaly offsets, all
+with 1 and 3 threads and the cull off. At seeds 0 and 5 population_mc with
 every block's knots planned (``engine._CLEAR_SHARE`` 0, where its blocks
 otherwise take every knot dense) and with the cull off. iss_leo over
 5,120 s (513 steps: a last block of one knot) with the cull on and off.
@@ -56,6 +59,15 @@ _PAPER = {"users": {"population": {"n_main": 1000, "n_band": 50, "seed": 0}}}
 _CATALOG, _FREE_CATALOG = "oneweb_drag.tle", "oneweb_starlink.tle"
 _DRAG = {"constellations": [{"name": "oneweb_drag", "source": {"tle_file": _CATALOG}}]}
 _FREE = {"constellations": [{"name": "catalog", "source": {"tle_file": _FREE_CATALOG}}]}
+# a deep-space shell, whose slots get a TLE and a scalar init each, and a
+# near-earth shell, whose slots are filled from its first slot's row
+_DEEP_SHELL = {"constellations": [{
+    "name": "walker", "raan_offset": 17, "anomaly_offset": 250,
+    "source": {"walker": [
+        {"altitude": 8000, "inclination": 55, "plane_count": 6, "sats_per_plane": 8},
+        {"altitude": 1200, "inclination": 87.9, "plane_count": 2, "sats_per_plane": 5},
+    ]},
+}]}
 _ONE_KNOT = {"duration": 5120.0}
 _AHEAD, _BEHIND = {"epoch": "2021-04-17T09:37:29Z"}, {"epoch": "2021-02-20T09:37:29Z"}
 # the beam of each named constellation of the workload
@@ -89,6 +101,7 @@ GROUPS = (
     (0, ("population_mc",), None, _threads("1,100 users", _PAPER)),
     (0, ("iss_leo", "population_mc"), None, _threads_and_off("drag catalog", _DRAG)),
     (0, ("iss_leo",), None, _threads_and_off("drag-free catalog", _FREE)),
+    (0, ("iss_leo",), None, _threads_and_off("deep-space shell", _DEEP_SHELL)),
     (0, ("population_mc",), 0.0, _PLANNED),
     (5, ("population_mc",), 0.0, _PLANNED),
     (0, ("iss_leo",), None, _on_and_off("one-knot block", _ONE_KNOT)),
@@ -144,7 +157,7 @@ def _config(build, seed, out, change, tmp):
     cfg = {**build(seed, str(out)), **{k: v for k, v in change.items() if k != "beams"}}
     fleet = []
     for c in cfg["constellations"]:
-        if "source" in c:
+        if "tle_file" in c.get("source", {}):
             c = {**c, "source": {"tle_file": str(Path(tmp, c["source"]["tle_file"]))}}
         fleet.append({**c, "beam": beams[c["name"]]} if c["name"] in beams else c)
     return {**cfg, "constellations": fleet}
